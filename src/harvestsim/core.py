@@ -10,6 +10,7 @@ noise.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -123,35 +124,66 @@ def window_factor_plus(det: DetectorParams, omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < 0.0):
         raise ValueError("window_factor_plus: omega must be >= 0")
+    return _window_factor(det, omega, 0.0)
+
+
+def _window_factor(det: DetectorParams, omega, t0: float):
+    """``window_factor_plus`` with the window measured from t0; the absolute
+    factor is exp(i*(omega + gap)*t0) times this one."""
     w = det.window
-    return ediff(w.t_on, w.t_off, omega + det.gap)
+    return ediff(w.t_on - t0, w.t_off - t0, omega + det.gap)
 
 
-def _endpoint_scale(w: SwitchingWindow) -> float:
-    return max(abs(w.t_on), abs(w.t_off))
+def _origin(s: Scenario) -> float:
+    """Common time origin of the kernels: the earlier switch-on time.
+
+    Only time differences enter the integrands' dependence on omega, so
+    measuring the windows from here makes the phase-rate bounds, and
+    with them the quadrature cost, independent of a common time shift;
+    the constant phase the shift carries is restored exactly afterwards.
+    """
+    return min(s.det_a.window.t_on, s.det_b.window.t_on)
 
 
-def _jtilde_general(absorber: DetectorParams, emitter: DetectorParams, omega):
+def _endpoint_scale(w: SwitchingWindow, t0: float) -> float:
+    """Largest |t - t0| over the window, for an origin t0 <= w.t_on."""
+    return w.t_off - t0
+
+
+def _scaled(res: QuadResult, pref: float, phase_rate: float, t0: float) -> QuadResult:
+    """pref times a radial integral whose kernel was evaluated from origin t0,
+    with the kernel's constant phase exp(i*phase_rate*t0) restored."""
+    value = pref * res.value
+    if t0 != 0.0:
+        value *= cmath.exp(1j * phase_rate * t0)
+    return QuadResult(value, pref * res.abs_error, res.evaluations)
+
+
+def _jtilde_general(absorber: DetectorParams, emitter: DetectorParams, omega,
+                    t0: float = 0.0):
     """Nested two-time integral over absorber time t and emitter time t' <= t.
 
     Closed form assembled from entire ``ediff`` blocks; the only division
     is by omega + emitter.gap > 0, so the expression is regular for all
     omega >= 0 (in particular at omega = absorber.gap).  Vectorized in omega.
+    The windows are measured from t0; the absolute kernel is
+    exp(i*(absorber.gap + emitter.gap)*t0) times this one.
     """
     omega = np.asarray(omega, dtype=float)
-    wn, wm = absorber.window, emitter.window
+    n_on, n_off = absorber.window.t_on - t0, absorber.window.t_off - t0
+    m_on, m_off = emitter.window.t_on - t0, emitter.window.t_off - t0
     a_minus = omega - absorber.gap
     a_plus = omega + emitter.gap
     gap_sum = absorber.gap + emitter.gap
     out = np.zeros(omega.shape, dtype=complex)
 
-    u0, u1 = max(wn.t_on, wm.t_on), min(wn.t_off, wm.t_off)
+    u0, u1 = max(n_on, m_on), min(n_off, m_off)
     if u1 > u0:
         const = ediff(u0, u1, gap_sum)  # frequency-independent block
-        out -= (const - np.exp(1j * a_plus * wm.t_on) * ediff(u0, u1, -a_minus)) / a_plus
-    v0, v1 = max(wn.t_on, wm.t_off), wn.t_off
+        out -= (const - np.exp(1j * a_plus * m_on) * ediff(u0, u1, -a_minus)) / a_plus
+    v0, v1 = max(n_on, m_off), n_off
     if v1 > v0:
-        out -= ediff(v0, v1, -a_minus) * ediff(wm.t_on, wm.t_off, a_plus)
+        out -= ediff(v0, v1, -a_minus) * ediff(m_on, m_off, a_plus)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -176,13 +208,14 @@ def jtilde_overlap(emitter: DetectorParams, absorber: DetectorParams, omega):
     return _jtilde_general(absorber, emitter, omega)
 
 
-def _jhat(s: Scenario, omega):
-    """Sum of both emitter/absorber orderings of the correlation kernel."""
+def _jhat(s: Scenario, omega, t0: float):
+    """Sum of both emitter/absorber orderings of the correlation kernel,
+    windows measured from t0."""
     total = np.zeros(np.shape(omega), dtype=complex)
     for absorber, emitter in ((s.det_b, s.det_a), (s.det_a, s.det_b)):
         if absorber.window.t_off <= emitter.window.t_on:
             continue  # absorber off before emitter starts: kernel vanishes
-        total = total + _jtilde_general(absorber, emitter, omega)
+        total = total + _jtilde_general(absorber, emitter, omega, t0)
     return total
 
 
@@ -218,19 +251,20 @@ def _i_ab_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
     sig = _require_equal_smearing(s, "compute_I_AB")
     r0 = s.separation
     da, db = s.det_a, s.det_b
+    t0 = _origin(s)
 
     def integrand(w):
         return (w * sinc(w * r0) * np.exp(-0.5 * (w * sig) ** 2)
-                * np.conj(window_factor_plus(da, w)) * window_factor_plus(db, w))
+                * np.conj(_window_factor(da, w, t0)) * _window_factor(db, w, t0))
 
     spec = IntegrandSpec(
         evaluate=integrand,
         damping_scale=sig,
-        max_phase_rate=r0 + _endpoint_scale(da.window) + _endpoint_scale(db.window),
+        max_phase_rate=r0 + _endpoint_scale(da.window, t0) + _endpoint_scale(db.window, t0),
     )
     res = integrate_radial(spec, settings)
     pref = da.coupling * db.coupling / (4.0 * math.pi**2)
-    return QuadResult(pref * res.value, pref * res.abs_error, res.evaluations)
+    return _scaled(res, pref, db.gap - da.gap, t0)
 
 
 def compute_I_AB(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
@@ -238,15 +272,22 @@ def compute_I_AB(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -
     return _i_ab_result(s, settings).value
 
 
-def _j_result_at_separation(s: Scenario, r: float, settings: QuadratureSettings) -> QuadResult:
-    """Correlation term at separation r (r may be any real; even in r)."""
-    sig = _require_equal_smearing(s, "compute_J")
+def _j_quadrature(s: Scenario, op: str, r: float, factor, pref: float,
+                  settings: QuadratureSettings) -> QuadResult:
+    """pref times the integral of factor(w)*exp(-(w*sigma)^2/2)*Jhat(w) over w >= 0.
+
+    ``factor`` carries the separation dependence, oscillating at most at
+    rate |r|, and any smearing factor.  Every correlation term, smeared
+    or not, is this one quadrature with a different factor.
+    """
+    sig = _require_equal_smearing(s, op)
     da, db = s.det_a, s.det_b
+    t0 = _origin(s)
 
     def integrand(w):
-        return w * sinc(w * r) * np.exp(-0.5 * (w * sig) ** 2) * _jhat(s, w)
+        return factor(w) * np.exp(-0.5 * (w * sig) ** 2) * _jhat(s, w, t0)
 
-    rate = abs(r) + 2.0 * max(_endpoint_scale(da.window), _endpoint_scale(db.window))
+    rate = abs(r) + 2.0 * max(_endpoint_scale(da.window, t0), _endpoint_scale(db.window, t0))
     spec = IntegrandSpec(
         evaluate=integrand,
         damping_scale=sig,
@@ -254,8 +295,16 @@ def _j_result_at_separation(s: Scenario, r: float, settings: QuadratureSettings)
         singular_points=tuple(sorted({da.gap, db.gap})),
     )
     res = integrate_radial(spec, settings)
-    pref = da.coupling * db.coupling / (4.0 * math.pi**2)
-    return QuadResult(pref * res.value, pref * res.abs_error, res.evaluations)
+    return _scaled(res, pref, da.gap + db.gap, t0)
+
+
+def _j_pref(s: Scenario) -> float:
+    return s.det_a.coupling * s.det_b.coupling / (4.0 * math.pi**2)
+
+
+def _j_result_at_separation(s: Scenario, r: float, settings: QuadratureSettings) -> QuadResult:
+    """Correlation term at separation r (r may be any real; even in r)."""
+    return _j_quadrature(s, "compute_J", r, lambda w: w * sinc(w * r), _j_pref(s), settings)
 
 
 def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
@@ -264,33 +313,18 @@ def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> c
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
-    """Complex correlation term averaged over a Gaussian separation spread."""
-    sig = _require_equal_smearing(s, "compute_J_smeared")
+    """Complex correlation term averaged over a Gaussian separation spread.
+
+    The separation enters only through sinc(w*r), whose Gaussian average
+    is the damped imaginary error function, for every window timing.
+    """
     delta = s.position_uncertainty
     if not delta > 0.0:
         raise ValueError("compute_J_smeared: requires position_uncertainty > 0")
-    if isinstance(classify_timing(s.det_a.window, s.det_b.window), Overlapping):
-        raise ValueError(
-            "compute_J_smeared: closed form only valid for non-overlapping windows; "
-            "use smear_J_gauss_hermite instead"
-        )
-    da, db = s.det_a, s.det_b
     x = s.separation / delta
-
-    def integrand(w):
-        return (damped_im_erfi(x, 0.5 * delta * w)
-                * np.exp(-0.5 * (w * sig) ** 2) * _jhat(s, w))
-
-    rate = s.separation + 2.0 * max(_endpoint_scale(da.window), _endpoint_scale(db.window))
-    spec = IntegrandSpec(
-        evaluate=integrand,
-        damping_scale=sig,
-        max_phase_rate=rate,
-        singular_points=tuple(sorted({da.gap, db.gap})),
-    )
-    res = integrate_radial(spec, settings)
-    pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
-    return QuadResult(pref * res.value, pref * res.abs_error, res.evaluations)
+    pref = s.det_a.coupling * s.det_b.coupling / (4.0 * delta * math.pi**1.5)
+    return _j_quadrature(s, "compute_J_smeared", s.separation,
+                         lambda w: damped_im_erfi(x, 0.5 * delta * w), pref, settings)
 
 
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -307,7 +341,8 @@ def smear_J_gauss_hermite(
 
     Pr(r) = exp(-(r-r0)^2/delta^2)/(delta*sqrt(pi)), including the formal
     negative-r tail.  Returns (mean of J, mean of |J|); the second is a
-    diagnostic distinguishing |<J>| from <|J|>.
+    diagnostic distinguishing |<J>| from <|J|>.  A reference for the
+    closed form, which it matches only where the rule resolves J(r).
     """
     delta = s.position_uncertainty
     if not delta > 0.0:
@@ -320,12 +355,14 @@ def smear_J_gauss_hermite(
     return complex(np.sum(w * js)), float(np.sum(w * np.abs(js)))
 
 
-def _time_smeared_j_complex(
+def _time_smeared_gauss_hermite(
     s: Scenario, delta_t: float, settings: QuadratureSettings, nodes: int
-) -> complex:
+) -> QuadResult:
     u, w = hermgauss(nodes)
     w = w / math.sqrt(math.pi)
     total = 0.0 + 0.0j
+    error = 0.0
+    evaluations = 0
     for ui, wi in zip(u, w):
         shifted = Scenario(
             det_a=s.det_a,
@@ -338,26 +375,65 @@ def _time_smeared_j_complex(
             separation=s.separation,
             position_uncertainty=0.0,
         )
-        total += wi * _j_result_at_separation(shifted, s.separation, settings).value
-    return total
+        res = _j_result_at_separation(shifted, s.separation, settings)
+        total += wi * res.value
+        error += wi * res.abs_error
+        evaluations += res.evaluations
+    return QuadResult(total, error, evaluations)
+
+
+def _j_time_smeared_result(
+    s: Scenario, delta_t: float, settings: QuadratureSettings
+) -> tuple[QuadResult, str]:
+    """Correlation term averaged over a Gaussian clock offset of B's window,
+    and the label of the method used.
+
+    While an offset keeps the windows disjoint, shifting B's window by tau
+    multiplies the kernel by exp(-i*(w - gap_B)*tau) when A's window is
+    first and by exp(i*(w + gap_B)*tau) when B's is first, so the average
+    is the exact factor exp(-(w - gap_B)^2*delta_t^2/4), respectively
+    exp(-(w + gap_B)^2*delta_t^2/4).  It is used when the offsets that
+    make the windows overlap, of Gaussian mass erfc(gap/delta_t)/2, stay
+    within tol_rel; otherwise each offset is integrated by 41-node
+    Gauss-Hermite.
+    """
+    timing = classify_timing(s.det_a.window, s.det_b.window)
+    if (isinstance(timing, Disjoint)
+            and 0.5 * math.erfc(timing.gap / delta_t) <= settings.tol_rel):
+        shift = -s.det_b.gap if timing.first == "A" else s.det_b.gap
+        r = s.separation
+
+        def factor(w):
+            return w * sinc(w * r) * np.exp(-0.25 * ((w + shift) * delta_t) ** 2)
+
+        return (_j_quadrature(s, "compute_J_time_smeared", r, factor, _j_pref(s), settings),
+                "closed-form-time")
+    return _time_smeared_gauss_hermite(s, delta_t, settings, 41), "gauss-hermite-time"
 
 
 def compute_J_time_smeared(
     s: Scenario,
     delta_t: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-    nodes: int = 41,
+    nodes: int | None = None,
 ) -> float:
     """|correlation term| under a Gaussian clock-offset spread of scale delta_t.
 
     The offset distribution mirrors the spatial convention
-    (variance delta_t^2/2); the second window is shifted per node.
+    (variance delta_t^2/2) and shifts the second window.  By default the
+    method of ``evaluate_scenario`` is used; ``nodes`` forces a
+    Gauss-Hermite average over that many offsets, the reference the
+    closed form is tested against.
     """
     if not delta_t > 0.0:
         raise ValueError("compute_J_time_smeared: requires delta_t > 0")
     if isinstance(classify_timing(s.det_a.window, s.det_b.window), Overlapping):
         raise ValueError("compute_J_time_smeared: requires non-overlapping windows")
-    return abs(_time_smeared_j_complex(s, delta_t, settings, nodes))
+    if nodes is None:
+        res, _ = _j_time_smeared_result(s, delta_t, settings)
+    else:
+        res = _time_smeared_gauss_hermite(s, delta_t, settings, nodes)
+    return abs(res.value)
 
 
 def assemble_rho(ints: SecondOrderIntegrals) -> TwoQubitState:
@@ -458,7 +534,9 @@ class HarvestReport:
     integrals: SecondOrderIntegrals      # j holds the smeared value when smearing applies
     j_unsmeared: complex
     j_smeared_abs: float | None
-    smearing_method: str | None          # None, "erfi-closed-form", or "gauss-hermite"
+    # None, "erfi-closed-form" (spatial), "closed-form-time" (clock offset,
+    # windows kept apart) or "gauss-hermite-time" (clock offset otherwise)
+    smearing_method: str | None
     negativity_raw: float
     negativity: float
     o4_corner_eigenvalue: float          # diagnostic; excluded from negativity
@@ -478,10 +556,12 @@ def evaluate_scenario(
 ) -> HarvestReport:
     """Compute every report quantity for one scenario.
 
-    With nonzero position uncertainty the correlation term is smeared
-    (closed form for disjoint windows, Gauss-Hermite averaging otherwise);
-    ``time_smear`` applies the clock-offset smear instead.  The local
-    terms are separation-independent and never smeared.
+    With nonzero position uncertainty the correlation term is smeared by
+    the erfi closed form, for every window timing; ``time_smear`` applies
+    the clock-offset smear instead (exact phase factor while the offsets
+    keep the windows apart, Gauss-Hermite averaging otherwise).  Every
+    path but that Gauss-Hermite one is a single radial quadrature.
+    The local terms are separation-independent and never smeared.
     """
     if time_smear is not None and s.position_uncertainty > 0.0:
         raise ValueError("evaluate_scenario: spatial and temporal smearing are exclusive")
@@ -501,21 +581,15 @@ def evaluate_scenario(
     j_eff = j_unsmeared
     j_smeared_abs = None
     if s.position_uncertainty > 0.0:
-        timing = classify_timing(s.det_a.window, s.det_b.window)
-        if isinstance(timing, Disjoint):
-            res_sm = _j_smeared_result(s, settings)
-            j_eff = res_sm.value
-            errors["j_smeared"] = res_sm.abs_error
-            method = "erfi-closed-form"
-        else:
-            j_eff, _ = smear_J_gauss_hermite(s, settings)
-            method = "gauss-hermite"
-        j_smeared_abs = abs(j_eff)
+        res_sm = _j_smeared_result(s, settings)
+        method = "erfi-closed-form"
     elif time_smear is not None:
         if not time_smear > 0.0:
             raise ValueError("evaluate_scenario: time_smear must be > 0")
-        j_eff = _time_smeared_j_complex(s, time_smear, settings, nodes=41)
-        method = "gauss-hermite-time"
+        res_sm, method = _j_time_smeared_result(s, time_smear, settings)
+    if method is not None:
+        j_eff = res_sm.value
+        errors["j_smeared"] = res_sm.abs_error
         j_smeared_abs = abs(j_eff)
 
     ints = SecondOrderIntegrals(

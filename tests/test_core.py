@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from harvestsim import core
 from harvestsim.core import (
     SecondOrderIntegrals,
     TwoQubitState,
@@ -280,9 +283,12 @@ class TestSmearedCorrelation:
         assert j50 / j100 == pytest.approx(2.0, rel=0.10)
 
     def test_rejects_overlapping_windows(self):
+        # r enters J only through sinc(w r) for every window timing, so the
+        # closed form also covers overlapping windows: they are accepted and
+        # meet the Hermite average, which resolves J(r) at this delta
         s = scenario(wa=(0.0, 1.0), wb=(0.5, 1.5), r0=1.0, delta=0.3)
-        with pytest.raises(ValueError, match="non-overlapping"):
-            compute_J_smeared(s)
+        gh_mean, _ = smear_J_gauss_hermite(s, nodes=161)
+        assert compute_J_smeared(s) == pytest.approx(abs(gh_mean), rel=1e-10)
 
     def test_rejects_zero_delta(self):
         with pytest.raises(ValueError):
@@ -298,21 +304,29 @@ class TestSmearedCorrelation:
         assert gh_abs_mean >= abs(gh_mean) - 1e-18
 
     def test_identity_route_vs_quadrature_route(self):
-        # direct Pr(r)-weighted quadrature of J(r) reproduces the closed form
+        # direct Pr(r)-weighted quadrature of J(|r|) reproduces the closed form
         from scipy.integrate import quad
 
-        s = replace(scenario(sigma=0.05), position_uncertainty=0.05)
-        closed = compute_J_smeared(s)
-        r0, d = s.separation, s.position_uncertainty
+        for s in (
+            replace(scenario(sigma=0.05), position_uncertainty=0.05),
+            # overlapping windows at delta = r0, where Pr(r) reaches r < 0
+            scenario(wa=(0.0, 1.0), wb=(0.4, 1.2), r0=0.8, sigma=0.1, delta=0.8,
+                     coupling=0.05),
+        ):
+            closed = compute_J_smeared(s)
+            r0, d = s.separation, s.position_uncertainty
 
-        def integrand(r, part):
-            v = compute_J(replace(s, separation=r, position_uncertainty=0.0))
-            pr = math.exp(-((r - r0) / d) ** 2) / (d * math.sqrt(math.pi))
-            return pr * (v.real if part == "re" else v.imag)
+            def integrand(r, part):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # |r| < 5 sigma near r = 0
+                    v = compute_J(replace(s, separation=abs(r), position_uncertainty=0.0))
+                pr = math.exp(-((r - r0) / d) ** 2) / (d * math.sqrt(math.pi))
+                return pr * (v.real if part == "re" else v.imag)
 
-        re, _ = quad(integrand, r0 - 8 * d, r0 + 8 * d, args=("re",), limit=200)
-        im, _ = quad(integrand, r0 - 8 * d, r0 + 8 * d, args=("im",), limit=200)
-        assert abs(complex(re, im)) == pytest.approx(closed, rel=1e-6)
+            re, _ = quad(integrand, r0 - 8 * d, r0 + 8 * d, args=("re",), limit=200)
+            im, _ = quad(integrand, r0 - 8 * d, r0 + 8 * d, args=("im",), limit=200)
+            assert abs(complex(re, im)) == pytest.approx(closed, rel=1e-6)
+            assert evaluate_scenario(s).j_smeared_abs == closed
 
 
 class TestTimeSmearedCorrelation:
@@ -338,6 +352,77 @@ class TestTimeSmearedCorrelation:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             compute_J_time_smeared(fig_scenario(), 0.0)
+
+
+class TestClockOffsetSmear:
+    # windows 25 sigma apart: offsets of up to 5 sigma keep them apart, so the
+    # exact phase factor applies; 161-node Gauss-Hermite is the reference
+    SIGMA = 0.1
+    EARLY, LATE = (0.0, 1.0), (3.5, 4.5)
+
+    @pytest.mark.parametrize("first", ["A", "B"])
+    @pytest.mark.parametrize("widths", [1, 5])
+    def test_closed_form_matches_gauss_hermite(self, first, widths):
+        wa, wb = (self.EARLY, self.LATE) if first == "A" else (self.LATE, self.EARLY)
+        s = scenario(wa=wa, wb=wb, r0=1.0, sigma=self.SIGMA, gap_a=0.8, gap_b=1.3,
+                     coupling=0.05)
+        dt = widths * self.SIGMA
+        rep = evaluate_scenario(s, time_smear=dt)
+        assert rep.smearing_method == "closed-form-time"
+        gh = core._time_smeared_gauss_hermite(s, dt, core.DEFAULT_SETTINGS, nodes=161)
+        assert abs(rep.integrals.j - gh.value) <= 1e-10 * abs(gh.value)
+        assert compute_J_time_smeared(s, dt) == rep.j_smeared_abs
+        assert 0.0 < rep.quad_errors["j_smeared"] <= 1e-9 * rep.j_smeared_abs
+
+    def test_offsets_reaching_overlap_keep_gauss_hermite(self):
+        # gap/dt = 0.4: a third of the offsets make the windows overlap
+        s = scenario(wa=(0.0, 1.0), wb=(1.2, 2.2), r0=1.0, sigma=self.SIGMA,
+                     coupling=0.05)
+        rep = evaluate_scenario(s, time_smear=0.5)
+        assert rep.smearing_method == "gauss-hermite-time"
+        assert rep.j_smeared_abs == compute_J_time_smeared(s, 0.5)
+        assert rep.j_smeared_abs == compute_J_time_smeared(s, 0.5, nodes=41)
+        assert rep.quad_errors["j_smeared"] > 0.0
+
+
+class TestTimeShiftInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a_on=st.floats(-1.0, 1.0),
+        a_len=st.floats(0.3, 1.5),
+        b_lag=st.floats(-1.5, 2.0),
+        b_len=st.floats(0.3, 1.5),
+        gap_a=st.floats(0.5, 2.0),
+        gap_b=st.floats(0.5, 2.0),
+        r0=st.floats(0.5, 2.0),
+        shift=st.floats(0.0, 30.0),
+    )
+    def test_common_window_shift(self, a_on, a_len, b_lag, b_len, gap_a, gap_b, r0, shift):
+        def at(t):
+            wa = (a_on + t, a_on + t + a_len)
+            wb = (a_on + t + b_lag, a_on + t + b_lag + b_len)
+            return scenario(wa=wa, wb=wb, r0=r0, sigma=0.1, gap_a=gap_a, gap_b=gap_b,
+                            coupling=0.05)
+
+        s0, s1 = at(0.0), at(shift)
+        rep0, rep1 = evaluate_scenario(s0), evaluate_scenario(s1)
+        i0, i1 = rep0.integrals, rep1.integrals
+        assert i1.i_aa == pytest.approx(i0.i_aa, rel=1e-12)
+        assert i1.i_bb == pytest.approx(i0.i_bb, rel=1e-12)
+        assert abs(i1.i_ab) == pytest.approx(abs(i0.i_ab), rel=1e-12)
+        assert abs(i1.j) == pytest.approx(abs(i0.j), rel=1e-12)
+        # the negativity is a difference of terms of size i_aa + i_bb + 2|j|
+        scale = i0.i_plus + 2.0 * abs(i0.j)
+        assert abs(rep1.negativity_raw - rep0.negativity_raw) <= 1e-12 * scale
+        # the shift is a constant phase on the exchange and correlation terms
+        ab_phase = np.exp(1j * (gap_b - gap_a) * shift)
+        j_phase = np.exp(1j * (gap_a + gap_b) * shift)
+        assert abs(i1.i_ab - i0.i_ab * ab_phase) <= 1e-12 * abs(i0.i_ab)
+        assert abs(i1.j - i0.j * j_phase) <= 1e-12 * abs(i0.j)
+        # and the cost of the correlation term does not grow with it
+        evals0 = core._j_result_at_separation(s0, r0, core.DEFAULT_SETTINGS).evaluations
+        evals1 = core._j_result_at_separation(s1, r0, core.DEFAULT_SETTINGS).evaluations
+        assert evals1 <= evals0
 
 
 class TestStateAssembly:
@@ -516,11 +601,13 @@ class TestRatioAndReport:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_report_overlap_fallback(self):
+        # overlapping windows take the same closed form as disjoint ones
         s = scenario(wa=(0.0, 1.0), wb=(0.5, 1.5), r0=1.0, sigma=0.1, delta=0.1,
                      coupling=0.01)
         rep = evaluate_scenario(s)
-        assert rep.smearing_method == "gauss-hermite"
-        assert rep.j_smeared_abs is not None
+        assert rep.smearing_method == "erfi-closed-form"
+        assert rep.j_smeared_abs == compute_J_smeared(s)
+        assert 0.0 < rep.quad_errors["j_smeared"] <= 1e-9 * rep.j_smeared_abs
 
     def test_report_time_smear(self):
         rep = evaluate_scenario(fig_scenario(), time_smear=0.1)
