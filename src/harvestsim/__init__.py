@@ -27,6 +27,7 @@ from .core import (
     compute_J_smeared,
     compute_J_time_smeared,
     evaluate_scenario,
+    evaluate_scenarios,
     jtilde_disjoint,
     jtilde_overlap,
     negativity_closed,

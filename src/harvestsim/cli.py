@@ -5,7 +5,7 @@ Verbs:
   sweep <config>                       run the sweep described by the config
   figure {fig2a,fig2b,fig3} [--out]    run a figure-reproduction preset
 
-Global flags: --workers N, --tol-abs X, --tol-rel X.
+Global flags: --tol-abs X, --tol-rel X.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="harvestsim",
         description="Second-order entanglement harvesting with rectangular switching",
     )
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes for sweeps (default 1)")
     parser.add_argument("--tol-abs", type=float, default=None,
                         help="override quadrature absolute tolerance")
     parser.add_argument("--tol-rel", type=float, default=None,
@@ -127,7 +125,7 @@ def main(argv=None) -> int:
                     fh.write("\n")
         elif args.command == "sweep":
             cfg = _override_numerics(load_config(args.config), args)
-            rows = run_sweep(cfg, workers=args.workers)
+            rows = run_sweep(cfg)
             text = rows_to_csv(rows) if cfg.output.format == "csv" else rows_to_json(rows)
             if cfg.output.path is None:
                 sys.stdout.write(text)
@@ -144,7 +142,7 @@ def main(argv=None) -> int:
                 if args.tol_rel is not None:
                     kwargs["tol_rel"] = args.tol_rel
                 numerics = QuadratureSettings(**kwargs)
-            rows, meta = figure_preset(args.name, workers=args.workers, numerics=numerics)
+            rows, meta = figure_preset(args.name, numerics=numerics)
             _write_table(rows, meta, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

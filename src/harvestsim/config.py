@@ -146,12 +146,9 @@ def _validate_schema(parser) -> None:
 
 def _build(parser) -> RunConfig:
     _validate_schema(parser)
-    try:
-        sigma_ref = _parse_number(
-            "detector_a", "smearing", _get(parser, "detector_a", "smearing"), None
-        )
-    except ConfigError:
-        raise
+    sigma_ref = _parse_number(
+        "detector_a", "smearing", _get(parser, "detector_a", "smearing"), None
+    )
     det_a = _detector(parser, "detector_a", sigma_ref)
     det_b = _detector(parser, "detector_b", sigma_ref)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .detectors import (
 )
 from .quadrature import (
     DEFAULT_SETTINGS,
+    ConvergenceFailure,
     IntegrandSpec,
     QuadratureSettings,
     QuadResult,
@@ -57,7 +59,9 @@ __all__ = [
     "negativity_sectors",
     "bell_fractions",
     "ratio_R",
+    "ROW_ERRORS",
     "evaluate_scenario",
+    "evaluate_scenarios",
 ]
 
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
@@ -219,6 +223,30 @@ def _jhat(s: Scenario, omega, t0: float):
     return total
 
 
+class _KernelMemo:
+    """``_jhat`` of one detector pair, kept on the first node array it is
+    evaluated on.
+
+    Every correlation quadrature at one separation starts from the same
+    initial Gauss-Kronrod nodes, which depend only on the detector pair
+    and the separation, so the kernel on that grid is computed once and
+    read back by the later quadratures; any other nodes (refinement
+    rounds) are computed fresh.
+    """
+
+    def __init__(self, s: Scenario):
+        self.s, self.t0 = s, _origin(s)
+        self.nodes = self.values = None
+
+    def __call__(self, omega):
+        if self.nodes is not None and np.array_equal(omega, self.nodes):
+            return self.values
+        values = _jhat(self.s, omega, self.t0)
+        if self.nodes is None:
+            self.nodes, self.values = omega, values
+        return values
+
+
 def _require_equal_smearing(s: Scenario, op: str) -> float:
     if s.det_a.smearing != s.det_b.smearing:
         raise ValueError(f"{op}: requires equal smearing widths for both detectors")
@@ -273,19 +301,24 @@ def compute_I_AB(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -
 
 
 def _j_quadrature(s: Scenario, op: str, r: float, factor, pref: float,
-                  settings: QuadratureSettings) -> QuadResult:
+                  settings: QuadratureSettings,
+                  kernel: _KernelMemo | None = None) -> QuadResult:
     """pref times the integral of factor(w)*exp(-(w*sigma)^2/2)*Jhat(w) over w >= 0.
 
     ``factor`` carries the separation dependence, oscillating at most at
     rate |r|, and any smearing factor.  Every correlation term, smeared
-    or not, is this one quadrature with a different factor.
+    or not, is this one quadrature with a different factor.  ``kernel``
+    shares Jhat between the quadratures of one detector pair at one
+    separation.
     """
     sig = _require_equal_smearing(s, op)
     da, db = s.det_a, s.det_b
     t0 = _origin(s)
+    if kernel is None:
+        kernel = _KernelMemo(s)
 
     def integrand(w):
-        return factor(w) * np.exp(-0.5 * (w * sig) ** 2) * _jhat(s, w, t0)
+        return factor(w) * np.exp(-0.5 * (w * sig) ** 2) * kernel(w)
 
     rate = abs(r) + 2.0 * max(_endpoint_scale(da.window, t0), _endpoint_scale(db.window, t0))
     spec = IntegrandSpec(
@@ -302,9 +335,11 @@ def _j_pref(s: Scenario) -> float:
     return s.det_a.coupling * s.det_b.coupling / (4.0 * math.pi**2)
 
 
-def _j_result_at_separation(s: Scenario, r: float, settings: QuadratureSettings) -> QuadResult:
+def _j_result_at_separation(s: Scenario, r: float, settings: QuadratureSettings,
+                            kernel: _KernelMemo | None = None) -> QuadResult:
     """Correlation term at separation r (r may be any real; even in r)."""
-    return _j_quadrature(s, "compute_J", r, lambda w: w * sinc(w * r), _j_pref(s), settings)
+    return _j_quadrature(s, "compute_J", r, lambda w: w * sinc(w * r), _j_pref(s), settings,
+                         kernel)
 
 
 def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
@@ -312,7 +347,8 @@ def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> c
     return _j_result_at_separation(s, s.separation, settings).value
 
 
-def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
+def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
+                      kernel: _KernelMemo | None = None) -> QuadResult:
     """Complex correlation term averaged over a Gaussian separation spread.
 
     The separation enters only through sinc(w*r), whose Gaussian average
@@ -324,7 +360,7 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
     x = s.separation / delta
     pref = s.det_a.coupling * s.det_b.coupling / (4.0 * delta * math.pi**1.5)
     return _j_quadrature(s, "compute_J_smeared", s.separation,
-                         lambda w: damped_im_erfi(x, 0.5 * delta * w), pref, settings)
+                         lambda w: damped_im_erfi(x, 0.5 * delta * w), pref, settings, kernel)
 
 
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -383,7 +419,8 @@ def _time_smeared_gauss_hermite(
 
 
 def _j_time_smeared_result(
-    s: Scenario, delta_t: float, settings: QuadratureSettings
+    s: Scenario, delta_t: float, settings: QuadratureSettings,
+    kernel: _KernelMemo | None = None,
 ) -> tuple[QuadResult, str]:
     """Correlation term averaged over a Gaussian clock offset of B's window,
     and the label of the method used.
@@ -395,7 +432,9 @@ def _j_time_smeared_result(
     exp(-(w + gap_B)^2*delta_t^2/4).  It is used when the offsets that
     make the windows overlap, of Gaussian mass erfc(gap/delta_t)/2, stay
     within tol_rel; otherwise each offset is integrated by 41-node
-    Gauss-Hermite.
+    Gauss-Hermite.  J is not smooth in an offset that makes the windows
+    overlap, so that rule's error is estimated by its distance from the
+    21-node rule, added to the per-offset quadrature errors.
     """
     timing = classify_timing(s.det_a.window, s.det_b.window)
     if (isinstance(timing, Disjoint)
@@ -406,9 +445,14 @@ def _j_time_smeared_result(
         def factor(w):
             return w * sinc(w * r) * np.exp(-0.25 * ((w + shift) * delta_t) ** 2)
 
-        return (_j_quadrature(s, "compute_J_time_smeared", r, factor, _j_pref(s), settings),
+        return (_j_quadrature(s, "compute_J_time_smeared", r, factor, _j_pref(s), settings,
+                              kernel),
                 "closed-form-time")
-    return _time_smeared_gauss_hermite(s, delta_t, settings, 41), "gauss-hermite-time"
+    fine = _time_smeared_gauss_hermite(s, delta_t, settings, 41)
+    coarse = _time_smeared_gauss_hermite(s, delta_t, settings, 21)
+    return (QuadResult(fine.value, fine.abs_error + abs(fine.value - coarse.value),
+                       fine.evaluations + coarse.evaluations),
+            "gauss-hermite-time")
 
 
 def compute_J_time_smeared(
@@ -427,8 +471,6 @@ def compute_J_time_smeared(
     """
     if not delta_t > 0.0:
         raise ValueError("compute_J_time_smeared: requires delta_t > 0")
-    if isinstance(classify_timing(s.det_a.window, s.det_b.window), Overlapping):
-        raise ValueError("compute_J_time_smeared: requires non-overlapping windows")
     if nodes is None:
         res, _ = _j_time_smeared_result(s, delta_t, settings)
     else:
@@ -549,26 +591,36 @@ class HarvestReport:
     quad_errors: dict = field(default_factory=dict)
 
 
-def evaluate_scenario(
-    s: Scenario,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    time_smear: float | None = None,
-) -> HarvestReport:
-    """Compute every report quantity for one scenario.
+ROW_ERRORS = (ConvergenceFailure, ValueError, ZeroDivisionError)
+"""Exceptions that ``evaluate_scenarios`` records for a row instead of raising."""
 
-    With nonzero position uncertainty the correlation term is smeared by
-    the erfi closed form, for every window timing; ``time_smear`` applies
-    the clock-offset smear instead (exact phase factor while the offsets
-    keep the windows apart, Gauss-Hermite averaging otherwise).  Every
-    path but that Gauss-Hermite one is a single radial quadrature.
-    The local terms are separation-independent and never smeared.
-    """
+
+def _shared(cache: dict, key, compute):
+    """cache[key], computed on first use; a failure is kept and raised again
+    for every row that needs the same integral."""
+    if key not in cache:
+        try:
+            cache[key] = compute()
+        except ROW_ERRORS as exc:
+            cache[key] = exc
+    out = cache[key]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSettings,
+                i_nn: dict, pair: dict, kernel: _KernelMemo) -> HarvestReport:
+    """One row of ``evaluate_scenarios``: ``i_nn`` holds the local terms by
+    detector, ``pair`` the exchange and unsmeared correlation terms of the
+    row's detector pair and separation, and ``kernel`` their Jhat."""
     if time_smear is not None and s.position_uncertainty > 0.0:
         raise ValueError("evaluate_scenario: spatial and temporal smearing are exclusive")
-    res_aa = _i_nn_result(s.det_a, settings)
-    res_bb = _i_nn_result(s.det_b, settings)
-    res_ab = _i_ab_result(s, settings)
-    res_j = _j_result_at_separation(s, s.separation, settings)
+    res_aa = _shared(i_nn, s.det_a, lambda: _i_nn_result(s.det_a, settings))
+    res_bb = _shared(i_nn, s.det_b, lambda: _i_nn_result(s.det_b, settings))
+    res_ab = _shared(pair, "i_ab", lambda: _i_ab_result(s, settings))
+    res_j = _shared(pair, "j",
+                    lambda: _j_result_at_separation(s, s.separation, settings, kernel))
     errors = {
         "i_aa": res_aa.abs_error,
         "i_bb": res_bb.abs_error,
@@ -581,12 +633,12 @@ def evaluate_scenario(
     j_eff = j_unsmeared
     j_smeared_abs = None
     if s.position_uncertainty > 0.0:
-        res_sm = _j_smeared_result(s, settings)
+        res_sm = _j_smeared_result(s, settings, kernel)
         method = "erfi-closed-form"
     elif time_smear is not None:
         if not time_smear > 0.0:
             raise ValueError("evaluate_scenario: time_smear must be > 0")
-        res_sm, method = _j_time_smeared_result(s, time_smear, settings)
+        res_sm, method = _j_time_smeared_result(s, time_smear, settings, kernel)
     if method is not None:
         j_eff = res_sm.value
         errors["j_smeared"] = res_sm.abs_error
@@ -618,3 +670,57 @@ def evaluate_scenario(
         timing=classify_timing(s.det_a.window, s.det_b.window),
         quad_errors=errors,
     )
+
+
+def evaluate_scenarios(
+    rows: Iterable[tuple[Scenario, float | None]],
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> list[HarvestReport | Exception]:
+    """``evaluate_scenario`` for each ``(scenario, time_smear)`` row, computing
+    what the rows share once.
+
+    The local terms are computed once per distinct detector; the exchange
+    term, the unsmeared correlation term and the kernel Jhat on the
+    initial grid once per distinct (detector A, detector B, separation).
+    Only each row's smeared correlation term is its own.  Returns, in row
+    order, the report or the ``ROW_ERRORS`` exception that row raised; a
+    failed shared integral fails every row that needs it.  Nothing is
+    kept after the call returns.
+    """
+    rows = list(rows)
+    groups: dict = {}
+    for index, (s, _) in enumerate(rows):
+        groups.setdefault((s.det_a, s.det_b, s.separation), []).append(index)
+    out: list = [None] * len(rows)
+    i_nn: dict = {}
+    for members in groups.values():
+        pair: dict = {}
+        kernel = _KernelMemo(rows[members[0]][0])
+        for index in members:
+            s, time_smear = rows[index]
+            try:
+                out[index] = _row_report(s, time_smear, settings, i_nn, pair, kernel)
+            except ROW_ERRORS as exc:
+                out[index] = exc
+    return out
+
+
+def evaluate_scenario(
+    s: Scenario,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+    time_smear: float | None = None,
+) -> HarvestReport:
+    """Compute every report quantity for one scenario.
+
+    With nonzero position uncertainty the correlation term is smeared by
+    the erfi closed form, for every window timing; ``time_smear`` applies
+    the clock-offset smear instead (exact phase factor while the offsets
+    keep the windows apart, Gauss-Hermite averaging otherwise).  Every
+    path but that Gauss-Hermite one is a single radial quadrature, and
+    the smeared correlation term reuses the unsmeared one's kernel.
+    The local terms are separation-independent and never smeared.
+    """
+    out = evaluate_scenarios([(s, time_smear)], settings)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out

@@ -1,24 +1,26 @@
 """Single-point evaluation, parameter sweeps, and figure presets.
 
-Sweep points are independent pure evaluations, so rows can be computed
-in parallel; isolated failures are recorded per row instead of aborting
-the sweep.  Output formatting uses shortest round-trip floats so that
-repeated runs are byte-identical.
+A sweep is one call to ``evaluate_scenarios``, which computes what its
+rows share once: the local term of every detector the sweep leaves
+unchanged and, in a ``delta`` or ``delta_t`` sweep, also the exchange
+term, the unsmeared correlation term and the correlation kernel.
+Isolated failures are recorded per row instead of aborting the sweep.
+Output formatting uses shortest round-trip floats so that repeated runs
+are byte-identical.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import OutputSpec, RunConfig, SweepSpec
-from .core import HarvestReport, evaluate_scenario
+from .core import ROW_ERRORS, HarvestReport, evaluate_scenario, evaluate_scenarios
 from .detectors import DetectorParams, Scenario, SwitchingWindow, light_contact_interval
-from .quadrature import ConvergenceFailure, QuadratureSettings
+from .quadrature import QuadratureSettings
 
 __all__ = [
     "SweepRow",
@@ -129,33 +131,33 @@ def _apply_parameter(scenario: Scenario, parameter: str, value: float) -> tuple[
     raise ValueError(f"unknown sweep parameter {parameter!r}")
 
 
-def _evaluate_row(cfg: RunConfig, parameter: str, value: float) -> SweepRow:
-    try:
-        scenario, time_smear = _apply_parameter(cfg.scenario, parameter, value)
-        report = evaluate_scenario(scenario, cfg.numerics, time_smear=time_smear)
-        return SweepRow(parameter, value, report, "ok")
-    except (ConvergenceFailure, ValueError, ZeroDivisionError) as exc:
-        return SweepRow(parameter, value, None, f"{type(exc).__name__}: {exc}")
-
-
-def _row_task(args) -> SweepRow:
-    return _evaluate_row(*args)
-
-
 def sweep_values(spec: SweepSpec) -> np.ndarray:
     if spec.spacing == "log":
         return np.geomspace(spec.start, spec.stop, spec.points)
     return np.linspace(spec.start, spec.stop, spec.points)
 
 
-def run_sweep(cfg: RunConfig, workers: int = 1) -> list[SweepRow]:
+def run_sweep(cfg: RunConfig) -> list[SweepRow]:
     if cfg.sweep is None:
         raise ValueError("run_sweep: config has no [sweep] section")
-    tasks = [(cfg, cfg.sweep.parameter, float(v)) for v in sweep_values(cfg.sweep)]
-    if workers <= 1:
-        return [_row_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_row_task, tasks))
+    parameter = cfg.sweep.parameter
+    values = [float(v) for v in sweep_values(cfg.sweep)]
+    points = []
+    for value in values:
+        try:
+            points.append(_apply_parameter(cfg.scenario, parameter, value))
+        except ROW_ERRORS as exc:
+            points.append(exc)
+    results = iter(evaluate_scenarios(
+        [p for p in points if not isinstance(p, Exception)], cfg.numerics))
+    rows = []
+    for value, point in zip(values, points):
+        out = point if isinstance(point, Exception) else next(results)
+        if isinstance(out, Exception):
+            rows.append(SweepRow(parameter, value, None, f"{type(out).__name__}: {out}"))
+        else:
+            rows.append(SweepRow(parameter, value, out, "ok"))
+    return rows
 
 
 # --- figure presets -------------------------------------------------------
@@ -195,13 +197,12 @@ def figure_config(name: str) -> RunConfig:
                      sweep=sweep, output=OutputSpec())
 
 
-def figure_preset(name: str, workers: int = 1,
-                  numerics=None) -> tuple[list[SweepRow], dict]:
+def figure_preset(name: str, numerics=None) -> tuple[list[SweepRow], dict]:
     """Run a figure preset; returns (rows, sidecar metadata)."""
     cfg = figure_config(name)
     if numerics is not None:
         cfg = replace(cfg, numerics=numerics)
-    rows = run_sweep(cfg, workers=workers)
+    rows = run_sweep(cfg)
     meta = {"preset": name, "parameter": cfg.sweep.parameter}
     if name in ("fig2a", "fig2b"):
         lo, hi = light_contact_interval(_PRESET_WINDOW_A, _PRESET_WINDOW_B)

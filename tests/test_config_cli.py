@@ -1,8 +1,11 @@
 import json
 import textwrap
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from harvestsim import core
 from harvestsim.cli import main
 from harvestsim.config import (
     ConfigError,
@@ -10,12 +13,18 @@ from harvestsim.config import (
     loads_config,
     save_config,
 )
+from harvestsim.core import evaluate_scenario
+from harvestsim.quadrature import ConvergenceFailure
 from harvestsim.sweep import (
     COLUMNS,
+    SweepRow,
+    _apply_parameter,
+    figure_config,
     figure_preset,
     rows_to_csv,
     run_point,
     run_sweep,
+    sweep_values,
 )
 
 FIG2_CONFIG = textwrap.dedent("""\
@@ -194,12 +203,6 @@ class TestSweepRunner:
         rec = rows[0].to_record()
         assert rec["i_aa"] is None
 
-    def test_parallel_matches_serial(self):
-        cfg = self.small_sweep_cfg()
-        serial = [r.to_record() for r in run_sweep(cfg, workers=1)]
-        parallel = [r.to_record() for r in run_sweep(cfg, workers=2)]
-        assert serial == parallel
-
     def test_delta_sweep_has_ratio(self):
         cfg = loads_config(FIG2_CONFIG + textwrap.dedent("""\
             [sweep]
@@ -249,6 +252,92 @@ class TestSweepRunner:
         assert a == b
         assert a.startswith(",".join(COLUMNS))
         assert "\r" not in a
+
+
+def per_row_csv(cfg):
+    """The sweep's table built from one ``evaluate_scenario`` call per row."""
+    parameter = cfg.sweep.parameter
+    rows = []
+    for v in sweep_values(cfg.sweep):
+        value = float(v)
+        try:
+            s, time_smear = _apply_parameter(cfg.scenario, parameter, value)
+            report = evaluate_scenario(s, cfg.numerics, time_smear=time_smear)
+            rows.append(SweepRow(parameter, value, report, "ok"))
+        except (ConvergenceFailure, ValueError, ZeroDivisionError) as exc:
+            rows.append(SweepRow(parameter, value, None, f"{type(exc).__name__}: {exc}"))
+    return rows_to_csv(rows)
+
+
+def sweep_cfg(parameter, lo, hi, points, spacing="linear"):
+    return loads_config(FIG2_CONFIG + textwrap.dedent(f"""\
+        [sweep]
+        parameter = {parameter}
+        from = {lo}
+        to = {hi}
+        points = {points}
+        spacing = {spacing}
+        """))
+
+
+class TestBatchedSweep:
+    """A sweep is one batched evaluation; it must write the same table as
+    evaluating its rows one by one."""
+
+    @pytest.mark.parametrize("parameter, lo, hi, points, spacing", [
+        ("r", "100*sigma", "300*sigma", 3, "linear"),
+        ("delta", "15*sigma", "1500*sigma", 3, "log"),
+        ("gap", "10*sigma", "100*sigma", 2, "linear"),
+    ])
+    def test_matches_per_row_evaluation(self, parameter, lo, hi, points, spacing):
+        cfg = sweep_cfg(parameter, lo, hi, points, spacing)
+        assert rows_to_csv(run_sweep(cfg)) == per_row_csv(cfg)
+
+    def test_delta_t_mixing_methods_matches_per_row_evaluation(self):
+        # the windows are 50 sigma apart: offsets of 2 sigma keep them apart,
+        # offsets of 50 sigma reach an overlap
+        cfg = sweep_cfg("delta_t", "2*sigma", "50*sigma", 2)
+        rows = run_sweep(cfg)
+        assert [r.report.smearing_method for r in rows] == [
+            "closed-form-time", "gauss-hermite-time"]
+        assert rows_to_csv(rows) == per_row_csv(cfg)
+
+    def test_zero_width_row_fails_alone(self):
+        rows = run_sweep(sweep_cfg("delta_t", "0", "4*sigma", 3))
+        assert rows[0].status == "ValueError: evaluate_scenario: time_smear must be > 0"
+        assert rows[0].report is None
+        assert [r.status for r in rows[1:]] == ["ok", "ok"]
+
+    @staticmethod
+    def record_kernel_grids(monkeypatch):
+        grids = []
+        original = core._jhat
+
+        def recorded(s, omega, t0):
+            grids.append(omega)
+            return original(s, omega, t0)
+
+        monkeypatch.setattr(core, "_jhat", recorded)
+        return grids
+
+    @staticmethod
+    def initial_grid_evaluations(grids):
+        # the first grid is the unsmeared J's initial partition; refinement
+        # rounds evaluate the kernel on their own, smaller node sets
+        return sum(np.array_equal(g, grids[0]) for g in grids)
+
+    def test_kernel_evaluated_once_per_delta_sweep(self, monkeypatch):
+        grids = self.record_kernel_grids(monkeypatch)
+        rows = run_sweep(figure_config("fig3"))
+        assert len(rows) == 41 and all(r.status == "ok" for r in rows)
+        assert self.initial_grid_evaluations(grids) == 1
+
+    def test_kernel_evaluated_once_per_smeared_point(self, monkeypatch):
+        grids = self.record_kernel_grids(monkeypatch)
+        rep = evaluate_scenario(replace(figure_config("fig3").scenario,
+                                        position_uncertainty=0.15))
+        assert rep.smearing_method == "erfi-closed-form"
+        assert self.initial_grid_evaluations(grids) == 1
 
 
 class TestRunPoint:

@@ -384,6 +384,25 @@ class TestClockOffsetSmear:
         assert rep.j_smeared_abs == compute_J_time_smeared(s, 0.5, nodes=41)
         assert rep.quad_errors["j_smeared"] > 0.0
 
+    @pytest.mark.parametrize("widths", [20, 40])
+    def test_gauss_hermite_error_covers_the_rule(self, widths):
+        # reference geometry, windows 50 sigma apart: offsets of 20 and 40
+        # sigma reach an overlap, where J is not smooth in the offset and
+        # the 41-node rule is off by 1e-3 and 3e-3 relative
+        s = fig_scenario()
+        dt = widths * 0.001
+        rep = evaluate_scenario(s, time_smear=dt)
+        assert rep.smearing_method == "gauss-hermite-time"
+        gh = core._time_smeared_gauss_hermite(s, dt, core.DEFAULT_SETTINGS, nodes=161)
+        assert rep.quad_errors["j_smeared"] >= abs(rep.integrals.j - gh.value)
+
+    def test_overlapping_windows_route_like_evaluate_scenario(self):
+        s = scenario(wa=(0.0, 1.0), wb=(0.5, 1.5), r0=1.0, sigma=self.SIGMA,
+                     coupling=0.05)
+        rep = evaluate_scenario(s, time_smear=0.2)
+        assert rep.smearing_method == "gauss-hermite-time"
+        assert compute_J_time_smeared(s, 0.2) == rep.j_smeared_abs
+
 
 class TestTimeShiftInvariance:
     @settings(max_examples=25, deadline=None)
