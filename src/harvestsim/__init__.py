@@ -35,7 +35,6 @@ from .core import (
     negativity_sectors,
     partial_transpose,
     ratio_R,
-    smear_J_gauss_hermite,
     window_factor_plus,
 )
 from .quadrature import (

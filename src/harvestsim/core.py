@@ -51,7 +51,6 @@ __all__ = [
     "compute_J",
     "compute_J_smeared",
     "compute_J_time_smeared",
-    "smear_J_gauss_hermite",
     "assemble_rho",
     "partial_transpose",
     "negativity_closed",
@@ -366,29 +365,6 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """|correlation term| under Gaussian separation uncertainty (closed form)."""
     return abs(_j_smeared_result(s, settings).value)
-
-
-def smear_J_gauss_hermite(
-    s: Scenario,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    nodes: int = 41,
-) -> tuple[complex, float]:
-    """Average the correlation term over separations r ~ Pr(r) by Gauss-Hermite.
-
-    Pr(r) = exp(-(r-r0)^2/delta^2)/(delta*sqrt(pi)), including the formal
-    negative-r tail.  Returns (mean of J, mean of |J|); the second is a
-    diagnostic distinguishing |<J>| from <|J|>.  A reference for the
-    closed form, which it matches only where the rule resolves J(r).
-    """
-    delta = s.position_uncertainty
-    if not delta > 0.0:
-        raise ValueError("smear_J_gauss_hermite: requires position_uncertainty > 0")
-    u, w = hermgauss(nodes)
-    w = w / math.sqrt(math.pi)
-    js = np.array(
-        [_j_result_at_separation(s, s.separation + delta * ui, settings).value for ui in u]
-    )
-    return complex(np.sum(w * js)), float(np.sum(w * np.abs(js)))
 
 
 def _time_smeared_gauss_hermite(

@@ -25,11 +25,11 @@ from harvestsim.core import (
     negativity_closed,
     partial_transpose,
     ratio_R,
-    smear_J_gauss_hermite,
 )
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
 from harvestsim.specfun import damped_im_erfi
 from harvestsim.sweep import figure_preset
+from test_core import smear_J_gauss_hermite
 
 SIGMA = 0.001
 R0 = 150.0 * SIGMA

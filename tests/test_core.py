@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
 
 import oracles
 from harvestsim import core
@@ -27,7 +29,6 @@ from harvestsim.core import (
     negativity_sectors,
     partial_transpose,
     ratio_R,
-    smear_J_gauss_hermite,
     window_factor_plus,
 )
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
@@ -48,6 +49,25 @@ def scenario(wa=(0.0, 1.0), wb=(1.5, 2.5), r0=1.0, sigma=0.1, delta=0.0,
         separation=r0,
         position_uncertainty=delta,
     )
+
+
+def smear_J_gauss_hermite(s, nodes=41):
+    """Average the correlation term over separations r ~ Pr(r) by Gauss-Hermite.
+
+    Pr(r) = exp(-(r-r0)^2/delta^2)/(delta*sqrt(pi)), including the formal
+    negative-r tail, where J(r) = J(|r|).  Returns (mean of J, mean of |J|).
+    A reference for the closed form, which it matches only where the rule
+    resolves J(r).
+    """
+    u, w = hermgauss(nodes)
+    w = w / math.sqrt(math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # nodes with |r| < 5 sigma
+        js = np.array([
+            compute_J(replace(s, separation=abs(s.separation + s.position_uncertainty * ui)))
+            for ui in u
+        ])
+    return complex(np.sum(w * js)), float(np.sum(w * np.abs(js)))
 
 
 def fig_scenario(r0=0.15, delta=0.0, coupling=0.01):
@@ -402,6 +422,28 @@ class TestClockOffsetSmear:
         rep = evaluate_scenario(s, time_smear=0.2)
         assert rep.smearing_method == "gauss-hermite-time"
         assert compute_J_time_smeared(s, 0.2) == rep.j_smeared_abs
+
+
+class TestQuadratureCost:
+    """The radial quadratures start from panels two periods wide and refine
+    only where the integrand needs it."""
+
+    def test_evaluations_at_reference_geometry(self):
+        s = fig_scenario()
+        settings = core.DEFAULT_SETTINGS
+        assert core._i_nn_result(s.det_a, settings).evaluations <= 3_500
+        assert core._i_ab_result(s, settings).evaluations <= 9_000
+        assert core._j_result_at_separation(s, s.separation, settings).evaluations <= 10_000
+
+    def test_single_core(self):
+        # the panel sums must not wake a BLAS thread pool: process CPU time
+        # stays close to wall time (on one CPU this holds trivially)
+        s = fig_scenario()
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        for _ in range(20):
+            compute_J(s)
+        ratio = (time.process_time() - cpu0) / (time.perf_counter() - wall0)
+        assert ratio <= 1.3
 
 
 class TestTimeShiftInvariance:

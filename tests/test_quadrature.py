@@ -5,10 +5,12 @@ import pytest
 from scipy.special import dawsn, erf
 
 from harvestsim.quadrature import (
+    DEFAULT_SETTINGS,
     ConvergenceFailure,
     IntegrandSpec,
     QuadratureSettings,
     cutoff,
+    _initial_panels,
     integrate_radial,
 )
 
@@ -146,6 +148,16 @@ class TestIntegrateRadial:
             if abs(res.value.real - exact) <= res.abs_error + 1e-15:
                 covered += 1
         assert covered >= 0.99 * total
+
+    @pytest.mark.parametrize("s, r", [(0.001, 0.65), (0.003, 2.0), (0.01, 30.0)])
+    def test_coarse_start_is_refined_honestly(self, s, r):
+        # the initial panels span two periods; the loop must refine them
+        # until the reported error covers the true one (Dawson closed form)
+        spec = gauss_sin_spec(s, r)
+        res = integrate_radial(spec)
+        initial = 15 * (_initial_panels(spec, cutoff(spec, DEFAULT_SETTINGS.tail_tol)).size - 1)
+        assert abs(res.value.real - gauss_sin_exact(s, r)) <= res.abs_error
+        assert res.evaluations > initial
 
     def test_deterministic(self):
         spec = gauss_sin_spec(0.3, 4.0)
