@@ -18,7 +18,6 @@ from .detectors import (
 from .core import (
     HarvestReport,
     SecondOrderIntegrals,
-    TwoQubitState,
     assemble_rho,
     bell_fractions,
     compute_I_AB,
@@ -28,10 +27,8 @@ from .core import (
     compute_J_time_smeared,
     evaluate_scenario,
     evaluate_scenarios,
-    jtilde_disjoint,
-    jtilde_overlap,
+    jtilde,
     negativity_closed,
-    negativity_numeric,
     negativity_sectors,
     partial_transpose,
     ratio_R,

@@ -17,7 +17,8 @@ import sys
 from .config import ConfigError, load_config, with_numerics
 from .core import HarvestReport
 from .quadrature import ConvergenceFailure
-from .sweep import FIGURE_NAMES, figure_preset, rows_to_csv, rows_to_json, run_point, run_sweep
+from .sweep import (FIGURE_NAMES, figure_config, figure_preset, rows_to_csv, rows_to_json,
+                    run_point, run_sweep)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,23 +126,9 @@ def main(argv=None) -> int:
                     fh.write("\n")
         elif args.command == "sweep":
             cfg = _override_numerics(load_config(args.config), args)
-            rows = run_sweep(cfg)
-            text = rows_to_csv(rows) if cfg.output.format == "csv" else rows_to_json(rows)
-            if cfg.output.path is None:
-                sys.stdout.write(text)
-            else:
-                with open(cfg.output.path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
+            _write_table(run_sweep(cfg), None, cfg.output.path, cfg.output.format)
         else:
-            numerics = None
-            if args.tol_abs is not None or args.tol_rel is not None:
-                from .quadrature import QuadratureSettings
-                kwargs = {}
-                if args.tol_abs is not None:
-                    kwargs["tol_abs"] = args.tol_abs
-                if args.tol_rel is not None:
-                    kwargs["tol_rel"] = args.tol_rel
-                numerics = QuadratureSettings(**kwargs)
+            numerics = _override_numerics(figure_config(args.name), args).numerics
             rows, meta = figure_preset(args.name, numerics=numerics)
             _write_table(rows, meta, args.out, args.format)
     except ConfigError as exc:

@@ -1,12 +1,14 @@
-"""Second-order detector-pair state: the four scalar integrals, the 4x4
-density matrix, negativity, Bell fractions, and positioning-uncertainty
-smearing of the correlation term.
+"""Second-order detector-pair state: the four scalar integrals, every
+state quantity in closed form from them (negativity, the fourth-order
+corner eigenvalue, Bell fractions), and positioning-uncertainty smearing
+of the correlation term.
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
 one exchange term, and one |gg><ee| correlation term; entanglement at
 this order is the competition between the correlation term and the local
-noise.
+noise.  ``assemble_rho`` and ``partial_transpose`` give the matrix form
+of the state for inspection; no report quantity is computed from it.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .detectors import (
     CausalClass,
     DetectorParams,
     Disjoint,
-    Overlapping,
     Scenario,
     SwitchingWindow,
     TimingRegime,
@@ -41,20 +42,17 @@ from .specfun import damped_im_erfi, ediff, sinc
 
 __all__ = [
     "SecondOrderIntegrals",
-    "TwoQubitState",
     "HarvestReport",
     "window_factor_plus",
     "compute_I_nn",
     "compute_I_AB",
-    "jtilde_disjoint",
-    "jtilde_overlap",
+    "jtilde",
     "compute_J",
     "compute_J_smeared",
     "compute_J_time_smeared",
     "assemble_rho",
     "partial_transpose",
     "negativity_closed",
-    "negativity_numeric",
     "negativity_sectors",
     "bell_fractions",
     "ratio_R",
@@ -62,12 +60,6 @@ __all__ = [
     "evaluate_scenario",
     "evaluate_scenarios",
 ]
-
-BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-BELL_PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
-BELL_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-BELL_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class SecondOrderIntegrals:
@@ -93,28 +85,11 @@ class SecondOrderIntegrals:
             raise ValueError(
                 "SecondOrderIntegrals: |i_ab|^2 exceeds i_aa*i_bb (Cauchy-Schwarz)"
             )
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """4x4 density matrix with the second-order sparsity pattern enforced."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("TwoQubitState: matrix must be 4x4")
-        if np.max(np.abs(m - m.conj().T)) > 1e-14:
-            raise ValueError("TwoQubitState: matrix not Hermitian to 1e-14")
-        if abs(np.trace(m).real - 1.0) > 1e-14 or abs(np.trace(m).imag) > 1e-14:
-            raise ValueError("TwoQubitState: trace differs from 1 by more than 1e-14")
-        allowed = np.zeros((4, 4), dtype=bool)
-        for i, k in [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1), (0, 3), (3, 0)]:
-            allowed[i, k] = True
-        if np.any(np.abs(m[~allowed]) > 0.0):
-            raise ValueError("TwoQubitState: entries outside the second-order pattern")
-        object.__setattr__(self, "matrix", m)
+        if self.i_plus >= 1.0:
+            raise ValueError(
+                f"assemble_rho: i_aa + i_bb = {self.i_plus:.3g} >= 1 leaves no ground-state "
+                "population; outside the perturbative regime"
+            )
 
 
 def window_factor_plus(det: DetectorParams, omega):
@@ -162,14 +137,18 @@ def _scaled(res: QuadResult, pref: float, phase_rate: float, t0: float) -> QuadR
     return QuadResult(value, pref * res.abs_error, res.evaluations)
 
 
-def _jtilde_general(absorber: DetectorParams, emitter: DetectorParams, omega,
-                    t0: float = 0.0):
-    """Nested two-time integral over absorber time t and emitter time t' <= t.
+def jtilde(emitter: DetectorParams, absorber: DetectorParams, omega, t0: float = 0.0):
+    """Correlation kernel: the nested two-time integral over absorber time t
+    and emitter time t' <= t, for any window timing.
 
-    Closed form assembled from entire ``ediff`` blocks; the only division
-    is by omega + emitter.gap > 0, so the expression is regular for all
-    omega >= 0 (in particular at omega = absorber.gap).  Vectorized in omega.
-    The windows are measured from t0; the absolute kernel is
+    Closed form assembled from entire ``ediff`` blocks, split into the
+    overlap and no-overlap time domains and recombined before any
+    division; the only division is by omega + emitter.gap > 0, so the
+    expression is regular for all omega >= 0 (in particular at
+    omega = absorber.gap).  Disjoint windows give the product of the two
+    one-window time integrals, and an absorber window that ends before
+    the emitter's starts gives exactly 0.  Vectorized in omega.  The
+    windows are measured from t0; the absolute kernel is
     exp(i*(absorber.gap + emitter.gap)*t0) times this one.
     """
     omega = np.asarray(omega, dtype=float)
@@ -190,27 +169,6 @@ def _jtilde_general(absorber: DetectorParams, emitter: DetectorParams, omega,
     return complex(out) if out.ndim == 0 else out
 
 
-def jtilde_disjoint(emitter: DetectorParams, absorber: DetectorParams, omega):
-    """Correlation kernel for an emitter window entirely before the absorber's.
-
-    Equals the product of the two one-window time integrals; regular at
-    omega = absorber.gap by construction.
-    """
-    if emitter.window.t_off > absorber.window.t_on:
-        raise ValueError("jtilde_disjoint: emitter window must end before absorber starts")
-    return _jtilde_general(absorber, emitter, omega)
-
-
-def jtilde_overlap(emitter: DetectorParams, absorber: DetectorParams, omega):
-    """Correlation kernel for overlapping windows (split into the no-overlap
-    and overlap time domains, recombined before any division).
-    """
-    timing = classify_timing(emitter.window, absorber.window)
-    if not isinstance(timing, Overlapping):
-        raise ValueError("jtilde_overlap: windows must overlap")
-    return _jtilde_general(absorber, emitter, omega)
-
-
 def _jhat(s: Scenario, omega, t0: float):
     """Sum of both emitter/absorber orderings of the correlation kernel,
     windows measured from t0."""
@@ -218,7 +176,7 @@ def _jhat(s: Scenario, omega, t0: float):
     for absorber, emitter in ((s.det_b, s.det_a), (s.det_a, s.det_b)):
         if absorber.window.t_off <= emitter.window.t_on:
             continue  # absorber off before emitter starts: kernel vanishes
-        total = total + _jtilde_general(absorber, emitter, omega, t0)
+        total = total + jtilde(emitter, absorber, omega, t0)
     return total
 
 
@@ -454,14 +412,10 @@ def compute_J_time_smeared(
     return abs(res.value)
 
 
-def assemble_rho(ints: SecondOrderIntegrals) -> TwoQubitState:
-    """Second-order reduced state; trace 1 and Hermitian by construction."""
+def assemble_rho(ints: SecondOrderIntegrals) -> np.ndarray:
+    """Matrix form of the second-order reduced state; trace 1 and Hermitian
+    by construction."""
     ints.validate()
-    if ints.i_plus >= 1.0:
-        raise ValueError(
-            f"assemble_rho: i_aa + i_bb = {ints.i_plus:.3g} >= 1 leaves no ground-state "
-            "population; outside the perturbative regime"
-        )
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 1.0 - ints.i_plus
     m[1, 1] = ints.i_bb
@@ -470,15 +424,12 @@ def assemble_rho(ints: SecondOrderIntegrals) -> TwoQubitState:
     m[2, 1] = np.conj(ints.i_ab)
     m[0, 3] = -np.conj(ints.j)
     m[3, 0] = -ints.j
-    return TwoQubitState(m)
+    return m
 
 
-def partial_transpose(rho) -> np.ndarray:
+def partial_transpose(m) -> np.ndarray:
     """Transpose the second-qubit index of a two-qubit matrix."""
-    m = rho.matrix if isinstance(rho, TwoQubitState) else np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError("partial_transpose: matrix must be 4x4")
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return np.asarray(m, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def negativity_closed(ints: SecondOrderIntegrals) -> tuple[float, float]:
@@ -488,53 +439,30 @@ def negativity_closed(ints: SecondOrderIntegrals) -> tuple[float, float]:
     return raw, max(0.0, raw)
 
 
-def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
-        raise ValueError("expected a Hermitian matrix")
-    return m
+def negativity_sectors(ints: SecondOrderIntegrals) -> tuple[float, float]:
+    """The two decoupled sectors of the partially transposed state.
 
-
-def negativity_numeric(rho_pt) -> float:
-    """Minus the sum of negative eigenvalues of a Hermitian matrix."""
-    m = _require_hermitian(rho_pt)
-    eig = np.linalg.eigvalsh(m)
-    return float(-np.sum(eig[eig < 0.0]))
-
-
-def negativity_sectors(rho_pt) -> tuple[float, float]:
-    """Split the partial-transpose spectrum into the two decoupled sectors.
-
-    Returns (inner, outer): ``inner`` is minus the negative-eigenvalue sum
-    of the {|ge>,|eg>} block (the second-order negativity); ``outer`` is
-    the negative eigenvalue of the {|gg>,|ee>} block, a fourth-order
-    diagnostic that is excluded from the reported negativity.
+    Returns (inner, outer): ``inner`` is the second-order negativity of
+    the {|ge>,|eg>} block; ``outer`` is the smaller eigenvalue of the
+    {|gg>,|ee>} block [[a, i_ab], [conj(i_ab), 0]] with a = 1 - i_plus, a
+    fourth-order diagnostic that is excluded from the reported
+    negativity, in the form -2|i_ab|^2 / (a + sqrt(a^2 + 4|i_ab|^2)),
+    which has no cancellation.  Requires i_plus < 1, as ``validate``
+    checks.
     """
-    m = _require_hermitian(rho_pt)
-    inner = m[1:3, 1:3]
-    outer = m[np.ix_([0, 3], [0, 3])]
-    eig_in = np.linalg.eigvalsh(inner)
-    eig_out = np.linalg.eigvalsh(outer)
-    return (
-        float(-np.sum(eig_in[eig_in < 0.0])),
-        float(min(0.0, eig_out.min())),
-    )
+    a = 1.0 - ints.i_plus
+    x = abs(ints.i_ab) ** 2
+    corner = -2.0 * x / (a + math.sqrt(a * a + 4.0 * x))
+    return negativity_closed(ints)[1], min(0.0, corner)  # 0.0, not -0.0, at i_ab = 0
 
 
-def bell_fractions(rho: TwoQubitState) -> tuple[float, float, float, float]:
-    """(phi+, phi-, psi+, psi-) overlaps computed directly from the matrix."""
-    m = rho.matrix
-
-    def frac(v):
-        return float(np.real(v.conj() @ m @ v))
-
-    return (
-        frac(BELL_PHI_PLUS),
-        frac(BELL_PHI_MINUS),
-        frac(BELL_PSI_PLUS),
-        frac(BELL_PSI_MINUS),
-    )
+def bell_fractions(ints: SecondOrderIntegrals) -> tuple[float, float, float, float]:
+    """(phi+, phi-, psi+, psi-) overlaps of the second-order state:
+    (1 - i_plus)/2 -/+ Re j and i_plus/2 +/- Re i_ab."""
+    phi = 0.5 * (1.0 - ints.i_plus)
+    psi = 0.5 * ints.i_plus
+    j_re, i_ab_re = float(ints.j.real), float(ints.i_ab.real)
+    return phi - j_re, phi + j_re, psi + i_ab_re, psi - i_ab_re
 
 
 def ratio_R(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -557,7 +485,9 @@ class HarvestReport:
     smearing_method: str | None
     negativity_raw: float
     negativity: float
-    o4_corner_eigenvalue: float          # diagnostic; excluded from negativity
+    # smaller eigenvalue of the partial transpose's {|gg>,|ee>} block, in
+    # closed form; a fourth-order diagnostic excluded from the negativity
+    o4_corner_eigenvalue: float
     bell_phi_plus: float
     bell_phi_minus: float
     bell_psi_plus: float
@@ -626,10 +556,10 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
         i_ab=res_ab.value,
         j=j_eff,
     )
-    rho = assemble_rho(ints)
+    ints.validate()
     raw, clamped = negativity_closed(ints)
-    _, outer = negativity_sectors(partial_transpose(rho))
-    phi_p, phi_m, psi_p, psi_m = bell_fractions(rho)
+    _, outer = negativity_sectors(ints)
+    phi_p, phi_m, psi_p, psi_m = bell_fractions(ints)
     return HarvestReport(
         integrals=ints,
         j_unsmeared=j_unsmeared,

@@ -182,14 +182,21 @@ def integrate_radial(
     """Integrate spec.evaluate over [0, cutoff] to the configured tolerances.
 
     The reported ``abs_error`` satisfies
-    abs_error <= max(tol_abs, tol_rel*|value|) on success; otherwise a
-    ConvergenceFailure carrying the best available result is raised.
+    abs_error <= max(tol_abs, tol_rel*|value|) on success, within
+    ``eval_budget`` evaluations; otherwise a ConvergenceFailure carrying
+    the best available result is raised, also when the initial partition
+    alone holds more than ``eval_budget`` evaluations.
     """
     w_max = cutoff(spec, settings.tail_tol)
     edges = _initial_panels(spec, w_max)
     a, b = edges[:-1], edges[1:]
     vals, errs = _gk15(spec.evaluate, a, b)
     evals = 15 * a.size
+    if evals > settings.eval_budget:
+        raise ConvergenceFailure(
+            f"integrate_radial: evaluation budget {settings.eval_budget} exhausted",
+            QuadResult(complex(vals.sum()), float(errs.sum()), evals),
+        )
 
     min_width = 64.0 * np.finfo(float).eps * w_max
     while True:

@@ -3,8 +3,12 @@
 Everything here deliberately avoids the package's ediff/sinc machinery:
 time integrals are raw antiderivative differences or Gauss-Legendre sums,
 and frequency integrals are dense trapezoid rules with one Richardson
-extrapolation step.
+extrapolation step.  The state layer is checked against the matrix form:
+eigen-solves of the partial transpose and Bell projectors.
 """
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 TAIL = 1e18  # envelope suppression used to truncate oracle integrals
@@ -164,3 +168,77 @@ def random_tuples(rng, count, scale=1e-4):
         j = scale * rng.uniform(0.0, 3.0) * np.exp(2j * np.pi * rng.uniform())
         out.append((i_aa, i_bb, complex(i_ab), complex(j)))
     return out
+
+
+# --- matrix form of the second-order state ----------------------------------
+
+BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+BELL_PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
+BELL_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+BELL_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class TwoQubitState:
+    """4x4 density matrix with the second-order sparsity pattern enforced."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (4, 4):
+            raise ValueError("TwoQubitState: matrix must be 4x4")
+        if np.max(np.abs(m - m.conj().T)) > 1e-14:
+            raise ValueError("TwoQubitState: matrix not Hermitian to 1e-14")
+        if abs(np.trace(m).real - 1.0) > 1e-14 or abs(np.trace(m).imag) > 1e-14:
+            raise ValueError("TwoQubitState: trace differs from 1 by more than 1e-14")
+        allowed = np.zeros((4, 4), dtype=bool)
+        for i, k in [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1), (0, 3), (3, 0)]:
+            allowed[i, k] = True
+        if np.any(np.abs(m[~allowed]) > 0.0):
+            raise ValueError("TwoQubitState: entries outside the second-order pattern")
+        object.__setattr__(self, "matrix", m)
+
+
+def _require_hermitian(m):
+    m = np.asarray(m, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
+        raise ValueError("expected a Hermitian matrix")
+    return m
+
+
+def negativity_numeric(rho_pt):
+    """Minus the sum of negative eigenvalues of a Hermitian matrix."""
+    m = _require_hermitian(rho_pt)
+    eig = np.linalg.eigvalsh(m)
+    return float(-np.sum(eig[eig < 0.0]))
+
+
+def negativity_sectors(rho_pt):
+    """(inner, outer) of a partially transposed second-order state by
+    eigen-solving its two decoupled 2x2 blocks: minus the negative-eigenvalue
+    sum of the {|ge>,|eg>} block, and the negative eigenvalue of the
+    {|gg>,|ee>} block (0 if none)."""
+    m = _require_hermitian(rho_pt)
+    eig_in = np.linalg.eigvalsh(m[1:3, 1:3])
+    eig_out = np.linalg.eigvalsh(m[np.ix_([0, 3], [0, 3])])
+    return (
+        float(-np.sum(eig_in[eig_in < 0.0])),
+        float(min(0.0, eig_out.min())),
+    )
+
+
+def bell_fractions(rho):
+    """(phi+, phi-, psi+, psi-) overlaps <v|rho|v> of a 4x4 matrix."""
+    m = np.asarray(rho, dtype=complex)
+
+    def frac(v):
+        return float(np.real(v.conj() @ m @ v))
+
+    return (
+        frac(BELL_PHI_PLUS),
+        frac(BELL_PHI_MINUS),
+        frac(BELL_PSI_PLUS),
+        frac(BELL_PSI_MINUS),
+    )

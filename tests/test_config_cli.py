@@ -14,7 +14,7 @@ from harvestsim.config import (
     save_config,
 )
 from harvestsim.core import evaluate_scenario
-from harvestsim.quadrature import ConvergenceFailure
+from harvestsim.quadrature import ConvergenceFailure, QuadratureSettings
 from harvestsim.sweep import (
     COLUMNS,
     SweepRow,
@@ -22,6 +22,7 @@ from harvestsim.sweep import (
     figure_config,
     figure_preset,
     rows_to_csv,
+    rows_to_json,
     run_point,
     run_sweep,
     sweep_values,
@@ -402,6 +403,32 @@ class TestCli:
         meta = json.loads((tmp_path / "fig.csv.meta.json").read_text())
         assert meta["light_contact_r_min"] == pytest.approx(0.05)
         assert meta["light_contact_r_max"] == pytest.approx(0.25)
+
+    def test_figure_tolerance_override_matches_preset(self, tmp_path, capsys):
+        out_path = tmp_path / "fig3.csv"
+        assert main(["--tol-rel", "1e-8", "figure", "fig3", "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        rows, _ = figure_preset("fig3", numerics=QuadratureSettings(tol_rel=1e-8))
+        assert out_path.read_text(encoding="utf-8") == rows_to_csv(rows)
+
+    def test_sweep_json_matches_rows_to_json(self, tmp_path, capsys):
+        out_path = tmp_path / "table.json"
+        text = FIG2_CONFIG + textwrap.dedent(f"""\
+            [sweep]
+            parameter = delta
+            from = 0.01
+            to = 0.3
+            points = 3
+            spacing = log
+
+            [output]
+            path = {out_path}
+            format = json
+            """)
+        assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
+        capsys.readouterr()
+        expect = rows_to_json(run_sweep(loads_config(text)))
+        assert out_path.read_text(encoding="utf-8") == expect
 
     def test_figure_rejects_unknown_name(self, capsys):
         with pytest.raises(SystemExit):

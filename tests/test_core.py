@@ -13,7 +13,6 @@ import oracles
 from harvestsim import core
 from harvestsim.core import (
     SecondOrderIntegrals,
-    TwoQubitState,
     assemble_rho,
     bell_fractions,
     compute_I_AB,
@@ -22,10 +21,8 @@ from harvestsim.core import (
     compute_J_smeared,
     compute_J_time_smeared,
     evaluate_scenario,
-    jtilde_disjoint,
-    jtilde_overlap,
+    jtilde,
     negativity_closed,
-    negativity_numeric,
     negativity_sectors,
     partial_transpose,
     ratio_R,
@@ -104,7 +101,7 @@ class TestJtilde:
     def test_disjoint_regular_at_gap_frequency(self):
         emitter = detector(window=(0.0, 1.0))
         absorber = detector(window=(1.5, 2.5), gap=1.3)
-        v = jtilde_disjoint(emitter, absorber, 1.3)  # omega == absorber gap
+        v = jtilde(emitter, absorber, 1.3)  # omega == absorber gap
         assert np.isfinite(v.real) and np.isfinite(v.imag)
         ref = self.time_domain(absorber, emitter, 1.3)
         assert v == pytest.approx(ref, abs=1e-10)
@@ -114,25 +111,21 @@ class TestJtilde:
         absorber = detector(window=(1.1, 2.4), gap=1.2)
         rng = np.random.default_rng(17)
         for w in rng.uniform(0.0, 8.0, size=10):
-            v = jtilde_disjoint(emitter, absorber, float(w))
+            v = jtilde(emitter, absorber, float(w))
             ref = self.time_domain(absorber, emitter, float(w))
             assert abs(v - ref) < 1e-10
 
     def test_disjoint_short_emitter_window(self):
         emitter = detector(window=(0.0, 1e-9))
         absorber = detector(window=(1.0, 2.0))
-        assert abs(jtilde_disjoint(emitter, absorber, 2.0)) < 1e-8
-
-    def test_disjoint_rejects_wrong_order(self):
-        with pytest.raises(ValueError):
-            jtilde_disjoint(detector(window=(1.0, 2.0)), detector(window=(0.0, 1.5)), 1.0)
+        assert abs(jtilde(emitter, absorber, 2.0)) < 1e-8
 
     def test_overlap_matches_time_domain(self):
         emitter = detector(window=(0.0, 1.0), gap=0.9)
         absorber = detector(window=(0.4, 1.3), gap=1.1)
         rng = np.random.default_rng(23)
         for w in list(rng.uniform(0.0, 6.0, size=8)) + [1.1]:  # include omega == gap
-            v = jtilde_overlap(emitter, absorber, float(w))
+            v = jtilde(emitter, absorber, float(w))
             ref = self.time_domain(absorber, emitter, float(w))
             assert abs(v - ref) < 1e-9
 
@@ -141,7 +134,7 @@ class TestJtilde:
         absorber = detector(window=(0.0, 0.5))
         rng = np.random.default_rng(29)
         for w in rng.uniform(0.0, 6.0, size=8):
-            v = jtilde_overlap(emitter, absorber, float(w))
+            v = jtilde(emitter, absorber, float(w))
             ref = self.time_domain(absorber, emitter, float(w))
             assert abs(v - ref) < 1e-9
 
@@ -149,25 +142,30 @@ class TestJtilde:
         emitter = detector(window=(0.2, 0.5))
         absorber = detector(window=(0.0, 1.0))
         for w in (0.3, 1.0, 2.7):
-            v = jtilde_overlap(emitter, absorber, w)
+            v = jtilde(emitter, absorber, w)
             ref = self.time_domain(absorber, emitter, w)
             assert abs(v - ref) < 1e-9
 
     def test_overlap_shrinks_to_disjoint(self):
         # overlap of width eps -> 0 reproduces the touching disjoint value
         w = 2.3
-        disjoint = jtilde_disjoint(
+        disjoint = jtilde(
             detector(window=(0.0, 1.0)), detector(window=(1.0, 2.0)), w
         )
         for eps in (1e-4, 1e-6, 1e-8):
-            v = jtilde_overlap(
+            v = jtilde(
                 detector(window=(0.0, 1.0 + eps)), detector(window=(1.0, 2.0)), w
             )
             assert abs(v - disjoint) < 5.0 * eps
 
-    def test_overlap_rejects_disjoint_windows(self):
-        with pytest.raises(ValueError):
-            jtilde_overlap(detector(window=(0.0, 1.0)), detector(window=(2.0, 3.0)), 1.0)
+    def test_absorber_before_emitter_vanishes(self):
+        # the absorber switches off before the emitter switches on
+        emitter = detector(window=(2.0, 3.0), gap=0.9)
+        absorber = detector(window=(0.0, 1.0), gap=1.1)
+        for w in (0.0, 1.1, 2.7):
+            v = jtilde(emitter, absorber, w)
+            assert v == 0.0
+            assert v == self.time_domain(absorber, emitter, w)
 
 
 class TestLocalTerms:
@@ -491,18 +489,18 @@ class TestStateAssembly:
         rho = assemble_rho(SecondOrderIntegrals(0.0, 0.0, 0.0, 0.0))
         expect = np.zeros((4, 4), dtype=complex)
         expect[0, 0] = 1.0
-        assert np.array_equal(rho.matrix, expect)
+        assert np.array_equal(rho, expect)
 
     def test_diagonal_substitution(self):
         rho = assemble_rho(SecondOrderIntegrals(1e-4, 1e-4, 0.0, 0.0))
-        assert np.allclose(np.diag(rho.matrix),
+        assert np.allclose(np.diag(rho),
                            [1.0 - 2e-4, 1e-4, 1e-4, 0.0], atol=1e-18)
 
     def test_trace_one_by_construction(self):
         rng = np.random.default_rng(41)
         for i_aa, i_bb, i_ab, j in oracles.random_tuples(rng, 300):
             rho = assemble_rho(SecondOrderIntegrals(i_aa, i_bb, i_ab, j))
-            assert abs(np.trace(rho.matrix) - 1.0) < 1e-15
+            assert abs(np.trace(rho) - 1.0) < 1e-15
 
     def test_rejects_saturated_excitation(self):
         with pytest.raises(ValueError):
@@ -515,7 +513,7 @@ class TestStateAssembly:
     def test_state_validation(self):
         bad = np.eye(4, dtype=complex) / 4.0
         with pytest.raises(ValueError):
-            TwoQubitState(bad)  # (3,3) entry nonzero
+            oracles.TwoQubitState(bad)  # (3,3) entry nonzero
 
 
 class TestPartialTranspose:
@@ -561,27 +559,27 @@ class TestNegativity:
         for i_aa, i_bb, i_ab, j in oracles.random_tuples(rng, 200):
             ints = SecondOrderIntegrals(i_aa, i_bb, i_ab, j)
             raw, _ = negativity_closed(ints)
-            inner, _ = negativity_sectors(partial_transpose(assemble_rho(ints)))
+            inner, _ = oracles.negativity_sectors(partial_transpose(assemble_rho(ints)))
             assert abs(max(0.0, raw) - inner) < 1e-13
 
     def test_numeric_on_maximally_mixed(self):
-        assert negativity_numeric(np.eye(4, dtype=complex) / 4.0) == 0.0
+        assert oracles.negativity_numeric(np.eye(4, dtype=complex) / 4.0) == 0.0
 
     def test_numeric_on_bell_state(self):
         v = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
         rho = np.outer(v, v).astype(complex)
-        assert negativity_numeric(partial_transpose(rho)) == pytest.approx(0.5, abs=1e-12)
+        assert oracles.negativity_numeric(partial_transpose(rho)) == pytest.approx(0.5, abs=1e-12)
 
     def test_numeric_rejects_non_hermitian(self):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
-            negativity_numeric(m)
+            oracles.negativity_numeric(m)
 
     def test_reference_scenario_cross_check(self):
         rep = evaluate_scenario(fig_scenario())
         raw, clamped = negativity_closed(rep.integrals)
-        inner, outer = negativity_sectors(
+        inner, outer = oracles.negativity_sectors(
             partial_transpose(assemble_rho(rep.integrals)))
         assert abs(clamped - inner) < 1e-12
         assert outer <= 0.0
@@ -601,12 +599,12 @@ class TestNegativity:
 class TestBellFractions:
     def test_ground_state(self):
         rho = assemble_rho(SecondOrderIntegrals(0.0, 0.0, 0.0, 0.0))
-        assert bell_fractions(rho) == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-15)
+        assert oracles.bell_fractions(rho) == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-15)
 
     def test_symmetric_real_substitution(self):
         i, j = 2e-4, 1e-4
         rho = assemble_rho(SecondOrderIntegrals(i, i, 0.0, j))
-        phi_p, phi_m, psi_p, psi_m = bell_fractions(rho)
+        phi_p, phi_m, psi_p, psi_m = oracles.bell_fractions(rho)
         assert psi_p == pytest.approx(i, abs=1e-15)          # i_plus / 2
         assert psi_m == pytest.approx(i, abs=1e-15)
         assert phi_p == pytest.approx(0.5 * (1 - 2 * i) - j, abs=1e-15)
@@ -616,7 +614,7 @@ class TestBellFractions:
         rng = np.random.default_rng(61)
         for i_aa, i_bb, i_ab, j in oracles.random_tuples(rng, 300):
             rho = assemble_rho(SecondOrderIntegrals(i_aa, i_bb, i_ab, j))
-            assert sum(bell_fractions(rho)) == pytest.approx(1.0, abs=1e-12)
+            assert sum(oracles.bell_fractions(rho)) == pytest.approx(1.0, abs=1e-12)
 
     def test_column_identities(self):
         # deviations of the fractions from their baselines equal the
@@ -625,11 +623,61 @@ class TestBellFractions:
         for i_aa, i_bb, i_ab, j in oracles.random_tuples(rng, 100):
             ints = SecondOrderIntegrals(i_aa, i_bb, i_ab, j)
             rho = assemble_rho(ints)
-            phi_p, phi_m, psi_p, psi_m = bell_fractions(rho)
+            phi_p, phi_m, psi_p, psi_m = oracles.bell_fractions(rho)
             base_phi = 0.5 * (1.0 - ints.i_plus)
             assert phi_p - base_phi == pytest.approx(-j.real, abs=1e-15)
             assert phi_m - base_phi == pytest.approx(+j.real, abs=1e-15)
             assert psi_p - 0.5 * ints.i_plus == pytest.approx(i_ab.real, abs=1e-15)
+
+
+class TestScalarStateLayer:
+    """The report's state quantities are closed forms in the four integrals."""
+
+    def test_closed_forms_match_matrix_oracles(self):
+        rng = np.random.default_rng(73)
+        for i_aa, i_bb, i_ab, j in oracles.random_tuples(rng, 1000):
+            ints = SecondOrderIntegrals(i_aa, i_bb, i_ab, j)
+            rho = assemble_rho(ints)
+            closed = bell_fractions(ints)
+            projected = oracles.bell_fractions(rho)
+            assert max(abs(c - p) for c, p in zip(closed, projected)) <= 1e-15
+            inner, outer = negativity_sectors(ints)
+            inner_eig, outer_eig = oracles.negativity_sectors(partial_transpose(rho))
+            assert abs(inner - inner_eig) < 1e-13
+            assert outer < 0.0
+            assert abs(outer - outer_eig) <= 1e-14 * abs(outer_eig)
+
+    def test_matrix_form_passes_state_checks(self):
+        rng = np.random.default_rng(79)
+        for i_aa, i_bb, i_ab, j in oracles.random_tuples(rng, 100):
+            oracles.TwoQubitState(assemble_rho(SecondOrderIntegrals(i_aa, i_bb, i_ab, j)))
+
+    def test_corner_vanishes_without_exchange(self):
+        _, outer = negativity_sectors(SecondOrderIntegrals(1e-4, 2e-4, 0.0, 1e-4))
+        assert outer == 0.0 and math.copysign(1.0, outer) == 1.0
+
+    def test_validate_rejects_saturated_excitation(self):
+        with pytest.raises(ValueError, match=r"^assemble_rho: i_aa \+ i_bb = 1\.1 >= 1 "):
+            SecondOrderIntegrals(0.6, 0.5, 0.0, 0.0).validate()
+
+    def test_report_rejects_saturated_excitation(self):
+        with pytest.raises(ValueError, match=r"^assemble_rho: i_aa \+ i_bb = .* >= 1 leaves "
+                                             r"no ground-state population"):
+            evaluate_scenario(fig_scenario(coupling=100.0))
+
+    def test_report_needs_no_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix machinery on the report path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(core, "assemble_rho", refuse)
+        monkeypatch.setattr(core, "partial_transpose", refuse)
+        for s in (fig_scenario(), replace(fig_scenario(), position_uncertainty=0.15)):
+            rep = evaluate_scenario(s)
+            ints = rep.integrals
+            assert (rep.bell_phi_plus, rep.bell_phi_minus, rep.bell_psi_plus,
+                    rep.bell_psi_minus) == bell_fractions(ints)
+            assert rep.o4_corner_eigenvalue == negativity_sectors(ints)[1]
 
 
 class TestRatioAndReport:
@@ -679,7 +727,7 @@ class TestRatioAndReport:
     def test_hermiticity_of_state_and_pt(self):
         rep = evaluate_scenario(fig_scenario())
         rho = assemble_rho(rep.integrals)
-        assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-14
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
         pt = partial_transpose(rho)
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-14
 

@@ -178,6 +178,17 @@ class TestIntegrateRadial:
         # the carried best value is still a usable approximation
         assert best.value.real == pytest.approx(gauss_sin_exact(0.01, 30.0), rel=1e-6)
 
+    def test_initial_partition_over_budget(self):
+        # the starting partition alone holds 10,875 evaluations
+        spec = IntegrandSpec(evaluate=lambda w: np.exp(-w * w / 2) + 0j,
+                             damping_scale=1.0, max_phase_rate=1000.0)
+        with pytest.raises(ConvergenceFailure, match="budget 1000 exhausted") as exc:
+            integrate_radial(spec, QuadratureSettings(eval_budget=1000))
+        best = exc.value.best
+        assert best.evaluations == _initial_panels(spec, cutoff(spec, 1e-18)).size * 15 - 15
+        assert best.evaluations > 1000
+        assert best.value.real == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
+
     def test_tolerance_contract(self):
         spec = gauss_sin_spec(0.1, 3.0)
         settings = QuadratureSettings(tol_abs=1e-11, tol_rel=1e-9)
