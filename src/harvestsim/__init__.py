@@ -32,7 +32,6 @@ from .core import (
     negativity_sectors,
     partial_transpose,
     ratio_R,
-    window_factor_plus,
 )
 from .quadrature import (
     ConvergenceFailure,

@@ -3,6 +3,14 @@ state quantity in closed form from them (negativity, the fourth-order
 corner eigenvalue, Bell fractions), and positioning-uncertainty smearing
 of the correlation term.
 
+The integrals are pref times one quadrature over v = t_B - t_A of a
+window factor M(v) and the radial kernel
+K(v; r) = int_0^inf sin(w*r)/r exp(-(w*sigma)^2/2 + i*w*v) dw in closed form:
+I_nn = int M(v; -gap, gap) K(v; 0), I_AB = int M(v; -gap_A, gap_B) K(v; r)
+and J = int M(v; gap_A, gap_B) K(-|v|; r), the signs of v being J's time
+orderings.  A clock offset averages M exactly; the spatial smear is a
+frequency quadrature of the kernel Jhat.
+
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
 one exchange term, and one |gg><ee| correlation term; entanglement at
@@ -18,14 +26,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
+from scipy.special import erf
 
 from .detectors import (
     CausalClass,
     DetectorParams,
-    Disjoint,
     Scenario,
-    SwitchingWindow,
     TimingRegime,
     classify_causal,
     classify_timing,
@@ -38,12 +44,11 @@ from .quadrature import (
     QuadResult,
     integrate_radial,
 )
-from .specfun import damped_im_erfi, ediff, sinc
+from .specfun import damped_im_erfi, ediff, faddeeva_w
 
 __all__ = [
     "SecondOrderIntegrals",
     "HarvestReport",
-    "window_factor_plus",
     "compute_I_nn",
     "compute_I_AB",
     "jtilde",
@@ -92,44 +97,18 @@ class SecondOrderIntegrals:
             )
 
 
-def window_factor_plus(det: DetectorParams, omega):
-    """Rectangular-window Fourier factor at the up-shifted frequency omega + gap.
-
-    Returns ediff(t_on, t_off, omega + gap); magnitude equals
-    2*T_minus*|sinc((omega+gap)*T_minus)| and all products of two such
-    factors are convention-independent.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0.0):
-        raise ValueError("window_factor_plus: omega must be >= 0")
-    return _window_factor(det, omega, 0.0)
-
-
-def _window_factor(det: DetectorParams, omega, t0: float):
-    """``window_factor_plus`` with the window measured from t0; the absolute
-    factor is exp(i*(omega + gap)*t0) times this one."""
-    w = det.window
-    return ediff(w.t_on - t0, w.t_off - t0, omega + det.gap)
-
-
-def _origin(s: Scenario) -> float:
+def _origin(da: DetectorParams, db: DetectorParams) -> float:
     """Common time origin of the kernels: the earlier switch-on time.
 
-    Only time differences enter the integrands' dependence on omega, so
-    measuring the windows from here makes the phase-rate bounds, and
-    with them the quadrature cost, independent of a common time shift;
+    Only time differences enter the integrands, so measuring the windows
+    from here makes the quadrature independent of a common time shift;
     the constant phase the shift carries is restored exactly afterwards.
     """
-    return min(s.det_a.window.t_on, s.det_b.window.t_on)
-
-
-def _endpoint_scale(w: SwitchingWindow, t0: float) -> float:
-    """Largest |t - t0| over the window, for an origin t0 <= w.t_on."""
-    return w.t_off - t0
+    return min(da.window.t_on, db.window.t_on)
 
 
 def _scaled(res: QuadResult, pref: float, phase_rate: float, t0: float) -> QuadResult:
-    """pref times a radial integral whose kernel was evaluated from origin t0,
+    """pref times an integral whose kernel was evaluated from origin t0,
     with the kernel's constant phase exp(i*phase_rate*t0) restored."""
     value = pref * res.value
     if t0 != 0.0:
@@ -184,15 +163,14 @@ class _KernelMemo:
     """``_jhat`` of one detector pair, kept on the first node array it is
     evaluated on.
 
-    Every correlation quadrature at one separation starts from the same
-    initial Gauss-Kronrod nodes, which depend only on the detector pair
-    and the separation, so the kernel on that grid is computed once and
-    read back by the later quadratures; any other nodes (refinement
-    rounds) are computed fresh.
+    Every spatially smeared correlation quadrature at one separation
+    starts from the same initial Gauss-Kronrod nodes, so the kernel on
+    that grid is computed once and read back by the later quadratures;
+    other nodes (refinement rounds) are computed fresh.
     """
 
     def __init__(self, s: Scenario):
-        self.s, self.t0 = s, _origin(s)
+        self.s, self.t0 = s, _origin(s.det_a, s.det_b)
         self.nodes = self.values = None
 
     def __call__(self, omega):
@@ -210,21 +188,126 @@ def _require_equal_smearing(s: Scenario, op: str) -> float:
     return s.det_a.smearing
 
 
-def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResult:
-    lam, sig = det.coupling, det.smearing
+_SQRT_PI = math.sqrt(math.pi)
+_SQRT2 = math.sqrt(2.0)
 
-    def integrand(w):
-        wf = window_factor_plus(det, w)
-        return w * np.exp(-0.5 * (w * sig) ** 2) * (wf.real**2 + wf.imag**2) + 0j
+
+def _kernel(u, shift, r: float, sigma: float):
+    """K(v; r) at v = u + shift, r >= 0: [F(v + r) - F(v - r)]/(2ir), where
+    F(a) = int_0^inf exp(-(w*sigma)^2/2 + i*w*a) dw = sqrt(pi/2)/sigma * w(a/(sqrt(2)*sigma)).
+
+    Formed as u + (shift +- r), a peak of F at shift = -+r is resolved to
+    the rounding of u, not of v.  The difference cancels to about
+    eps*max(sigma, |v|)/r, so below r = 1e-5*max(sigma, |v|) the limit
+    K(v; 0) = -i*F'(v) = (1 + i*sqrt(pi)*x*w(x))/sigma^2, x = v/(sqrt(2)*sigma),
+    exact there to (r/sigma)^2/6, is used.  Its real part 1 - 2x*D(x)
+    (D the Dawson function) cancels to about eps*x^2, so beyond |x| = 20
+    it is the asymptotic series -sum_{n>=1} (2n-1)!!/(2x^2)^n, 12 terms.
+    """
+    u, shift = np.broadcast_arrays(np.asarray(u, dtype=float), shift)
+    out = np.empty(u.shape, dtype=complex)
+    near = r < 1e-5 * np.maximum(sigma, np.abs(u + shift))
+    if not near.all():
+        uf, sf = u[~near], shift[~near]
+        w = faddeeva_w(np.concatenate([uf + (sf + r), uf + (sf - r)]) / (_SQRT2 * sigma))
+        out[~near] = (w[:uf.size] - w[uf.size:]) * (_SQRT_PI / (_SQRT2 * sigma * 2j * r))
+    if near.any():
+        x = (u[near] + shift[near]) / (_SQRT2 * sigma)
+        k0 = 1.0 + 1j * _SQRT_PI * x * faddeeva_w(x)
+        far = np.abs(x) > 20.0
+        z = 0.5 / x[far] ** 2
+        series = np.ones_like(z)
+        for k in range(23, 1, -2):
+            series = 1.0 + k * z * series
+        k0[far] = -z * series + 1j * k0[far].imag
+        out[near] = k0 / sigma**2
+    return out
+
+
+def _window(v, a, b, g_a: float, g_b: float):
+    """M(v) = int exp(i*g_a*t + i*g_b*(t + v)) dt over t in window a with
+    t + v in window b, windows as (on, off) pairs; zero outside
+    b_on - a_off < v < b_off - a_on."""
+    lo = np.maximum(a[0], b[0] - v)
+    hi = np.maximum(np.minimum(a[1], b[1] - v), lo)
+    return -1j * np.exp(1j * g_b * v) * ediff(lo, hi, g_a + g_b)
+
+
+def _damped_erf(x, y: float):
+    """exp(-y^2) * erf(x - i*y) for real x and y, without overflow:
+    s*(exp(-y^2) - exp(-x^2 + 2ixy) * w(s*y + i|x|)) with s the sign of x."""
+    s = np.where(x >= 0.0, 1.0, -1.0)
+    w = faddeeva_w(s * y + 1j * np.abs(x))
+    return s * (math.exp(-y * y) - np.exp(-x * x + 2j * x * y) * w)
+
+
+def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
+    """M(v) averaged over an offset tau ~ N(0, dt^2/2) of window b.
+
+    The offset window gives exp(i*g_b*tau)*M(v - tau), a time integral of
+    exp(i*mu*t), mu = g_a + g_b, from max(a_on, b_on - v + tau) to
+    min(a_off, b_off - v + tau).  Each end is either fixed or moves with
+    tau, so the average is a sum of Gaussian masses of 1 (real erf) and
+    of exp(i*mu*tau) (``_damped_erf``) between the offsets where the ends
+    switch: exact for every window timing.  Requires mu != 0.
+    """
+    mu = g_a + g_b
+    s_on, s_off = b[0] - v, b[1] - v
+    x = np.stack([a[0] - s_off, a[0] - s_on, a[1] - s_off, a[1] - s_on]) / dt
+    e = _damped_erf(x, 0.5 * mu * dt)
+    p = erf(x)
+    end = np.exp(1j * mu * a[1]) * (p[3] - p[2]) + np.exp(1j * mu * s_off) * (e[2] - e[0])
+    start = np.exp(1j * mu * a[0]) * (p[1] - p[0]) + np.exp(1j * mu * s_on) * (e[3] - e[1])
+    return 0.5 * np.exp(1j * g_b * v) * (end - start) / (1j * mu)
+
+
+def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: float, r: float,
+                   settings: QuadratureSettings, delta_t: float = 0.0,
+                   time_ordered: bool = False) -> QuadResult:
+    """pref times the integral of M(v; g_a, g_b) * K(v; r), or K(-|v|; r) when
+    ``time_ordered``, over the support of M.  With delta_t > 0, M is
+    averaged over a clock offset of db's window of scale delta_t, which
+    widens the support by delta_t*sqrt(ln(1/tail_tol)) on each side.
+
+    The windows are measured from the earlier switch-on time, and v from
+    the kernel peak c = +-r on the side of the support's midpoint, so that
+    the peak, of width sigma, is resolved to the rounding of u = v - c.
+    Anchors: the peaks, the kink at v = 0 (J), and the kinks and ends of M.
+    """
+    sigma = da.smearing
+    t0 = _origin(da, db)
+    a = (da.window.t_on - t0, da.window.t_off - t0)
+    b = (db.window.t_on - t0, db.window.t_off - t0)
+    lo, hi = b[0] - a[1], b[1] - a[0]
+    r = abs(r)
+    kinks, peaks = [0.0, b[0] - a[0], b[1] - a[1]], [-r, r]
+    if delta_t > 0.0:  # M's kinks and ends, smoothed over delta_t, start graded panels
+        peaks += kinks[1:] + [lo, hi]
+        tail = delta_t * math.sqrt(math.log(1.0 / settings.tail_tol))
+        lo, hi = lo - tail, hi + tail
+    c = r if lo + hi >= 0.0 else -r
+
+    def evaluate(u):
+        v = u + c
+        m = (_clock_window(v, a, b, g_a, g_b, delta_t) if delta_t > 0.0
+             else _window(v, a, b, g_a, g_b))
+        sign = np.where(v >= 0.0, -1.0, 1.0) if time_ordered else 1.0
+        return m * _kernel(sign * u, sign * c, r, sigma)
 
     spec = IntegrandSpec(
-        evaluate=integrand,
-        damping_scale=sig,
-        max_phase_rate=det.window.duration,
+        evaluate=evaluate,
+        damping_scale=sigma,
+        max_phase_rate=abs(g_a) + abs(g_b),
+        singular_points=tuple(sorted(k - c for k in kinks)),
+        support=(lo - c, hi - c),
+        peaks=tuple(p - c for p in peaks),
     )
     res = integrate_radial(spec, settings)
-    pref = lam * lam / (4.0 * math.pi**2)
-    return QuadResult(pref * res.value, pref * res.abs_error, res.evaluations)
+    return _scaled(res, da.coupling * db.coupling / (4.0 * math.pi**2), g_a + g_b, t0)
+
+
+def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResult:
+    return _time_integral(det, det, -det.gap, det.gap, 0.0, settings)
 
 
 def compute_I_nn(det: DetectorParams, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -233,23 +316,8 @@ def compute_I_nn(det: DetectorParams, settings: QuadratureSettings = DEFAULT_SET
 
 
 def _i_ab_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
-    sig = _require_equal_smearing(s, "compute_I_AB")
-    r0 = s.separation
-    da, db = s.det_a, s.det_b
-    t0 = _origin(s)
-
-    def integrand(w):
-        return (w * sinc(w * r0) * np.exp(-0.5 * (w * sig) ** 2)
-                * np.conj(_window_factor(da, w, t0)) * _window_factor(db, w, t0))
-
-    spec = IntegrandSpec(
-        evaluate=integrand,
-        damping_scale=sig,
-        max_phase_rate=r0 + _endpoint_scale(da.window, t0) + _endpoint_scale(db.window, t0),
-    )
-    res = integrate_radial(spec, settings)
-    pref = da.coupling * db.coupling / (4.0 * math.pi**2)
-    return _scaled(res, pref, db.gap - da.gap, t0)
+    _require_equal_smearing(s, "compute_I_AB")
+    return _time_integral(s.det_a, s.det_b, -s.det_a.gap, s.det_b.gap, s.separation, settings)
 
 
 def compute_I_AB(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
@@ -257,46 +325,13 @@ def compute_I_AB(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -
     return _i_ab_result(s, settings).value
 
 
-def _j_quadrature(s: Scenario, op: str, r: float, factor, pref: float,
-                  settings: QuadratureSettings,
-                  kernel: _KernelMemo | None = None) -> QuadResult:
-    """pref times the integral of factor(w)*exp(-(w*sigma)^2/2)*Jhat(w) over w >= 0.
-
-    ``factor`` carries the separation dependence, oscillating at most at
-    rate |r|, and any smearing factor.  Every correlation term, smeared
-    or not, is this one quadrature with a different factor.  ``kernel``
-    shares Jhat between the quadratures of one detector pair at one
-    separation.
-    """
-    sig = _require_equal_smearing(s, op)
-    da, db = s.det_a, s.det_b
-    t0 = _origin(s)
-    if kernel is None:
-        kernel = _KernelMemo(s)
-
-    def integrand(w):
-        return factor(w) * np.exp(-0.5 * (w * sig) ** 2) * kernel(w)
-
-    rate = abs(r) + 2.0 * max(_endpoint_scale(da.window, t0), _endpoint_scale(db.window, t0))
-    spec = IntegrandSpec(
-        evaluate=integrand,
-        damping_scale=sig,
-        max_phase_rate=rate,
-        singular_points=tuple(sorted({da.gap, db.gap})),
-    )
-    res = integrate_radial(spec, settings)
-    return _scaled(res, pref, da.gap + db.gap, t0)
-
-
-def _j_pref(s: Scenario) -> float:
-    return s.det_a.coupling * s.det_b.coupling / (4.0 * math.pi**2)
-
-
 def _j_result_at_separation(s: Scenario, r: float, settings: QuadratureSettings,
-                            kernel: _KernelMemo | None = None) -> QuadResult:
-    """Correlation term at separation r (r may be any real; even in r)."""
-    return _j_quadrature(s, "compute_J", r, lambda w: w * sinc(w * r), _j_pref(s), settings,
-                         kernel)
+                            delta_t: float = 0.0) -> QuadResult:
+    """Correlation term at separation r (any real; even in r), averaged over a
+    Gaussian clock offset of B's window of scale delta_t when delta_t > 0."""
+    _require_equal_smearing(s, "compute_J")
+    return _time_integral(s.det_a, s.det_b, s.det_a.gap, s.det_b.gap, r, settings, delta_t,
+                          time_ordered=True)
 
 
 def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
@@ -310,14 +345,31 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
 
     The separation enters only through sinc(w*r), whose Gaussian average
     is the damped imaginary error function, for every window timing.
+    ``kernel`` shares Jhat between the quadratures of one detector pair at
+    one separation.
     """
     delta = s.position_uncertainty
     if not delta > 0.0:
         raise ValueError("compute_J_smeared: requires position_uncertainty > 0")
+    sig = _require_equal_smearing(s, "compute_J_smeared")
+    da, db = s.det_a, s.det_b
+    t0 = _origin(da, db)
+    if kernel is None:
+        kernel = _KernelMemo(s)
     x = s.separation / delta
-    pref = s.det_a.coupling * s.det_b.coupling / (4.0 * delta * math.pi**1.5)
-    return _j_quadrature(s, "compute_J_smeared", s.separation,
-                         lambda w: damped_im_erfi(x, 0.5 * delta * w), pref, settings, kernel)
+
+    def integrand(w):
+        return damped_im_erfi(x, 0.5 * delta * w) * np.exp(-0.5 * (w * sig) ** 2) * kernel(w)
+
+    spec = IntegrandSpec(
+        evaluate=integrand,
+        damping_scale=sig,
+        max_phase_rate=s.separation + 2.0 * (max(da.window.t_off, db.window.t_off) - t0),
+        singular_points=tuple(sorted({da.gap, db.gap})),
+    )
+    res = integrate_radial(spec, settings)
+    pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
+    return _scaled(res, pref, da.gap + db.gap, t0)
 
 
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -325,91 +377,20 @@ def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTIN
     return abs(_j_smeared_result(s, settings).value)
 
 
-def _time_smeared_gauss_hermite(
-    s: Scenario, delta_t: float, settings: QuadratureSettings, nodes: int
-) -> QuadResult:
-    u, w = hermgauss(nodes)
-    w = w / math.sqrt(math.pi)
-    total = 0.0 + 0.0j
-    error = 0.0
-    evaluations = 0
-    for ui, wi in zip(u, w):
-        shifted = Scenario(
-            det_a=s.det_a,
-            det_b=DetectorParams(
-                coupling=s.det_b.coupling,
-                gap=s.det_b.gap,
-                smearing=s.det_b.smearing,
-                window=s.det_b.window.shifted(delta_t * ui),
-            ),
-            separation=s.separation,
-            position_uncertainty=0.0,
-        )
-        res = _j_result_at_separation(shifted, s.separation, settings)
-        total += wi * res.value
-        error += wi * res.abs_error
-        evaluations += res.evaluations
-    return QuadResult(total, error, evaluations)
-
-
-def _j_time_smeared_result(
-    s: Scenario, delta_t: float, settings: QuadratureSettings,
-    kernel: _KernelMemo | None = None,
-) -> tuple[QuadResult, str]:
-    """Correlation term averaged over a Gaussian clock offset of B's window,
-    and the label of the method used.
-
-    While an offset keeps the windows disjoint, shifting B's window by tau
-    multiplies the kernel by exp(-i*(w - gap_B)*tau) when A's window is
-    first and by exp(i*(w + gap_B)*tau) when B's is first, so the average
-    is the exact factor exp(-(w - gap_B)^2*delta_t^2/4), respectively
-    exp(-(w + gap_B)^2*delta_t^2/4).  It is used when the offsets that
-    make the windows overlap, of Gaussian mass erfc(gap/delta_t)/2, stay
-    within tol_rel; otherwise each offset is integrated by 41-node
-    Gauss-Hermite.  J is not smooth in an offset that makes the windows
-    overlap, so that rule's error is estimated by its distance from the
-    21-node rule, added to the per-offset quadrature errors.
-    """
-    timing = classify_timing(s.det_a.window, s.det_b.window)
-    if (isinstance(timing, Disjoint)
-            and 0.5 * math.erfc(timing.gap / delta_t) <= settings.tol_rel):
-        shift = -s.det_b.gap if timing.first == "A" else s.det_b.gap
-        r = s.separation
-
-        def factor(w):
-            return w * sinc(w * r) * np.exp(-0.25 * ((w + shift) * delta_t) ** 2)
-
-        return (_j_quadrature(s, "compute_J_time_smeared", r, factor, _j_pref(s), settings,
-                              kernel),
-                "closed-form-time")
-    fine = _time_smeared_gauss_hermite(s, delta_t, settings, 41)
-    coarse = _time_smeared_gauss_hermite(s, delta_t, settings, 21)
-    return (QuadResult(fine.value, fine.abs_error + abs(fine.value - coarse.value),
-                       fine.evaluations + coarse.evaluations),
-            "gauss-hermite-time")
-
-
 def compute_J_time_smeared(
     s: Scenario,
     delta_t: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-    nodes: int | None = None,
 ) -> float:
     """|correlation term| under a Gaussian clock-offset spread of scale delta_t.
 
     The offset distribution mirrors the spatial convention
-    (variance delta_t^2/2) and shifts the second window.  By default the
-    method of ``evaluate_scenario`` is used; ``nodes`` forces a
-    Gauss-Hermite average over that many offsets, the reference the
-    closed form is tested against.
+    (variance delta_t^2/2) and shifts the second window; its average is
+    exact for every window timing (``_clock_window``).
     """
     if not delta_t > 0.0:
         raise ValueError("compute_J_time_smeared: requires delta_t > 0")
-    if nodes is None:
-        res, _ = _j_time_smeared_result(s, delta_t, settings)
-    else:
-        res = _time_smeared_gauss_hermite(s, delta_t, settings, nodes)
-    return abs(res.value)
+    return abs(_j_result_at_separation(s, s.separation, settings, delta_t).value)
 
 
 def assemble_rho(ints: SecondOrderIntegrals) -> np.ndarray:
@@ -450,10 +431,14 @@ def negativity_sectors(ints: SecondOrderIntegrals) -> tuple[float, float]:
     which has no cancellation.  Requires i_plus < 1, as ``validate``
     checks.
     """
+    return negativity_closed(ints)[1], _corner_eigenvalue(ints)
+
+
+def _corner_eigenvalue(ints: SecondOrderIntegrals) -> float:
+    """The ``outer`` value of ``negativity_sectors``."""
     a = 1.0 - ints.i_plus
     x = abs(ints.i_ab) ** 2
-    corner = -2.0 * x / (a + math.sqrt(a * a + 4.0 * x))
-    return negativity_closed(ints)[1], min(0.0, corner)  # 0.0, not -0.0, at i_ab = 0
+    return min(0.0, -2.0 * x / (a + math.sqrt(a * a + 4.0 * x)))  # 0.0, not -0.0, at i_ab = 0
 
 
 def bell_fractions(ints: SecondOrderIntegrals) -> tuple[float, float, float, float]:
@@ -480,8 +465,7 @@ class HarvestReport:
     integrals: SecondOrderIntegrals      # j holds the smeared value when smearing applies
     j_unsmeared: complex
     j_smeared_abs: float | None
-    # None, "erfi-closed-form" (spatial), "closed-form-time" (clock offset,
-    # windows kept apart) or "gauss-hermite-time" (clock offset otherwise)
+    # None, "erfi-closed-form" (spatial) or "closed-form-time" (clock offset)
     smearing_method: str | None
     negativity_raw: float
     negativity: float
@@ -519,20 +503,16 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
                 i_nn: dict, pair: dict, kernel: _KernelMemo) -> HarvestReport:
     """One row of ``evaluate_scenarios``: ``i_nn`` holds the local terms by
     detector, ``pair`` the exchange and unsmeared correlation terms of the
-    row's detector pair and separation, and ``kernel`` their Jhat."""
+    row's detector pair and separation, and ``kernel`` the Jhat of their
+    spatially smeared correlation terms."""
     if time_smear is not None and s.position_uncertainty > 0.0:
         raise ValueError("evaluate_scenario: spatial and temporal smearing are exclusive")
     res_aa = _shared(i_nn, s.det_a, lambda: _i_nn_result(s.det_a, settings))
     res_bb = _shared(i_nn, s.det_b, lambda: _i_nn_result(s.det_b, settings))
     res_ab = _shared(pair, "i_ab", lambda: _i_ab_result(s, settings))
-    res_j = _shared(pair, "j",
-                    lambda: _j_result_at_separation(s, s.separation, settings, kernel))
-    errors = {
-        "i_aa": res_aa.abs_error,
-        "i_bb": res_bb.abs_error,
-        "i_ab": res_ab.abs_error,
-        "j": res_j.abs_error,
-    }
+    res_j = _shared(pair, "j", lambda: _j_result_at_separation(s, s.separation, settings))
+    errors = {"i_aa": res_aa.abs_error, "i_bb": res_bb.abs_error,
+              "i_ab": res_ab.abs_error, "j": res_j.abs_error}
 
     j_unsmeared = res_j.value
     method = None
@@ -544,7 +524,8 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
     elif time_smear is not None:
         if not time_smear > 0.0:
             raise ValueError("evaluate_scenario: time_smear must be > 0")
-        res_sm, method = _j_time_smeared_result(s, time_smear, settings, kernel)
+        res_sm = _j_result_at_separation(s, s.separation, settings, time_smear)
+        method = "closed-form-time"
     if method is not None:
         j_eff = res_sm.value
         errors["j_smeared"] = res_sm.abs_error
@@ -558,7 +539,7 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
     )
     ints.validate()
     raw, clamped = negativity_closed(ints)
-    _, outer = negativity_sectors(ints)
+    outer = _corner_eigenvalue(ints)
     phi_p, phi_m, psi_p, psi_m = bell_fractions(ints)
     return HarvestReport(
         integrals=ints,
@@ -586,9 +567,11 @@ def evaluate_scenarios(
     what the rows share once.
 
     The local terms are computed once per distinct detector; the exchange
-    term, the unsmeared correlation term and the kernel Jhat on the
-    initial grid once per distinct (detector A, detector B, separation).
-    Only each row's smeared correlation term is its own.  Returns, in row
+    term and the unsmeared correlation term once per distinct
+    (detector A, detector B, separation), and so is the frequency kernel
+    Jhat on the initial grid that the spatially smeared correlation terms
+    of those rows share.  Only each row's smeared correlation term is its
+    own.  Returns, in row
     order, the report or the ``ROW_ERRORS`` exception that row raised; a
     failed shared integral fails every row that needs it.  Nothing is
     kept after the call returns.
@@ -618,13 +601,13 @@ def evaluate_scenario(
 ) -> HarvestReport:
     """Compute every report quantity for one scenario.
 
-    With nonzero position uncertainty the correlation term is smeared by
-    the erfi closed form, for every window timing; ``time_smear`` applies
-    the clock-offset smear instead (exact phase factor while the offsets
-    keep the windows apart, Gauss-Hermite averaging otherwise).  Every
-    path but that Gauss-Hermite one is a single radial quadrature, and
-    the smeared correlation term reuses the unsmeared one's kernel.
-    The local terms are separation-independent and never smeared.
+    The local, exchange and unsmeared correlation terms are each one
+    time-domain quadrature.  With nonzero position uncertainty the
+    correlation term is smeared by the erfi closed form, a frequency
+    quadrature; ``time_smear`` applies the clock-offset smear instead, a
+    time-domain quadrature of the exactly averaged window factor.  Both
+    hold for every window timing.  The local terms are
+    separation-independent and never smeared.
     """
     out = evaluate_scenarios([(s, time_smear)], settings)[0]
     if isinstance(out, Exception):

@@ -1,14 +1,19 @@
-"""Adaptive evaluation of semi-infinite radial integrals.
+"""Adaptive evaluation of semi-infinite radial integrals and of integrals
+over a finite support.
 
-The integrands handled here carry a Gaussian envelope exp(-w^2*s^2/2)
-and oscillatory phases whose largest frequency coefficient is known, so
-the semi-infinite range is truncated where the envelope falls below a
-tail tolerance and the finite part is covered by initial panels that
-span up to two periods of the fastest oscillation; the adaptive loop
-refines them where the integrand demands it.  Each panel is integrated
-by a 15-point Gauss-Kronrod rule with the embedded 7-point Gauss rule as
-the error estimate; panels failing a width-proportional share of the
-error budget are bisected.  Everything is deterministic.
+A radial integrand carries a Gaussian envelope exp(-w^2*s^2/2) and
+oscillatory phases whose largest frequency coefficient is known, so the
+semi-infinite range is truncated where the envelope falls below a tail
+tolerance.  An integrand with a finite ``support`` (the time-domain
+integrals) is integrated over it instead; it may have peaks of width s
+at known points, the Fourier image of that envelope.  Either range is
+covered by initial panels that span up to two periods of the fastest
+oscillation, grow geometrically away from the peaks and start at the
+singular points; the adaptive loop refines them where the integrand
+demands it.  Each panel is integrated by a 15-point Gauss-Kronrod rule
+with the embedded 7-point Gauss rule as the error estimate; panels
+failing a width-proportional share of the error budget are bisected.
+Everything is deterministic.
 """
 from __future__ import annotations
 
@@ -64,20 +69,25 @@ _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])        # Gauss wei
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """One radial integrand: a vectorized evaluator plus its analytic metadata.
+    """One integrand: a vectorized evaluator plus its analytic metadata.
 
-    ``evaluate`` maps an ndarray of frequencies to complex values and must
+    ``evaluate`` maps an ndarray of abscissae to complex values and must
     be free of singularities (removable ones filled by the caller);
     ``damping_scale`` is the s in the envelope exp(-w^2*s^2/2);
     ``max_phase_rate`` bounds |d(phase)/dw| of any oscillatory factor;
-    ``singular_points`` are removable-singularity locations used only as
-    panel anchors.
+    ``singular_points`` are kinks or removable-singularity locations used
+    only as panel anchors.  With a finite ``support`` (lo, hi) the
+    integral runs over it instead of [0, cutoff], the anchors may be
+    negative, and ``peaks`` are anchors where the integrand has features
+    of width ``damping_scale``.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     damping_scale: float
     max_phase_rate: float = 0.0
     singular_points: tuple[float, ...] = ()
+    support: tuple[float, float] | None = None
+    peaks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (self.damping_scale > 0.0 and math.isfinite(self.damping_scale)):
@@ -85,9 +95,15 @@ class IntegrandSpec:
         if not (self.max_phase_rate >= 0.0 and math.isfinite(self.max_phase_rate)):
             raise ValueError("IntegrandSpec: max_phase_rate must be >= 0 and finite")
         pts = tuple(self.singular_points)
-        if any(p < 0.0 for p in pts) or list(pts) != sorted(pts):
-            raise ValueError("IntegrandSpec: singular_points must be sorted and non-negative")
+        if list(pts) != sorted(pts) or self.support is None and (
+                self.peaks or any(p < 0.0 for p in pts)):
+            raise ValueError("IntegrandSpec: singular_points must be sorted; without a "
+                             "support they must be non-negative and there are no peaks")
+        if self.support is not None and not (
+                math.isfinite(self.support[0]) and self.support[0] < self.support[1] < math.inf):
+            raise ValueError("IntegrandSpec: support must be a finite interval lo < hi")
         object.__setattr__(self, "singular_points", pts)
+        object.__setattr__(self, "peaks", tuple(self.peaks))
 
 
 @dataclass(frozen=True)
@@ -140,25 +156,41 @@ def cutoff(spec: IntegrandSpec, tail_tol: float) -> float:
 
 
 def _initial_panels(spec: IntegrandSpec, w_max: float) -> np.ndarray:
-    """Edges of the starting partition of [0, w_max].
+    """Edges of the starting partition of [0, w_max], or of the support.
 
-    Singular points are anchors, and each piece between anchors is cut
-    evenly into panels no wider than w_max/8 and than two periods,
-    4*pi/max_phase_rate, of the fastest phase.  Where such a panel is
-    too wide for the tolerance, the adaptive loop of ``integrate_radial``
+    Singular points are anchors, and so are the edges of panels that
+    double in width away from each peak, from ``damping_scale``; a peak
+    outside the range grades from the nearer end, from its distance.
+    Anchors within rounding of each other or of an end are merged, so a
+    peak an ulp inside the range starts the same partition as one on
+    its end.  Each piece between anchors is cut evenly into panels no
+    wider than 1/8 of the range and than two periods,
+    4*pi/max_phase_rate, of the fastest phase.  Where such a panel is too
+    wide for the tolerance, the adaptive loop of ``integrate_radial``
     bisects it, so evaluations go only where the integrand needs them.
     """
-    anchors = [0.0]
-    anchors += [p for p in spec.singular_points if 0.0 < p < w_max]
-    anchors.append(w_max)
-    cap = w_max / 8.0
+    lo, hi = (0.0, w_max) if spec.support is None else spec.support
+    cap = (hi - lo) / 8.0
     if spec.max_phase_rate > 0.0:
         cap = min(cap, 4.0 * math.pi / spec.max_phase_rate)
+    points = list(spec.singular_points)
+    for p in spec.peaks:
+        q = min(max(p, lo), hi)
+        width = max(spec.damping_scale, abs(p - q))
+        grown = width * (2.0 ** np.arange(math.ceil(math.log2((hi - lo) / width + 1.0)) + 1) - 1.0)
+        points += [q] + list(q - grown) + list(q + grown)
+    tiny = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    anchors = [lo]
+    for x in sorted(x for x in points if lo + tiny < x < hi - tiny):
+        if x - anchors[-1] > tiny:
+            anchors.append(x)
+    anchors.append(hi)
     edges = []
-    for lo, hi in zip(anchors[:-1], anchors[1:]):
-        n = max(1, int(math.ceil((hi - lo) / cap)))
-        edges.append(lo + (hi - lo) * np.arange(n) / n)
-    edges.append(np.array([w_max]))
+    for a, b in zip(anchors[:-1], anchors[1:]):
+        # the slack keeps a piece one rounding wider than the cap in one panel
+        n = max(1, math.ceil((b - a) / cap - 1e-9))
+        edges.append(a + (b - a) * np.arange(n) / n)
+    edges.append(np.array([hi]))
     return np.concatenate(edges)
 
 
@@ -179,7 +211,8 @@ def integrate_radial(
     spec: IntegrandSpec,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> QuadResult:
-    """Integrate spec.evaluate over [0, cutoff] to the configured tolerances.
+    """Integrate spec.evaluate over [0, cutoff], or over its support, to the
+    configured tolerances.
 
     The reported ``abs_error`` satisfies
     abs_error <= max(tol_abs, tol_rel*|value|) on success, within
@@ -188,41 +221,25 @@ def integrate_radial(
     alone holds more than ``eval_budget`` evaluations.
     """
     w_max = cutoff(spec, settings.tail_tol)
+    lo, hi = (0.0, w_max) if spec.support is None else spec.support
     edges = _initial_panels(spec, w_max)
     a, b = edges[:-1], edges[1:]
     vals, errs = _gk15(spec.evaluate, a, b)
     evals = 15 * a.size
-    if evals > settings.eval_budget:
-        raise ConvergenceFailure(
-            f"integrate_radial: evaluation budget {settings.eval_budget} exhausted",
-            QuadResult(complex(vals.sum()), float(errs.sum()), evals),
-        )
-
-    min_width = 64.0 * np.finfo(float).eps * w_max
+    min_width = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     while True:
-        total = complex(vals.sum())
-        total_err = float(errs.sum())
-        target = max(settings.tol_abs, settings.tol_rel * abs(total))
-        if total_err <= target:
-            return QuadResult(total, total_err, evals)
-        if evals >= settings.eval_budget:
-            raise ConvergenceFailure(
-                f"integrate_radial: evaluation budget {settings.eval_budget} exhausted",
-                QuadResult(total, total_err, evals),
-            )
-        local_tol = target * (b - a) / w_max
-        refine = (errs > local_tol) & ((b - a) > min_width)
-        if not refine.any():
-            raise ConvergenceFailure(
-                "integrate_radial: panels at roundoff width before reaching tolerance",
-                QuadResult(total, total_err, evals),
-            )
+        best = QuadResult(complex(vals.sum()), float(errs.sum()), evals)
+        target = max(settings.tol_abs, settings.tol_rel * abs(best.value))
+        if best.abs_error <= target and evals <= settings.eval_budget:
+            return best
+        refine = (errs > target * (b - a) / (hi - lo)) & ((b - a) > min_width)
         n_new = 2 * int(refine.sum())
         if evals + 15 * n_new > settings.eval_budget:
             raise ConvergenceFailure(
-                f"integrate_radial: evaluation budget {settings.eval_budget} exhausted",
-                QuadResult(total, total_err, evals),
-            )
+                f"integrate_radial: evaluation budget {settings.eval_budget} exhausted", best)
+        if not n_new:
+            raise ConvergenceFailure(
+                "integrate_radial: panels at roundoff width before reaching tolerance", best)
         ra, rb = a[refine], b[refine]
         mid = 0.5 * (ra + rb)
         na = np.concatenate([a[~refine], ra, mid])

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the package's ediff/sinc machinery:
 time integrals are raw antiderivative differences or Gauss-Legendre sums,
 and frequency integrals are dense trapezoid rules with one Richardson
-extrapolation step.  The state layer is checked against the matrix form:
+extrapolation step or Gauss-Legendre panel sums, the clock-offset average
+a Gauss-Legendre sum of those over offsets.  The state layer is checked against the matrix form:
 eigen-solves of the partial transpose and Bell projectors.
 """
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -242,3 +244,79 @@ def bell_fractions(rho):
         frac(BELL_PSI_PLUS),
         frac(BELL_PSI_MINUS),
     )
+
+
+# --- clock-offset average -----------------------------------------------------
+
+def _panel_rule(edges, n):
+    """Gauss-Legendre nodes and weights, n per panel."""
+    x, wt = np.polynomial.legendre.leggauss(n)
+    a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    return (c[:, None] + h[:, None] * x).ravel(), (h[:, None] * wt).ravel()
+
+
+def oracle_J_clock(scn, dt, first_panel, n_tau=10, n_omega=16):
+    """Correlation term averaged over a clock offset tau ~ N(0, dt^2/2) of B's
+    window, by nested Gauss-Legendre sums.
+
+    Inner: at each offset, the frequency integral of ``jhat_raw`` for the
+    shifted windows over panels one oscillation wide, at the largest time
+    difference plus r.
+    Outer: the offsets in [-6.1 dt, 6.1 dt] (the Gaussian weight beyond is
+    below 1e-16), split where the shifted windows touch or align and where
+    a window edge meets the light cone, J's kinks smoothed over sigma;
+    the panels double in width from ``first_panel`` away from each split,
+    up to a radian of B's phase exp(i*gap_B*tau).
+    """
+    da, db = scn.det_a, scn.det_b
+    r, sig = scn.separation, da.smearing
+    reach = 6.1 * dt
+    ends = [db.window.t_on - da.window.t_off, db.window.t_on - da.window.t_on,
+            db.window.t_off - da.window.t_off, db.window.t_off - da.window.t_on]
+    splits = {-v + c for v in ends for c in (0.0, r, -r)}
+    cuts = sorted({-reach, reach} | {c for c in splits if abs(c) < reach})
+    edges = [cuts[0]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        half, grown, width = 0.5 * (hi - lo), [], first_panel
+        while (grown[-1] if grown else 0.0) + width < half:
+            grown.append((grown[-1] if grown else 0.0) + width)
+            width = min(2.0 * width, 1.0 / db.gap)
+        edges += [lo + g for g in grown] + [lo + half] + [hi - g for g in grown[::-1]] + [hi]
+    taus, tau_wt = _panel_rule(edges, n_tau)
+    tau_wt = tau_wt * np.exp(-(taus / dt) ** 2) / (dt * math.sqrt(math.pi))
+
+    spread = max(ends[3] + reach, reach - ends[0])
+    w_max = _wmax(sig)
+    panels = int(math.ceil(w_max * (r + spread) / (2.0 * math.pi)))
+    w, w_wt = _panel_rule(np.linspace(0.0, w_max, panels + 1), n_omega)
+    f = (w_wt * w * safe_sinc(w * r) * np.exp(-0.5 * (w * sig) ** 2)
+         * da.coupling * db.coupling / (4.0 * np.pi**2))
+    total = 0.0 + 0.0j
+    for tau, p in zip(taus, tau_wt):
+        window = SimpleNamespace(t_on=db.window.t_on + tau, t_off=db.window.t_off + tau)
+        shifted = SimpleNamespace(det_a=da, det_b=SimpleNamespace(gap=db.gap, window=window))
+        total += p * np.sum(f * jhat_raw(shifted, w))
+    return complex(total)
+
+
+def oracle_gl(scn, n=16):
+    """(I_AA, I_AB, J) as Gauss-Legendre frequency sums of the raw-exponential
+    forms over panels one oscillation wide, at r plus the largest time
+    difference (or A's duration); chunked to bound memory."""
+    da, db = scn.det_a, scn.det_b
+    r, sig = scn.separation, da.smearing
+    spread = max(db.window.t_off - da.window.t_on, da.window.t_off - db.window.t_on,
+                 da.window.t_off - da.window.t_on)
+    w_max = _wmax(sig)
+    edges = np.linspace(0.0, w_max, int(math.ceil(w_max * (r + spread) / (2.0 * math.pi))) + 1)
+    total = np.zeros(3, dtype=complex)
+    for lo in range(0, edges.size - 1, 20_000):
+        w, wt = _panel_rule(edges[lo:lo + 20_001], n)
+        g = wt * w * np.exp(-0.5 * (w * sig) ** 2) / (4.0 * np.pi**2)
+        ta = tau_plus(da.window, da.gap, w)
+        tb = tau_plus(db.window, db.gap, w)
+        total += [np.sum(g * (ta.real**2 + ta.imag**2)) * da.coupling**2,
+                  np.sum(g * safe_sinc(w * r) * np.conj(ta) * tb) * da.coupling * db.coupling,
+                  np.sum(g * safe_sinc(w * r) * jhat_raw(scn, w)) * da.coupling * db.coupling]
+    return total[0].real, complex(total[1]), complex(total[2])

@@ -21,10 +21,12 @@ from harvestsim.core import (
     compute_I_nn,
     compute_J,
     compute_J_smeared,
+    evaluate_scenarios,
     negativity_closed,
     partial_transpose,
     ratio_R,
 )
+from harvestsim.core import HarvestReport
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
 from harvestsim.specfun import damped_im_erfi
 from harvestsim.sweep import figure_preset
@@ -251,3 +253,27 @@ def test_criterion_9_determinism(tmp_path):
     criterion(9, "figure fig3 byte-determinism",
               b1 == b2 and len(b1) > 0,
               f"{len(b1)} bytes, identical across runs: {b1 == b2}")
+
+
+@pytest.mark.parametrize("k", [1, 10, 100, 1000])
+def test_criterion_10_astronomical_scale(k):
+    # the reference geometry with windows, window gap and r0 scaled by k,
+    # sigma fixed: r0 = 1.5e5 sigma at k = 1000
+    det = dict(smearing=SIGMA, coupling=0.01, gap=1.0)
+    s = Scenario(det_a=DetectorParams(window=SwitchingWindow(0.0, 0.1 * k), **det),
+                 det_b=DetectorParams(window=SwitchingWindow(0.15 * k, 0.25 * k), **det),
+                 separation=R0 * k)
+    reports = evaluate_scenarios([(s, None), (s, 5.0 * SIGMA), (s, 0.2 * s.separation)])
+    ok = all(isinstance(rep, HarvestReport) for rep in reports)
+    detail = f"rows ok: {ok}"
+    if ok:
+        ints = reports[0].integrals
+        ratios = [abs(rep.integrals.j) / abs(ints.j) for rep in reports[1:]]
+        detail += f"; |J_dt|/|J| = {ratios[0]:.6f} (5 sigma), {ratios[1]:.6f} (0.2 r0)"
+        if k <= 100:
+            i_nn, i_ab, j = oracles.oracle_gl(s)
+            worst = max(abs(ints.i_aa - i_nn) / i_nn, abs(ints.i_ab - i_ab) / abs(i_ab),
+                        abs(ints.j - j) / abs(j))
+            ok = worst <= 1e-9
+            detail += f"; worst rel vs frequency-domain oracle {worst:.1e} (<=1e-9)"
+    criterion(10, f"astronomical scale k={k}", ok, detail)

@@ -37,3 +37,26 @@ def test_traced_report_records_state_time(tracing):
     summary = tracer.summary(1)
     assert summary["core.evaluate_scenario.calls"] == 1
     assert summary["core.state_s"] > 0.0
+
+
+def test_tracer_sees_every_integral(tracing):
+    # each public integral runs through the one adaptive loop the tracer wraps
+    s = fig_scenario()
+    cases = {
+        "i_nn": lambda: harvestsim.core.compute_I_nn(s.det_a),
+        "i_ab": lambda: harvestsim.core.compute_I_AB(s),
+        "j": lambda: harvestsim.core.compute_J(s),
+        "j_smeared": lambda: harvestsim.core.compute_J_smeared(fig_scenario(delta=0.15)),
+        "j_time_smeared": lambda: harvestsim.core.compute_J_time_smeared(s, 0.005),
+    }
+    tracer = tracing.Tracer().install()
+    try:
+        for name, run in cases.items():
+            tracer.op = name
+            run()
+    finally:
+        tracer.uninstall()
+    for name in cases:
+        evaluations, _, overruns = tracer.probe(name)
+        assert evaluations > 0, name
+        assert overruns == 0, name

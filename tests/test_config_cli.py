@@ -296,11 +296,11 @@ class TestBatchedSweep:
 
     def test_delta_t_mixing_methods_matches_per_row_evaluation(self):
         # the windows are 50 sigma apart: offsets of 2 sigma keep them apart,
-        # offsets of 50 sigma reach an overlap
+        # offsets of 50 sigma reach an overlap; one method covers both
         cfg = sweep_cfg("delta_t", "2*sigma", "50*sigma", 2)
         rows = run_sweep(cfg)
         assert [r.report.smearing_method for r in rows] == [
-            "closed-form-time", "gauss-hermite-time"]
+            "closed-form-time", "closed-form-time"]
         assert rows_to_csv(rows) == per_row_csv(cfg)
 
     def test_zero_width_row_fails_alone(self):
@@ -323,8 +323,10 @@ class TestBatchedSweep:
 
     @staticmethod
     def initial_grid_evaluations(grids):
-        # the first grid is the unsmeared J's initial partition; refinement
-        # rounds evaluate the kernel on their own, smaller node sets
+        # the first grid is the first spatially smeared J's initial
+        # partition, which every smeared J of the pair and separation
+        # shares; refinement rounds evaluate the kernel on their own,
+        # smaller node sets
         return sum(np.array_equal(g, grids[0]) for g in grids)
 
     def test_kernel_evaluated_once_per_delta_sweep(self, monkeypatch):

@@ -26,12 +26,8 @@ from harvestsim.core import (
     negativity_sectors,
     partial_transpose,
     ratio_R,
-    window_factor_plus,
 )
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
-
-EDIFF_0_1_1 = -0.4596976941318602826 + 0.84147098480789650665j  # (e^{i}-1)/1
-
 
 def detector(gap=1.0, sigma=0.1, window=(0.0, 1.0), coupling=1.0):
     return DetectorParams(coupling=coupling, gap=gap, smearing=sigma,
@@ -70,28 +66,6 @@ def smear_J_gauss_hermite(s, nodes=41):
 def fig_scenario(r0=0.15, delta=0.0, coupling=0.01):
     return scenario(wa=(0.0, 0.1), wb=(0.15, 0.25), r0=r0, sigma=0.001,
                     delta=delta, coupling=coupling)
-
-
-class TestWindowFactor:
-    def test_reference_value(self):
-        det = detector(gap=1.0, window=(0.0, 1.0))
-        assert window_factor_plus(det, 0.0) == pytest.approx(EDIFF_0_1_1, rel=1e-14)
-
-    def test_full_period_vanishes(self):
-        omega = 0.5
-        det = detector(gap=1.0, window=(0.0, 2.0 * math.pi / (omega + 1.0)))
-        assert abs(window_factor_plus(det, omega)) < 1e-15
-
-    def test_short_window_limit(self):
-        # magnitude bounded by the window duration, so it vanishes with it
-        for dur in (1e-6, 1e-9, 1e-12):
-            det = detector(window=(0.3, 0.3 + dur))
-            bound = det.window.duration * (1.0 + 1e-12)
-            assert abs(window_factor_plus(det, 2.0)) <= bound
-
-    def test_rejects_negative_frequency(self):
-        with pytest.raises(ValueError):
-            window_factor_plus(detector(), -1.0)
 
 
 class TestJtilde:
@@ -372,66 +346,83 @@ class TestTimeSmearedCorrelation:
             compute_J_time_smeared(fig_scenario(), 0.0)
 
 
+def clock_J_gauss_hermite(s, dt, nodes=161):
+    """Average the correlation term over clock offsets tau ~ N(0, dt^2/2) of
+    B's window by Gauss-Hermite over the public ``compute_J``.  A reference
+    only while every offset keeps the windows apart, where J is smooth in
+    the offset."""
+    u, w = hermgauss(nodes)
+    js = [compute_J(replace(s, det_b=replace(s.det_b, window=s.det_b.window.shifted(dt * ui))))
+          for ui in u]
+    return complex(np.sum(w * np.array(js)) / math.sqrt(math.pi))
+
+
 class TestClockOffsetSmear:
-    # windows 25 sigma apart: offsets of up to 5 sigma keep them apart, so the
-    # exact phase factor applies; 161-node Gauss-Hermite is the reference
+    """Every clock offset is the exact Gaussian average of the window factor
+    in one time-domain quadrature, checked against the nested
+    Gauss-Legendre average of ``oracles.oracle_J_clock``."""
+
     SIGMA = 0.1
     EARLY, LATE = (0.0, 1.0), (3.5, 4.5)
+
+    def check(self, s, dt, first_panel):
+        rep = evaluate_scenario(s, time_smear=dt)
+        assert rep.smearing_method == "closed-form-time"
+        ref = oracles.oracle_J_clock(s, dt, first_panel)
+        assert abs(rep.integrals.j - ref) <= 1e-10 * abs(ref)
+        assert compute_J_time_smeared(s, dt) == rep.j_smeared_abs
+        assert 0.0 < rep.quad_errors["j_smeared"] <= 1e-9 * rep.j_smeared_abs
+        return rep
 
     @pytest.mark.parametrize("first", ["A", "B"])
     @pytest.mark.parametrize("widths", [1, 5])
     def test_closed_form_matches_gauss_hermite(self, first, widths):
+        # windows 25 sigma apart: offsets of up to 5 sigma keep them apart, so
+        # J is smooth in the offset and 161-node Gauss-Hermite resolves it
         wa, wb = (self.EARLY, self.LATE) if first == "A" else (self.LATE, self.EARLY)
         s = scenario(wa=wa, wb=wb, r0=1.0, sigma=self.SIGMA, gap_a=0.8, gap_b=1.3,
                      coupling=0.05)
         dt = widths * self.SIGMA
-        rep = evaluate_scenario(s, time_smear=dt)
-        assert rep.smearing_method == "closed-form-time"
-        gh = core._time_smeared_gauss_hermite(s, dt, core.DEFAULT_SETTINGS, nodes=161)
-        assert abs(rep.integrals.j - gh.value) <= 1e-10 * abs(gh.value)
-        assert compute_J_time_smeared(s, dt) == rep.j_smeared_abs
-        assert 0.0 < rep.quad_errors["j_smeared"] <= 1e-9 * rep.j_smeared_abs
+        rep = self.check(s, dt, 0.25 * self.SIGMA)
+        gh = clock_J_gauss_hermite(s, dt)
+        assert abs(rep.integrals.j - gh) <= 1e-10 * abs(gh)
 
-    def test_offsets_reaching_overlap_keep_gauss_hermite(self):
+    def test_offsets_reaching_overlap_match_oracle(self):
         # gap/dt = 0.4: a third of the offsets make the windows overlap
         s = scenario(wa=(0.0, 1.0), wb=(1.2, 2.2), r0=1.0, sigma=self.SIGMA,
                      coupling=0.05)
-        rep = evaluate_scenario(s, time_smear=0.5)
-        assert rep.smearing_method == "gauss-hermite-time"
-        assert rep.j_smeared_abs == compute_J_time_smeared(s, 0.5)
-        assert rep.j_smeared_abs == compute_J_time_smeared(s, 0.5, nodes=41)
-        assert rep.quad_errors["j_smeared"] > 0.0
+        self.check(s, 0.5, 0.25 * self.SIGMA)
 
     @pytest.mark.parametrize("widths", [20, 40])
-    def test_gauss_hermite_error_covers_the_rule(self, widths):
+    def test_reference_geometry_matches_oracle(self, widths):
         # reference geometry, windows 50 sigma apart: offsets of 20 and 40
-        # sigma reach an overlap, where J is not smooth in the offset and
-        # the 41-node rule is off by 1e-3 and 3e-3 relative
+        # sigma reach an overlap, where J is not smooth in the offset; the
+        # 41-node Gauss-Hermite rule is off there by 1e-3 and 4e-3
         s = fig_scenario()
         dt = widths * 0.001
-        rep = evaluate_scenario(s, time_smear=dt)
-        assert rep.smearing_method == "gauss-hermite-time"
-        gh = core._time_smeared_gauss_hermite(s, dt, core.DEFAULT_SETTINGS, nodes=161)
-        assert rep.quad_errors["j_smeared"] >= abs(rep.integrals.j - gh.value)
+        rep = self.check(s, dt, 0.004)
+        gh = clock_J_gauss_hermite(s, dt, nodes=41)
+        assert abs(gh - rep.integrals.j) > 1e-4 * abs(rep.integrals.j)
 
     def test_overlapping_windows_route_like_evaluate_scenario(self):
         s = scenario(wa=(0.0, 1.0), wb=(0.5, 1.5), r0=1.0, sigma=self.SIGMA,
                      coupling=0.05)
-        rep = evaluate_scenario(s, time_smear=0.2)
-        assert rep.smearing_method == "gauss-hermite-time"
-        assert compute_J_time_smeared(s, 0.2) == rep.j_smeared_abs
+        self.check(s, 0.2, 0.25 * self.SIGMA)
 
 
 class TestQuadratureCost:
-    """The radial quadratures start from panels two periods wide and refine
-    only where the integrand needs it."""
+    """The time-domain quadratures cost a few hundred evaluations at the
+    reference geometry; the bounds sit far below the 3,000-9,000 of a
+    frequency-domain quadrature there, so a fallback to one fails."""
 
     def test_evaluations_at_reference_geometry(self):
         s = fig_scenario()
         settings = core.DEFAULT_SETTINGS
-        assert core._i_nn_result(s.det_a, settings).evaluations <= 3_500
-        assert core._i_ab_result(s, settings).evaluations <= 9_000
-        assert core._j_result_at_separation(s, s.separation, settings).evaluations <= 10_000
+        assert core._i_nn_result(s.det_a, settings).evaluations <= 800
+        assert core._i_ab_result(s, settings).evaluations <= 700
+        assert core._j_result_at_separation(s, s.separation, settings).evaluations <= 700
+        for dt in (0.005, 0.02, 0.04):
+            assert core._j_result_at_separation(s, s.separation, settings, dt).evaluations <= 1500
 
     def test_single_core(self):
         # the panel sums must not wake a BLAS thread pool: process CPU time
@@ -442,6 +433,83 @@ class TestQuadratureCost:
             compute_J(s)
         ratio = (time.process_time() - cpu0) / (time.perf_counter() - wall0)
         assert ratio <= 1.3
+
+
+class TestTimeDomainKernels:
+    """The closed forms of the time-domain integrals against direct sums."""
+
+    @staticmethod
+    def kernel_by_quadrature(v, r, sigma):
+        # Gauss-Legendre over [0, 12/sigma] in panels a tenth of a period wide
+        top = 12.0 / sigma
+        w, wt = oracles._panel_rule(np.linspace(0.0, top, 200 + int(top * (r + abs(v)))), 20)
+        radial = np.sin(w * r) / r if r else w
+        return complex(np.sum(wt * radial * np.exp(-0.5 * (w * sigma) ** 2 + 1j * w * v)))
+
+    @pytest.mark.parametrize("v, r", [(0.0, 0.3), (0.29, 0.3), (-0.31, 0.3), (1.7, 0.3),
+                                      (0.05, 0.0), (-0.4, 0.0), (0.2, 1e-9)])
+    def test_kernel_matches_frequency_integral(self, v, r):
+        sigma = 0.05
+        ref = self.kernel_by_quadrature(v, r, sigma)
+        for shift in (0.0, r, -r):
+            got = core._kernel(np.array([v - shift]), shift, r, sigma)[0]
+            assert abs(got - ref) <= 1e-9 * abs(ref)
+
+    def test_kernel_limit_is_continuous_in_r(self):
+        # below r = 1e-5 max(sigma, |v|) the r -> 0 limit takes over
+        sigma, v = 0.01, np.array([0.0, 0.003, -0.02, 0.5])
+        k0 = core._kernel(v, 0.0, 0.0, sigma)
+        for r in (1e-8, 5e-8, 2e-7):
+            assert np.allclose(core._kernel(v, 0.0, r, sigma), k0, rtol=1e-9, atol=0.0)
+
+    def test_kernel_far_series(self):
+        # real part of K(v; 0) beyond |x| = 20 from the asymptotic series,
+        # against a 40-digit Dawson function
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        sigma = 1.0
+        for x in (19.9, 20.1, 35.0, 400.0, -1e4):
+            v = x * math.sqrt(2.0) * sigma
+            exact = float(1 - 2 * mpmath.mpf(x) * mpmath.sqrt(mpmath.pi) / 2
+                          * mpmath.erfi(x) * mpmath.exp(-mpmath.mpf(x) ** 2))
+            got = core._kernel(np.array([v]), 0.0, 0.0, sigma)[0].real
+            assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_damped_erf(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for x, y in [(0.0, 0.3), (1.2, 0.0), (-0.7, 2.5), (3.0, -1.5), (-40.0, 30.0),
+                     (6.0, 25.0), (-0.01, 1e-3)]:
+            exact = complex(mpmath.exp(-mpmath.mpf(y) ** 2) * mpmath.erf(mpmath.mpc(x, -y)))
+            got = complex(core._damped_erf(np.array([x]), y)[0])
+            assert abs(got - exact) <= 1e-13 * max(abs(exact), math.exp(-y * y))
+
+    def test_window_factor_matches_time_integral(self):
+        a, b = (0.0, 1.0), (0.4, 1.7)
+        x, wt = np.polynomial.legendre.leggauss(60)
+        for v in (-0.5, -0.2, 0.3, 0.6, 1.5):
+            lo, hi = max(a[0], b[0] - v), min(a[1], b[1] - v)
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+            direct = 0.5 * (hi - lo) * np.sum(wt * np.exp(1j * 0.8 * t + 1j * 1.3 * (t + v)))
+            assert abs(core._window(np.array([v]), a, b, 0.8, 1.3)[0] - direct) < 1e-14
+        assert core._window(np.array([-1.0, 1.8]), a, b, 0.8, 1.3).tolist() == [0.0, 0.0]
+
+    def test_clock_window_matches_offset_average(self):
+        # Gauss-Legendre over offsets tau, split where the window ends switch
+        a, b, g_a, g_b, dt = (0.0, 1.0), (0.4, 1.7), 0.8, 1.3, 0.3
+        x, wt = np.polynomial.legendre.leggauss(40)
+        for v in (-1.5, -0.6, 0.3, 0.9, 2.4):
+            cuts = sorted({-3.0, 3.0} | {c for c in (v - b[1] + a[0], v - b[0] + a[0],
+                                                     v - b[1] + a[1], v - b[0] + a[1])
+                                         if abs(c) < 3.0})
+            direct = 0.0
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                tau = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+                m = np.exp(1j * g_b * tau) * core._window(v - tau, a, b, g_a, g_b)
+                p = np.exp(-(tau / dt) ** 2) / (dt * math.sqrt(math.pi))
+                direct += 0.5 * (hi - lo) * np.sum(wt * p * m)
+            got = core._clock_window(np.array([v]), a, b, g_a, g_b, dt)[0]
+            assert abs(got - direct) < 1e-13
 
 
 class TestTimeShiftInvariance:
@@ -665,6 +733,19 @@ class TestScalarStateLayer:
                                              r"no ground-state population"):
             evaluate_scenario(fig_scenario(coupling=100.0))
 
+    def test_report_computes_the_negativity_once(self, monkeypatch):
+        calls = []
+        original = core.negativity_closed
+
+        def counted(ints):
+            calls.append(ints)
+            return original(ints)
+
+        monkeypatch.setattr(core, "negativity_closed", counted)
+        rep = evaluate_scenario(fig_scenario())
+        assert len(calls) == 1
+        assert rep.o4_corner_eigenvalue == negativity_sectors(rep.integrals)[1]
+
     def test_report_needs_no_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("matrix machinery on the report path")
@@ -720,7 +801,7 @@ class TestRatioAndReport:
 
     def test_report_time_smear(self):
         rep = evaluate_scenario(fig_scenario(), time_smear=0.1)
-        assert rep.smearing_method == "gauss-hermite-time"
+        assert rep.smearing_method == "closed-form-time"
         assert rep.j_smeared_abs == pytest.approx(
             compute_J_time_smeared(fig_scenario(), 0.1), rel=1e-12)
 

@@ -196,6 +196,62 @@ class TestIntegrateRadial:
         assert res.abs_error <= max(settings.tol_abs, settings.tol_rel * abs(res.value))
 
 
+class TestFiniteSupport:
+    """Integrals over a finite support, with peaks of width damping_scale."""
+
+    @staticmethod
+    def spike_spec(p, s, lo, hi, peaks):
+        def f(v):
+            return np.exp(-0.5 * ((v - p) / s) ** 2) + np.cos(v) + 0j
+
+        return IntegrandSpec(evaluate=f, damping_scale=s, support=(lo, hi), peaks=peaks,
+                             singular_points=(-1.0,))
+
+    @staticmethod
+    def spike_exact(p, s, lo, hi):
+        g = s * math.sqrt(math.pi / 2.0) * (erf((hi - p) / (math.sqrt(2.0) * s))
+                                            - erf((lo - p) / (math.sqrt(2.0) * s)))
+        return g + math.sin(hi) - math.sin(lo)
+
+    @pytest.mark.parametrize("p", [1.3, math.nextafter(5.0, 0.0), 5.0 + 2e-4, -3.0])
+    def test_narrow_peak_is_resolved(self, p):
+        # a peak 1e-4 wide on a support 8 long, inside, on an end, just
+        # outside it; the anchors are negative
+        s = 1e-4
+        res = integrate_radial(self.spike_spec(p, s, -3.0, 5.0, (p,)))
+        exact = self.spike_exact(p, s, -3.0, 5.0)
+        assert abs(res.value.real - exact) <= max(res.abs_error, 1e-15 * abs(exact))
+        assert res.abs_error <= 1e-9 * abs(exact)
+
+    def test_peak_graded_from_its_width(self):
+        edges = _initial_panels(self.spike_spec(1.3, 1e-4, -3.0, 5.0, (1.3,)), 0.0)
+        widths = np.diff(edges)
+        assert edges[0] == -3.0 and edges[-1] == 5.0
+        assert np.all(widths > 0.0)
+        assert widths[np.searchsorted(edges, 1.3)] == pytest.approx(1e-4, rel=1e-9)
+        assert widths.max() <= 1.0  # 1/8 of the support
+
+    def test_peak_within_rounding_of_an_end_merges(self):
+        # the same partition whether rounding puts the peak on the end or an
+        # ulp inside it
+        on_end = _initial_panels(self.spike_spec(5.0, 1e-4, -3.0, 5.0, (5.0,)), 0.0)
+        inside = _initial_panels(
+            self.spike_spec(5.0, 1e-4, -3.0, 5.0, (np.nextafter(5.0, 0.0),)), 0.0)
+        assert np.allclose(on_end, inside, rtol=0.0, atol=1e-14)
+
+    def test_support_validation(self):
+        f = lambda v: v + 0j  # noqa: E731
+        IntegrandSpec(evaluate=f, damping_scale=1.0, support=(-2.0, 1.0),
+                      singular_points=(-1.0, 0.5), peaks=(-5.0,))
+        for bad in ((1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                IntegrandSpec(evaluate=f, damping_scale=1.0, support=bad)
+        with pytest.raises(ValueError):
+            IntegrandSpec(evaluate=f, damping_scale=1.0, singular_points=(-1.0,))
+        with pytest.raises(ValueError):
+            IntegrandSpec(evaluate=f, damping_scale=1.0, peaks=(1.0,))
+
+
 class TestSpecValidation:
     def test_rejects_bad_damping(self):
         with pytest.raises(ValueError):
