@@ -8,8 +8,11 @@ window factor M(v) and the radial kernel
 K(v; r) = int_0^inf sin(w*r)/r exp(-(w*sigma)^2/2 + i*w*v) dw in closed form:
 I_nn = int M(v; -gap, gap) K(v; 0), I_AB = int M(v; -gap_A, gap_B) K(v; r)
 and J = int M(v; gap_A, gap_B) K(-|v|; r), the signs of v being J's time
-orderings.  A clock offset averages M exactly; the spatial smear is a
-frequency quadrature of the kernel Jhat.
+orderings; I_nn is integrated by parts, as i*int M'(v) F(v) dv.  A clock
+offset averages M exactly.  The spatial smear splits its erfi factor
+into a separation-independent term, e^(-x^2) times one time-domain
+integral C = int M(v; gap_A, gap_B) F(-|v|) dv, and a remainder damped as
+e^(-(w*delta)^2/4), a frequency quadrature of the kernel Jhat.
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import erf
@@ -159,29 +163,6 @@ def _jhat(s: Scenario, omega, t0: float):
     return total
 
 
-class _KernelMemo:
-    """``_jhat`` of one detector pair, kept on the first node array it is
-    evaluated on.
-
-    Every spatially smeared correlation quadrature at one separation
-    starts from the same initial Gauss-Kronrod nodes, so the kernel on
-    that grid is computed once and read back by the later quadratures;
-    other nodes (refinement rounds) are computed fresh.
-    """
-
-    def __init__(self, s: Scenario):
-        self.s, self.t0 = s, _origin(s.det_a, s.det_b)
-        self.nodes = self.values = None
-
-    def __call__(self, omega):
-        if self.nodes is not None and np.array_equal(omega, self.nodes):
-            return self.values
-        values = _jhat(self.s, omega, self.t0)
-        if self.nodes is None:
-            self.nodes, self.values = omega, values
-        return values
-
-
 def _require_equal_smearing(s: Scenario, op: str) -> float:
     if s.det_a.smearing != s.det_b.smearing:
         raise ValueError(f"{op}: requires equal smearing widths for both detectors")
@@ -224,6 +205,11 @@ def _kernel(u, shift, r: float, sigma: float):
     return out
 
 
+def _fourier(u, shift, sigma: float):
+    """F(v) at v = u + shift: sqrt(pi/2)/sigma * w(v/(sqrt(2)*sigma))."""
+    return (_SQRT_PI / (_SQRT2 * sigma)) * faddeeva_w((u + shift) / (_SQRT2 * sigma))
+
+
 def _window(v, a, b, g_a: float, g_b: float):
     """M(v) = int exp(i*g_a*t + i*g_b*(t + v)) dt over t in window a with
     t + v in window b, windows as (on, off) pairs; zero outside
@@ -263,11 +249,13 @@ def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
 
 def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: float, r: float,
                    settings: QuadratureSettings, delta_t: float = 0.0,
-                   time_ordered: bool = False) -> QuadResult:
-    """pref times the integral of M(v; g_a, g_b) * K(v; r), or K(-|v|; r) when
-    ``time_ordered``, over the support of M.  With delta_t > 0, M is
-    averaged over a clock offset of db's window of scale delta_t, which
-    widens the support by delta_t*sqrt(ln(1/tail_tol)) on each side.
+                   time_ordered: bool = False, transform: Callable | None = None) -> QuadResult:
+    """pref times the integral of M(v; g_a, g_b) * K(v), or K(-|v|) when
+    ``time_ordered``, over the support of M.  The kernel at v = u + shift
+    is ``transform(u, shift)``: by default K(v; r), with peaks at v = +-r,
+    and F(v) for r = 0.  With delta_t > 0, M is averaged over a clock
+    offset of db's window of scale delta_t, which widens the support by
+    delta_t*sqrt(ln(1/tail_tol)) on each side.
 
     The windows are measured from the earlier switch-on time, and v from
     the kernel peak c = +-r on the side of the support's midpoint, so that
@@ -286,13 +274,15 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
         tail = delta_t * math.sqrt(math.log(1.0 / settings.tail_tol))
         lo, hi = lo - tail, hi + tail
     c = r if lo + hi >= 0.0 else -r
+    if transform is None:
+        transform = partial(_kernel, r=r, sigma=sigma)
 
     def evaluate(u):
         v = u + c
         m = (_clock_window(v, a, b, g_a, g_b, delta_t) if delta_t > 0.0
              else _window(v, a, b, g_a, g_b))
         sign = np.where(v >= 0.0, -1.0, 1.0) if time_ordered else 1.0
-        return m * _kernel(sign * u, sign * c, r, sigma)
+        return m * transform(sign * u, sign * c)
 
     spec = IntegrandSpec(
         evaluate=evaluate,
@@ -307,7 +297,30 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
 
 
 def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResult:
-    return _time_integral(det, det, -det.gap, det.gap, 0.0, settings)
+    """I_nn by parts.  K(v; 0) = -i*F'(v), and M(v; -gap, gap) =
+    e^(i*gap*v)*(T - |v|) vanishes at v = +-T, so
+    I_nn = pref*i*int e^(i*gap*v)*(i*gap*(T - |v|) - sign v)*F(v) dv over
+    |v| < T.  F(-v) is the conjugate of F(v), so that is twice the integral
+    of the real part over 0 < v < T, and the tolerance applies to I_nn
+    itself.  Unlike K(v; 0), whose spike at v = 0 the -1/v^2 tails cancel,
+    F leaves no small difference of large terms.
+    """
+    g, sigma, width = det.gap, det.smearing, det.window.duration
+
+    def evaluate(v):
+        f = 1j * np.exp(1j * g * v) * (1j * g * (width - v) - 1.0) * _fourier(v, 0.0, sigma)
+        return f.real
+
+    spec = IntegrandSpec(
+        evaluate=evaluate,
+        damping_scale=sigma,
+        max_phase_rate=2.0 * abs(g),  # |g_a| + |g_b|, as in ``_time_integral``
+        support=(0.0, width),
+        peaks=(0.0,),
+    )
+    res = integrate_radial(spec, settings)
+    pref = 2.0 * det.coupling**2 / (4.0 * math.pi**2)
+    return QuadResult(pref * res.value.real, pref * res.abs_error, res.evaluations)
 
 
 def compute_I_nn(det: DetectorParams, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -339,14 +352,25 @@ def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> c
     return _j_result_at_separation(s, s.separation, settings).value
 
 
+def _c_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
+    """C = pref * int M(v; gap_A, gap_B) F(-|v|) dv, which is
+    pref * int_0^inf exp(-(w*sigma)^2/2) Jhat(w) dw: the part of the spatial
+    smear that depends on neither separation nor uncertainty."""
+    sigma = _require_equal_smearing(s, "compute_J_smeared")
+    return _time_integral(s.det_a, s.det_b, s.det_a.gap, s.det_b.gap, 0.0, settings,
+                          time_ordered=True, transform=partial(_fourier, sigma=sigma))
+
+
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
-                      kernel: _KernelMemo | None = None) -> QuadResult:
+                      c_result: Callable[[], QuadResult] | None = None) -> QuadResult:
     """Complex correlation term averaged over a Gaussian separation spread.
 
     The separation enters only through sinc(w*r), whose Gaussian average
-    is the damped imaginary error function, for every window timing.
-    ``kernel`` shares Jhat between the quadratures of one detector pair at
-    one separation.
+    is D(x, delta*w/2) = e^(-x^2) - R, x = r0/delta (``damped_im_erfi``),
+    for every window timing.  The e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta
+    times C, from ``c_result`` when given; R carries exp(-(w*delta)^2/4),
+    so its frequency quadrature stops near 1/delta.  A sum whose error
+    misses the tolerance raises a ConvergenceFailure carrying it.
     """
     delta = s.position_uncertainty
     if not delta > 0.0:
@@ -354,22 +378,33 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
     sig = _require_equal_smearing(s, "compute_J_smeared")
     da, db = s.det_a, s.det_b
     t0 = _origin(da, db)
-    if kernel is None:
-        kernel = _KernelMemo(s)
     x = s.separation / delta
+    flat = math.exp(-x * x)
 
-    def integrand(w):
-        return damped_im_erfi(x, 0.5 * delta * w) * np.exp(-0.5 * (w * sig) ** 2) * kernel(w)
+    def remainder(w):
+        return ((flat - damped_im_erfi(x, 0.5 * delta * w)) * np.exp(-0.5 * (w * sig) ** 2)
+                * _jhat(s, w, t0))
 
     spec = IntegrandSpec(
-        evaluate=integrand,
-        damping_scale=sig,
+        evaluate=remainder,
+        damping_scale=math.sqrt(sig**2 + 0.5 * delta**2),
         max_phase_rate=s.separation + 2.0 * (max(da.window.t_off, db.window.t_off) - t0),
         singular_points=tuple(sorted({da.gap, db.gap})),
     )
-    res = integrate_radial(spec, settings)
     pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
-    return _scaled(res, pref, da.gap + db.gap, t0)
+    res = _scaled(integrate_radial(spec, settings), pref, da.gap + db.gap, t0)
+    value, error, evaluations = -res.value, res.abs_error, res.evaluations
+    weight = flat * _SQRT_PI / delta
+    if weight > 0.0:
+        c = c_result() if c_result is not None else _c_result(s, settings)
+        value += weight * c.value
+        error += weight * c.abs_error
+        evaluations += c.evaluations
+    res = QuadResult(value, error, evaluations)
+    if error > max(settings.tol_abs * pref, settings.tol_rel * abs(value)):
+        raise ConvergenceFailure(
+            "compute_J_smeared: the sum of its two terms misses the tolerance", res)
+    return res
 
 
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -500,11 +535,10 @@ def _shared(cache: dict, key, compute):
 
 
 def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSettings,
-                i_nn: dict, pair: dict, kernel: _KernelMemo) -> HarvestReport:
+                i_nn: dict, pair: dict) -> HarvestReport:
     """One row of ``evaluate_scenarios``: ``i_nn`` holds the local terms by
-    detector, ``pair`` the exchange and unsmeared correlation terms of the
-    row's detector pair and separation, and ``kernel`` the Jhat of their
-    spatially smeared correlation terms."""
+    detector, ``pair`` the exchange and unsmeared correlation terms and the
+    spatial smear's C of the row's detector pair and separation."""
     if time_smear is not None and s.position_uncertainty > 0.0:
         raise ValueError("evaluate_scenario: spatial and temporal smearing are exclusive")
     res_aa = _shared(i_nn, s.det_a, lambda: _i_nn_result(s.det_a, settings))
@@ -519,7 +553,8 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
     j_eff = j_unsmeared
     j_smeared_abs = None
     if s.position_uncertainty > 0.0:
-        res_sm = _j_smeared_result(s, settings, kernel)
+        res_sm = _j_smeared_result(
+            s, settings, lambda: _shared(pair, "c", lambda: _c_result(s, settings)))
         method = "erfi-closed-form"
     elif time_smear is not None:
         if not time_smear > 0.0:
@@ -567,14 +602,12 @@ def evaluate_scenarios(
     what the rows share once.
 
     The local terms are computed once per distinct detector; the exchange
-    term and the unsmeared correlation term once per distinct
-    (detector A, detector B, separation), and so is the frequency kernel
-    Jhat on the initial grid that the spatially smeared correlation terms
-    of those rows share.  Only each row's smeared correlation term is its
-    own.  Returns, in row
-    order, the report or the ``ROW_ERRORS`` exception that row raised; a
-    failed shared integral fails every row that needs it.  Nothing is
-    kept after the call returns.
+    term, the unsmeared correlation term and the spatial smear's C once per
+    distinct (detector A, detector B, separation).  Only the rest of each
+    row's smeared correlation term is its own.  Returns, in row order, the
+    report or the ``ROW_ERRORS`` exception that row raised; a failed
+    shared integral fails every row that needs it.  Nothing is kept after
+    the call returns.
     """
     rows = list(rows)
     groups: dict = {}
@@ -584,11 +617,10 @@ def evaluate_scenarios(
     i_nn: dict = {}
     for members in groups.values():
         pair: dict = {}
-        kernel = _KernelMemo(rows[members[0]][0])
         for index in members:
             s, time_smear = rows[index]
             try:
-                out[index] = _row_report(s, time_smear, settings, i_nn, pair, kernel)
+                out[index] = _row_report(s, time_smear, settings, i_nn, pair)
             except ROW_ERRORS as exc:
                 out[index] = exc
     return out
@@ -603,10 +635,12 @@ def evaluate_scenario(
 
     The local, exchange and unsmeared correlation terms are each one
     time-domain quadrature.  With nonzero position uncertainty the
-    correlation term is smeared by the erfi closed form, a frequency
-    quadrature; ``time_smear`` applies the clock-offset smear instead, a
-    time-domain quadrature of the exactly averaged window factor.  Both
-    hold for every window timing.  The local terms are
+    correlation term is smeared by the erfi closed form: one time-domain
+    quadrature, C, where the separation is within a few uncertainties,
+    and a frequency quadrature damped on the scale 1/delta;
+    ``time_smear`` applies the clock-offset smear instead, a time-domain
+    quadrature of the exactly averaged window factor.  Both hold for
+    every window timing.  The local terms are
     separation-independent and never smeared.
     """
     out = evaluate_scenarios([(s, time_smear)], settings)[0]

@@ -1,11 +1,15 @@
 """Independent reference implementations used only by the test suite.
 
-Everything here deliberately avoids the package's ediff/sinc machinery:
-time integrals are raw antiderivative differences or Gauss-Legendre sums,
-and frequency integrals are dense trapezoid rules with one Richardson
+Nearly everything here avoids the package's ediff/sinc machinery: time
+integrals are raw antiderivative differences or Gauss-Legendre sums, and
+frequency integrals are dense trapezoid rules with one Richardson
 extrapolation step or Gauss-Legendre panel sums, the clock-offset average
-a Gauss-Legendre sum of those over offsets.  The state layer is checked against the matrix form:
-eigen-solves of the partial transpose and Bell projectors.
+a Gauss-Legendre sum of those over offsets.  The one exception is the
+spatial average ``oracle_J_space``: a Gauss-Legendre sum over separations
+of the package's unsmeared time-domain J, which ``oracle_gl`` checks and
+which shares no code with the spatial smear's two terms.  The state layer
+is checked against the matrix form: eigen-solves of the partial transpose
+and Bell projectors.
 """
 import math
 from dataclasses import dataclass
@@ -246,7 +250,7 @@ def bell_fractions(rho):
     )
 
 
-# --- clock-offset average -----------------------------------------------------
+# --- clock-offset and spatial averages ----------------------------------------
 
 def _panel_rule(edges, n):
     """Gauss-Legendre nodes and weights, n per panel."""
@@ -320,3 +324,35 @@ def oracle_gl(scn, n=16):
                   np.sum(g * safe_sinc(w * r) * np.conj(ta) * tb) * da.coupling * db.coupling,
                   np.sum(g * safe_sinc(w * r) * jhat_raw(scn, w)) * da.coupling * db.coupling]
     return total[0].real, complex(total[1]), complex(total[2])
+
+
+def oracle_J_space(scn, delta):
+    """Correlation term averaged over a separation r ~ N(r0, delta^2/2), as a
+    Gauss-Legendre sum of the unsmeared time-domain J(r) of ``core``.
+
+    J is even in r, so the average runs over all of r0 +- 6.5 delta (the
+    Gaussian weight beyond is below 1e-18).  J(r) has features of width
+    sigma where r meets a difference of window edges and at r = 0, so the
+    range is split there and the 16-node panels double in width away from
+    each split, from sigma up to 1.
+    """
+    from harvestsim import core
+    from harvestsim.quadrature import DEFAULT_SETTINGS
+
+    da, db = scn.det_a, scn.det_b
+    r0, sig = scn.separation, da.smearing
+    lo, hi = r0 - 6.5 * delta, r0 + 6.5 * delta
+    edges = (da.window.t_on, da.window.t_off, db.window.t_on, db.window.t_off)
+    splits = {sign * (p - q) for p in edges for q in edges for sign in (1.0, -1.0)}
+    cuts = sorted({lo, hi} | {c for c in splits if lo < c < hi})
+    grid = [cuts[0]]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        half, grown, width = 0.5 * (b - a), [], sig
+        while (grown[-1] if grown else 0.0) + width < half:
+            grown.append((grown[-1] if grown else 0.0) + width)
+            width = min(2.0 * width, 1.0)
+        grid += [a + g for g in grown] + [a + half] + [b - g for g in grown[::-1]] + [b]
+    rs, wt = _panel_rule(grid, 16)
+    wt = wt * np.exp(-((rs - r0) / delta) ** 2) / (delta * math.sqrt(math.pi))
+    j = [core._j_result_at_separation(scn, r, DEFAULT_SETTINGS).value for r in rs]
+    return complex(np.sum(wt * np.array(j)))

@@ -29,7 +29,7 @@ from harvestsim.core import (
 from harvestsim.core import HarvestReport
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
 from harvestsim.specfun import damped_im_erfi
-from harvestsim.sweep import figure_preset
+from harvestsim.sweep import figure_config, figure_preset, sweep_values
 from test_core import smear_J_gauss_hermite
 
 SIGMA = 0.001
@@ -255,25 +255,49 @@ def test_criterion_9_determinism(tmp_path):
               f"{len(b1)} bytes, identical across runs: {b1 == b2}")
 
 
-@pytest.mark.parametrize("k", [1, 10, 100, 1000])
-def test_criterion_10_astronomical_scale(k):
+def scaled_scenario(k):
     # the reference geometry with windows, window gap and r0 scaled by k,
     # sigma fixed: r0 = 1.5e5 sigma at k = 1000
     det = dict(smearing=SIGMA, coupling=0.01, gap=1.0)
-    s = Scenario(det_a=DetectorParams(window=SwitchingWindow(0.0, 0.1 * k), **det),
-                 det_b=DetectorParams(window=SwitchingWindow(0.15 * k, 0.25 * k), **det),
-                 separation=R0 * k)
-    reports = evaluate_scenarios([(s, None), (s, 5.0 * SIGMA), (s, 0.2 * s.separation)])
+    return Scenario(det_a=DetectorParams(window=SwitchingWindow(0.0, 0.1 * k), **det),
+                    det_b=DetectorParams(window=SwitchingWindow(0.15 * k, 0.25 * k), **det),
+                    separation=R0 * k)
+
+
+@pytest.mark.parametrize("k", [1, 10, 100, 1000])
+def test_criterion_10_astronomical_scale(k):
+    s = scaled_scenario(k)
+    # the fig3 grid of delta/r0, spatially smeared
+    fracs = [d / R0 for d in sweep_values(figure_config("fig3").sweep)]
+    smeared = [(replace(s, position_uncertainty=f * s.separation), None) for f in fracs]
+    reports = evaluate_scenarios([(s, None), (s, 5.0 * SIGMA), (s, 0.2 * s.separation)]
+                                 + smeared)
     ok = all(isinstance(rep, HarvestReport) for rep in reports)
     detail = f"rows ok: {ok}"
     if ok:
         ints = reports[0].integrals
         ratios = [abs(rep.integrals.j) / abs(ints.j) for rep in reports[1:]]
-        detail += f"; |J_dt|/|J| = {ratios[0]:.6f} (5 sigma), {ratios[1]:.6f} (0.2 r0)"
+        detail += (f"; |J_dt|/|J| = {ratios[0]:.6f} (5 sigma), {ratios[1]:.6f} (0.2 r0); "
+                   f"R = {ratios[2]:.6f} (delta = 0.01 r0), {ratios[22]:.6f} (delta = r0)")
         if k <= 100:
             i_nn, i_ab, j = oracles.oracle_gl(s)
-            worst = max(abs(ints.i_aa - i_nn) / i_nn, abs(ints.i_ab - i_ab) / abs(i_ab),
-                        abs(ints.j - j) / abs(j))
-            ok = worst <= 1e-9
-            detail += f"; worst rel vs frequency-domain oracle {worst:.1e} (<=1e-9)"
+            err_nn = abs(ints.i_aa - i_nn) / i_nn
+            worst = max(err_nn, abs(ints.i_ab - i_ab) / abs(i_ab), abs(ints.j - j) / abs(j))
+            ok = worst <= 1e-9 and err_nn <= 1e-14
+            detail += (f"; worst rel vs frequency-domain oracle {worst:.1e} (<=1e-9), "
+                       f"i_aa {err_nn:.1e} (<=1e-14)")
     criterion(10, f"astronomical scale k={k}", ok, detail)
+
+
+@pytest.mark.parametrize("k, frac", [(1, 0.01), (1, 1.0), (100, 0.01), (100, 1.0),
+                                     (1000, 0.01)])
+def test_spatial_smear_matches_space_oracle(k, frac):
+    # the spatial smear's two terms against a Gauss-Legendre r-average of
+    # the unsmeared time-domain J(r)
+    s = scaled_scenario(k)
+    delta = frac * s.separation
+    got = evaluate_scenarios([(replace(s, position_uncertainty=delta), None)])[0]
+    ref = oracles.oracle_J_space(s, delta)
+    rel = abs(got.integrals.j - ref) / abs(ref)
+    criterion(10, f"spatial smear vs r-average, k={k}, delta={frac} r0",
+              rel <= 1e-10, f"rel diff {rel:.1e} (<=1e-10)")

@@ -309,38 +309,20 @@ class TestBatchedSweep:
         assert rows[0].report is None
         assert [r.status for r in rows[1:]] == ["ok", "ok"]
 
-    @staticmethod
-    def record_kernel_grids(monkeypatch):
-        grids = []
-        original = core._jhat
+    def test_smear_constant_computed_once_per_delta_sweep(self, monkeypatch):
+        # C, the separation- and uncertainty-independent term of the spatial
+        # smear, is shared by every row of the detector pair and separation
+        calls = []
+        original = core._c_result
 
-        def recorded(s, omega, t0):
-            grids.append(omega)
-            return original(s, omega, t0)
+        def recorded(s, settings):
+            calls.append(s)
+            return original(s, settings)
 
-        monkeypatch.setattr(core, "_jhat", recorded)
-        return grids
-
-    @staticmethod
-    def initial_grid_evaluations(grids):
-        # the first grid is the first spatially smeared J's initial
-        # partition, which every smeared J of the pair and separation
-        # shares; refinement rounds evaluate the kernel on their own,
-        # smaller node sets
-        return sum(np.array_equal(g, grids[0]) for g in grids)
-
-    def test_kernel_evaluated_once_per_delta_sweep(self, monkeypatch):
-        grids = self.record_kernel_grids(monkeypatch)
+        monkeypatch.setattr(core, "_c_result", recorded)
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
-        assert self.initial_grid_evaluations(grids) == 1
-
-    def test_kernel_evaluated_once_per_smeared_point(self, monkeypatch):
-        grids = self.record_kernel_grids(monkeypatch)
-        rep = evaluate_scenario(replace(figure_config("fig3").scenario,
-                                        position_uncertainty=0.15))
-        assert rep.smearing_method == "erfi-closed-form"
-        assert self.initial_grid_evaluations(grids) == 1
+        assert len(calls) == 1
 
 
 class TestRunPoint:
