@@ -38,7 +38,6 @@ from .quadrature import (
     IntegrandSpec,
     QuadratureSettings,
     QuadResult,
-    cutoff,
     integrate_radial,
 )
 from .specfun import damped_im_erfi, ediff, faddeeva_w, sinc

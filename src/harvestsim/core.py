@@ -11,8 +11,10 @@ and J = int M(v; gap_A, gap_B) K(-|v|; r), the signs of v being J's time
 orderings; I_nn is integrated by parts, as i*int M'(v) F(v) dv.  A clock
 offset averages M exactly.  The spatial smear splits its erfi factor
 into a separation-independent term, e^(-x^2) times one time-domain
-integral C = int M(v; gap_A, gap_B) F(-|v|) dv, and a remainder damped as
-e^(-(w*delta)^2/4), a frequency quadrature of the kernel Jhat.
+integral C = int M(v; gap_A, gap_B) F(-|v|) dv shared per detector pair,
+and a remainder damped as e^(-(w*delta)^2/4), a frequency quadrature of
+the kernel Jhat over the finite range where its envelope exceeds the
+tail tolerance.
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -155,12 +157,7 @@ def jtilde(emitter: DetectorParams, absorber: DetectorParams, omega, t0: float =
 def _jhat(s: Scenario, omega, t0: float):
     """Sum of both emitter/absorber orderings of the correlation kernel,
     windows measured from t0."""
-    total = np.zeros(np.shape(omega), dtype=complex)
-    for absorber, emitter in ((s.det_b, s.det_a), (s.det_a, s.det_b)):
-        if absorber.window.t_off <= emitter.window.t_on:
-            continue  # absorber off before emitter starts: kernel vanishes
-        total = total + jtilde(emitter, absorber, omega, t0)
-    return total
+    return jtilde(s.det_a, s.det_b, omega, t0) + jtilde(s.det_b, s.det_a, omega, t0)
 
 
 def _require_equal_smearing(s: Scenario, op: str) -> float:
@@ -361,16 +358,16 @@ def _c_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
                           time_ordered=True, transform=partial(_fourier, sigma=sigma))
 
 
-def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
-                      c_result: Callable[[], QuadResult] | None = None) -> QuadResult:
+def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) -> QuadResult:
     """Complex correlation term averaged over a Gaussian separation spread.
 
     The separation enters only through sinc(w*r), whose Gaussian average
     is D(x, delta*w/2) = e^(-x^2) - R, x = r0/delta (``damped_im_erfi``),
     for every window timing.  The e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta
-    times C, from ``c_result`` when given; R carries exp(-(w*delta)^2/4),
-    so its frequency quadrature stops near 1/delta.  A sum whose error
-    misses the tolerance raises a ConvergenceFailure carrying it.
+    times C, shared in ``cache`` by detector pair; R carries
+    exp(-(w*sigma)^2/2 - (w*delta)^2/4), so its frequency quadrature ends
+    where that envelope falls to ``tail_tol``.  A sum whose error misses
+    the tolerance raises a ConvergenceFailure carrying it.
     """
     delta = s.position_uncertainty
     if not delta > 0.0:
@@ -385,9 +382,11 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
         return ((flat - damped_im_erfi(x, 0.5 * delta * w)) * np.exp(-0.5 * (w * sig) ** 2)
                 * _jhat(s, w, t0))
 
+    scale = math.sqrt(sig**2 + 0.5 * delta**2)
     spec = IntegrandSpec(
         evaluate=remainder,
-        damping_scale=math.sqrt(sig**2 + 0.5 * delta**2),
+        damping_scale=scale,
+        support=(0.0, math.sqrt(2.0 * math.log(1.0 / settings.tail_tol)) / scale),
         max_phase_rate=s.separation + 2.0 * (max(da.window.t_off, db.window.t_off) - t0),
         singular_points=tuple(sorted({da.gap, db.gap})),
     )
@@ -396,7 +395,7 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
     value, error, evaluations = -res.value, res.abs_error, res.evaluations
     weight = flat * _SQRT_PI / delta
     if weight > 0.0:
-        c = c_result() if c_result is not None else _c_result(s, settings)
+        c = _shared(cache, ("c", da, db), lambda: _c_result(s, settings))
         value += weight * c.value
         error += weight * c.abs_error
         evaluations += c.evaluations
@@ -409,7 +408,7 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
 
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """|correlation term| under Gaussian separation uncertainty (closed form)."""
-    return abs(_j_smeared_result(s, settings).value)
+    return abs(_j_smeared_result(s, settings, {}).value)
 
 
 def compute_J_time_smeared(
@@ -535,16 +534,17 @@ def _shared(cache: dict, key, compute):
 
 
 def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSettings,
-                i_nn: dict, pair: dict) -> HarvestReport:
-    """One row of ``evaluate_scenarios``: ``i_nn`` holds the local terms by
-    detector, ``pair`` the exchange and unsmeared correlation terms and the
-    spatial smear's C of the row's detector pair and separation."""
+                cache: dict) -> HarvestReport:
+    """One row of ``evaluate_scenarios``; ``cache`` holds the integrals rows
+    share, keyed by what each depends on."""
     if time_smear is not None and s.position_uncertainty > 0.0:
         raise ValueError("evaluate_scenario: spatial and temporal smearing are exclusive")
-    res_aa = _shared(i_nn, s.det_a, lambda: _i_nn_result(s.det_a, settings))
-    res_bb = _shared(i_nn, s.det_b, lambda: _i_nn_result(s.det_b, settings))
-    res_ab = _shared(pair, "i_ab", lambda: _i_ab_result(s, settings))
-    res_j = _shared(pair, "j", lambda: _j_result_at_separation(s, s.separation, settings))
+    pair = (s.det_a, s.det_b, s.separation)
+    res_aa = _shared(cache, ("i_nn", s.det_a), lambda: _i_nn_result(s.det_a, settings))
+    res_bb = _shared(cache, ("i_nn", s.det_b), lambda: _i_nn_result(s.det_b, settings))
+    res_ab = _shared(cache, ("i_ab", *pair), lambda: _i_ab_result(s, settings))
+    res_j = _shared(cache, ("j", *pair),
+                    lambda: _j_result_at_separation(s, s.separation, settings))
     errors = {"i_aa": res_aa.abs_error, "i_bb": res_bb.abs_error,
               "i_ab": res_ab.abs_error, "j": res_j.abs_error}
 
@@ -553,8 +553,7 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
     j_eff = j_unsmeared
     j_smeared_abs = None
     if s.position_uncertainty > 0.0:
-        res_sm = _j_smeared_result(
-            s, settings, lambda: _shared(pair, "c", lambda: _c_result(s, settings)))
+        res_sm = _j_smeared_result(s, settings, cache)
         method = "erfi-closed-form"
     elif time_smear is not None:
         if not time_smear > 0.0:
@@ -601,28 +600,22 @@ def evaluate_scenarios(
     """``evaluate_scenario`` for each ``(scenario, time_smear)`` row, computing
     what the rows share once.
 
-    The local terms are computed once per distinct detector; the exchange
-    term, the unsmeared correlation term and the spatial smear's C once per
-    distinct (detector A, detector B, separation).  Only the rest of each
-    row's smeared correlation term is its own.  Returns, in row order, the
-    report or the ``ROW_ERRORS`` exception that row raised; a failed
-    shared integral fails every row that needs it.  Nothing is kept after
-    the call returns.
+    One cache holds every integral rows share, keyed by what it depends
+    on: the local term by detector, the exchange and unsmeared correlation
+    terms by (detector A, detector B, separation), and the spatial smear's
+    C by detector pair alone, so an r sweep computes it once.  Only the
+    rest of each row's smeared correlation term is its own.  Returns, in
+    row order, the report or the ``ROW_ERRORS`` exception that row raised;
+    a failed shared integral fails every row that needs it.  Nothing is
+    kept after the call returns.
     """
-    rows = list(rows)
-    groups: dict = {}
-    for index, (s, _) in enumerate(rows):
-        groups.setdefault((s.det_a, s.det_b, s.separation), []).append(index)
-    out: list = [None] * len(rows)
-    i_nn: dict = {}
-    for members in groups.values():
-        pair: dict = {}
-        for index in members:
-            s, time_smear = rows[index]
-            try:
-                out[index] = _row_report(s, time_smear, settings, i_nn, pair)
-            except ROW_ERRORS as exc:
-                out[index] = exc
+    cache: dict = {}
+    out: list = []
+    for s, time_smear in rows:
+        try:
+            out.append(_row_report(s, time_smear, settings, cache))
+        except ROW_ERRORS as exc:
+            out.append(exc)
     return out
 
 

@@ -1,19 +1,16 @@
-"""Adaptive evaluation of semi-infinite radial integrals and of integrals
-over a finite support.
+"""Adaptive evaluation of integrals over a finite interval.
 
-A radial integrand carries a Gaussian envelope exp(-w^2*s^2/2) and
-oscillatory phases whose largest frequency coefficient is known, so the
-semi-infinite range is truncated where the envelope falls below a tail
-tolerance.  An integrand with a finite ``support`` (the time-domain
-integrals) is integrated over it instead; it may have peaks of width s
-at known points, the Fourier image of that envelope.  Either range is
-covered by initial panels that span up to two periods of the fastest
-oscillation, grow geometrically away from the peaks and start at the
-singular points; the adaptive loop refines them where the integrand
-demands it.  Each panel is integrated by a 15-point Gauss-Kronrod rule
-with the embedded 7-point Gauss rule as the error estimate; panels
-failing a width-proportional share of the error budget are bisected.
-Everything is deterministic.
+Every integrand states its own interval, its ``support``: the time-domain
+integrals the support of their window factor, and a frequency integrand
+with a Gaussian envelope exp(-w^2*s^2/2) the range where that envelope is
+above its tail tolerance.  An integrand may have peaks of width s at
+known points.  The interval is covered by initial panels that span up to
+two periods of the fastest oscillation, grow geometrically away from the
+peaks and start at the singular points; the adaptive loop refines them
+where the integrand demands it.  Each panel is integrated by a 15-point
+Gauss-Kronrod rule with the embedded 7-point Gauss rule as the error
+estimate; panels failing a width-proportional share of the error budget
+are bisected.  Everything is deterministic.
 """
 from __future__ import annotations
 
@@ -28,7 +25,6 @@ __all__ = [
     "QuadResult",
     "QuadratureSettings",
     "ConvergenceFailure",
-    "cutoff",
     "integrate_radial",
 ]
 
@@ -73,20 +69,20 @@ class IntegrandSpec:
 
     ``evaluate`` maps an ndarray of abscissae to complex values and must
     be free of singularities (removable ones filled by the caller);
-    ``damping_scale`` is the s in the envelope exp(-w^2*s^2/2);
-    ``max_phase_rate`` bounds |d(phase)/dw| of any oscillatory factor;
-    ``singular_points`` are kinks or removable-singularity locations used
-    only as panel anchors.  With a finite ``support`` (lo, hi) the
-    integral runs over it instead of [0, cutoff], the anchors may be
-    negative, and ``peaks`` are anchors where the integrand has features
-    of width ``damping_scale``.
+    ``damping_scale`` is the width s of its features, the s in a Gaussian
+    envelope exp(-w^2*s^2/2); ``support`` is the finite interval (lo, hi)
+    integrated over; ``max_phase_rate`` bounds |d(phase)/dw| of any
+    oscillatory factor; ``singular_points`` are kinks or
+    removable-singularity locations used only as panel anchors, and
+    ``peaks`` are anchors where the integrand has features of width
+    ``damping_scale``.  Anchors outside the support are allowed.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     damping_scale: float
+    support: tuple[float, float]
     max_phase_rate: float = 0.0
     singular_points: tuple[float, ...] = ()
-    support: tuple[float, float] | None = None
     peaks: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -95,12 +91,9 @@ class IntegrandSpec:
         if not (self.max_phase_rate >= 0.0 and math.isfinite(self.max_phase_rate)):
             raise ValueError("IntegrandSpec: max_phase_rate must be >= 0 and finite")
         pts = tuple(self.singular_points)
-        if list(pts) != sorted(pts) or self.support is None and (
-                self.peaks or any(p < 0.0 for p in pts)):
-            raise ValueError("IntegrandSpec: singular_points must be sorted; without a "
-                             "support they must be non-negative and there are no peaks")
-        if self.support is not None and not (
-                math.isfinite(self.support[0]) and self.support[0] < self.support[1] < math.inf):
+        if list(pts) != sorted(pts):
+            raise ValueError("IntegrandSpec: singular_points must be sorted")
+        if not (math.isfinite(self.support[0]) and self.support[0] < self.support[1] < math.inf):
             raise ValueError("IntegrandSpec: support must be a finite interval lo < hi")
         object.__setattr__(self, "singular_points", pts)
         object.__setattr__(self, "peaks", tuple(self.peaks))
@@ -121,7 +114,12 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and budget shared by all radial integrations."""
+    """Tolerances and budget shared by all integrations.
+
+    ``tail_tol`` is the Gaussian tail level at which callers end a
+    support: that of a frequency envelope or of a clock offset's spread.
+    The quadrature integrates only the support it is given.
+    """
 
     tol_abs: float = 1e-12
     tol_rel: float = 1e-9
@@ -148,15 +146,8 @@ class ConvergenceFailure(Exception):
         self.best = best
 
 
-def cutoff(spec: IntegrandSpec, tail_tol: float) -> float:
-    """Frequency beyond which the Gaussian envelope is below ``tail_tol``."""
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError("cutoff: tail_tol must be in (0, 1)")
-    return math.sqrt(2.0 * math.log(1.0 / tail_tol)) / spec.damping_scale
-
-
-def _initial_panels(spec: IntegrandSpec, w_max: float) -> np.ndarray:
-    """Edges of the starting partition of [0, w_max], or of the support.
+def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
+    """Edges of the starting partition of the support.
 
     Singular points are anchors, and so are the edges of panels that
     double in width away from each peak, from ``damping_scale``; a peak
@@ -169,7 +160,7 @@ def _initial_panels(spec: IntegrandSpec, w_max: float) -> np.ndarray:
     wide for the tolerance, the adaptive loop of ``integrate_radial``
     bisects it, so evaluations go only where the integrand needs them.
     """
-    lo, hi = (0.0, w_max) if spec.support is None else spec.support
+    lo, hi = spec.support
     cap = (hi - lo) / 8.0
     if spec.max_phase_rate > 0.0:
         cap = min(cap, 4.0 * math.pi / spec.max_phase_rate)
@@ -211,8 +202,11 @@ def integrate_radial(
     spec: IntegrandSpec,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> QuadResult:
-    """Integrate spec.evaluate over [0, cutoff], or over its support, to the
-    configured tolerances.
+    """Integrate spec.evaluate over its support to the configured tolerances.
+
+    Every integral of the package goes through this one rule, and its
+    caller states the range: a Gaussian-damped integrand ends it where the
+    envelope has fallen to ``tail_tol``.
 
     The reported ``abs_error`` satisfies
     abs_error <= max(tol_abs, tol_rel*|value|) on success, within
@@ -220,9 +214,8 @@ def integrate_radial(
     the best available result is raised, also when the initial partition
     alone holds more than ``eval_budget`` evaluations.
     """
-    w_max = cutoff(spec, settings.tail_tol)
-    lo, hi = (0.0, w_max) if spec.support is None else spec.support
-    edges = _initial_panels(spec, w_max)
+    lo, hi = spec.support
+    edges = _initial_panels(spec)
     a, b = edges[:-1], edges[1:]
     vals, errs = _gk15(spec.evaluate, a, b)
     evals = 15 * a.size

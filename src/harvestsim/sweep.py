@@ -2,9 +2,10 @@
 
 A sweep is one call to ``evaluate_scenarios``, which computes what its
 rows share once: the local term of every detector the sweep leaves
-unchanged and, in a ``delta`` or ``delta_t`` sweep, also the exchange
-term, the unsmeared correlation term and, for the spatial smear, its
-uncertainty-independent term C.
+unchanged; in a ``delta`` or ``delta_t`` sweep also the exchange term and
+the unsmeared correlation term; and the spatial smear's separation- and
+uncertainty-independent term C once per detector pair, in an ``r`` sweep
+too.
 Isolated failures are recorded per row instead of aborting the sweep.
 Output formatting uses shortest round-trip floats so that repeated runs
 are byte-identical.

@@ -270,8 +270,10 @@ def per_row_csv(cfg):
     return rows_to_csv(rows)
 
 
-def sweep_cfg(parameter, lo, hi, points, spacing="linear"):
+def sweep_cfg(parameter, lo, hi, points, spacing="linear", uncertainty="0"):
     return loads_config(FIG2_CONFIG + textwrap.dedent(f"""\
+        position_uncertainty = {uncertainty}
+
         [sweep]
         parameter = {parameter}
         from = {lo}
@@ -309,9 +311,10 @@ class TestBatchedSweep:
         assert rows[0].report is None
         assert [r.status for r in rows[1:]] == ["ok", "ok"]
 
-    def test_smear_constant_computed_once_per_delta_sweep(self, monkeypatch):
+    @staticmethod
+    def record_c_calls(monkeypatch):
         # C, the separation- and uncertainty-independent term of the spatial
-        # smear, is shared by every row of the detector pair and separation
+        # smear, is shared by every row of the detector pair
         calls = []
         original = core._c_result
 
@@ -320,9 +323,23 @@ class TestBatchedSweep:
             return original(s, settings)
 
         monkeypatch.setattr(core, "_c_result", recorded)
+        return calls
+
+    def test_smear_constant_computed_once_per_delta_sweep(self, monkeypatch):
+        calls = self.record_c_calls(monkeypatch)
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
         assert len(calls) == 1
+
+    def test_smear_constant_computed_once_per_r_sweep(self, monkeypatch):
+        # C depends on the detector pair alone, so rows at other separations
+        # share it too, and the table still equals per-row evaluation
+        cfg = sweep_cfg("r", "100*sigma", "300*sigma", 5, uncertainty="30*sigma")
+        calls = self.record_c_calls(monkeypatch)
+        rows = run_sweep(cfg)
+        assert len(rows) == 5 and all(r.status == "ok" for r in rows)
+        assert len(calls) == 1
+        assert rows_to_csv(rows) == per_row_csv(cfg)
 
 
 class TestRunPoint:

@@ -330,7 +330,7 @@ class TestSmearedCorrelation:
 
         def inflated(spec, settings):
             res = original(spec, settings)
-            if spec.support is None:  # the remainder, the one frequency quadrature
+            if not spec.peaks:  # the remainder; every time-domain spec has peaks
                 return QuadResult(res.value, 1e-3 * abs(res.value), res.evaluations)
             return res
 
@@ -339,6 +339,27 @@ class TestSmearedCorrelation:
         assert isinstance(out, ConvergenceFailure)
         assert out.best.abs_error > 1e-9 * abs(out.best.value)
         assert abs(out.best.value) > 0.0
+
+    @pytest.mark.parametrize("delta", [0.0015, 0.15])
+    def test_remainder_support_ends_at_tail_tolerance(self, monkeypatch, delta):
+        # the remainder's range ends where its envelope exp(-(w*d)^2/2),
+        # d = sqrt(sigma^2 + delta^2/2), falls to tail_tol
+        specs = []
+        original = core.integrate_radial
+
+        def recorded(spec, settings):
+            specs.append(spec)
+            return original(spec, settings)
+
+        monkeypatch.setattr(core, "integrate_radial", recorded)
+        s = fig_scenario(delta=delta)
+        compute_J_smeared(s)
+        (spec,) = [sp for sp in specs if not sp.peaks]
+        lo, hi = spec.support
+        d = math.sqrt(s.det_a.smearing**2 + 0.5 * delta**2)
+        assert lo == 0.0
+        assert math.exp(-0.5 * (hi * d) ** 2) == pytest.approx(
+            core.DEFAULT_SETTINGS.tail_tol, rel=1e-12, abs=0.0)
 
 
 class TestTimeSmearedCorrelation:
@@ -543,8 +564,11 @@ class TestTimeShiftInvariance:
         gap_b=st.floats(0.5, 2.0),
         r0=st.floats(0.5, 2.0),
         shift=st.floats(0.0, 30.0),
+        delta_rel=st.floats(0.01, 3.0),
+        dt_rel=st.floats(0.5, 20.0),
     )
-    def test_common_window_shift(self, a_on, a_len, b_lag, b_len, gap_a, gap_b, r0, shift):
+    def test_common_window_shift(self, a_on, a_len, b_lag, b_len, gap_a, gap_b, r0, shift,
+                                 delta_rel, dt_rel):
         def at(t):
             wa = (a_on + t, a_on + t + a_len)
             wb = (a_on + t + b_lag, a_on + t + b_lag + b_len)
@@ -570,6 +594,17 @@ class TestTimeShiftInvariance:
         evals0 = core._j_result_at_separation(s0, r0, core.DEFAULT_SETTINGS).evaluations
         evals1 = core._j_result_at_separation(s1, r0, core.DEFAULT_SETTINGS).evaluations
         assert evals1 <= evals0
+        # both smeared correlation terms carry the same phase, and the spatial
+        # smear costs no more
+        delta, dt = delta_rel * r0, dt_rel * 0.1
+        sm0, sm1 = (core._j_smeared_result(replace(s, position_uncertainty=delta),
+                                           core.DEFAULT_SETTINGS, {}) for s in (s0, s1))
+        ck0, ck1 = (core._j_result_at_separation(s, r0, core.DEFAULT_SETTINGS, dt)
+                    for s in (s0, s1))
+        for res0, res1 in ((sm0, sm1), (ck0, ck1)):
+            assert abs(res1.value) == pytest.approx(abs(res0.value), rel=1e-12)
+            assert abs(res1.value - res0.value * j_phase) <= 1e-12 * abs(res0.value)
+        assert sm1.evaluations <= sm0.evaluations
 
 
 class TestStateAssembly:
