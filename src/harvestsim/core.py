@@ -258,6 +258,8 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
     the kernel peak c = +-r on the side of the support's midpoint, so that
     the peak, of width sigma, is resolved to the rounding of u = v - c.
     Anchors: the peaks, the kink at v = 0 (J), and the kinks and ends of M.
+    A clock offset smooths M's kinks and ends over its standard deviation
+    delta_t/sqrt(2); they are then peaks of that width, or of sigma if larger.
     """
     sigma = da.smearing
     t0 = _origin(da, db)
@@ -265,9 +267,10 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
     b = (db.window.t_on - t0, db.window.t_off - t0)
     lo, hi = b[0] - a[1], b[1] - a[0]
     r = abs(r)
-    kinks, peaks = [0.0, b[0] - a[0], b[1] - a[1]], [-r, r]
-    if delta_t > 0.0:  # M's kinks and ends, smoothed over delta_t, start graded panels
-        peaks += kinks[1:] + [lo, hi]
+    kinks, peaks = [0.0, b[0] - a[0], b[1] - a[1]], [(-r, sigma), (r, sigma)]
+    if delta_t > 0.0:  # M's kinks and ends, smoothed over the offset's spread
+        width = max(sigma, delta_t / _SQRT2)
+        peaks += [(p, width) for p in kinks[1:] + [lo, hi]]
         tail = delta_t * math.sqrt(math.log(1.0 / settings.tail_tol))
         lo, hi = lo - tail, hi + tail
     c = r if lo + hi >= 0.0 else -r
@@ -283,11 +286,10 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
 
     spec = IntegrandSpec(
         evaluate=evaluate,
-        damping_scale=sigma,
         max_phase_rate=abs(g_a) + abs(g_b),
-        singular_points=tuple(sorted(k - c for k in kinks)),
+        singular_points=tuple(k - c for k in kinks),
         support=(lo - c, hi - c),
-        peaks=tuple(p - c for p in peaks),
+        peaks=tuple((p - c, w) for p, w in peaks),
     )
     res = integrate_radial(spec, settings)
     return _scaled(res, da.coupling * db.coupling / (4.0 * math.pi**2), g_a + g_b, t0)
@@ -310,10 +312,9 @@ def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResul
 
     spec = IntegrandSpec(
         evaluate=evaluate,
-        damping_scale=sigma,
         max_phase_rate=2.0 * abs(g),  # |g_a| + |g_b|, as in ``_time_integral``
         support=(0.0, width),
-        peaks=(0.0,),
+        peaks=((0.0, sigma),),
     )
     res = integrate_radial(spec, settings)
     pref = 2.0 * det.coupling**2 / (4.0 * math.pi**2)
@@ -385,10 +386,9 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) ->
     scale = math.sqrt(sig**2 + 0.5 * delta**2)
     spec = IntegrandSpec(
         evaluate=remainder,
-        damping_scale=scale,
         support=(0.0, math.sqrt(2.0 * math.log(1.0 / settings.tail_tol)) / scale),
         max_phase_rate=s.separation + 2.0 * (max(da.window.t_off, db.window.t_off) - t0),
-        singular_points=tuple(sorted({da.gap, db.gap})),
+        singular_points=(da.gap, db.gap),
     )
     pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
     res = _scaled(integrate_radial(spec, settings), pref, da.gap + db.gap, t0)

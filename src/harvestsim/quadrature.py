@@ -1,16 +1,14 @@
 """Adaptive evaluation of integrals over a finite interval.
 
-Every integrand states its own interval, its ``support``: the time-domain
-integrals the support of their window factor, and a frequency integrand
-with a Gaussian envelope exp(-w^2*s^2/2) the range where that envelope is
-above its tail tolerance.  An integrand may have peaks of width s at
-known points.  The interval is covered by initial panels that span up to
-two periods of the fastest oscillation, grow geometrically away from the
-peaks and start at the singular points; the adaptive loop refines them
-where the integrand demands it.  Each panel is integrated by a 15-point
-Gauss-Kronrod rule with the embedded 7-point Gauss rule as the error
-estimate; panels failing a width-proportional share of the error budget
-are bisected.  Everything is deterministic.
+Every integrand states its own interval, its ``support``, its singular
+points (kinks or removable singularities) and its peaks, each with its
+own width.  The interval is covered by initial panels that start at the
+singular points, grow geometrically away from each peak from its width,
+and span up to two periods of the fastest oscillation; the adaptive loop
+refines them where the integrand demands it.  Each panel is integrated
+by a 15-point Gauss-Kronrod rule with the embedded 7-point Gauss rule as
+the error estimate; panels failing a width-proportional share of the
+error budget are bisected.  Everything is deterministic.
 """
 from __future__ import annotations
 
@@ -65,38 +63,31 @@ _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])        # Gauss wei
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """One integrand: a vectorized evaluator plus its analytic metadata.
+    """One integrand: a vectorized evaluator plus where its features are.
 
     ``evaluate`` maps an ndarray of abscissae to complex values and must
     be free of singularities (removable ones filled by the caller);
-    ``damping_scale`` is the width s of its features, the s in a Gaussian
-    envelope exp(-w^2*s^2/2); ``support`` is the finite interval (lo, hi)
-    integrated over; ``max_phase_rate`` bounds |d(phase)/dw| of any
-    oscillatory factor; ``singular_points`` are kinks or
-    removable-singularity locations used only as panel anchors, and
-    ``peaks`` are anchors where the integrand has features of width
-    ``damping_scale``.  Anchors outside the support are allowed.
+    ``support`` is the finite interval (lo, hi) integrated over;
+    ``max_phase_rate`` bounds |d(phase)/dw| of any oscillatory factor;
+    ``singular_points`` are kinks or removable-singularity locations, in
+    any order, used only as panel anchors; ``peaks`` are
+    ``(position, width)`` pairs, features of that width at that position.
+    Anchors outside the support are allowed.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    damping_scale: float
     support: tuple[float, float]
     max_phase_rate: float = 0.0
     singular_points: tuple[float, ...] = ()
-    peaks: tuple[float, ...] = ()
+    peaks: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if not (self.damping_scale > 0.0 and math.isfinite(self.damping_scale)):
-            raise ValueError("IntegrandSpec: damping_scale must be positive and finite")
         if not (self.max_phase_rate >= 0.0 and math.isfinite(self.max_phase_rate)):
             raise ValueError("IntegrandSpec: max_phase_rate must be >= 0 and finite")
-        pts = tuple(self.singular_points)
-        if list(pts) != sorted(pts):
-            raise ValueError("IntegrandSpec: singular_points must be sorted")
         if not (math.isfinite(self.support[0]) and self.support[0] < self.support[1] < math.inf):
             raise ValueError("IntegrandSpec: support must be a finite interval lo < hi")
-        object.__setattr__(self, "singular_points", pts)
-        object.__setattr__(self, "peaks", tuple(self.peaks))
+        if not all(s > 0.0 and math.isfinite(s) for _, s in self.peaks):
+            raise ValueError("IntegrandSpec: peak widths must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -150,39 +141,46 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     """Edges of the starting partition of the support.
 
     Singular points are anchors, and so are the edges of panels that
-    double in width away from each peak, from ``damping_scale``; a peak
-    outside the range grades from the nearer end, from its distance.
-    Anchors within rounding of each other or of an end are merged, so a
-    peak an ulp inside the range starts the same partition as one on
-    its end.  Each piece between anchors is cut evenly into panels no
-    wider than 1/8 of the range and than two periods,
-    4*pi/max_phase_rate, of the fastest phase.  Where such a panel is too
-    wide for the tolerance, the adaptive loop of ``integrate_radial``
-    bisects it, so evaluations go only where the integrand needs them.
+    double in width away from each peak, from its own width; a peak
+    outside the range grades from the nearer end, from its distance if
+    that is larger.  Anchors within rounding of each other or of an end
+    are merged, so a peak an ulp inside the range starts the same
+    partition as one on its end.  Each piece between anchors is cut
+    evenly into panels no wider than 1/8 of the range and than two
+    periods, 4*pi/max_phase_rate, of the fastest phase.  Where such a
+    panel is too wide for the tolerance, the adaptive loop of
+    ``integrate_radial`` bisects it, so evaluations go only where the
+    integrand needs them.
     """
     lo, hi = spec.support
     cap = (hi - lo) / 8.0
     if spec.max_phase_rate > 0.0:
         cap = min(cap, 4.0 * math.pi / spec.max_phase_rate)
-    points = list(spec.singular_points)
-    for p in spec.peaks:
-        q = min(max(p, lo), hi)
-        width = max(spec.damping_scale, abs(p - q))
-        grown = width * (2.0 ** np.arange(math.ceil(math.log2((hi - lo) / width + 1.0)) + 1) - 1.0)
-        points += [q] + list(q - grown) + list(q + grown)
+    points = np.array(spec.singular_points, dtype=float)
+    if spec.peaks:
+        p, s = np.array(spec.peaks, dtype=float).T
+        q = np.minimum(np.maximum(p, lo), hi)
+        width = np.maximum(s, np.abs(p - q))
+        # the narrowest peak needs the most doublings; the others' extra edges lie beyond the range
+        doublings = math.ceil(math.log2((hi - lo) / width.min() + 1.0)) + 1
+        steps = 2.0 ** np.arange(doublings + 1) - 1.0
+        grown = q[:, None] + width[:, None] * np.concatenate([-steps, steps])  # q at steps[0] = 0
+        points = np.concatenate([points, grown.ravel()])
+    points.sort()
     tiny = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     anchors = [lo]
-    for x in sorted(x for x in points if lo + tiny < x < hi - tiny):
+    for x in points[(points > lo + tiny) & (points < hi - tiny)].tolist():
         if x - anchors[-1] > tiny:
             anchors.append(x)
     anchors.append(hi)
-    edges = []
-    for a, b in zip(anchors[:-1], anchors[1:]):
-        # the slack keeps a piece one rounding wider than the cap in one panel
-        n = max(1, math.ceil((b - a) / cap - 1e-9))
-        edges.append(a + (b - a) * np.arange(n) / n)
-    edges.append(np.array([hi]))
-    return np.concatenate(edges)
+    a = np.array(anchors)
+    d = a[1:] - a[:-1]
+    # the slack keeps a piece one rounding wider than the cap in one panel
+    n = np.maximum(1.0, np.ceil(d / cap - 1e-9))
+    # per panel: its piece's left anchor, length, panel count and first panel
+    left, length, count, first = np.repeat([a[:-1], d, n, np.cumsum(n) - n],
+                                           n.astype(np.int64), axis=1)
+    return np.concatenate([left + length * (np.arange(left.size) - first) / count, [hi]])
 
 
 def _gk15(evaluate, a: np.ndarray, b: np.ndarray):

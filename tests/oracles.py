@@ -4,15 +4,17 @@ Nearly everything here avoids the package's ediff/sinc machinery: time
 integrals are raw antiderivative differences or Gauss-Legendre sums, and
 frequency integrals are dense trapezoid rules with one Richardson
 extrapolation step or Gauss-Legendre panel sums, the clock-offset average
-a Gauss-Legendre sum of those over offsets.  The one exception is the
-spatial average ``oracle_J_space``: a Gauss-Legendre sum over separations
-of the package's unsmeared time-domain J, which ``oracle_gl`` checks and
-which shares no code with the spatial smear's two terms.  The state layer
-is checked against the matrix form: eigen-solves of the partial transpose
-and Bell projectors.
+a Gauss-Legendre sum of those over offsets.  The two exceptions are the
+averages ``oracle_J_space`` and ``oracle_J_clock_offsets``: Gauss-Legendre
+sums over separations or clock offsets of the package's unsmeared
+time-domain J, which ``oracle_gl`` checks and which shares no code with
+the spatial smear's two terms or the clock smear's window factor.  The
+state layer is checked against the matrix form: eigen-solves of the
+partial transpose and Bell projectors.  ``initial_panels_reference`` is
+the loop form of the quadrature's starting partition.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -260,6 +262,39 @@ def _panel_rule(edges, n):
     return (c[:, None] + h[:, None] * x).ravel(), (h[:, None] * wt).ravel()
 
 
+def _graded_edges(cuts, first, cap):
+    """Panel edges between sorted cuts that double in width, from ``first``
+    up to ``cap``, away from each cut toward the middle of its piece."""
+    edges = [cuts[0]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        half, grown, width = 0.5 * (hi - lo), [], first
+        while (grown[-1] if grown else 0.0) + width < half:
+            grown.append((grown[-1] if grown else 0.0) + width)
+            width = min(2.0 * width, cap)
+        edges += [lo + g for g in grown] + [lo + half] + [hi - g for g in grown[::-1]] + [hi]
+    return edges
+
+
+def _clock_offsets(scn, dt, first_panel, n):
+    """Nodes and weights of the average over a clock offset tau ~ N(0, dt^2/2)
+    of B's window.
+
+    The offsets run over [-6.1 dt, 6.1 dt] (the Gaussian weight beyond is
+    below 1e-16), split where the shifted windows touch or align and where
+    a window edge meets the light cone, J's kinks smoothed over sigma; the
+    n-node panels double in width from ``first_panel`` away from each
+    split, up to a radian of B's phase exp(i*gap_B*tau).
+    """
+    da, db = scn.det_a, scn.det_b
+    r, reach = scn.separation, 6.1 * dt
+    ends = [db.window.t_on - da.window.t_off, db.window.t_on - da.window.t_on,
+            db.window.t_off - da.window.t_off, db.window.t_off - da.window.t_on]
+    splits = {-v + c for v in ends for c in (0.0, r, -r)}
+    cuts = sorted({-reach, reach} | {c for c in splits if abs(c) < reach})
+    taus, wt = _panel_rule(_graded_edges(cuts, first_panel, 1.0 / db.gap), n)
+    return taus, wt * np.exp(-(taus / dt) ** 2) / (dt * math.sqrt(math.pi))
+
+
 def oracle_J_clock(scn, dt, first_panel, n_tau=10, n_omega=16):
     """Correlation term averaged over a clock offset tau ~ N(0, dt^2/2) of B's
     window, by nested Gauss-Legendre sums.
@@ -267,30 +302,13 @@ def oracle_J_clock(scn, dt, first_panel, n_tau=10, n_omega=16):
     Inner: at each offset, the frequency integral of ``jhat_raw`` for the
     shifted windows over panels one oscillation wide, at the largest time
     difference plus r.
-    Outer: the offsets in [-6.1 dt, 6.1 dt] (the Gaussian weight beyond is
-    below 1e-16), split where the shifted windows touch or align and where
-    a window edge meets the light cone, J's kinks smoothed over sigma;
-    the panels double in width from ``first_panel`` away from each split,
-    up to a radian of B's phase exp(i*gap_B*tau).
+    Outer: the offsets of ``_clock_offsets``, n_tau per panel.
     """
     da, db = scn.det_a, scn.det_b
     r, sig = scn.separation, da.smearing
-    reach = 6.1 * dt
-    ends = [db.window.t_on - da.window.t_off, db.window.t_on - da.window.t_on,
-            db.window.t_off - da.window.t_off, db.window.t_off - da.window.t_on]
-    splits = {-v + c for v in ends for c in (0.0, r, -r)}
-    cuts = sorted({-reach, reach} | {c for c in splits if abs(c) < reach})
-    edges = [cuts[0]]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        half, grown, width = 0.5 * (hi - lo), [], first_panel
-        while (grown[-1] if grown else 0.0) + width < half:
-            grown.append((grown[-1] if grown else 0.0) + width)
-            width = min(2.0 * width, 1.0 / db.gap)
-        edges += [lo + g for g in grown] + [lo + half] + [hi - g for g in grown[::-1]] + [hi]
-    taus, tau_wt = _panel_rule(edges, n_tau)
-    tau_wt = tau_wt * np.exp(-(taus / dt) ** 2) / (dt * math.sqrt(math.pi))
+    taus, tau_wt = _clock_offsets(scn, dt, first_panel, n_tau)
 
-    spread = max(ends[3] + reach, reach - ends[0])
+    spread = 6.1 * dt + max(db.window.t_off - da.window.t_on, da.window.t_off - db.window.t_on)
     w_max = _wmax(sig)
     panels = int(math.ceil(w_max * (r + spread) / (2.0 * math.pi)))
     w, w_wt = _panel_rule(np.linspace(0.0, w_max, panels + 1), n_omega)
@@ -345,14 +363,51 @@ def oracle_J_space(scn, delta):
     edges = (da.window.t_on, da.window.t_off, db.window.t_on, db.window.t_off)
     splits = {sign * (p - q) for p in edges for q in edges for sign in (1.0, -1.0)}
     cuts = sorted({lo, hi} | {c for c in splits if lo < c < hi})
-    grid = [cuts[0]]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        half, grown, width = 0.5 * (b - a), [], sig
-        while (grown[-1] if grown else 0.0) + width < half:
-            grown.append((grown[-1] if grown else 0.0) + width)
-            width = min(2.0 * width, 1.0)
-        grid += [a + g for g in grown] + [a + half] + [b - g for g in grown[::-1]] + [b]
-    rs, wt = _panel_rule(grid, 16)
+    rs, wt = _panel_rule(_graded_edges(cuts, sig, 1.0), 16)
     wt = wt * np.exp(-((rs - r0) / delta) ** 2) / (delta * math.sqrt(math.pi))
     j = [core._j_result_at_separation(scn, r, DEFAULT_SETTINGS).value for r in rs]
     return complex(np.sum(wt * np.array(j)))
+
+
+def oracle_J_clock_offsets(scn, dt):
+    """Correlation term averaged over a clock offset tau ~ N(0, dt^2/2) of B's
+    window, as a Gauss-Legendre sum of the unsmeared time-domain J of
+    ``core`` with B's window shifted by tau, on the offsets of
+    ``_clock_offsets`` in 16-node panels that double from sigma."""
+    from harvestsim import core
+
+    db = scn.det_b
+    taus, wt = _clock_offsets(scn, dt, db.smearing, 16)
+    j = [core.compute_J(replace(scn, det_b=replace(db, window=db.window.shifted(tau))))
+         for tau in taus]
+    return complex(np.sum(wt * np.array(j)))
+
+
+# --- quadrature -----------------------------------------------------------------
+
+def initial_panels_reference(spec):
+    """Starting partition of ``quadrature._initial_panels`` in loop form: each
+    peak graded on its own, the anchors sorted and merged one by one, and
+    each piece between anchors cut on its own."""
+    lo, hi = spec.support
+    cap = (hi - lo) / 8.0
+    if spec.max_phase_rate > 0.0:
+        cap = min(cap, 4.0 * math.pi / spec.max_phase_rate)
+    points = list(spec.singular_points)
+    for p, s in spec.peaks:
+        q = min(max(p, lo), hi)
+        width = max(s, abs(p - q))
+        grown = width * (2.0 ** np.arange(math.ceil(math.log2((hi - lo) / width + 1.0)) + 1) - 1.0)
+        points += [q] + list(q - grown) + list(q + grown)
+    tiny = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    anchors = [lo]
+    for x in sorted(x for x in points if lo + tiny < x < hi - tiny):
+        if x - anchors[-1] > tiny:
+            anchors.append(x)
+    anchors.append(hi)
+    edges = []
+    for a, b in zip(anchors[:-1], anchors[1:]):
+        n = max(1, math.ceil((b - a) / cap - 1e-9))
+        edges.append(a + (b - a) * np.arange(n) / n)
+    edges.append(np.array([hi]))
+    return np.concatenate(edges)

@@ -301,3 +301,17 @@ def test_spatial_smear_matches_space_oracle(k, frac):
     rel = abs(got.integrals.j - ref) / abs(ref)
     criterion(10, f"spatial smear vs r-average, k={k}, delta={frac} r0",
               rel <= 1e-10, f"rel diff {rel:.1e} (<=1e-10)")
+
+
+@pytest.mark.parametrize("k", [100, 1000])
+@pytest.mark.parametrize("widths", [5, 40])
+def test_clock_smear_matches_offset_oracle(k, widths):
+    # the clock smear's averaged window factor against a Gauss-Legendre
+    # average over clock offsets of the unsmeared time-domain J
+    s = scaled_scenario(k)
+    dt = widths * SIGMA
+    got = evaluate_scenarios([(s, dt)])[0]
+    ref = oracles.oracle_J_clock_offsets(s, dt)
+    rel = abs(got.integrals.j - ref) / abs(ref)
+    criterion(10, f"clock smear vs offset average, k={k}, dt={widths} sigma",
+              rel <= 1e-10, f"rel diff {rel:.1e} (<=1e-10)")

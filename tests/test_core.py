@@ -463,7 +463,7 @@ class TestQuadratureCost:
         assert core._i_ab_result(s, settings).evaluations <= 700
         assert core._j_result_at_separation(s, s.separation, settings).evaluations <= 700
         for dt in (0.005, 0.02, 0.04):
-            assert core._j_result_at_separation(s, s.separation, settings, dt).evaluations <= 1500
+            assert core._j_result_at_separation(s, s.separation, settings, dt).evaluations <= 1100
 
     def test_single_core(self):
         # the panel sums must not wake a BLAS thread pool: process CPU time

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import dawsn, erf
 
+import oracles
 from harvestsim.quadrature import (
     DEFAULT_SETTINGS,
     ConvergenceFailure,
@@ -22,7 +23,6 @@ def reach(s):
 def gaussian_spec(s=1.0, amp=1.0):
     return IntegrandSpec(
         evaluate=lambda w: amp * np.exp(-0.5 * (w * s) ** 2) + 0j,
-        damping_scale=s,
         support=(0.0, reach(s)),
     )
 
@@ -31,8 +31,7 @@ def gauss_sin_spec(s, r, amp=1.0):
     def f(w):
         return amp * np.exp(-0.5 * (w * s) ** 2) * np.sin(w * r) + 0j
 
-    return IntegrandSpec(evaluate=f, damping_scale=s, support=(0.0, reach(s)),
-                         max_phase_rate=r)
+    return IntegrandSpec(evaluate=f, support=(0.0, reach(s)), max_phase_rate=r)
 
 
 def gauss_sin_exact(s, r, amp=1.0):
@@ -58,8 +57,7 @@ class TestIntegrateRadial:
             sinc = np.where(small, 1.0, np.sin(safe) / safe)
             return r * sinc * np.exp(-0.5 * (w * s) ** 2) + 0j
 
-        spec = IntegrandSpec(evaluate=f, damping_scale=s, support=(0.0, reach(s)),
-                             max_phase_rate=r)
+        spec = IntegrandSpec(evaluate=f, support=(0.0, reach(s)), max_phase_rate=r)
         res = integrate_radial(spec)
 
         wmax = spec.support[1]
@@ -72,7 +70,7 @@ class TestIntegrateRadial:
         assert res.value.real == pytest.approx(oracle, rel=1e-8)
 
     def test_zero_integrand(self):
-        spec = IntegrandSpec(evaluate=lambda w: np.zeros_like(w) + 0j, damping_scale=1.0,
+        spec = IntegrandSpec(evaluate=lambda w: np.zeros_like(w) + 0j,
                              support=(0.0, reach(1.0)))
         res = integrate_radial(spec)
         assert res.value == 0.0
@@ -84,9 +82,7 @@ class TestIntegrateRadial:
         def f(w):
             return np.abs(w - 1.0) * np.exp(-0.5 * w * w) + 0j
 
-        spec = IntegrandSpec(
-            evaluate=f, damping_scale=1.0, support=(0.0, reach(1.0)), singular_points=(1.0,)
-        )
+        spec = IntegrandSpec(evaluate=f, support=(0.0, reach(1.0)), singular_points=(1.0,))
         res = integrate_radial(spec)
 
         def anti_piece(a, b, sign):
@@ -167,8 +163,7 @@ class TestIntegrateRadial:
     def test_initial_partition_over_budget(self):
         # the starting partition alone holds 10,875 evaluations
         spec = IntegrandSpec(evaluate=lambda w: np.exp(-w * w / 2) + 0j,
-                             damping_scale=1.0, support=(0.0, reach(1.0)),
-                             max_phase_rate=1000.0)
+                             support=(0.0, reach(1.0)), max_phase_rate=1000.0)
         with pytest.raises(ConvergenceFailure, match="budget 1000 exhausted") as exc:
             integrate_radial(spec, QuadratureSettings(eval_budget=1000))
         best = exc.value.best
@@ -184,14 +179,14 @@ class TestIntegrateRadial:
 
 
 class TestFiniteSupport:
-    """Integrals over a finite support, with peaks of width damping_scale."""
+    """Integrals over a finite support, with peaks of their own widths."""
 
     @staticmethod
     def spike_spec(p, s, lo, hi, peaks):
         def f(v):
             return np.exp(-0.5 * ((v - p) / s) ** 2) + np.cos(v) + 0j
 
-        return IntegrandSpec(evaluate=f, damping_scale=s, support=(lo, hi), peaks=peaks,
+        return IntegrandSpec(evaluate=f, support=(lo, hi), peaks=tuple((x, s) for x in peaks),
                              singular_points=(-1.0,))
 
     @staticmethod
@@ -218,6 +213,43 @@ class TestFiniteSupport:
         assert widths[np.searchsorted(edges, 1.3)] == pytest.approx(1e-4, rel=1e-9)
         assert widths.max() <= 1.0  # 1/8 of the support
 
+        # two peaks of different widths in one spec: each starts its own grading
+        spec = IntegrandSpec(evaluate=lambda v: v + 0j, support=(-3.0, 5.0),
+                             peaks=((1.3, 1e-4), (-2.0, 3e-3)))
+        edges = _initial_panels(spec)
+        widths = np.diff(edges)
+        assert np.all(widths > 0.0) and widths.max() <= 1.0
+        for p, s in spec.peaks:
+            i = np.searchsorted(edges, p)
+            assert edges[i] == p
+            assert widths[i] == pytest.approx(s, rel=1e-9)
+            assert widths[i - 1] == pytest.approx(s, rel=1e-9)
+
+    def test_partition_matches_loop_reference(self):
+        # bit for bit against the loop form, on random supports from 1e-3 to
+        # 1e4 wide, anchors inside and outside them and within 80 ulps of each
+        # other and of the ends, with and without a phase cap
+        rng = np.random.default_rng(20261018)
+
+        def anchor(lo, hi):
+            base = ((lo, hi)[rng.integers(2)] if rng.random() < 0.2
+                    else lo + (hi - lo) * rng.uniform(-0.5, 1.5))
+            return float(base + rng.integers(-80, 81) * np.spacing(base))
+
+        for _ in range(4000):
+            scale = 10.0 ** rng.uniform(-3.0, 4.0)
+            lo = scale * rng.uniform(-2.0, 1.0)
+            hi = lo + scale * 10.0 ** rng.uniform(-1.0, 0.5)
+            points = [anchor(lo, hi) for _ in range(rng.integers(4))]
+            points += [float(x + rng.integers(-80, 81) * np.spacing(x)) for x in points[:1]]
+            peaks = tuple((anchor(lo, hi), (hi - lo) * 10.0 ** rng.uniform(-5.0, 0.0))
+                          for _ in range(rng.integers(5)))
+            rate = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-2.0, 3.0) / (hi - lo)
+            spec = IntegrandSpec(evaluate=lambda v: v + 0j, support=(lo, hi),
+                                 max_phase_rate=rate, singular_points=tuple(points),
+                                 peaks=peaks)
+            assert np.array_equal(_initial_panels(spec), oracles.initial_panels_reference(spec))
+
     def test_peak_within_rounding_of_an_end_merges(self):
         # the same partition whether rounding puts the peak on the end or an
         # ulp inside it
@@ -228,29 +260,34 @@ class TestFiniteSupport:
 
     def test_support_validation(self):
         f = lambda v: v + 0j  # noqa: E731
-        IntegrandSpec(evaluate=f, damping_scale=1.0, support=(-2.0, 1.0),
-                      singular_points=(-1.0, 0.5), peaks=(-5.0,))
+        IntegrandSpec(evaluate=f, support=(-2.0, 1.0),
+                      singular_points=(-1.0, 0.5), peaks=((-5.0, 1.0),))
         for bad in ((1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
             with pytest.raises(ValueError):
-                IntegrandSpec(evaluate=f, damping_scale=1.0, support=bad)
+                IntegrandSpec(evaluate=f, support=bad)
         with pytest.raises(TypeError):
-            IntegrandSpec(evaluate=f, damping_scale=1.0)  # the support is required
+            IntegrandSpec(evaluate=f)  # the support is required
 
 
 class TestSpecValidation:
-    def test_rejects_bad_damping(self):
-        with pytest.raises(ValueError):
-            IntegrandSpec(evaluate=lambda w: w, damping_scale=0.0, support=(0.0, 1.0))
+    def test_rejects_bad_peak_width(self):
+        IntegrandSpec(evaluate=lambda w: w, support=(0.0, 1.0), peaks=((0.5, 1e-3),))
+        for width in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                IntegrandSpec(evaluate=lambda w: w, support=(0.0, 1.0),
+                              peaks=((0.5, 1e-3), (0.2, width)))
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
-            IntegrandSpec(evaluate=lambda w: w, damping_scale=1.0, support=(0.0, 1.0),
-                          max_phase_rate=-1.0)
+            IntegrandSpec(evaluate=lambda w: w, support=(0.0, 1.0), max_phase_rate=-1.0)
 
-    def test_rejects_unsorted_singular_points(self):
-        with pytest.raises(ValueError):
-            IntegrandSpec(evaluate=lambda w: w, damping_scale=1.0, support=(0.0, 1.0),
-                          singular_points=(2.0, 1.0))
+    def test_singular_points_in_any_order(self):
+        points = (0.1, 0.35, 0.7, 0.9)
+        edges = [_initial_panels(IntegrandSpec(evaluate=lambda w: w, support=(0.0, 1.0),
+                                               singular_points=pts, peaks=((0.5, 1e-3),)))
+                 for pts in (points, points[::-1])]
+        assert np.array_equal(*edges)
+        assert set(points) <= set(edges[0].tolist())
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
