@@ -6,6 +6,9 @@ Verbs:
   figure {fig2a,fig2b,fig3} [--out]    run a figure-reproduction preset
 
 Global flags: --tol-abs X, --tol-rel X.
+
+Exit codes: 0 ok; 2 invalid config, flag or scenario; 3 a quadrature did
+not converge; 4 i/o error.  Each failure is one line on stderr.
 """
 from __future__ import annotations
 
@@ -133,6 +136,9 @@ def main(argv=None) -> int:
             _write_table(rows, meta, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a flag or scenario the types reject
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except ConvergenceFailure as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)

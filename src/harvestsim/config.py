@@ -1,15 +1,28 @@
 """Sectioned key-value run configuration.
 
 Sections: [detector_a], [detector_b], [scenario], [numerics], [sweep],
-[output].  Lengths and times accept a sigma-relative form such as
-"150*sigma", resolved against [detector_a].smearing at parse time;
-everything downstream works in natural units.  Unknown sections or keys
-are errors, and every validation failure names the offending key.
+[output].  One table, ``_SCHEMA``, states the kind of every key, whether
+it is required, and so what a config may hold; both parsing and
+``dump_config`` read it.  Lengths and times accept a sigma-relative form
+such as "150*sigma", resolved against [detector_a].smearing at parse
+time; everything downstream works in natural units.
+
+Each check is made once, where it belongs.  The parser rejects what is
+not a config: an unknown section or key, a missing required one, text
+that does not parse as the key's kind, and a non-finite number; those
+errors read ``section.key: ...``.  Whether a value is in range is checked
+by the type that takes it (``DetectorParams``, ``SwitchingWindow``,
+``Scenario``, ``QuadratureSettings``, ``SweepSpec``, ``OutputSpec``), and
+its error reads ``[section]: <Type>: ...``.  The one range check made
+here is that [detector_a].smearing, the unit of every '*sigma' length, is
+positive, before any length is parsed.
 """
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -32,13 +45,28 @@ DEFAULT_COUPLING_PER_GAP = 0.01  # coupling defaults to 0.01*gap when omitted
 SWEEP_PARAMETERS = ("r", "delta", "delta_t", "gap", "duration")
 _SIGMA_RE = re.compile(r"^([^*]+)\*\s*sigma$", re.IGNORECASE)
 
+# the kinds of value: a number, a length or time (a number, or <number>*sigma),
+# an integer, and a word (text kept as written)
+_NUMBER, _LENGTH, _INTEGER, _WORD = "number", "length", "integer", "word"
+
+_DETECTOR = {
+    "coupling": (_NUMBER, False),
+    "gap": (_NUMBER, True),
+    "smearing": (_NUMBER, True),
+    "t_on": (_LENGTH, True),
+    "t_off": (_LENGTH, True),
+}
+
+# section -> key -> (kind, required), in the order dump_config writes them
 _SCHEMA = {
-    "detector_a": {"coupling", "gap", "smearing", "t_on", "t_off"},
-    "detector_b": {"coupling", "gap", "smearing", "t_on", "t_off"},
-    "scenario": {"separation", "position_uncertainty"},
-    "numerics": {"tol_abs", "tol_rel", "tail_tol", "eval_budget"},
-    "sweep": {"parameter", "from", "to", "points", "spacing"},
-    "output": {"path", "format"},
+    "detector_a": _DETECTOR,
+    "detector_b": _DETECTOR,
+    "scenario": {"separation": (_LENGTH, True), "position_uncertainty": (_LENGTH, False)},
+    "numerics": {"tol_abs": (_NUMBER, False), "tol_rel": (_NUMBER, False),
+                 "tail_tol": (_NUMBER, False), "eval_budget": (_INTEGER, False)},
+    "sweep": {"parameter": (_WORD, True), "from": (_LENGTH, True), "to": (_LENGTH, True),
+              "points": (_INTEGER, True), "spacing": (_WORD, False)},
+    "output": {"format": (_WORD, False), "path": (_WORD, False)},
 }
 
 
@@ -87,127 +115,95 @@ class RunConfig:
     output: OutputSpec = OutputSpec()
 
 
-def _parse_number(section: str, key: str, raw: str, sigma: float | None) -> float:
+def _parse(section: str, key: str, raw: str, sigma: float | None):
+    """The value of ``section.key`` parsed from ``raw`` as the key's kind.
+
+    A length ``<number>*sigma`` is scaled by ``sigma``; every number must
+    be finite.
+    """
+    kind = _SCHEMA[section][key][0]
     text = raw.strip()
+    if kind == _WORD:
+        return text
+    if kind == _INTEGER:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{section}.{key}: cannot parse integer from {raw!r}") from None
     m = _SIGMA_RE.match(text)
     factor = 1.0
     if m:
-        if sigma is None:
+        if kind != _LENGTH:
             raise ConfigError(f"{section}.{key}: '*sigma' not allowed for this key")
         text, factor = m.group(1).strip(), sigma
     try:
-        return float(text) * factor
+        value = float(text) * factor
     except ValueError:
         raise ConfigError(f"{section}.{key}: cannot parse number from {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: must be finite")
+    return value
 
 
-def _get(parser, section, key, *, required=True):
+def _value(parser, section: str, key: str, sigma: float | None):
+    """The parsed value of ``section.key``, or None for an optional key not given."""
     if parser.has_option(section, key):
-        return parser.get(section, key)
-    if required:
+        return _parse(section, key, parser.get(section, key), sigma)
+    if _SCHEMA[section][key][1]:
         raise ConfigError(f"{section}.{key}: required key missing")
     return None
 
 
-def _detector(parser, section: str, sigma_ref: float) -> DetectorParams:
-    smearing = _parse_number(section, "smearing", _get(parser, section, "smearing"), None)
-    if smearing <= 0.0:
-        raise ConfigError(f"{section}.smearing: must be > 0")
-    gap = _parse_number(section, "gap", _get(parser, section, "gap"), None)
-    if gap <= 0.0:
-        raise ConfigError(f"{section}.gap: must be > 0")
-    raw_coupling = _get(parser, section, "coupling", required=False)
-    coupling = (DEFAULT_COUPLING_PER_GAP * gap if raw_coupling is None
-                else _parse_number(section, "coupling", raw_coupling, None))
-    if coupling < 0.0:
-        raise ConfigError(f"{section}.coupling: must be >= 0")
-    t_on = _parse_number(section, "t_on", _get(parser, section, "t_on"), sigma_ref)
-    t_off = _parse_number(section, "t_off", _get(parser, section, "t_off"), sigma_ref)
-    if not t_off > t_on:
-        raise ConfigError(f"{section}: window requires t_off > t_on "
-                          f"(got t_on={t_on}, t_off={t_off})")
-    return DetectorParams(
-        coupling=coupling, gap=gap, smearing=smearing,
-        window=SwitchingWindow(t_on, t_off),
-    )
+def _section(parser, section: str, sigma: float) -> dict:
+    """The parsed values of the keys given in ``section``, by key."""
+    values = {key: _value(parser, section, key, sigma) for key in _SCHEMA[section]}
+    return {key: v for key, v in values.items() if v is not None}
 
 
-def _validate_schema(parser) -> None:
+def _make(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ValueError from it reported as a
+    ConfigError that names ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
+
+
+def _detector(parser, section: str, sigma: float) -> DetectorParams:
+    v = _section(parser, section, sigma)
+    window = _make(section, SwitchingWindow, v["t_on"], v["t_off"])
+    return _make(section, DetectorParams,
+                 coupling=v.get("coupling", DEFAULT_COUPLING_PER_GAP * v["gap"]),
+                 gap=v["gap"], smearing=v["smearing"], window=window)
+
+
+def _build(parser) -> RunConfig:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-    for required in ("detector_a", "detector_b", "scenario"):
-        if not parser.has_section(required):
-            raise ConfigError(f"missing section [{required}]")
-
-
-def _build(parser) -> RunConfig:
-    _validate_schema(parser)
-    sigma_ref = _parse_number(
-        "detector_a", "smearing", _get(parser, "detector_a", "smearing"), None
-    )
-    det_a = _detector(parser, "detector_a", sigma_ref)
-    det_b = _detector(parser, "detector_b", sigma_ref)
-
-    separation = _parse_number(
-        "scenario", "separation", _get(parser, "scenario", "separation"), sigma_ref
-    )
-    if separation <= 0.0:
-        raise ConfigError("scenario.separation: must be > 0")
-    raw_delta = _get(parser, "scenario", "position_uncertainty", required=False)
-    delta = 0.0 if raw_delta is None else _parse_number(
-        "scenario", "position_uncertainty", raw_delta, sigma_ref
-    )
-    if delta < 0.0:
-        raise ConfigError("scenario.position_uncertainty: must be >= 0")
-    scenario = Scenario(det_a=det_a, det_b=det_b,
-                        separation=separation, position_uncertainty=delta)
-
-    numerics = QuadratureSettings()
-    if parser.has_section("numerics"):
-        kwargs = {}
-        for key in ("tol_abs", "tol_rel", "tail_tol"):
-            raw = _get(parser, "numerics", key, required=False)
-            if raw is not None:
-                kwargs[key] = _parse_number("numerics", key, raw, None)
-        raw = _get(parser, "numerics", "eval_budget", required=False)
-        if raw is not None:
-            try:
-                kwargs["eval_budget"] = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"numerics.eval_budget: cannot parse integer from {raw!r}"
-                ) from None
-        try:
-            numerics = QuadratureSettings(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"[numerics]: {exc}") from None
+    for section in ("detector_a", "detector_b", "scenario"):
+        if not parser.has_section(section):
+            raise ConfigError(f"missing section [{section}]")
+    sigma = _value(parser, "detector_a", "smearing", None)
+    if sigma <= 0.0:
+        raise ConfigError("detector_a.smearing: must be > 0")
+    det_a = _detector(parser, "detector_a", sigma)
+    det_b = _detector(parser, "detector_b", sigma)
+    scenario = _make("scenario", Scenario, det_a=det_a, det_b=det_b,
+                     **_section(parser, "scenario", sigma))
+    numerics = _make("numerics", QuadratureSettings, **_section(parser, "numerics", sigma))
 
     sweep = None
     if parser.has_section("sweep"):
-        parameter = _get(parser, "sweep", "parameter")
-        start = _parse_number("sweep", "from", _get(parser, "sweep", "from"), sigma_ref)
-        stop = _parse_number("sweep", "to", _get(parser, "sweep", "to"), sigma_ref)
-        raw_points = _get(parser, "sweep", "points")
-        try:
-            points = int(raw_points)
-        except ValueError:
-            raise ConfigError(
-                f"sweep.points: cannot parse integer from {raw_points!r}"
-            ) from None
-        spacing = _get(parser, "sweep", "spacing", required=False) or "linear"
-        sweep = SweepSpec(parameter=parameter.strip(), start=start, stop=stop,
-                          points=points, spacing=spacing.strip())
-
-    output = OutputSpec()
-    if parser.has_section("output"):
-        path = _get(parser, "output", "path", required=False)
-        fmt = _get(parser, "output", "format", required=False) or "csv"
-        output = OutputSpec(path=path, format=fmt.strip())
-
+        v = _section(parser, "sweep", sigma)
+        # an empty optional word means its default, as an absent one does
+        sweep = SweepSpec(parameter=v["parameter"], start=v["from"], stop=v["to"],
+                          points=v["points"], spacing=v.get("spacing") or "linear")
+    v = _section(parser, "output", sigma)
+    output = OutputSpec(path=v.get("path"), format=v.get("format") or "csv")
     return RunConfig(scenario=scenario, numerics=numerics, sweep=sweep, output=output)
 
 
@@ -235,37 +231,26 @@ def load_config(path) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Serialize to the sectioned format; load(dump(cfg)) == cfg."""
+    s, sweep = cfg.scenario, cfg.sweep
+    values = {
+        name: {"coupling": det.coupling, "gap": det.gap, "smearing": det.smearing,
+               "t_on": det.window.t_on, "t_off": det.window.t_off}
+        for name, det in (("detector_a", s.det_a), ("detector_b", s.det_b))
+    }
+    values["scenario"] = {"separation": s.separation,
+                          "position_uncertainty": s.position_uncertainty}
+    values["numerics"] = dataclasses.asdict(cfg.numerics)
+    values["sweep"] = None if sweep is None else {
+        "parameter": sweep.parameter, "from": sweep.start, "to": sweep.stop,
+        "points": sweep.points, "spacing": sweep.spacing,
+    }
+    values["output"] = {"format": cfg.output.format, "path": cfg.output.path}
     parser = _new_parser()
-    for name, det in (("detector_a", cfg.scenario.det_a), ("detector_b", cfg.scenario.det_b)):
-        parser[name] = {
-            "coupling": repr(det.coupling),
-            "gap": repr(det.gap),
-            "smearing": repr(det.smearing),
-            "t_on": repr(det.window.t_on),
-            "t_off": repr(det.window.t_off),
-        }
-    parser["scenario"] = {
-        "separation": repr(cfg.scenario.separation),
-        "position_uncertainty": repr(cfg.scenario.position_uncertainty),
-    }
-    parser["numerics"] = {
-        "tol_abs": repr(cfg.numerics.tol_abs),
-        "tol_rel": repr(cfg.numerics.tol_rel),
-        "tail_tol": repr(cfg.numerics.tail_tol),
-        "eval_budget": str(cfg.numerics.eval_budget),
-    }
-    if cfg.sweep is not None:
-        parser["sweep"] = {
-            "parameter": cfg.sweep.parameter,
-            "from": repr(cfg.sweep.start),
-            "to": repr(cfg.sweep.stop),
-            "points": str(cfg.sweep.points),
-            "spacing": cfg.sweep.spacing,
-        }
-    out = {"format": cfg.output.format}
-    if cfg.output.path is not None:
-        out["path"] = cfg.output.path
-    parser["output"] = out
+    for section, keys in _SCHEMA.items():
+        if values[section] is not None:
+            parser[section] = {key: v if kind == _WORD else repr(v)
+                               for key, (kind, _) in keys.items()
+                               if (v := values[section][key]) is not None}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -50,7 +50,7 @@ from .quadrature import (
     QuadResult,
     integrate_radial,
 )
-from .specfun import damped_im_erfi, ediff, faddeeva_w
+from .specfun import damped_erf, damped_im_erfi, ediff, faddeeva_w
 
 __all__ = [
     "SecondOrderIntegrals",
@@ -216,14 +216,6 @@ def _window(v, a, b, g_a: float, g_b: float):
     return -1j * np.exp(1j * g_b * v) * ediff(lo, hi, g_a + g_b)
 
 
-def _damped_erf(x, y: float):
-    """exp(-y^2) * erf(x - i*y) for real x and y, without overflow:
-    s*(exp(-y^2) - exp(-x^2 + 2ixy) * w(s*y + i|x|)) with s the sign of x."""
-    s = np.where(x >= 0.0, 1.0, -1.0)
-    w = faddeeva_w(s * y + 1j * np.abs(x))
-    return s * (math.exp(-y * y) - np.exp(-x * x + 2j * x * y) * w)
-
-
 def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
     """M(v) averaged over an offset tau ~ N(0, dt^2/2) of window b.
 
@@ -231,13 +223,13 @@ def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
     exp(i*mu*t), mu = g_a + g_b, from max(a_on, b_on - v + tau) to
     min(a_off, b_off - v + tau).  Each end is either fixed or moves with
     tau, so the average is a sum of Gaussian masses of 1 (real erf) and
-    of exp(i*mu*tau) (``_damped_erf``) between the offsets where the ends
+    of exp(i*mu*tau) (``damped_erf``) between the offsets where the ends
     switch: exact for every window timing.  Requires mu != 0.
     """
     mu = g_a + g_b
     s_on, s_off = b[0] - v, b[1] - v
     x = np.stack([a[0] - s_off, a[0] - s_on, a[1] - s_off, a[1] - s_on]) / dt
-    e = _damped_erf(x, 0.5 * mu * dt)
+    e = damped_erf(x, 0.5 * mu * dt)
     p = erf(x)
     end = np.exp(1j * mu * a[1]) * (p[3] - p[2]) + np.exp(1j * mu * s_off) * (e[2] - e[0])
     start = np.exp(1j * mu * a[0]) * (p[1] - p[0]) + np.exp(1j * mu * s_on) * (e[3] - e[1])

@@ -118,8 +118,9 @@ class QuadratureSettings:
     eval_budget: int = 10**6
 
     def __post_init__(self):
-        if self.tol_abs <= 0.0 or self.tol_rel <= 0.0:
-            raise ValueError("QuadratureSettings: tolerances must be > 0")
+        # an infinite tolerance passes every first partition; a nan one is ignored by max()
+        if not (0.0 < self.tol_abs < math.inf and 0.0 < self.tol_rel < math.inf):
+            raise ValueError("QuadratureSettings: tolerances must be positive and finite")
         if not (0.0 < self.tail_tol < 1.0):
             raise ValueError("QuadratureSettings: tail_tol must be in (0, 1)")
         if self.eval_budget < 15:

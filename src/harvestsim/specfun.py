@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import wofz
 
-__all__ = ["sinc", "ediff", "faddeeva_w", "damped_im_erfi"]
+__all__ = ["sinc", "ediff", "faddeeva_w", "damped_erf", "damped_im_erfi"]
 
 # Below this the 7th-order Taylor series of sin(x)/x is exact to < 1e-18.
 _SINC_TAYLOR_CUT = 1e-2
@@ -73,12 +73,26 @@ def faddeeva_w(z):
     return complex(w) if w.ndim == 0 else w
 
 
+def damped_erf(x, y):
+    """exp(-y^2) * erf(x - i*y) for real x and y, without overflow.
+
+    With s the sign of x (+1 at 0),
+        exp(-y^2)*erf(x - iy) = s*(exp(-y^2) - exp(-x^2) * exp(2ixy) * w(s*y + i|x|)),
+    every factor of which is bounded.  Non-finite x or y make w's argument
+    non-finite, which ``faddeeva_w`` rejects.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = np.where(x >= 0.0, 1.0, -1.0)
+    w = faddeeva_w(s * y + 1j * np.abs(x))
+    out = s * (np.exp(-y * y) - np.exp(-x * x) * (w * np.exp(2j * x * y)))
+    return complex(out) if out.ndim == 0 else out
+
+
 def damped_im_erfi(x, y):
     """exp(-x^2) * Im[Erfi(x + i*y)] without overflow, for x, y >= 0.
 
-    Uses the identity
-        exp(-x^2)*Erfi(x+iy) = -i*w(x+iy)*exp(-y^2)*exp(2ixy) + i*exp(-x^2),
-    every factor of which is bounded on the domain, so the imaginary part is
+    Erfi(x + iy) = i*erf(y - ix), so this is Re ``damped_erf(y, x)``:
 
         exp(-x^2) - exp(-y^2) * Re[w(x+iy) * exp(2ixy)].
     """
@@ -87,6 +101,5 @@ def damped_im_erfi(x, y):
     _check_finite("damped_im_erfi", x, y)
     if np.any(x < 0.0) or np.any(y < 0.0):
         raise ValueError("damped_im_erfi: requires x >= 0 and y >= 0")
-    w = faddeeva_w(x + 1j * y)
-    out = np.exp(-x * x) - np.exp(-y * y) * np.real(w * np.exp(2j * x * y))
-    return float(out) if out.ndim == 0 else out
+    out = np.real(damped_erf(y, x))
+    return float(out) if np.ndim(out) == 0 else out

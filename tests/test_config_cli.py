@@ -1,4 +1,5 @@
 import json
+import re
 import textwrap
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from harvestsim import core
 from harvestsim.cli import main
 from harvestsim.config import (
     ConfigError,
+    OutputSpec,
     load_config,
     loads_config,
     save_config,
@@ -137,26 +139,92 @@ class TestLoadConfig:
             loads_config(FIG2_CONFIG.replace("gap = 1.0", "gap = 1.0\ngap = 2.0", 1))
 
     def test_round_trip(self, tmp_path):
-        cfg = loads_config(FIG2_CONFIG + textwrap.dedent("""\
-            [scenario_extra]
-            """).replace("[scenario_extra]\n", "") + textwrap.dedent("""\
+        sweep = textwrap.dedent("""\
             [sweep]
             parameter = delta
             from = 0.0015
             to = 15.0
             points = 41
             spacing = log
-            """))
+            """)
+        # every [numerics] key off its default, and an [output] with a path
+        numerics_and_output = textwrap.dedent("""\
+            [numerics]
+            tol_abs = 3e-11
+            tol_rel = 2e-8
+            tail_tol = 1e-15
+            eval_budget = 50000
+
+            [output]
+            path = tables/delta.json
+            format = json
+            """)
         path = tmp_path / "cfg.ini"
-        save_config(cfg, path)
-        again = load_config(path)
-        assert again == cfg
+        for text in (FIG2_CONFIG + sweep, FIG2_CONFIG + sweep + numerics_and_output):
+            cfg = loads_config(text)
+            save_config(cfg, path)
+            again = load_config(path)
+            assert again == cfg
+        assert cfg.numerics == QuadratureSettings(3e-11, 2e-8, 1e-15, 50000)
+        assert cfg.output == OutputSpec("tables/delta.json", "json")
 
     def test_round_trip_without_sweep(self, tmp_path):
         cfg = loads_config(FIG2_CONFIG)
         path = tmp_path / "cfg.ini"
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+
+BOUNDARY_CONFIG = FIG2_CONFIG + textwrap.dedent("""\
+    [numerics]
+    tol_rel = 1e-9
+
+    [sweep]
+    parameter = r
+    from = 100*sigma
+    to = 300*sigma
+    points = 3
+    """)
+
+
+def with_value(text, section, key, value):
+    """``text`` with ``section.key``, given in it, set to ``value``."""
+    head, header, rest = text.partition(f"[{section}]\n")
+    return head + header + re.sub(rf"^{key} = .*$", f"{key} = {value}", rest,
+                                  count=1, flags=re.M)
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key, form", [
+        ("detector_a", "gap", "{}"),
+        ("detector_b", "t_off", "{}"),
+        ("detector_b", "t_off", "{}*sigma"),
+        ("scenario", "separation", "{}"),
+        ("sweep", "to", "{}"),
+        ("numerics", "tol_rel", "{}"),
+    ])
+    def test_non_finite_number_names_its_key(self, section, key, form, value):
+        text = with_value(BOUNDARY_CONFIG, section, key, form.format(value))
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be finite$"):
+            loads_config(text)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("detector_a", "smearing", "-0.001", r"^detector_a\.smearing: must be > 0$"),
+        ("detector_b", "gap", "0", r"^\[detector_b\]: DetectorParams: gap"),
+        ("detector_b", "smearing", "-0.001", r"^\[detector_b\]: DetectorParams: smearing"),
+        ("scenario", "separation", "-1", r"^\[scenario\]: Scenario: separation"),
+        ("numerics", "tol_rel", "0", r"^\[numerics\]: QuadratureSettings: tolerances"),
+    ])
+    def test_out_of_range_value_names_its_section(self, section, key, value, message):
+        # range checks are made by the type that takes the value
+        with pytest.raises(ConfigError, match=message):
+            loads_config(with_value(BOUNDARY_CONFIG, section, key, value))
+
+    def test_empty_optional_words_mean_defaults(self):
+        cfg = loads_config(BOUNDARY_CONFIG + "spacing =\n\n[output]\nformat =\n")
+        assert cfg.sweep.spacing == "linear"
+        assert cfg.output == OutputSpec(path=None, format="csv")
 
 
 class TestSweepRunner:
@@ -394,6 +462,22 @@ class TestCli:
         path = self.write_cfg(tmp_path, "[detector_a]\ngap = 1\n")
         assert main(["compute", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "inf"])
+    def test_bad_tolerance_flag_exit_code(self, tmp_path, capsys, value):
+        path = self.write_cfg(tmp_path, FIG2_CONFIG)
+        assert main(["--tol-abs", value, "compute", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid input: QuadratureSettings: "
+                                "tolerances must be positive and finite\n")
+
+    def test_unequal_smearing_compute_exit_code(self, tmp_path, capsys):
+        text = FIG2_CONFIG.replace("smearing = 0.001\nt_on = 150", "smearing = 0.002\nt_on = 150")
+        assert main(["compute", self.write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: compute_I_AB: requires equal smearing")
+        assert err.count("\n") == 1
 
     def test_figure_writes_sidecar_metadata(self, tmp_path, capsys):
         out_path = tmp_path / "fig.csv"

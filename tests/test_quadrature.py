@@ -294,3 +294,11 @@ class TestSpecValidation:
             QuadratureSettings(tol_abs=0.0)
         with pytest.raises(ValueError):
             QuadratureSettings(tail_tol=1.5)
+
+    @pytest.mark.parametrize("field", ["tol_abs", "tol_rel"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_settings_reject_non_finite_tolerance(self, field, value):
+        # inf would accept every first partition and nan would be ignored
+        # by max(tol_abs, tol_rel*|value|): either loses error control
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSettings(**{field: value})
