@@ -63,7 +63,7 @@ _SCHEMA = {
     "detector_b": _DETECTOR,
     "scenario": {"separation": (_LENGTH, True), "position_uncertainty": (_LENGTH, False)},
     "numerics": {"tol_abs": (_NUMBER, False), "tol_rel": (_NUMBER, False),
-                 "tail_tol": (_NUMBER, False), "eval_budget": (_INTEGER, False)},
+                 "eval_budget": (_INTEGER, False)},
     "sweep": {"parameter": (_WORD, True), "from": (_LENGTH, True), "to": (_LENGTH, True),
               "points": (_INTEGER, True), "spacing": (_WORD, False)},
     "output": {"format": (_WORD, False), "path": (_WORD, False)},
@@ -105,6 +105,8 @@ class OutputSpec:
     def __post_init__(self):
         if self.format not in ("csv", "json"):
             raise ConfigError("output.format: must be 'csv' or 'json'")
+        if self.path == "":  # no file is None; an empty key loads as None
+            raise ConfigError("output.path: must not be empty")
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ def _build(parser) -> RunConfig:
         sweep = SweepSpec(parameter=v["parameter"], start=v["from"], stop=v["to"],
                           points=v["points"], spacing=v.get("spacing") or "linear")
     v = _section(parser, "output", sigma)
-    output = OutputSpec(path=v.get("path"), format=v.get("format") or "csv")
+    output = OutputSpec(path=v.get("path") or None, format=v.get("format") or "csv")
     return RunConfig(scenario=scenario, numerics=numerics, sweep=sweep, output=output)
 
 

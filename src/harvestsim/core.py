@@ -13,8 +13,8 @@ offset averages M exactly.  The spatial smear splits its erfi factor
 into a separation-independent term, e^(-x^2) times one time-domain
 integral C = int M(v; gap_A, gap_B) F(-|v|) dv shared per detector pair,
 and a remainder damped as e^(-(w*delta)^2/4), a frequency quadrature of
-the kernel Jhat over the finite range where its envelope exceeds the
-tail tolerance.
+the kernel Jhat over the finite range where its envelope exceeds 1e-18
+(``_TAIL``).
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -168,6 +168,10 @@ def _require_equal_smearing(s: Scenario, op: str) -> float:
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
+# Level at which every Gaussian tail is cut: a clock offset's spread and the
+# spatial remainder's frequency envelope.  It lies far below double
+# precision, so the cut adds nothing to any reported error.
+_TAIL = 1e-18
 
 
 def _kernel(u, shift, r: float, sigma: float):
@@ -244,7 +248,7 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
     is ``transform(u, shift)``: by default K(v; r), with peaks at v = +-r,
     and F(v) for r = 0.  With delta_t > 0, M is averaged over a clock
     offset of db's window of scale delta_t, which widens the support by
-    delta_t*sqrt(ln(1/tail_tol)) on each side.
+    delta_t*sqrt(ln(1/_TAIL)) on each side.
 
     The windows are measured from the earlier switch-on time, and v from
     the kernel peak c = +-r on the side of the support's midpoint, so that
@@ -263,7 +267,7 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
     if delta_t > 0.0:  # M's kinks and ends, smoothed over the offset's spread
         width = max(sigma, delta_t / _SQRT2)
         peaks += [(p, width) for p in kinks[1:] + [lo, hi]]
-        tail = delta_t * math.sqrt(math.log(1.0 / settings.tail_tol))
+        tail = delta_t * math.sqrt(math.log(1.0 / _TAIL))
         lo, hi = lo - tail, hi + tail
     c = r if lo + hi >= 0.0 else -r
     if transform is None:
@@ -359,7 +363,7 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) ->
     for every window timing.  The e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta
     times C, shared in ``cache`` by detector pair; R carries
     exp(-(w*sigma)^2/2 - (w*delta)^2/4), so its frequency quadrature ends
-    where that envelope falls to ``tail_tol``.  A sum whose error misses
+    where that envelope falls to ``_TAIL``.  A sum whose error misses
     the tolerance raises a ConvergenceFailure carrying it.
     """
     delta = s.position_uncertainty
@@ -378,7 +382,7 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) ->
     scale = math.sqrt(sig**2 + 0.5 * delta**2)
     spec = IntegrandSpec(
         evaluate=remainder,
-        support=(0.0, math.sqrt(2.0 * math.log(1.0 / settings.tail_tol)) / scale),
+        support=(0.0, math.sqrt(2.0 * math.log(1.0 / _TAIL)) / scale),
         max_phase_rate=s.separation + 2.0 * (max(da.window.t_off, db.window.t_off) - t0),
         singular_points=(da.gap, db.gap),
     )

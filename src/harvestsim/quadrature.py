@@ -13,6 +13,7 @@ error budget are bisected.  Everything is deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -105,26 +106,19 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and budget shared by all integrations.
-
-    ``tail_tol`` is the Gaussian tail level at which callers end a
-    support: that of a frequency envelope or of a clock offset's spread.
-    The quadrature integrates only the support it is given.
-    """
+    """Tolerances and budget shared by all integrations."""
 
     tol_abs: float = 1e-12
     tol_rel: float = 1e-9
-    tail_tol: float = 1e-18
     eval_budget: int = 10**6
 
     def __post_init__(self):
         # an infinite tolerance passes every first partition; a nan one is ignored by max()
         if not (0.0 < self.tol_abs < math.inf and 0.0 < self.tol_rel < math.inf):
             raise ValueError("QuadratureSettings: tolerances must be positive and finite")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ValueError("QuadratureSettings: tail_tol must be in (0, 1)")
-        if self.eval_budget < 15:
-            raise ValueError("QuadratureSettings: eval_budget too small")
+        # a nan budget fails every comparison, so no quadrature could succeed
+        if not (isinstance(self.eval_budget, numbers.Integral) and self.eval_budget >= 15):
+            raise ValueError("QuadratureSettings: eval_budget must be an integer >= 15")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -204,8 +198,7 @@ def integrate_radial(
     """Integrate spec.evaluate over its support to the configured tolerances.
 
     Every integral of the package goes through this one rule, and its
-    caller states the range: a Gaussian-damped integrand ends it where the
-    envelope has fallen to ``tail_tol``.
+    caller states the range.
 
     The reported ``abs_error`` satisfies
     abs_error <= max(tol_abs, tol_rel*|value|) on success, within

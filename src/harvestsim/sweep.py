@@ -115,7 +115,7 @@ def _apply_parameter(scenario: Scenario, parameter: str, value: float) -> tuple[
     if parameter == "delta":
         return replace(scenario, position_uncertainty=value), None
     if parameter == "delta_t":
-        return replace(scenario, position_uncertainty=0.0), value
+        return scenario, value
     if parameter == "gap":
         wb = scenario.det_b.window
         start = scenario.det_a.window.t_off + value

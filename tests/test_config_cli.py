@@ -48,10 +48,6 @@ FIG2_CONFIG = textwrap.dedent("""\
     """)
 
 
-def fast_numerics_block(tail="1e-14"):
-    return f"\n[numerics]\ntail_tol = {tail}\n"
-
-
 class TestLoadConfig:
     def test_minimal_reference_config(self):
         cfg = loads_config(FIG2_CONFIG)
@@ -79,6 +75,11 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="detector_a.potato"):
             loads_config(FIG2_CONFIG.replace("gap = 1.0", "gap = 1.0\npotato = 1", 1))
+
+    def test_tail_level_is_not_a_key(self):
+        # the Gaussian tail cut is fixed below double precision, not configured
+        with pytest.raises(ConfigError, match=r"^unknown key numerics\.tail_tol$"):
+            loads_config(FIG2_CONFIG + "\n[numerics]\ntail_tol = 1e-18\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="widgets"):
@@ -152,7 +153,6 @@ class TestLoadConfig:
             [numerics]
             tol_abs = 3e-11
             tol_rel = 2e-8
-            tail_tol = 1e-15
             eval_budget = 50000
 
             [output]
@@ -165,7 +165,7 @@ class TestLoadConfig:
             save_config(cfg, path)
             again = load_config(path)
             assert again == cfg
-        assert cfg.numerics == QuadratureSettings(3e-11, 2e-8, 1e-15, 50000)
+        assert cfg.numerics == QuadratureSettings(3e-11, 2e-8, 50000)
         assert cfg.output == OutputSpec("tables/delta.json", "json")
 
     def test_round_trip_without_sweep(self, tmp_path):
@@ -225,6 +225,12 @@ class TestInputBoundary:
         cfg = loads_config(BOUNDARY_CONFIG + "spacing =\n\n[output]\nformat =\n")
         assert cfg.sweep.spacing == "linear"
         assert cfg.output == OutputSpec(path=None, format="csv")
+
+    def test_empty_output_path_means_no_file(self):
+        cfg = loads_config(BOUNDARY_CONFIG + "\n[output]\npath =\n")
+        assert cfg.output == OutputSpec(path=None, format="csv")
+        with pytest.raises(ConfigError, match="output.path"):
+            OutputSpec(path="")
 
 
 class TestSweepRunner:
@@ -373,6 +379,30 @@ class TestBatchedSweep:
             "closed-form-time", "closed-form-time"]
         assert rows_to_csv(rows) == per_row_csv(cfg)
 
+    def test_delta_t_sweep_keeps_position_uncertainty(self):
+        # a clock sweep must not drop a configured spatial uncertainty; the
+        # two smears are exclusive, so every such row fails and says why
+        rows = run_sweep(sweep_cfg("delta_t", "2*sigma", "10*sigma", 3,
+                                   uncertainty="3*sigma"))
+        assert [r.status for r in rows] == [
+            "ValueError: evaluate_scenario: spatial and temporal smearing are exclusive"] * 3
+        assert all(r.report is None for r in rows)
+
+    def test_fig3_quadrature_cost(self, monkeypatch):
+        # pins the preset's total evaluations across all of its integrals
+        counts = []
+        original = core.integrate_radial
+
+        def counted(spec, settings):
+            res = original(spec, settings)
+            counts.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(core, "integrate_radial", counted)
+        rows = run_sweep(figure_config("fig3"))
+        assert len(rows) == 41 and all(r.status == "ok" for r in rows)
+        assert sum(counts) <= 43_095
+
     def test_zero_width_row_fails_alone(self):
         rows = run_sweep(sweep_cfg("delta_t", "0", "4*sigma", 3))
         assert rows[0].status == "ValueError: evaluate_scenario: time_smear must be > 0"
@@ -457,6 +487,20 @@ class TestCli:
         text = out_path.read_text()
         assert text.splitlines()[0] == ",".join(COLUMNS)
         assert len(text.splitlines()) == 4
+
+    @pytest.mark.parametrize("verb", ["compute", "sweep"])
+    def test_empty_output_path_writes_stdout(self, tmp_path, capsys, monkeypatch, verb):
+        sweep = "[sweep]\nparameter = r\nfrom = 0.1\nto = 0.3\npoints = 3\n"
+        path = self.write_cfg(tmp_path, FIG2_CONFIG + sweep + "\n[output]\npath =\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([verb, path]) == 0
+        out = capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+        if verb == "compute":
+            assert "negativity" in out
+        else:
+            assert out.splitlines()[0] == ",".join(COLUMNS)
+            assert len(out.splitlines()) == 4
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, "[detector_a]\ngap = 1\n")

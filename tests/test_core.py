@@ -344,7 +344,7 @@ class TestSmearedCorrelation:
     @pytest.mark.parametrize("delta", [0.0015, 0.15])
     def test_remainder_support_ends_at_tail_tolerance(self, monkeypatch, delta):
         # the remainder's range ends where its envelope exp(-(w*d)^2/2),
-        # d = sqrt(sigma^2 + delta^2/2), falls to tail_tol
+        # d = sqrt(sigma^2 + delta^2/2), falls to the fixed tail level
         specs = []
         original = core.integrate_radial
 
@@ -360,7 +360,7 @@ class TestSmearedCorrelation:
         d = math.sqrt(s.det_a.smearing**2 + 0.5 * delta**2)
         assert lo == 0.0
         assert math.exp(-0.5 * (hi * d) ** 2) == pytest.approx(
-            core.DEFAULT_SETTINGS.tail_tol, rel=1e-12, abs=0.0)
+            core._TAIL, rel=1e-12, abs=0.0)
 
 
 class TestTimeSmearedCorrelation:

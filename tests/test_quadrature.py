@@ -6,7 +6,6 @@ from scipy.special import dawsn, erf
 
 import oracles
 from harvestsim.quadrature import (
-    DEFAULT_SETTINGS,
     ConvergenceFailure,
     IntegrandSpec,
     QuadratureSettings,
@@ -16,8 +15,8 @@ from harvestsim.quadrature import (
 
 
 def reach(s):
-    """Frequency beyond which exp(-(w*s)^2/2) is below the default tail_tol."""
-    return math.sqrt(2.0 * math.log(1.0 / DEFAULT_SETTINGS.tail_tol)) / s
+    """Frequency beyond which exp(-(w*s)^2/2) is below 1e-18."""
+    return math.sqrt(2.0 * math.log(1.0 / 1e-18)) / s
 
 
 def gaussian_spec(s=1.0, amp=1.0):
@@ -292,8 +291,15 @@ class TestSpecValidation:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             QuadratureSettings(tol_abs=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(tail_tol=1.5)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 1000000.5])
+    def test_settings_reject_non_integer_budget(self, budget):
+        # a nan budget fails every comparison, so no quadrature could succeed
+        with pytest.raises(ValueError, match="eval_budget must be an integer >= 15"):
+            QuadratureSettings(eval_budget=budget)
+
+    def test_settings_accept_numpy_integer_budget(self):
+        assert QuadratureSettings(eval_budget=np.int64(5000)).eval_budget == 5000
 
     @pytest.mark.parametrize("field", ["tol_abs", "tol_rel"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
