@@ -8,13 +8,15 @@ window factor M(v) and the radial kernel
 K(v; r) = int_0^inf sin(w*r)/r exp(-(w*sigma)^2/2 + i*w*v) dw in closed form:
 I_nn = int M(v; -gap, gap) K(v; 0), I_AB = int M(v; -gap_A, gap_B) K(v; r)
 and J = int M(v; gap_A, gap_B) K(-|v|; r), the signs of v being J's time
-orderings; I_nn is integrated by parts, as i*int M'(v) F(v) dv.  A clock
-offset averages M exactly.  The spatial smear splits its erfi factor
-into a separation-independent term, e^(-x^2) times one time-domain
-integral C = int M(v; gap_A, gap_B) F(-|v|) dv shared per detector pair,
-and a remainder damped as e^(-(w*delta)^2/4), a frequency quadrature of
-the kernel Jhat over the finite range where its envelope exceeds 1e-18
-(``_TAIL``).
+orderings.  K(-v) = conj K(v), so J's kernel is the conjugate of K where
+v >= 0, and I_AB and J are two components of one quadrature that
+evaluates K once per node.  I_nn is integrated by parts, as
+i*int M'(v) F(v) dv.  A clock offset averages M exactly.  The spatial
+smear splits its erfi factor into a separation-independent term,
+e^(-x^2) times one time-domain integral C = int M(v; gap_A, gap_B)
+F(-|v|) dv shared per detector pair, and a remainder damped as
+e^(-(w*delta)^2/4), a frequency quadrature of the kernel Jhat over the
+finite range where its envelope exceeds 1e-18 (``_TAIL``).
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -240,13 +242,18 @@ def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
     return 0.5 * np.exp(1j * g_b * v) * (end - start) / (1j * mu)
 
 
-def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: float, r: float,
+def _time_integral(da: DetectorParams, db: DetectorParams, r: float,
                    settings: QuadratureSettings, delta_t: float = 0.0,
-                   time_ordered: bool = False, transform: Callable | None = None) -> QuadResult:
-    """pref times the integral of M(v; g_a, g_b) * K(v), or K(-|v|) when
-    ``time_ordered``, over the support of M.  The kernel at v = u + shift
-    is ``transform(u, shift)``: by default K(v; r), with peaks at v = +-r,
-    and F(v) for r = 0.  With delta_t > 0, M is averaged over a clock
+                   transform: Callable | None = None, exchange: bool = False) -> list[QuadResult]:
+    """pref times the integral of M(v; gap_A, gap_B) * K(-|v|), J's time
+    ordering, over the support of M; with ``exchange``, preceded by that of
+    the unsmeared M(v; -gap_A, gap_B) * K(v), I_AB's, from the same
+    quadrature.  One result per integral.  The kernel at v = u + shift is
+    ``transform(u, shift)``: by default K(v; r), with peaks at v = +-r,
+    and F(v) for r = 0.  Both transform real spectra, so K(-v) = conj K(v):
+    the time-ordered kernel is the conjugate where v >= 0, and one kernel
+    evaluation per node serves both integrals, which share support,
+    anchors and phase rate.  With delta_t > 0, M is averaged over a clock
     offset of db's window of scale delta_t, which widens the support by
     delta_t*sqrt(ln(1/_TAIL)) on each side.
 
@@ -257,7 +264,7 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
     A clock offset smooths M's kinks and ends over its standard deviation
     delta_t/sqrt(2); they are then peaks of that width, or of sigma if larger.
     """
-    sigma = da.smearing
+    sigma, g_a, g_b = da.smearing, da.gap, db.gap
     t0 = _origin(da, db)
     a = (da.window.t_on - t0, da.window.t_off - t0)
     b = (db.window.t_on - t0, db.window.t_off - t0)
@@ -275,20 +282,27 @@ def _time_integral(da: DetectorParams, db: DetectorParams, g_a: float, g_b: floa
 
     def evaluate(u):
         v = u + c
+        kernel = transform(u, c)
         m = (_clock_window(v, a, b, g_a, g_b, delta_t) if delta_t > 0.0
              else _window(v, a, b, g_a, g_b))
-        sign = np.where(v >= 0.0, -1.0, 1.0) if time_ordered else 1.0
-        return m * transform(sign * u, sign * c)
+        ordered = m * np.where(v >= 0.0, kernel.conj(), kernel)
+        if not exchange:
+            return ordered
+        return np.stack([_window(v, a, b, -g_a, g_b) * kernel, ordered], axis=1)
 
     spec = IntegrandSpec(
         evaluate=evaluate,
-        max_phase_rate=abs(g_a) + abs(g_b),
+        max_phase_rate=g_a + g_b,
         singular_points=tuple(k - c for k in kinks),
         support=(lo - c, hi - c),
         peaks=tuple((p - c, w) for p, w in peaks),
     )
     res = integrate_radial(spec, settings)
-    return _scaled(res, da.coupling * db.coupling / (4.0 * math.pi**2), g_a + g_b, t0)
+    pref = da.coupling * db.coupling / (4.0 * math.pi**2)
+    rates = (g_b - g_a, g_a + g_b) if exchange else (g_a + g_b,)
+    values, errors = np.atleast_1d(res.value, res.abs_error)
+    return [_scaled(QuadResult(complex(v), float(e), res.evaluations), pref, rate, t0)
+            for v, e, rate in zip(values, errors, rates)]
 
 
 def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResult:
@@ -308,7 +322,7 @@ def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResul
 
     spec = IntegrandSpec(
         evaluate=evaluate,
-        max_phase_rate=2.0 * abs(g),  # |g_a| + |g_b|, as in ``_time_integral``
+        max_phase_rate=2.0 * g,  # gap_A + gap_B, as in ``_time_integral``
         support=(0.0, width),
         peaks=((0.0, sigma),),
     )
@@ -322,23 +336,28 @@ def compute_I_nn(det: DetectorParams, settings: QuadratureSettings = DEFAULT_SET
     return _i_nn_result(det, settings).value.real
 
 
-def _i_ab_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
-    _require_equal_smearing(s, "compute_I_AB")
-    return _time_integral(s.det_a, s.det_b, -s.det_a.gap, s.det_b.gap, s.separation, settings)
+def _pair_results(s: Scenario, r: float, settings: QuadratureSettings,
+                  op: str = "compute_I_AB") -> list[QuadResult]:
+    """[I_AB, J] at separation r (any real; both even in r), from one
+    quadrature; each carries its evaluations."""
+    _require_equal_smearing(s, op)
+    return _time_integral(s.det_a, s.det_b, r, settings, exchange=True)
 
 
 def compute_I_AB(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
     """Exchange term between the detectors (enters the |ge><eg| coherence)."""
-    return _i_ab_result(s, settings).value
+    return _pair_results(s, s.separation, settings)[0].value
 
 
 def _j_result_at_separation(s: Scenario, r: float, settings: QuadratureSettings,
                             delta_t: float = 0.0) -> QuadResult:
     """Correlation term at separation r (any real; even in r), averaged over a
-    Gaussian clock offset of B's window of scale delta_t when delta_t > 0."""
+    Gaussian clock offset of B's window of scale delta_t when delta_t > 0;
+    without it, the second component of ``_pair_results``."""
+    if not delta_t > 0.0:
+        return _pair_results(s, r, settings, "compute_J")[1]
     _require_equal_smearing(s, "compute_J")
-    return _time_integral(s.det_a, s.det_b, s.det_a.gap, s.det_b.gap, r, settings, delta_t,
-                          time_ordered=True)
+    return _time_integral(s.det_a, s.det_b, r, settings, delta_t)[0]
 
 
 def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
@@ -351,8 +370,8 @@ def _c_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
     pref * int_0^inf exp(-(w*sigma)^2/2) Jhat(w) dw: the part of the spatial
     smear that depends on neither separation nor uncertainty."""
     sigma = _require_equal_smearing(s, "compute_J_smeared")
-    return _time_integral(s.det_a, s.det_b, s.det_a.gap, s.det_b.gap, 0.0, settings,
-                          time_ordered=True, transform=partial(_fourier, sigma=sigma))
+    return _time_integral(s.det_a, s.det_b, 0.0, settings,
+                          transform=partial(_fourier, sigma=sigma))[0]
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) -> QuadResult:
@@ -535,12 +554,15 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
     share, keyed by what each depends on."""
     if time_smear is not None and s.position_uncertainty > 0.0:
         raise ValueError("evaluate_scenario: spatial and temporal smearing are exclusive")
-    pair = (s.det_a, s.det_b, s.separation)
-    res_aa = _shared(cache, ("i_nn", s.det_a), lambda: _i_nn_result(s.det_a, settings))
-    res_bb = _shared(cache, ("i_nn", s.det_b), lambda: _i_nn_result(s.det_b, settings))
-    res_ab = _shared(cache, ("i_ab", *pair), lambda: _i_ab_result(s, settings))
-    res_j = _shared(cache, ("j", *pair),
-                    lambda: _j_result_at_separation(s, s.separation, settings))
+
+    def i_nn(det: DetectorParams) -> QuadResult:
+        # keyed by exactly what ``_i_nn_result`` reads, not by where the window sits
+        key = ("i_nn", det.coupling, det.gap, det.smearing, det.window.duration)
+        return _shared(cache, key, lambda: _i_nn_result(det, settings))
+
+    res_aa, res_bb = i_nn(s.det_a), i_nn(s.det_b)
+    res_ab, res_j = _shared(cache, ("pair", s.det_a, s.det_b, s.separation),
+                            lambda: _pair_results(s, s.separation, settings))
     errors = {"i_aa": res_aa.abs_error, "i_bb": res_bb.abs_error,
               "i_ab": res_ab.abs_error, "j": res_j.abs_error}
 
@@ -597,9 +619,10 @@ def evaluate_scenarios(
     what the rows share once.
 
     One cache holds every integral rows share, keyed by what it depends
-    on: the local term by detector, the exchange and unsmeared correlation
-    terms by (detector A, detector B, separation), and the spatial smear's
-    C by detector pair alone, so an r sweep computes it once.  Only the
+    on: the local term by coupling, gap, smearing and window duration, the
+    exchange and unsmeared correlation terms, one quadrature, by
+    (detector A, detector B, separation), and the spatial smear's C by
+    detector pair alone, so an r sweep computes it once.  Only the
     rest of each row's smeared correlation term is its own.  Returns, in
     row order, the report or the ``ROW_ERRORS`` exception that row raised;
     a failed shared integral fails every row that needs it.  Nothing is
@@ -622,8 +645,9 @@ def evaluate_scenario(
 ) -> HarvestReport:
     """Compute every report quantity for one scenario.
 
-    The local, exchange and unsmeared correlation terms are each one
-    time-domain quadrature.  With nonzero position uncertainty the
+    The local term is one time-domain quadrature, computed once for two
+    equal detectors, and the exchange and unsmeared correlation terms
+    share another.  With nonzero position uncertainty the
     correlation term is smeared by the erfi closed form: one time-domain
     quadrature, C, where the separation is within a few uncertainties,
     and a frequency quadrature damped on the scale 1/delta;

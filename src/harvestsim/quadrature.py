@@ -8,7 +8,10 @@ and span up to two periods of the fastest oscillation; the adaptive loop
 refines them where the integrand demands it.  Each panel is integrated
 by a 15-point Gauss-Kronrod rule with the embedded 7-point Gauss rule as
 the error estimate; panels failing a width-proportional share of the
-error budget are bisected.  Everything is deterministic.
+error budget are bisected.  An integrand may have k components, several
+integrals over one partition that share each evaluation: each component
+keeps its own error budget, and a panel is bisected when any of them
+misses its share.  Everything is deterministic.
 """
 from __future__ import annotations
 
@@ -66,7 +69,8 @@ _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])        # Gauss wei
 class IntegrandSpec:
     """One integrand: a vectorized evaluator plus where its features are.
 
-    ``evaluate`` maps an ndarray of abscissae to complex values and must
+    ``evaluate`` maps an ndarray of n abscissae to n complex values, or
+    to an (n, k) array for k integrals over the same support, and must
     be free of singularities (removable ones filled by the caller);
     ``support`` is the finite interval (lo, hi) integrated over;
     ``max_phase_rate`` bounds |d(phase)/dw| of any oscillatory factor;
@@ -93,12 +97,17 @@ class IntegrandSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: complex
-    abs_error: float
+    """Value and error estimate of one integral, or length-k arrays of both
+    for a k-component integrand; ``evaluations`` counts each node once."""
+
+    value: complex | np.ndarray
+    abs_error: float | np.ndarray
     evaluations: int
 
     def __post_init__(self):
-        if not math.isfinite(self.abs_error) or self.abs_error < 0.0:
+        e = self.abs_error
+        low, high = (e.min(), e.max()) if isinstance(e, np.ndarray) else (e, e)
+        if not (low >= 0.0 and high < math.inf):
             raise ValueError("QuadResult: abs_error must be finite and >= 0")
         if self.evaluations <= 0:
             raise ValueError("QuadResult: evaluations must be > 0")
@@ -179,16 +188,19 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
 
 
 def _gk15(evaluate, a: np.ndarray, b: np.ndarray):
-    """Vectorized GK15 on a batch of panels; returns (kronrod, |K-G| error)."""
+    """Vectorized GK15 on a batch of panels; returns (kronrod, |K-G| error),
+    each of shape (k, panels), and whether the integrand has one component."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = c[:, None] + h[:, None] * _NODES[None, :]
-    v = np.asarray(evaluate(x.ravel()), dtype=complex).reshape(x.shape)
+    v = np.asarray(evaluate(x.ravel()), dtype=complex)
+    # component by component, so each is summed as it would be on its own
+    rows = v.T.reshape(-1, _NODES.size)
     # einsum, not ``v @ w``: the BLAS product wakes a thread pool that burns
     # a second core without any gain in wall time
-    ik = h * np.einsum("ij,j->i", v, _WK)
-    ig = h * np.einsum("ij,j->i", v, _WG)
-    return ik, np.abs(ik - ig)
+    ik = h * np.einsum("ij,j->i", rows, _WK).reshape(-1, a.size)
+    ig = h * np.einsum("ij,j->i", rows, _WG).reshape(-1, a.size)
+    return ik, np.abs(ik - ig), v.ndim == 1
 
 
 def integrate_radial(
@@ -201,23 +213,29 @@ def integrate_radial(
     caller states the range.
 
     The reported ``abs_error`` satisfies
-    abs_error <= max(tol_abs, tol_rel*|value|) on success, within
-    ``eval_budget`` evaluations; otherwise a ConvergenceFailure carrying
-    the best available result is raised, also when the initial partition
-    alone holds more than ``eval_budget`` evaluations.
+    abs_error <= max(tol_abs, tol_rel*|value|) on success, for every
+    component of a k-component integrand, within ``eval_budget``
+    evaluations; otherwise a ConvergenceFailure carrying the best
+    available result is raised, also when the initial partition alone
+    holds more than ``eval_budget`` evaluations.  A one-component
+    integrand gives a complex value and a float error, a k-component one
+    length-k arrays of both.
     """
     lo, hi = spec.support
     edges = _initial_panels(spec)
     a, b = edges[:-1], edges[1:]
-    vals, errs = _gk15(spec.evaluate, a, b)
+    vals, errs, scalar = _gk15(spec.evaluate, a, b)
     evals = 15 * a.size
     min_width = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     while True:
-        best = QuadResult(complex(vals.sum()), float(errs.sum()), evals)
-        target = max(settings.tol_abs, settings.tol_rel * abs(best.value))
-        if best.abs_error <= target and evals <= settings.eval_budget:
+        value, error = vals.sum(axis=1), errs.sum(axis=1)
+        best = (QuadResult(complex(value[0]), float(error[0]), evals) if scalar
+                else QuadResult(value, error, evals))
+        target = np.maximum(settings.tol_abs, settings.tol_rel * np.abs(value))
+        if (error <= target).all() and evals <= settings.eval_budget:
             return best
-        refine = (errs > target * (b - a) / (hi - lo)) & ((b - a) > min_width)
+        refine = ((errs > target[:, None] * (b - a) / (hi - lo)).any(axis=0)
+                  & ((b - a) > min_width))
         n_new = 2 * int(refine.sum())
         if evals + 15 * n_new > settings.eval_budget:
             raise ConvergenceFailure(
@@ -229,9 +247,9 @@ def integrate_radial(
         mid = 0.5 * (ra + rb)
         na = np.concatenate([a[~refine], ra, mid])
         nb = np.concatenate([b[~refine], mid, rb])
-        new_vals, new_errs = _gk15(spec.evaluate, np.concatenate([ra, mid]),
-                                   np.concatenate([mid, rb]))
-        vals = np.concatenate([vals[~refine], new_vals])
-        errs = np.concatenate([errs[~refine], new_errs])
+        new_vals, new_errs, _ = _gk15(spec.evaluate, np.concatenate([ra, mid]),
+                                      np.concatenate([mid, rb]))
+        vals = np.concatenate([vals[:, ~refine], new_vals], axis=1)
+        errs = np.concatenate([errs[:, ~refine], new_errs], axis=1)
         a, b = na, nb
         evals += 15 * n_new

@@ -1,7 +1,8 @@
 """Numerically stable elementary and special functions used by every integrand.
 
-All functions are pure, accept scalars or numpy arrays, and reject
-non-finite input eagerly.  Conventions:
+All public functions are pure, accept scalars or numpy arrays, and
+reject non-finite input eagerly, in one pass over each argument.  They
+compose through private kernels that do not check again.  Conventions:
 
 * ``sinc`` is unnormalized, sinc(x) = sin(x)/x, because the Fourier
   transform of a unit rectangle is sinc(omega/2) in that convention.
@@ -9,6 +10,8 @@ non-finite input eagerly.  Conventions:
   the building block of every rectangular-window time integral.
 """
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 from scipy.special import wofz
@@ -19,9 +22,16 @@ __all__ = ["sinc", "ediff", "faddeeva_w", "damped_erf", "damped_im_erfi"]
 _SINC_TAYLOR_CUT = 1e-2
 
 
+def _holds(test) -> bool:
+    """A comparison's truth for a scalar, or for every element of an array."""
+    return bool(test.all()) if isinstance(test, np.ndarray) else bool(test)
+
+
 def _check_finite(name, *values):
+    # cmath checks a Python number about 100 times faster than numpy does
     for v in values:
-        if not np.all(np.isfinite(v)):
+        if not (cmath.isfinite(v) if isinstance(v, (int, float, complex))
+                else np.isfinite(v).all()):
             raise ValueError(f"{name}: non-finite input")
 
 
@@ -30,15 +40,18 @@ def sinc(x):
 
     Accepts scalars or arrays; total on finite input.
     """
-    x = np.asarray(x, dtype=float)
     _check_finite("sinc", x)
+    out = _sinc(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
     small = np.abs(x) < _SINC_TAYLOR_CUT
     x2 = x * x
     taylor = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
     # avoid 0/0 in the masked-out branch
     safe = np.where(small, 1.0, x)
-    out = np.where(small, taylor, np.sin(safe) / safe)
-    return float(out) if out.ndim == 0 else out
+    return np.where(small, taylor, np.sin(safe) / safe)
 
 
 def ediff(a, b, mu):
@@ -48,11 +61,11 @@ def ediff(a, b, mu):
     entire in mu.  Requires a <= b; ``mu`` may be an array.
     """
     _check_finite("ediff", a, b, mu)
-    if not np.all(a <= b):
+    if not _holds(a <= b):
         raise ValueError("ediff: requires a <= b")
     mu = np.asarray(mu, dtype=float)
     half = 0.5 * (b - a)
-    out = 1j * (b - a) * np.exp(1j * mu * 0.5 * (a + b)) * sinc(mu * half)
+    out = 1j * (b - a) * np.exp(1j * mu * 0.5 * (a + b)) * _sinc(mu * half)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -63,14 +76,18 @@ def faddeeva_w(z):
     (the mathematical bound can be overshot by a rounding ulp).
     Raises on Im z < 0.
     """
+    _check_finite("faddeeva_w", z)
     z = np.asarray(z, dtype=complex)
-    _check_finite("faddeeva_w", z.real, z.imag)
-    if np.any(z.imag < 0.0):
+    if not _holds(z.imag >= 0.0):
         raise ValueError("faddeeva_w: requires Im z >= 0")
+    w = _faddeeva_w(z)
+    return complex(w) if w.ndim == 0 else w
+
+
+def _faddeeva_w(z: np.ndarray) -> np.ndarray:
     w = wofz(z)
     mag = np.abs(w)
-    w = np.where(mag > 1.0, w / np.where(mag > 1.0, mag, 1.0), w)
-    return complex(w) if w.ndim == 0 else w
+    return np.where(mag > 1.0, w / np.where(mag > 1.0, mag, 1.0), w)
 
 
 def damped_erf(x, y):
@@ -78,15 +95,17 @@ def damped_erf(x, y):
 
     With s the sign of x (+1 at 0),
         exp(-y^2)*erf(x - iy) = s*(exp(-y^2) - exp(-x^2) * exp(2ixy) * w(s*y + i|x|)),
-    every factor of which is bounded.  Non-finite x or y make w's argument
-    non-finite, which ``faddeeva_w`` rejects.
+    every factor of which is bounded.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = np.where(x >= 0.0, 1.0, -1.0)
-    w = faddeeva_w(s * y + 1j * np.abs(x))
-    out = s * (np.exp(-y * y) - np.exp(-x * x) * (w * np.exp(2j * x * y)))
+    _check_finite("damped_erf", x, y)
+    out = _damped_erf(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return complex(out) if out.ndim == 0 else out
+
+
+def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    s = np.where(x >= 0.0, 1.0, -1.0)
+    w = _faddeeva_w(s * y + 1j * np.abs(x))
+    return s * (np.exp(-y * y) - np.exp(-x * x) * (w * np.exp(2j * x * y)))
 
 
 def damped_im_erfi(x, y):
@@ -96,10 +115,10 @@ def damped_im_erfi(x, y):
 
         exp(-x^2) - exp(-y^2) * Re[w(x+iy) * exp(2ixy)].
     """
+    _check_finite("damped_im_erfi", x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_finite("damped_im_erfi", x, y)
-    if np.any(x < 0.0) or np.any(y < 0.0):
+    if not (_holds(x >= 0.0) and _holds(y >= 0.0)):
         raise ValueError("damped_im_erfi: requires x >= 0 and y >= 0")
-    out = np.real(damped_erf(y, x))
-    return float(out) if np.ndim(out) == 0 else out
+    out = np.real(_damped_erf(y, x))
+    return float(out) if out.ndim == 0 else out

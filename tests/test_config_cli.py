@@ -388,8 +388,8 @@ class TestBatchedSweep:
             "ValueError: evaluate_scenario: spatial and temporal smearing are exclusive"] * 3
         assert all(r.report is None for r in rows)
 
-    def test_fig3_quadrature_cost(self, monkeypatch):
-        # pins the preset's total evaluations across all of its integrals
+    @staticmethod
+    def record_evaluations(monkeypatch):
         counts = []
         original = core.integrate_radial
 
@@ -399,9 +399,42 @@ class TestBatchedSweep:
             return res
 
         monkeypatch.setattr(core, "integrate_radial", counted)
+        return counts
+
+    def test_fig3_quadrature_cost(self, monkeypatch):
+        # pins the preset's total evaluations across all of its integrals:
+        # one I_nn, one I_AB/J pass, C, and a remainder per row
+        counts = self.record_evaluations(monkeypatch)
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
-        assert sum(counts) <= 43_095
+        assert len(counts) == 44
+        assert sum(counts) <= 42_435
+
+    def test_fig2a_quadrature_cost(self, monkeypatch):
+        # one I_nn, then one I_AB/J pass per row
+        counts = self.record_evaluations(monkeypatch)
+        rows = run_sweep(figure_config("fig2a"))
+        assert len(rows) == 200 and all(r.status == "ok" for r in rows)
+        assert len(counts) == 201
+        assert sum(counts) <= 59_370
+
+    def test_local_term_computed_once_per_duration(self, monkeypatch):
+        # I_nn reads the coupling, gap, smearing and window duration, not where
+        # the window sits.  Moving B's window rounds its duration to one of a
+        # few neighbouring floats; each is computed once, not once per row
+        calls = []
+        original = core._i_nn_result
+
+        def recorded(det, settings):
+            calls.append(det.window.duration)
+            return original(det, settings)
+
+        monkeypatch.setattr(core, "_i_nn_result", recorded)
+        cfg = sweep_cfg("gap", "10*sigma", "100*sigma", 20)
+        rows = run_sweep(cfg)
+        assert len(rows) == 20 and all(r.status == "ok" for r in rows)
+        assert len(calls) == len(set(calls)) == 5
+        assert rows_to_csv(rows) == per_row_csv(cfg)
 
     def test_zero_width_row_fails_alone(self):
         rows = run_sweep(sweep_cfg("delta_t", "0", "4*sigma", 3))

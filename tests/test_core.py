@@ -461,10 +461,43 @@ class TestQuadratureCost:
         s = fig_scenario()
         settings = core.DEFAULT_SETTINGS
         assert core._i_nn_result(s.det_a, settings).evaluations <= 300
-        assert core._i_ab_result(s, settings).evaluations <= 700
+        assert core._pair_results(s, s.separation, settings)[0].evaluations <= 700
         assert core._j_result_at_separation(s, s.separation, settings).evaluations <= 700
         for dt in (0.005, 0.02, 0.04):
             assert core._j_result_at_separation(s, s.separation, settings, dt).evaluations <= 1100
+
+    @staticmethod
+    def count_quadratures(monkeypatch):
+        calls = []
+        original = core.integrate_radial
+
+        def counted(spec, settings):
+            calls.append(spec)
+            return original(spec, settings)
+
+        monkeypatch.setattr(core, "integrate_radial", counted)
+        return calls
+
+    @pytest.mark.parametrize("delta, time_smear, quadratures", [
+        (0.0, None, 2),     # one I_nn for the two equal detectors, one I_AB/J pass
+        (0.0, 0.005, 3),    # and the clock-smeared J
+        (0.15, None, 4),    # and the spatial smear's C and remainder, at delta = r0
+    ])
+    def test_quadratures_per_point(self, monkeypatch, delta, time_smear, quadratures):
+        calls = self.count_quadratures(monkeypatch)
+        evaluate_scenario(fig_scenario(delta=delta), time_smear=time_smear)
+        assert len(calls) == quadratures
+
+    def test_unequal_durations_compute_both_local_terms(self, monkeypatch):
+        calls = self.count_quadratures(monkeypatch)
+        evaluate_scenario(scenario(wa=(0.0, 0.1), wb=(0.15, 0.24), r0=0.15, sigma=0.001,
+                                   coupling=0.01))
+        assert len(calls) == 3
+
+    def test_pair_pass_costs_what_each_integral_did(self):
+        # I_AB and J, each 450 evaluations as separate quadratures, share them
+        i_ab, j = core._pair_results(fig_scenario(), 0.15, core.DEFAULT_SETTINGS)
+        assert i_ab.evaluations == j.evaluations == 450
 
     def test_single_core(self):
         # the panel sums must not wake a BLAS thread pool: process CPU time

@@ -308,3 +308,71 @@ class TestSpecValidation:
         # by max(tol_abs, tol_rel*|value|): either loses error control
         with pytest.raises(ValueError, match="finite"):
             QuadratureSettings(**{field: value})
+
+
+class TestComponents:
+    """An integrand of k components: k integrals over one partition, each to
+    its own tolerance, sharing every evaluation."""
+
+    S, R, P, W = 0.3, 4.0, 5.0, 0.01   # smooth oscillation; narrow peak at P of width W
+    SETTINGS = QuadratureSettings(tol_abs=1e-30, tol_rel=1e-10)
+
+    def peak(self, x):
+        return np.exp(-0.5 * ((x - self.P) / self.W) ** 2) + 0j
+
+    def smooth(self, x):
+        # 1e-5 of the peak's integral: a shared target would leave it at 1e-5 relative
+        return 1e-6 * np.exp(-0.5 * (x * self.S) ** 2) * np.sin(x * self.R) + 0j
+
+    def spec(self, f):
+        return IntegrandSpec(evaluate=f, support=(0.0, reach(self.S)), max_phase_rate=self.R,
+                             peaks=((self.P, self.W),))
+
+    def test_each_component_meets_its_own_tolerance(self):
+        both = integrate_radial(self.spec(lambda x: np.stack([self.peak(x), self.smooth(x)], 1)),
+                                self.SETTINGS)
+        hi = reach(self.S)
+        exact = [self.W * math.sqrt(math.pi / 2.0)
+                 * (erf((hi - self.P) / (math.sqrt(2.0) * self.W))
+                    - erf(-self.P / (math.sqrt(2.0) * self.W))),
+                 1e-6 * gauss_sin_exact(self.S, self.R)]
+        assert both.value.shape == both.abs_error.shape == (2,)
+        for value, error, ref in zip(both.value, both.abs_error, exact):
+            assert error <= self.SETTINGS.tol_rel * abs(value)
+            assert abs(value - ref) <= error + 1e-15 * abs(ref)
+        # the components need different refinement; one pass does both, each node once
+        alone = [integrate_radial(self.spec(f), self.SETTINGS).evaluations
+                 for f in (self.peak, self.smooth)]
+        assert alone[0] != alone[1]
+        assert max(alone) <= both.evaluations < sum(alone)
+
+    def test_copies_match_one_component_bit_for_bit(self):
+        # each component is summed as it would be on its own
+        one = integrate_radial(gauss_sin_spec(0.3, 4.0))
+        f = gauss_sin_spec(0.3, 4.0).evaluate
+        three = integrate_radial(IntegrandSpec(evaluate=lambda x: np.stack([f(x)] * 3, axis=1),
+                                               support=(0.0, reach(0.3)), max_phase_rate=4.0))
+        assert three.evaluations == one.evaluations
+        assert three.value.tolist() == [one.value] * 3
+        assert three.abs_error.tolist() == [one.abs_error] * 3
+
+    @pytest.mark.parametrize("spec, value, error, evaluations", [
+        # refined from 150 evaluations
+        (gauss_sin_spec(0.3, 4.0), 0.2514306755871315 + 0j, 3.0635290917898007e-11, 570),
+        (TestFiniteSupport.spike_spec(1.3, 1e-4, -3.0, 5.0, (1.3,)),
+         -0.8175536037758088 + 0j, 1.820623553717808e-12, 525),
+    ])
+    def test_one_component_result_is_pinned(self, spec, value, error, evaluations):
+        # frozen from the single-component loop: the same arithmetic and types
+        res = integrate_radial(spec)
+        assert type(res.value) is complex and type(res.abs_error) is float
+        assert (res.value, res.abs_error, res.evaluations) == (value, error, evaluations)
+
+    def test_failure_carries_every_component(self):
+        spec = self.spec(lambda x: np.stack([self.peak(x), self.smooth(x)], axis=1))
+        with pytest.raises(ConvergenceFailure, match="budget 500 exhausted") as exc:
+            integrate_radial(spec, QuadratureSettings(tol_abs=1e-30, tol_rel=1e-10,
+                                                      eval_budget=500))
+        best = exc.value.best
+        assert best.evaluations == 15 * (_initial_panels(spec).size - 1)
+        assert best.value.shape == best.abs_error.shape == (2,)

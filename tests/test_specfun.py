@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harvestsim import specfun
 from harvestsim.specfun import damped_im_erfi, ediff, faddeeva_w, sinc
 
 # frozen high-precision reference values (mpmath, 60 digits)
@@ -163,3 +164,35 @@ class TestDampedImErfi:
             damped_im_erfi(-0.1, 1.0)
         with pytest.raises(ValueError):
             damped_im_erfi(1.0, -0.1)
+
+
+# each public function with finite arguments it accepts
+FINITE_ARGS = {
+    "sinc": (1.0,),
+    "ediff": (0.0, 1.0, 2.0),
+    "faddeeva_w": (1.0 + 1.0j,),
+    "damped_erf": (1.0, 2.0),
+    "damped_im_erfi": (1.0, 2.0),
+}
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("name, position, bad", [
+    (name, i, bad) for name, args in FINITE_ARGS.items() for i in range(len(args))
+    for bad in NON_FINITE])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_public_functions_reject_non_finite(name, position, bad, as_array):
+    # the error names the function called, not one it calls on the way down
+    args = list(FINITE_ARGS[name])
+    args[position] = bad
+    if as_array:
+        args[position] = np.array([args[position], FINITE_ARGS[name][position]])
+    with pytest.raises(ValueError, match=f"^{name}: non-finite input$"):
+        getattr(specfun, name)(*args)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(1.0, math.inf),
+                                 complex(-math.inf, 0.0)])
+def test_faddeeva_w_rejects_non_finite_parts(bad):
+    with pytest.raises(ValueError, match="^faddeeva_w: non-finite input$"):
+        faddeeva_w(bad)
