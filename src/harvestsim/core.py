@@ -12,11 +12,13 @@ orderings.  K(-v) = conj K(v), so J's kernel is the conjugate of K where
 v >= 0, and I_AB and J are two components of one quadrature that
 evaluates K once per node.  I_nn is integrated by parts, as
 i*int M'(v) F(v) dv.  A clock offset averages M exactly.  The spatial
-smear splits its erfi factor into a separation-independent term,
-e^(-x^2) times one time-domain integral C = int M(v; gap_A, gap_B)
-F(-|v|) dv shared per detector pair, and a remainder damped as
-e^(-(w*delta)^2/4), a frequency quadrature of the kernel Jhat over the
-finite range where its envelope exceeds 1e-18 (``_TAIL``).
+smear, x = r0/delta, is from x = 10 on one time-domain quadrature of M
+against the smeared kernel summed in powers of delta/r0.  Below, it
+splits its erfi factor into a separation-independent term, e^(-x^2)
+times one time-domain integral C = int M(v; gap_A, gap_B) F(-|v|) dv
+shared per detector pair, and a remainder damped as e^(-(w*delta)^2/4),
+a frequency quadrature of the kernel Jhat over the finite range where
+its envelope exceeds 1e-18 (``_TAIL``).
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, gamma, gammaincc
 
 from .detectors import (
     CausalClass,
@@ -52,7 +54,7 @@ from .quadrature import (
     QuadResult,
     integrate_radial,
 )
-from .specfun import damped_erf, damped_im_erfi, ediff, faddeeva_w
+from .specfun import _check_finite, _damped_erf, _ediff, damped_erf, faddeeva_w
 
 __all__ = [
     "SecondOrderIntegrals",
@@ -138,7 +140,13 @@ def jtilde(emitter: DetectorParams, absorber: DetectorParams, omega, t0: float =
     windows are measured from t0; the absolute kernel is
     exp(i*(absorber.gap + emitter.gap)*t0) times this one.
     """
-    omega = np.asarray(omega, dtype=float)
+    _check_finite("jtilde", omega, t0)
+    out = _jtilde(emitter, absorber, np.asarray(omega, dtype=float), t0)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _jtilde(emitter: DetectorParams, absorber: DetectorParams, omega: np.ndarray,
+            t0: float) -> np.ndarray:
     n_on, n_off = absorber.window.t_on - t0, absorber.window.t_off - t0
     m_on, m_off = emitter.window.t_on - t0, emitter.window.t_off - t0
     a_minus = omega - absorber.gap
@@ -148,18 +156,18 @@ def jtilde(emitter: DetectorParams, absorber: DetectorParams, omega, t0: float =
 
     u0, u1 = max(n_on, m_on), min(n_off, m_off)
     if u1 > u0:
-        const = ediff(u0, u1, gap_sum)  # frequency-independent block
-        out -= (const - np.exp(1j * a_plus * m_on) * ediff(u0, u1, -a_minus)) / a_plus
+        const = _ediff(u0, u1, np.float64(gap_sum))  # frequency-independent block
+        out -= (const - np.exp(1j * a_plus * m_on) * _ediff(u0, u1, -a_minus)) / a_plus
     v0, v1 = max(n_on, m_off), n_off
     if v1 > v0:
-        out -= ediff(v0, v1, -a_minus) * ediff(m_on, m_off, a_plus)
-    return complex(out) if out.ndim == 0 else out
+        out -= _ediff(v0, v1, -a_minus) * _ediff(m_on, m_off, a_plus)
+    return out
 
 
-def _jhat(s: Scenario, omega, t0: float):
+def _jhat(s: Scenario, omega: np.ndarray, t0: float) -> np.ndarray:
     """Sum of both emitter/absorber orderings of the correlation kernel,
     windows measured from t0."""
-    return jtilde(s.det_a, s.det_b, omega, t0) + jtilde(s.det_b, s.det_a, omega, t0)
+    return _jtilde(s.det_a, s.det_b, omega, t0) + _jtilde(s.det_b, s.det_a, omega, t0)
 
 
 def _require_equal_smearing(s: Scenario, op: str) -> float:
@@ -174,6 +182,23 @@ _SQRT2 = math.sqrt(2.0)
 # spatial remainder's frequency envelope.  It lies far below double
 # precision, so the cut adds nothing to any reported error.
 _TAIL = 1e-18
+# From x = r0/delta = _SERIES_X0 on, the spatial smear is one time-domain
+# quadrature of a kernel summed in powers of delta/r0 (``_SeriesKernel``)
+# instead of C and a frequency remainder, whose first partition holds about
+# 67*x evaluations.  Term n of the series falls about as x^-n.
+_SERIES_X0 = 10.0
+# The bound on the terms left out is kept below this fraction of tol_abs, so
+# it never decides whether a row meets its tolerance.  A row that would
+# need more than _SERIES_MAX_TERMS terms takes the frequency route instead;
+# up to that many, the kernel's rounding stays within about 10 eps at x >= 10.
+_SERIES_FLOOR = 1e-2
+_SERIES_MAX_TERMS = 40
+# Least |t| from which the series kernel takes its moments' expansion in
+# 1/t, which leaves out e^(-t^2/2) <= e^(-112) of them; the expansion's
+# terms beyond the series' own, and their relative size where it stops.
+_ASYMPTOTIC_T = 15.0
+_ASYMPTOTIC_EXTRA = 40
+_ASYMPTOTIC_CUT = 1e-17
 
 
 def _kernel(u, shift, r: float, sigma: float):
@@ -219,7 +244,7 @@ def _window(v, a, b, g_a: float, g_b: float):
     b_on - a_off < v < b_off - a_on."""
     lo = np.maximum(a[0], b[0] - v)
     hi = np.maximum(np.minimum(a[1], b[1] - v), lo)
-    return -1j * np.exp(1j * g_b * v) * ediff(lo, hi, g_a + g_b)
+    return -1j * np.exp(1j * g_b * v) * _ediff(lo, hi, np.float64(g_a + g_b))
 
 
 def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
@@ -250,7 +275,7 @@ def _time_integral(da: DetectorParams, db: DetectorParams, r: float,
     the unsmeared M(v; -gap_A, gap_B) * K(v), I_AB's, from the same
     quadrature.  One result per integral.  The kernel at v = u + shift is
     ``transform(u, shift)``: by default K(v; r), with peaks at v = +-r,
-    and F(v) for r = 0.  Both transform real spectra, so K(-v) = conj K(v):
+    and F(v) for r = 0.  Each transforms a real spectrum, so K(-v) = conj K(v):
     the time-ordered kernel is the conjugate where v >= 0, and one kernel
     evaluation per node serves both integrals, which share support,
     anchors and phase rate.  With delta_t > 0, M is averaged over a clock
@@ -379,24 +404,30 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) ->
 
     The separation enters only through sinc(w*r), whose Gaussian average
     is D(x, delta*w/2) = e^(-x^2) - R, x = r0/delta (``damped_im_erfi``),
-    for every window timing.  The e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta
-    times C, shared in ``cache`` by detector pair; R carries
-    exp(-(w*sigma)^2/2 - (w*delta)^2/4), so its frequency quadrature ends
-    where that envelope falls to ``_TAIL``.  A sum whose error misses
-    the tolerance raises a ConvergenceFailure carrying it.
+    for every window timing.  From x = ``_SERIES_X0`` on, the whole
+    average is the time-domain series of ``_j_series_result``.  Below
+    it, the e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta times C, shared in
+    ``cache`` by detector pair; R carries exp(-(w*sigma)^2/2 - (w*delta)^2/4),
+    so its frequency quadrature ends where that envelope falls to
+    ``_TAIL``.  A sum whose error misses the tolerance raises a
+    ConvergenceFailure carrying it.
     """
     delta = s.position_uncertainty
     if not delta > 0.0:
         raise ValueError("compute_J_smeared: requires position_uncertainty > 0")
     sig = _require_equal_smearing(s, "compute_J_smeared")
+    x = s.separation / delta
+    if x >= _SERIES_X0:
+        res = _j_series_result(s, settings)
+        if res is not None:
+            return res
     da, db = s.det_a, s.det_b
     t0 = _origin(da, db)
-    x = s.separation / delta
     flat = math.exp(-x * x)
 
     def remainder(w):
-        return ((flat - damped_im_erfi(x, 0.5 * delta * w)) * np.exp(-0.5 * (w * sig) ** 2)
-                * _jhat(s, w, t0))
+        return ((flat - _damped_erf(0.5 * delta * w, np.float64(x)).real)
+                * np.exp(-0.5 * (w * sig) ** 2) * _jhat(s, w, t0))
 
     scale = math.sqrt(sig**2 + 0.5 * delta**2)
     spec = IntegrandSpec(
@@ -414,11 +445,157 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) ->
         value += weight * c.value
         error += weight * c.abs_error
         evaluations += c.evaluations
-    res = QuadResult(value, error, evaluations)
-    if error > max(settings.tol_abs * pref, settings.tol_rel * abs(value)):
+    return _within_tolerance(QuadResult(value, error, evaluations), settings, pref)
+
+
+def _within_tolerance(res: QuadResult, settings: QuadratureSettings, pref: float) -> QuadResult:
+    """res, or a ConvergenceFailure carrying it when its error, summed over
+    its parts, misses the tolerance of an integral with prefactor pref."""
+    if res.abs_error > max(settings.tol_abs * pref, settings.tol_rel * abs(res.value)):
         raise ConvergenceFailure(
-            "compute_J_smeared: the sum of its two terms misses the tolerance", res)
+            "compute_J_smeared: the sum of its parts' errors misses the tolerance", res)
     return res
+
+
+def _recurrence_table(size: int, first: tuple, step) -> np.ndarray:
+    """Coefficients a[n, k] of t^k in polynomials P_n, n < size, from those
+    of P_0 and P_1 and P_(n+1) = t P_n + step(n) P_(n-1)."""
+    a = np.zeros((size, size))
+    for n, p in enumerate(first):
+        a[n, :len(p)] = p
+    for n in range(1, size - 1):
+        a[n + 1, 1:] = a[n, :-1]
+        a[n + 1] += step(n) * a[n - 1]
+    return a
+
+
+_ORDERS = np.arange(_SERIES_MAX_TERMS + 1)
+# E|Z|^n for a standard normal Z
+_ABS_MOMENTS = 2.0 ** (0.5 * _ORDERS) * gamma(0.5 * (_ORDERS + 1)) / _SQRT_PI
+# Stein's identity: E[(rho/s)^n e^(i w rho)] = e^(-(w s)^2/2) sum_m h[n, m] (i w s)^m
+# for rho ~ N(0, s^2)
+_STEIN = _recurrence_table(_SERIES_MAX_TERMS, ([1.0], [0.0, 1.0]), lambda n: n)
+# the Hermite polynomials He_m, and the solution Q_m of their recurrence
+# P_(m+1) = t P_m - m P_(m-1) from Q_0 = 0, Q_1 = 1
+_HE = _recurrence_table(_SERIES_MAX_TERMS, ([1.0], [0.0, 1.0]), lambda n: -n)
+_HQ = _recurrence_table(_SERIES_MAX_TERMS, ([], [1.0]), lambda n: -n)
+# as t -> inf, int_0^inf w^m exp(-w^2/2 + i w t) dw = i^(m+1) sum_j a[j, m] t^-(j+1),
+# a[j, m] = j!/(l! 2^l) for j = m + 2l: integration by parts
+_ASYMPTOTIC = np.array([[math.factorial(j) / (math.factorial((j - m) // 2) * 2.0 ** ((j - m) // 2))
+                         if j >= m and (j - m) % 2 == 0 else 0.0
+                         for m in range(_SERIES_MAX_TERMS)]
+                        for j in range(_SERIES_MAX_TERMS + _ASYMPTOTIC_EXTRA)])
+_ASYMPTOTIC_ORDERS = np.arange(_ASYMPTOTIC.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class _SeriesKernel:
+    """The spatially smeared kernel <K(v; r)>, r = r0 + rho with
+    rho ~ N(0, s^2), s = delta/sqrt(2), to N terms in s/r0: the transform
+    of ``_time_integral`` from x = r0/delta = ``_SERIES_X0`` on.
+
+    Exactly, 1/r = sum_(n<N) (-rho)^n/r0^(n+1) + (-rho/r0)^N/r, so term n
+    of the kernel is (-1)^n r0^-(n+1) int_0^inf Im[e^(i w r0) m_n(w)]
+    e^(-(w sigma)^2/2 + i w v) dw, where Stein's identity gives
+    m_n(w) = E[rho^n e^(i w rho)] = s^n e^(-(w s)^2/2) sum_m h_nm (i w s)^m
+    (``_STEIN``).  In t = a/S, S^2 = sigma^2 + s^2, the moments
+    G_m(a) = int_0^inf w^m e^(-(w S)^2/2 + i w a) dw are i^m p_m(t)/S^(m+1),
+    so the N terms are sum_m d_m p_m(t+) + d'_m p_m(t-), t+- = (v +- r0)/S,
+    over 2i r0 S, with the real weights d, d' of ``_make_series_kernel``.
+    The moments' recurrence S^2 G_(m+1) = m G_(m-1) + i a G_m + [m = 0]
+    reads p_(m+1) = t p_m - m p_(m-1) from p_0 = sqrt(pi/2) w(t/sqrt(2))
+    and p_1 = t p_0 - i, so p_m = p_0 He_m(t) - i Q_m(t), and the sum is
+    p_0 A(t) - i B(t) for two real polynomials per shift (``near``): one
+    ``faddeeva_w`` call per node and shift.  The terms are of size
+    |eps eta t|^m, eps = s/r0, eta = s/S, so from |t| = ``split``
+    >= 1/(eps eta) on, where they would cancel, the sum is i/t times a
+    polynomial in 1/t (``far``), the moments' expansion, which leaves out
+    e^(-t^2/2) <= e^(-112) of them.
+    """
+
+    r0: float
+    scale: float
+    split: float
+    near: np.ndarray    # [shift, (A, B), power of t]
+    far: np.ndarray     # [shift, power of 1/t]
+
+    def __call__(self, u, shift):
+        u = np.asarray(u, dtype=float)
+        t = np.concatenate([u + (shift + self.r0), u + (shift - self.r0)]) / self.scale
+        row = np.repeat([0, 1], u.size)
+        out = np.empty(t.size, dtype=complex)
+        far = np.abs(t) >= self.split
+        near = ~far
+        if near.any():
+            tn = t[near]
+            powers = np.vander(tn, self.near.shape[2], increasing=True)
+            a, b = np.einsum("ik,ipk->pi", powers, self.near[row[near]])
+            out[near] = (_SQRT_PI / _SQRT2) * faddeeva_w(tn / _SQRT2) * a - 1j * b
+        if far.any():
+            inv = 1.0 / t[far]
+            powers = np.vander(inv, self.far.shape[1], increasing=True)
+            out[far] = 1j * inv * np.einsum("ij,ij->i", powers, self.far[row[far]])
+        return (out[:u.size] + out[u.size:]) / (2j * self.r0 * self.scale)
+
+
+def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
+                        floor: float) -> tuple[_SeriesKernel, float] | None:
+    """The smeared kernel of N terms, and a bound on what the rest adds
+    to the raw J integral.
+
+    |K(v; r)| <= 1/sigma^2 everywhere and <= sqrt(pi/2)/(sigma |r|), so
+    the rest, r0^-N E[(-rho)^N K(v; r)], is at most eps^N mu_N
+    [sqrt(2 pi)/(sigma r0) + Q((N+1)/2, x^2/4)/(2 sigma^2)] at every v,
+    mu_N = E|Z|^N and Q the upper incomplete gamma ratio of the part
+    rho < -r0/2; the windows' factor integrates to at most ``area`` =
+    T_A*T_B in |M|.  The rest holds everything the series leaves out,
+    the e^(-x^2) term of the frequency route included.  N is the first
+    count whose bound is at most ``floor``; None if that count exceeds
+    ``_SERIES_MAX_TERMS``.
+    """
+    eps = 1.0 / (_SQRT2 * x)
+    s = r0 * eps
+    scale = math.sqrt(sigma**2 + s * s)
+    eta = s / scale
+    bounds = area * eps**_ORDERS * _ABS_MOMENTS * (
+        math.sqrt(2.0 * math.pi) / (sigma * r0)
+        + gammaincc(0.5 * (_ORDERS + 1), 0.25 * x * x) / (2.0 * sigma**2))
+    if not bounds[-1] <= floor:
+        return None
+    n = max(1, int(np.argmax(bounds <= floor)))
+    m = _ORDERS[:n]
+    # p_m's weights: d_m = (-eta)^m w_m at t+ and d'_m = -eta^m w_m at t-,
+    # w_m = sum_(n<N) (-eps)^n h_nm
+    weights = (-eps) ** m @ _STEIN[:n, :n] * eta**m
+    d = np.stack([weights * (-1.0) ** m, -weights])
+    split = max(_ASYMPTOTIC_T, 1.0 / (eps * eta))
+    far = d @ _ASYMPTOTIC[:, :n].T
+    # from the split on, each term of the expansion is at most its size there
+    size = np.abs(far).max(axis=0) * (1.0 / split) ** _ASYMPTOTIC_ORDERS
+    terms = int(np.nonzero(size > _ASYMPTOTIC_CUT * size[0])[0][-1]) + 1
+    kernel = _SeriesKernel(r0=r0, scale=scale, split=split,
+                           near=np.stack([d @ _HE[:n, :n], d @ _HQ[:n, :n]], axis=1),
+                           far=far[:, :terms])
+    return kernel, float(bounds[n])
+
+
+def _j_series_result(s: Scenario, settings: QuadratureSettings) -> QuadResult | None:
+    """The spatially smeared J as one time-domain quadrature of the
+    windows' factor against ``_SeriesKernel``, its error raised by the
+    bound on what the series leaves out; None where the series would need
+    too many terms."""
+    da, db = s.det_a, s.det_b
+    r0 = s.separation
+    pref = da.coupling * db.coupling / (4.0 * math.pi**2)
+    series = _make_series_kernel(r0 / s.position_uncertainty, da.smearing, r0,
+                                 da.window.duration * db.window.duration,
+                                 _SERIES_FLOOR * settings.tol_abs)
+    if series is None:
+        return None
+    kernel, bound = series
+    res = _time_integral(da, db, r0, settings, transform=kernel)[0]
+    return _within_tolerance(QuadResult(res.value, res.abs_error + pref * bound,
+                                        res.evaluations), settings, pref)
 
 
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -530,6 +707,16 @@ class HarvestReport:
     quad_errors: dict = field(default_factory=dict)
 
 
+# Window durations built as (t_on, t_on + d) differ by a few ulps; I_nn of
+# one is reused for another this close.  dI_nn/dT = pref int_0^inf w
+# e^(-(w sigma)^2/2) 2 sin((w + gap) T)/(w + gap) dw is at most
+# pref*sqrt(2 pi)/sigma, pref = coupling^2/(4 pi^2), so a reused I_nn is off
+# by at most pref*sqrt(2 pi)*_DURATION_ULPS*ulp(T)/sigma, about
+# 2e-15*pref*T/sigma.  I_nn itself is 3 to 12 pref for T from 10 to 1e5
+# sigma (gap*sigma of 1e-3 and 0.1), so that is below 5e-11 relative there,
+# under the quadrature's own error.
+_DURATION_ULPS = 4
+
 ROW_ERRORS = (ConvergenceFailure, ValueError, ZeroDivisionError)
 """Exceptions that ``evaluate_scenarios`` records for a row instead of raising."""
 
@@ -556,9 +743,12 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
         raise ValueError("evaluate_scenario: spatial and temporal smearing are exclusive")
 
     def i_nn(det: DetectorParams) -> QuadResult:
-        # keyed by exactly what ``_i_nn_result`` reads, not by where the window sits
-        key = ("i_nn", det.coupling, det.gap, det.smearing, det.window.duration)
-        return _shared(cache, key, lambda: _i_nn_result(det, settings))
+        # keyed by what ``_i_nn_result`` reads, not by where the window sits;
+        # a duration within rounding of a computed one reuses it
+        durations = cache.setdefault(("i_nn", det.coupling, det.gap, det.smearing), {})
+        t = det.window.duration
+        key = next((d for d in durations if abs(d - t) <= _DURATION_ULPS * math.ulp(max(d, t))), t)
+        return _shared(durations, key, lambda: _i_nn_result(det, settings))
 
     res_aa, res_bb = i_nn(s.det_a), i_nn(s.det_b)
     res_ab, res_j = _shared(cache, ("pair", s.det_a, s.det_b, s.separation),
@@ -619,7 +809,8 @@ def evaluate_scenarios(
     what the rows share once.
 
     One cache holds every integral rows share, keyed by what it depends
-    on: the local term by coupling, gap, smearing and window duration, the
+    on: the local term by coupling, gap, smearing and window duration
+    (equal to within ``_DURATION_ULPS`` ulps), the
     exchange and unsmeared correlation terms, one quadrature, by
     (detector A, detector B, separation), and the spatial smear's C by
     detector pair alone, so an r sweep computes it once.  Only the
@@ -648,10 +839,11 @@ def evaluate_scenario(
     The local term is one time-domain quadrature, computed once for two
     equal detectors, and the exchange and unsmeared correlation terms
     share another.  With nonzero position uncertainty the
-    correlation term is smeared by the erfi closed form: one time-domain
-    quadrature, C, where the separation is within a few uncertainties,
-    and a frequency quadrature damped on the scale 1/delta;
-    ``time_smear`` applies the clock-offset smear instead, a time-domain
+    correlation term is smeared over separations: from r0 = 10 delta on by
+    one time-domain quadrature of a kernel summed in powers of delta/r0;
+    closer, by the erfi closed form, one time-domain quadrature, C, where
+    the separation is within a few uncertainties, and a frequency
+    quadrature damped on the scale 1/delta.  ``time_smear`` applies the clock-offset smear instead, a time-domain
     quadrature of the exactly averaged window factor.  Both hold for
     every window timing.  The local terms are
     separation-independent and never smeared.

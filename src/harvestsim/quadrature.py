@@ -141,6 +141,13 @@ class ConvergenceFailure(Exception):
         self.best = best
 
 
+_EPS = float(np.finfo(float).eps)
+# 0, -0, 1, -1, 3, -3, ..., +-(2^k - 1) up to the largest finite power: a
+# peak's graded edges in units of its width, for any number of doublings
+_STEPS = 2.0 ** np.arange(1024) - 1.0
+_SIGNED_STEPS = np.stack([_STEPS, -_STEPS], axis=1).ravel()
+
+
 def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     """Edges of the starting partition of the support.
 
@@ -160,18 +167,18 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     cap = (hi - lo) / 8.0
     if spec.max_phase_rate > 0.0:
         cap = min(cap, 4.0 * math.pi / spec.max_phase_rate)
-    points = np.array(spec.singular_points, dtype=float)
+    points = spec.singular_points
     if spec.peaks:
-        p, s = np.array(spec.peaks, dtype=float).T
-        q = np.minimum(np.maximum(p, lo), hi)
-        width = np.maximum(s, np.abs(p - q))
+        # in Python floats: the peaks are few
+        q = [min(max(p, lo), hi) for p, _ in spec.peaks]
+        width = [max(s, abs(p - c)) for (p, s), c in zip(spec.peaks, q)]
         # the narrowest peak needs the most doublings; the others' extra edges lie beyond the range
-        doublings = math.ceil(math.log2((hi - lo) / width.min() + 1.0)) + 1
-        steps = 2.0 ** np.arange(doublings + 1) - 1.0
-        grown = q[:, None] + width[:, None] * np.concatenate([-steps, steps])  # q at steps[0] = 0
+        doublings = math.ceil(math.log2((hi - lo) / min(width) + 1.0)) + 1
+        steps = _SIGNED_STEPS[:2 * (doublings + 1)]
+        grown = np.array(q)[:, None] + np.array(width)[:, None] * steps  # q at steps[0] = 0
         points = np.concatenate([points, grown.ravel()])
-    points.sort()
-    tiny = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    points = np.sort(points)
+    tiny = 64.0 * _EPS * max(abs(lo), abs(hi))
     anchors = [lo]
     for x in points[(points > lo + tiny) & (points < hi - tiny)].tolist():
         if x - anchors[-1] > tiny:
@@ -181,10 +188,11 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     d = a[1:] - a[:-1]
     # the slack keeps a piece one rounding wider than the cap in one panel
     n = np.maximum(1.0, np.ceil(d / cap - 1e-9))
-    # per panel: its piece's left anchor, length, panel count and first panel
-    left, length, count, first = np.repeat([a[:-1], d, n, np.cumsum(n) - n],
-                                           n.astype(np.int64), axis=1)
-    return np.concatenate([left + length * (np.arange(left.size) - first) / count, [hi]])
+    # per panel: the piece it cuts, and that piece's first panel
+    piece = np.repeat(np.arange(n.size), n.astype(np.int64))
+    first = (np.cumsum(n) - n)[piece]
+    edges = a[piece] + d[piece] * (np.arange(piece.size) - first) / n[piece]
+    return np.append(edges, hi)
 
 
 def _gk15(evaluate, a: np.ndarray, b: np.ndarray):

@@ -63,10 +63,12 @@ def ediff(a, b, mu):
     _check_finite("ediff", a, b, mu)
     if not _holds(a <= b):
         raise ValueError("ediff: requires a <= b")
-    mu = np.asarray(mu, dtype=float)
-    half = 0.5 * (b - a)
-    out = 1j * (b - a) * np.exp(1j * mu * 0.5 * (a + b)) * _sinc(mu * half)
+    out = _ediff(a, b, np.asarray(mu, dtype=float))
     return complex(out) if out.ndim == 0 else out
+
+
+def _ediff(a, b, mu: np.ndarray) -> np.ndarray:
+    return 1j * (b - a) * np.exp(1j * mu * 0.5 * (a + b)) * _sinc(mu * (0.5 * (b - a)))
 
 
 def faddeeva_w(z):

@@ -303,6 +303,25 @@ def test_spatial_smear_matches_space_oracle(k, frac):
               rel <= 1e-10, f"rel diff {rel:.1e} (<=1e-10)")
 
 
+@pytest.mark.parametrize("k", [1, 10, 100, 1000, 10000])
+@pytest.mark.parametrize("widths", [1, 3, 10, 100])
+def test_criterion_10_spatial_smear_at_scale(k, widths):
+    # a position uncertainty of a few detector sizes at astronomical
+    # separations: x = r0/delta from 1.5 to 1.5e6, every row but x = 1.5 on
+    # the time-domain series in delta/r0
+    s = scaled_scenario(k)
+    delta = widths * SIGMA
+    got = evaluate_scenarios([(replace(s, position_uncertainty=delta), None)])[0]
+    ok = isinstance(got, HarvestReport)
+    detail = f"row: {got if not ok else 'ok'}"
+    if ok:
+        ref = oracles.oracle_J_space(s, delta)
+        rel = abs(got.integrals.j - ref) / abs(ref)
+        ok = rel <= 1e-10
+        detail += f"; rel diff {rel:.1e} (<=1e-10) vs r-average"
+    criterion(10, f"spatial smear at k={k}, delta={widths} sigma", ok, detail)
+
+
 @pytest.mark.parametrize("k", [100, 1000])
 @pytest.mark.parametrize("widths", [5, 40])
 def test_clock_smear_matches_offset_oracle(k, widths):

@@ -403,12 +403,13 @@ class TestBatchedSweep:
 
     def test_fig3_quadrature_cost(self, monkeypatch):
         # pins the preset's total evaluations across all of its integrals:
-        # one I_nn, one I_AB/J pass, C, and a remainder per row
+        # one I_nn, one I_AB/J pass, C, and per row a remainder below
+        # x = r0/delta = 10 or the time-domain series from there on
         counts = self.record_evaluations(monkeypatch)
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
         assert len(counts) == 44
-        assert sum(counts) <= 42_435
+        assert sum(counts) <= 11_805
 
     def test_fig2a_quadrature_cost(self, monkeypatch):
         # one I_nn, then one I_AB/J pass per row
@@ -421,7 +422,7 @@ class TestBatchedSweep:
     def test_local_term_computed_once_per_duration(self, monkeypatch):
         # I_nn reads the coupling, gap, smearing and window duration, not where
         # the window sits.  Moving B's window rounds its duration to one of a
-        # few neighbouring floats; each is computed once, not once per row
+        # few neighbouring floats, within a few ulps: I_nn is computed once
         calls = []
         original = core._i_nn_result
 
@@ -433,7 +434,7 @@ class TestBatchedSweep:
         cfg = sweep_cfg("gap", "10*sigma", "100*sigma", 20)
         rows = run_sweep(cfg)
         assert len(rows) == 20 and all(r.status == "ok" for r in rows)
-        assert len(calls) == len(set(calls)) == 5
+        assert len(calls) == 1
         assert rows_to_csv(rows) == per_row_csv(cfg)
 
     def test_zero_width_row_fails_alone(self):

@@ -341,10 +341,11 @@ class TestSmearedCorrelation:
         assert out.best.abs_error > 1e-9 * abs(out.best.value)
         assert abs(out.best.value) > 0.0
 
-    @pytest.mark.parametrize("delta", [0.0015, 0.15])
+    @pytest.mark.parametrize("delta", [0.03, 0.15])
     def test_remainder_support_ends_at_tail_tolerance(self, monkeypatch, delta):
         # the remainder's range ends where its envelope exp(-(w*d)^2/2),
-        # d = sqrt(sigma^2 + delta^2/2), falls to the fixed tail level
+        # d = sqrt(sigma^2 + delta^2/2), falls to the fixed tail level; at
+        # x = r0/delta = 5 and 1, below the series route's x0 = 10
         specs = []
         original = core.integrate_radial
 
@@ -361,6 +362,145 @@ class TestSmearedCorrelation:
         assert lo == 0.0
         assert math.exp(-0.5 * (hi * d) ** 2) == pytest.approx(
             core._TAIL, rel=1e-12, abs=0.0)
+
+
+def mp_series_kernel(mp, v, r0, delta, sigma, n_terms):
+    """The first n_terms terms in s/r0 of the smeared kernel <K(v; r)>, in
+    mpmath: m_n(w) e^((w s)^2/2) as polynomials in w from Stein's identity,
+    and the moments int_0^inf w^m exp(-(w S)^2/2 + i w a) dw from the
+    parabolic cylinder function D_(-m-1)."""
+    s = delta / mp.sqrt(2)
+    scale = mp.sqrt(sigma**2 + s**2)
+    polys = [[mp.mpc(1)], [mp.mpc(0), 1j * s**2]]
+    for n in range(1, n_terms - 1):
+        nxt = [mp.mpc(0)] + [1j * s**2 * c for c in polys[n]]
+        for m, c in enumerate(polys[n - 1]):
+            nxt[m] += n * s**2 * c
+        polys.append(nxt)
+
+    def moment(m, a):
+        z = -1j * a / scale
+        return mp.factorial(m) * mp.exp(z**2 / 4) * mp.pcfd(-m - 1, z) / scale ** (m + 1)
+
+    plus = [moment(m, v + r0) for m in range(n_terms)]
+    minus = [moment(m, v - r0) for m in range(n_terms)]
+    # Im[e^(i w r0) m_n(w)] = (X - conj X)/2i
+    return sum((-1) ** n / r0 ** (n + 1) * (c * plus[m] - mp.conj(c) * minus[m]) / 2j
+               for n in range(n_terms) for m, c in enumerate(polys[n]))
+
+
+def mp_smeared_kernel(mp, v, r0, delta, sigma):
+    """<K(v; r)> over r = r0 + rho, rho ~ N(0, delta^2/2), by mpmath
+    quadrature of the closed-form K(v; r) = [F(v + r) - F(v - r)]/(2ir)."""
+    s = delta / mp.sqrt(2)
+
+    def fourier(a):
+        z = a / (mp.sqrt(2) * sigma)
+        return mp.sqrt(mp.pi / 2) / sigma * mp.exp(-z * z) * mp.erfc(-1j * z)
+
+    def f(rho):
+        r = r0 + rho
+        weight = mp.exp(-rho**2 / (2 * s * s)) / (s * mp.sqrt(2 * mp.pi))
+        return weight * (fourier(v + r) - fourier(v - r)) / (2j * r)
+
+    # the Gaussian beyond 12 s is below e^-72; K has features of width sigma
+    # where v - r or v + r vanishes
+    cuts = {-12 * s, 12 * s} | {p + k * 2 * sigma for p in (v - r0, -v - r0)
+                                for k in range(-8, 9)}
+    return mp.quad(f, sorted(c for c in cuts if abs(c) <= 12 * s))
+
+
+class TestSeriesSmear:
+    """The spatial smear from x = r0/delta = 10 on: one time-domain
+    quadrature against a kernel summed in powers of delta/r0."""
+
+    SIGMA = 1e-3
+
+    @pytest.mark.parametrize("r0, delta", [(0.15, 0.015), (0.15, 0.0015), (1500.0, 1e-3)])
+    def test_kernel_matches_mpmath(self, r0, delta):
+        # nodes from the peak at v = r0 out to |v - r0| = 1e6 s, on both
+        # sides of the switch to the moments' asymptotic expansion
+        mpmath = pytest.importorskip("mpmath")
+        kernel, _ = core._make_series_kernel(r0 / delta, self.SIGMA, r0, 1.0, 1e-14)
+        n = kernel.near.shape[2]
+        s = delta / math.sqrt(2.0)
+        with mpmath.workdps(60):
+            for a in (0.0, 0.5, -3.0, 10.0, -14.0, 16.0, 40.0, -200.0, 1e3, 1e4, 1e6):
+                u = a * s
+                got = complex(kernel(np.array([u]), r0)[0])
+                exact = complex(mp_series_kernel(mpmath.mp, mpmath.mpf(u) + r0, mpmath.mpf(r0),
+                                                 mpmath.mpf(delta), mpmath.mpf(self.SIGMA), n))
+                # far from both peaks the two shifts' terms, each about
+                # |K| |u|/r0, cancel to K
+                assert abs(got - exact) <= 3e-14 * abs(exact) * max(1.0, abs(u) / r0)
+
+    def test_truncation_bound_holds(self):
+        # at x = 10, against an mpmath average over separations: the bound on
+        # the terms left out holds for a short series and for the one used
+        mpmath = pytest.importorskip("mpmath")
+        r0, delta = 0.15, 0.015
+        s = delta / math.sqrt(2.0)
+        with mpmath.workdps(20):
+            for a in (-3.0, 14.0):
+                u = a * s
+                v = mpmath.mpf(u) + r0
+                exact = mp_smeared_kernel(mpmath.mp, v, mpmath.mpf(r0), mpmath.mpf(delta),
+                                          mpmath.mpf(self.SIGMA))
+                for floor, terms in ((2.0, 4), (1e-14, 30)):
+                    kernel, bound = core._make_series_kernel(r0 / delta, self.SIGMA, r0, 1.0, floor)
+                    assert kernel.near.shape[2] == terms
+                    series = mp_series_kernel(mpmath.mp, v, mpmath.mpf(r0), mpmath.mpf(delta),
+                                              mpmath.mpf(self.SIGMA), terms)
+                    assert 0.0 < abs(exact - series) <= bound
+                    if terms == 4:
+                        got = complex(kernel(np.array([u]), r0)[0])
+                        assert abs(got - complex(exact)) <= bound
+
+    @pytest.mark.parametrize("x", [10.0, 15.0, 30.0])
+    def test_routes_agree_where_both_converge(self, monkeypatch, x):
+        s = fig_scenario(delta=0.15 / x)
+        series = core._j_smeared_result(s, core.DEFAULT_SETTINGS, {})
+        monkeypatch.setattr(core, "_SERIES_X0", math.inf)
+        remainder = core._j_smeared_result(s, core.DEFAULT_SETTINGS, {})
+        assert series.evaluations < remainder.evaluations
+        assert abs(series.value - remainder.value) <= series.abs_error + remainder.abs_error
+
+    @staticmethod
+    def recorded_specs(monkeypatch):
+        specs = []
+        original = core.integrate_radial
+
+        def recorded(spec, settings):
+            specs.append(spec)
+            return original(spec, settings)
+
+        monkeypatch.setattr(core, "integrate_radial", recorded)
+        return specs
+
+    def test_far_row_builds_no_remainder(self, monkeypatch):
+        # x = 100: one time-domain quadrature, with peaks at v = +-r0, and no
+        # frequency remainder (the only spec without peaks)
+        specs = self.recorded_specs(monkeypatch)
+        compute_J_smeared(fig_scenario(delta=0.0015))
+        (spec,) = specs
+        assert [p for p, _ in spec.peaks] == [-0.3, 0.0]   # -+r0, measured from v = r0
+
+    def test_row_needing_too_many_terms_takes_the_remainder(self, monkeypatch):
+        # a tol_abs so small that the tail bound would need over
+        # _SERIES_MAX_TERMS terms at x = 10
+        specs = self.recorded_specs(monkeypatch)
+        s = fig_scenario(delta=0.015)
+        tight = replace(core.DEFAULT_SETTINGS, tol_abs=1e-30)
+        assert core._make_series_kernel(10.0, 1e-3, 0.15, 0.01, 1e-32) is None
+        core._j_smeared_result(s, tight, {})
+        assert any(not spec.peaks for spec in specs)
+
+    def test_error_includes_the_tail_bound(self):
+        s = fig_scenario(delta=0.0015)
+        res = core._j_smeared_result(s, core.DEFAULT_SETTINGS, {})
+        _, bound = core._make_series_kernel(100.0, 1e-3, 0.15, 0.1 * 0.1, 1e-14)
+        pref = 0.01**2 / (4.0 * math.pi**2)
+        assert res.abs_error >= pref * bound > 0.0
 
 
 class TestTimeSmearedCorrelation:
