@@ -5,20 +5,23 @@ of the correlation term.
 
 The integrals are pref times one quadrature over v = t_B - t_A of a
 window factor M(v) and the radial kernel
-K(v; r) = int_0^inf sin(w*r)/r exp(-(w*sigma)^2/2 + i*w*v) dw in closed form:
+K(v; r) = int_0^inf sin(w*r)/r exp(-(w*sigma)^2/2 + i*w*v) dw:
 I_nn = int M(v; -gap, gap) K(v; 0), I_AB = int M(v; -gap_A, gap_B) K(v; r)
 and J = int M(v; gap_A, gap_B) K(-|v|; r), the signs of v being J's time
 orderings.  K(-v) = conj K(v), so J's kernel is the conjugate of K where
 v >= 0, and I_AB and J are two components of one quadrature that
 evaluates K once per node.  I_nn is integrated by parts, as
 i*int M'(v) F(v) dv.  A clock offset averages M exactly.  The spatial
-smear, x = r0/delta, is from x = 10 on one time-domain quadrature of M
+smear, x = r0/delta, is from x = 9.5 on one time-domain quadrature of M
 against the smeared kernel summed in powers of delta/r0.  Below, it
 splits its erfi factor into a separation-independent term, e^(-x^2)
 times one time-domain integral C = int M(v; gap_A, gap_B) F(-|v|) dv
 shared per detector pair, and a remainder damped as e^(-(w*delta)^2/4),
 a frequency quadrature of the kernel Jhat over the finite range where
-its envelope exceeds 1e-18 (``_TAIL``).
+its envelope exceeds 1e-18 (``_TAIL``).  Every kernel, F = G_0,
+K(v; r) = [F(v + r) - F(v - r)]/(2ir), K(v; 0) = G_1 and the smeared one,
+is one sum of the Faddeeva moments G_m = int_0^inf w^m exp(-(w*S)^2/2 +
+i*w*a) dw (``_MomentKernel``).
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -32,8 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf, gamma, gammaincc
@@ -183,59 +185,140 @@ _SQRT2 = math.sqrt(2.0)
 # precision, so the cut adds nothing to any reported error.
 _TAIL = 1e-18
 # From x = r0/delta = _SERIES_X0 on, the spatial smear is one time-domain
-# quadrature of a kernel summed in powers of delta/r0 (``_SeriesKernel``)
-# instead of C and a frequency remainder, whose first partition holds about
-# 67*x evaluations.  Term n of the series falls about as x^-n.
-_SERIES_X0 = 10.0
+# quadrature of a kernel summed in powers of delta/r0 instead of C and a
+# frequency remainder, whose first partition holds about 67*x evaluations.
+# Term n of the series falls about as x^-n.  It is not 10, which fig3's log
+# grid of delta misses by an ulp.
+_SERIES_X0 = 9.5
 # The bound on the terms left out is kept below this fraction of tol_abs, so
 # it never decides whether a row meets its tolerance.  A row that would
 # need more than _SERIES_MAX_TERMS terms takes the frequency route instead;
-# up to that many, the kernel's rounding stays within about 10 eps at x >= 10.
+# up to that many, the kernel's rounding stays within about 10 eps at x >= 9.5.
 _SERIES_FLOOR = 1e-2
 _SERIES_MAX_TERMS = 40
-# Least |t| from which the series kernel takes its moments' expansion in
-# 1/t, which leaves out e^(-t^2/2) <= e^(-112) of them; the expansion's
-# terms beyond the series' own, and their relative size where it stops.
+# Least |t| from which a moment kernel that cancels takes the expansion in 1/t;
+# the expansion's terms beyond the series' own, and their size where it stops.
 _ASYMPTOTIC_T = 15.0
 _ASYMPTOTIC_EXTRA = 40
 _ASYMPTOTIC_CUT = 1e-17
 
 
-def _kernel(u, shift, r: float, sigma: float):
-    """K(v; r) at v = u + shift, r >= 0: [F(v + r) - F(v - r)]/(2ir), where
-    F(a) = int_0^inf exp(-(w*sigma)^2/2 + i*w*a) dw = sqrt(pi/2)/sigma * w(a/(sqrt(2)*sigma)).
+def _recurrence_table(size: int, first: tuple, step) -> np.ndarray:
+    """Coefficients a[n, k] of t^k in polynomials P_n, n < size, from those
+    of P_0 and P_1 and P_(n+1) = t P_n + step(n) P_(n-1)."""
+    a = np.zeros((size, size))
+    for n, p in enumerate(first):
+        a[n, :len(p)] = p
+    for n in range(1, size - 1):
+        a[n + 1, 1:] = a[n, :-1]
+        a[n + 1] += step(n) * a[n - 1]
+    return a
 
-    Formed as u + (shift +- r), a peak of F at shift = -+r is resolved to
-    the rounding of u, not of v.  The difference cancels to about
-    eps*max(sigma, |v|)/r, so below r = 1e-5*max(sigma, |v|) the limit
-    K(v; 0) = -i*F'(v) = (1 + i*sqrt(pi)*x*w(x))/sigma^2, x = v/(sqrt(2)*sigma),
-    exact there to (r/sigma)^2/6, is used.  Its real part 1 - 2x*D(x)
-    (D the Dawson function) cancels to about eps*x^2, so beyond |x| = 20
-    it is the asymptotic series -sum_{n>=1} (2n-1)!!/(2x^2)^n, 12 terms.
+
+_ORDERS = np.arange(_SERIES_MAX_TERMS + 1)
+# E|Z|^n for a standard normal Z
+_ABS_MOMENTS = 2.0 ** (0.5 * _ORDERS) * gamma(0.5 * (_ORDERS + 1)) / _SQRT_PI
+# Stein's identity: E[(rho/s)^n e^(i w rho)] = e^(-(w s)^2/2) sum_m h[n, m] (i w s)^m
+# for rho ~ N(0, s^2)
+_STEIN = _recurrence_table(_SERIES_MAX_TERMS, ([1.0], [0.0, 1.0]), lambda n: n)
+# the Hermite polynomials He_m, and the solution Q_m of their recurrence
+# P_(m+1) = t P_m - m P_(m-1) from Q_0 = 0, Q_1 = 1
+_HE = _recurrence_table(_SERIES_MAX_TERMS, ([1.0], [0.0, 1.0]), lambda n: -n)
+_HQ = _recurrence_table(_SERIES_MAX_TERMS, ([], [1.0]), lambda n: -n)
+# as t -> inf, int_0^inf w^m exp(-w^2/2 + i w t) dw = i^(m+1) sum_j a[j, m] t^-(j+1),
+# a[j, m] = j!/(l! 2^l) for j = m + 2l: integration by parts
+_ASYMPTOTIC = np.array([[math.factorial(j) / (math.factorial((j - m) // 2) * 2.0 ** ((j - m) // 2))
+                         if j >= m and (j - m) % 2 == 0 else 0.0
+                         for m in range(_SERIES_MAX_TERMS)]
+                        for j in range(_SERIES_MAX_TERMS + _ASYMPTOTIC_EXTRA)])
+
+
+@dataclass(frozen=True, eq=False)
+class _MomentKernel:
+    """Every time-domain kernel: a sum over offsets c of the Faddeeva
+    moments G_m(a) = int_0^inf w^m exp(-(w S)^2/2 + i w a) dw at a = v + c,
+    S = ``scale``, as a transform (u, shift) -> value at v = u + shift.
+    In t = a/S, G_m = i^m p_m(t)/S^(m+1), and their recurrence (Abramowitz
+    & Stegun 7.2.5) p_(m+1) = t p_m - m p_(m-1) from p_0 = sqrt(pi/2)
+    w(t/sqrt(2)) and p_1 = t p_0 - i gives p_m = p_0 He_m(t) - i Q_m(t).
+    A real-weighted sum of p_m is factor * sum_c [w(z_c) A_c(t_c) - i B_c(t_c)],
+    z_c = (u + (shift + c))/(sqrt(2) S), t_c = sqrt(2) z_c: one
+    ``faddeeva_w`` call per node and offset.  F and K(v; r) have constant A
+    and B = 0.  Where a sum of higher moments cancels, from |t| = ``split``
+    on, it is i/t times a polynomial in 1/t (``far``), the moments'
+    expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.
     """
-    u, shift = np.broadcast_arrays(np.asarray(u, dtype=float), shift)
-    out = np.empty(u.shape, dtype=complex)
-    near = r < 1e-5 * np.maximum(sigma, np.abs(u + shift))
-    if not near.all():
-        uf, sf = u[~near], shift[~near]
-        w = faddeeva_w(np.concatenate([uf + (sf + r), uf + (sf - r)]) / (_SQRT2 * sigma))
-        out[~near] = (w[:uf.size] - w[uf.size:]) * (_SQRT_PI / (_SQRT2 * sigma * 2j * r))
-    if near.any():
-        x = (u[near] + shift[near]) / (_SQRT2 * sigma)
-        k0 = 1.0 + 1j * _SQRT_PI * x * faddeeva_w(x)
-        far = np.abs(x) > 20.0
-        z = 0.5 / x[far] ** 2
-        series = np.ones_like(z)
-        for k in range(23, 1, -2):
-            series = 1.0 + k * z * series
-        k0[far] = -z * series + 1j * k0[far].imag
-        out[near] = k0 / sigma**2
-    return out
+
+    offsets: tuple
+    scale: float
+    factor: complex
+    near: np.ndarray                # [offset, (A, B), power of t], or A [offset]
+    split: float = math.inf
+    far: np.ndarray | None = None   # [offset, power of 1/t]
+
+    def __call__(self, u, shift):
+        u = np.asarray(u, dtype=float)
+        z = np.concatenate([u + (shift + c) for c in self.offsets]) / (_SQRT2 * self.scale)
+        t = _SQRT2 * z
+        near = slice(None) if self.near.ndim == 1 else np.abs(t) < self.split
+        w = faddeeva_w(z[near])
+        if self.near.ndim == 1:  # constant A, B = 0: no polynomial work
+            out = w.reshape(len(self.offsets), -1) * self.near[:, None]
+        else:
+            row = np.repeat(np.arange(len(self.offsets)), u.size)
+            out = np.empty(z.size, dtype=complex)
+            powers = np.vander(t[near], self.near.shape[2], increasing=True)
+            a, b = np.einsum("ik,ipk->pi", powers, self.near[row[near]])
+            out[near] = w * a - 1j * b
+            far = ~near
+            if far.any():
+                inv = 1.0 / t[far]
+                powers = np.vander(inv, self.far.shape[1], increasing=True)
+                out[far] = 1j * inv * np.einsum("ij,ij->i", powers, self.far[row[far]])
+        return out.reshape(len(self.offsets), -1).sum(axis=0) * self.factor
 
 
-def _fourier(u, shift, sigma: float):
-    """F(v) at v = u + shift: sqrt(pi/2)/sigma * w(v/(sqrt(2)*sigma))."""
-    return (_SQRT_PI / (_SQRT2 * sigma)) * faddeeva_w((u + shift) / (_SQRT2 * sigma))
+def _moment_kernel(offsets: tuple, scale: float, factor: complex, d: np.ndarray,
+                   split: float) -> _MomentKernel:
+    """factor * sum_(c, m) d[c, m] p_m(t_c) for real weights d, with the
+    moments' expansion from |t| = split on."""
+    n = d.shape[1]
+    far = d @ _ASYMPTOTIC[:, :n].T
+    # from the split on, each term of the expansion is at most its size there
+    size = np.abs(far).max(axis=0) * (1.0 / split) ** np.arange(far.shape[1])
+    terms = int(np.nonzero(size > _ASYMPTOTIC_CUT * size.max())[0][-1]) + 1
+    near = np.stack([(_SQRT_PI / _SQRT2) * (d @ _HE[:n, :n]), d @ _HQ[:n, :n]], axis=1)
+    return _MomentKernel(offsets, scale, factor, near, split, far[:, :terms])
+
+
+# K(v; 0) = G_1 = i p_1(t)/sigma^2 at sigma = 1; its real part cancels to eps*t^2
+_G1 = _moment_kernel((0.0,), 1.0, 1j, np.array([[0.0, 1.0]]), _ASYMPTOTIC_T)
+
+
+def _fourier_kernel(sigma: float) -> _MomentKernel:
+    """F(v) = int_0^inf exp(-(w*sigma)^2/2 + i*w*v) dw = G_0."""
+    return _MomentKernel((0.0,), sigma, _SQRT_PI / (_SQRT2 * sigma), np.ones(1))
+
+
+def _kernel(r: float, sigma: float):
+    """K(v; r) = [F(v + r) - F(v - r)]/(2ir), r >= 0, as a transform of
+    ``_time_integral``.  Formed as u + (shift +- r), a peak of F at
+    shift = -+r is resolved to the rounding of u, not of v.  The difference
+    cancels to about eps*max(sigma, |v|)/r, so at nodes where
+    r < 1e-5*max(sigma, |v|) its limit K(v; 0) = G_1, exact there to
+    (r/sigma)^2/6, is used."""
+    limit = replace(_G1, scale=sigma, factor=1j / sigma**2)
+    if r == 0.0:
+        return limit
+    exact = _MomentKernel((r, -r), sigma, _SQRT_PI / (_SQRT2 * sigma * 2j * r),
+                          np.array([1.0, -1.0]))
+
+    def kernel(u, shift):
+        out = exact(u, shift)
+        near = r < 1e-5 * np.maximum(sigma, np.abs(u + shift))
+        return np.where(near, limit(u, shift), out) if near.any() else out
+
+    return kernel
 
 
 def _window(v, a, b, g_a: float, g_b: float):
@@ -274,11 +357,11 @@ def _time_integral(da: DetectorParams, db: DetectorParams, r: float,
     ordering, over the support of M; with ``exchange``, preceded by that of
     the unsmeared M(v; -gap_A, gap_B) * K(v), I_AB's, from the same
     quadrature.  One result per integral.  The kernel at v = u + shift is
-    ``transform(u, shift)``: by default K(v; r), with peaks at v = +-r,
-    and F(v) for r = 0.  Each transforms a real spectrum, so K(-v) = conj K(v):
-    the time-ordered kernel is the conjugate where v >= 0, and one kernel
-    evaluation per node serves both integrals, which share support,
-    anchors and phase rate.  With delta_t > 0, M is averaged over a clock
+    ``transform(u, shift)``, by default K(v; r), with peaks at v = +-r.
+    Each transforms a real spectrum, so K(-v) = conj K(v): the time-ordered
+    kernel is the conjugate where v >= 0, and one kernel evaluation per
+    node serves both integrals, which share support, anchors and phase
+    rate.  With delta_t > 0, M is averaged over a clock
     offset of db's window of scale delta_t, which widens the support by
     delta_t*sqrt(ln(1/_TAIL)) on each side.
 
@@ -302,8 +385,7 @@ def _time_integral(da: DetectorParams, db: DetectorParams, r: float,
         tail = delta_t * math.sqrt(math.log(1.0 / _TAIL))
         lo, hi = lo - tail, hi + tail
     c = r if lo + hi >= 0.0 else -r
-    if transform is None:
-        transform = partial(_kernel, r=r, sigma=sigma)
+    transform = transform or _kernel(r, sigma)
 
     def evaluate(u):
         v = u + c
@@ -340,9 +422,10 @@ def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResul
     F leaves no small difference of large terms.
     """
     g, sigma, width = det.gap, det.smearing, det.window.duration
+    fourier = _fourier_kernel(sigma)
 
     def evaluate(v):
-        f = 1j * np.exp(1j * g * v) * (1j * g * (width - v) - 1.0) * _fourier(v, 0.0, sigma)
+        f = 1j * np.exp(1j * g * v) * (1j * g * (width - v) - 1.0) * fourier(v, 0.0)
         return f.real
 
     spec = IntegrandSpec(
@@ -395,8 +478,7 @@ def _c_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
     pref * int_0^inf exp(-(w*sigma)^2/2) Jhat(w) dw: the part of the spatial
     smear that depends on neither separation nor uncertainty."""
     sigma = _require_equal_smearing(s, "compute_J_smeared")
-    return _time_integral(s.det_a, s.det_b, 0.0, settings,
-                          transform=partial(_fourier, sigma=sigma))[0]
+    return _time_integral(s.det_a, s.det_b, 0.0, settings, transform=_fourier_kernel(sigma))[0]
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) -> QuadResult:
@@ -457,91 +539,16 @@ def _within_tolerance(res: QuadResult, settings: QuadratureSettings, pref: float
     return res
 
 
-def _recurrence_table(size: int, first: tuple, step) -> np.ndarray:
-    """Coefficients a[n, k] of t^k in polynomials P_n, n < size, from those
-    of P_0 and P_1 and P_(n+1) = t P_n + step(n) P_(n-1)."""
-    a = np.zeros((size, size))
-    for n, p in enumerate(first):
-        a[n, :len(p)] = p
-    for n in range(1, size - 1):
-        a[n + 1, 1:] = a[n, :-1]
-        a[n + 1] += step(n) * a[n - 1]
-    return a
-
-
-_ORDERS = np.arange(_SERIES_MAX_TERMS + 1)
-# E|Z|^n for a standard normal Z
-_ABS_MOMENTS = 2.0 ** (0.5 * _ORDERS) * gamma(0.5 * (_ORDERS + 1)) / _SQRT_PI
-# Stein's identity: E[(rho/s)^n e^(i w rho)] = e^(-(w s)^2/2) sum_m h[n, m] (i w s)^m
-# for rho ~ N(0, s^2)
-_STEIN = _recurrence_table(_SERIES_MAX_TERMS, ([1.0], [0.0, 1.0]), lambda n: n)
-# the Hermite polynomials He_m, and the solution Q_m of their recurrence
-# P_(m+1) = t P_m - m P_(m-1) from Q_0 = 0, Q_1 = 1
-_HE = _recurrence_table(_SERIES_MAX_TERMS, ([1.0], [0.0, 1.0]), lambda n: -n)
-_HQ = _recurrence_table(_SERIES_MAX_TERMS, ([], [1.0]), lambda n: -n)
-# as t -> inf, int_0^inf w^m exp(-w^2/2 + i w t) dw = i^(m+1) sum_j a[j, m] t^-(j+1),
-# a[j, m] = j!/(l! 2^l) for j = m + 2l: integration by parts
-_ASYMPTOTIC = np.array([[math.factorial(j) / (math.factorial((j - m) // 2) * 2.0 ** ((j - m) // 2))
-                         if j >= m and (j - m) % 2 == 0 else 0.0
-                         for m in range(_SERIES_MAX_TERMS)]
-                        for j in range(_SERIES_MAX_TERMS + _ASYMPTOTIC_EXTRA)])
-_ASYMPTOTIC_ORDERS = np.arange(_ASYMPTOTIC.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class _SeriesKernel:
-    """The spatially smeared kernel <K(v; r)>, r = r0 + rho with
-    rho ~ N(0, s^2), s = delta/sqrt(2), to N terms in s/r0: the transform
-    of ``_time_integral`` from x = r0/delta = ``_SERIES_X0`` on.
-
-    Exactly, 1/r = sum_(n<N) (-rho)^n/r0^(n+1) + (-rho/r0)^N/r, so term n
-    of the kernel is (-1)^n r0^-(n+1) int_0^inf Im[e^(i w r0) m_n(w)]
-    e^(-(w sigma)^2/2 + i w v) dw, where Stein's identity gives
-    m_n(w) = E[rho^n e^(i w rho)] = s^n e^(-(w s)^2/2) sum_m h_nm (i w s)^m
-    (``_STEIN``).  In t = a/S, S^2 = sigma^2 + s^2, the moments
-    G_m(a) = int_0^inf w^m e^(-(w S)^2/2 + i w a) dw are i^m p_m(t)/S^(m+1),
-    so the N terms are sum_m d_m p_m(t+) + d'_m p_m(t-), t+- = (v +- r0)/S,
-    over 2i r0 S, with the real weights d, d' of ``_make_series_kernel``.
-    The moments' recurrence S^2 G_(m+1) = m G_(m-1) + i a G_m + [m = 0]
-    reads p_(m+1) = t p_m - m p_(m-1) from p_0 = sqrt(pi/2) w(t/sqrt(2))
-    and p_1 = t p_0 - i, so p_m = p_0 He_m(t) - i Q_m(t), and the sum is
-    p_0 A(t) - i B(t) for two real polynomials per shift (``near``): one
-    ``faddeeva_w`` call per node and shift.  The terms are of size
-    |eps eta t|^m, eps = s/r0, eta = s/S, so from |t| = ``split``
-    >= 1/(eps eta) on, where they would cancel, the sum is i/t times a
-    polynomial in 1/t (``far``), the moments' expansion, which leaves out
-    e^(-t^2/2) <= e^(-112) of them.
-    """
-
-    r0: float
-    scale: float
-    split: float
-    near: np.ndarray    # [shift, (A, B), power of t]
-    far: np.ndarray     # [shift, power of 1/t]
-
-    def __call__(self, u, shift):
-        u = np.asarray(u, dtype=float)
-        t = np.concatenate([u + (shift + self.r0), u + (shift - self.r0)]) / self.scale
-        row = np.repeat([0, 1], u.size)
-        out = np.empty(t.size, dtype=complex)
-        far = np.abs(t) >= self.split
-        near = ~far
-        if near.any():
-            tn = t[near]
-            powers = np.vander(tn, self.near.shape[2], increasing=True)
-            a, b = np.einsum("ik,ipk->pi", powers, self.near[row[near]])
-            out[near] = (_SQRT_PI / _SQRT2) * faddeeva_w(tn / _SQRT2) * a - 1j * b
-        if far.any():
-            inv = 1.0 / t[far]
-            powers = np.vander(inv, self.far.shape[1], increasing=True)
-            out[far] = 1j * inv * np.einsum("ij,ij->i", powers, self.far[row[far]])
-        return (out[:u.size] + out[u.size:]) / (2j * self.r0 * self.scale)
-
-
 def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
-                        floor: float) -> tuple[_SeriesKernel, float] | None:
-    """The smeared kernel of N terms, and a bound on what the rest adds
-    to the raw J integral.
+                        floor: float) -> tuple[_MomentKernel, float] | None:
+    """The smeared kernel <K(v; r)>, r = r0 + rho, rho ~ N(0, s^2),
+    s = delta/sqrt(2), to N terms in s/r0, and a bound on what the rest
+    adds to the raw J integral.  As 1/r = sum_(n<N) (-rho)^n/r0^(n+1) +
+    (-rho/r0)^N/r, term n is (-1)^n r0^-(n+1) int_0^inf Im[e^(i w r0)
+    m_n(w)] e^(-(w sigma)^2/2 + i w v) dw, and Stein's identity gives
+    m_n(w) = E[rho^n e^(i w rho)] = s^n e^(-(w s)^2/2) sum_m h_nm (i w s)^m:
+    moments of S^2 = sigma^2 + s^2 at v +- r0, over 2i r0 S, whose terms
+    are of size |eps eta t|^m, eps = s/r0, eta = s/S.
 
     |K(v; r)| <= 1/sigma^2 everywhere and <= sqrt(pi/2)/(sigma |r|), so
     the rest, r0^-N E[(-rho)^N K(v; r)], is at most eps^N mu_N
@@ -568,22 +575,16 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     # w_m = sum_(n<N) (-eps)^n h_nm
     weights = (-eps) ** m @ _STEIN[:n, :n] * eta**m
     d = np.stack([weights * (-1.0) ** m, -weights])
-    split = max(_ASYMPTOTIC_T, 1.0 / (eps * eta))
-    far = d @ _ASYMPTOTIC[:, :n].T
-    # from the split on, each term of the expansion is at most its size there
-    size = np.abs(far).max(axis=0) * (1.0 / split) ** _ASYMPTOTIC_ORDERS
-    terms = int(np.nonzero(size > _ASYMPTOTIC_CUT * size[0])[0][-1]) + 1
-    kernel = _SeriesKernel(r0=r0, scale=scale, split=split,
-                           near=np.stack([d @ _HE[:n, :n], d @ _HQ[:n, :n]], axis=1),
-                           far=far[:, :terms])
+    kernel = _moment_kernel((r0, -r0), scale, 1.0 / (2j * r0 * scale), d,
+                            max(_ASYMPTOTIC_T, 1.0 / (eps * eta)))
     return kernel, float(bounds[n])
 
 
 def _j_series_result(s: Scenario, settings: QuadratureSettings) -> QuadResult | None:
     """The spatially smeared J as one time-domain quadrature of the
-    windows' factor against ``_SeriesKernel``, its error raised by the
-    bound on what the series leaves out; None where the series would need
-    too many terms."""
+    windows' factor against ``_make_series_kernel``'s kernel, its error
+    raised by the bound on what the series leaves out; None where the
+    series would need too many terms."""
     da, db = s.det_a, s.det_b
     r0 = s.separation
     pref = da.coupling * db.coupling / (4.0 * math.pi**2)
@@ -810,14 +811,13 @@ def evaluate_scenarios(
 
     One cache holds every integral rows share, keyed by what it depends
     on: the local term by coupling, gap, smearing and window duration
-    (equal to within ``_DURATION_ULPS`` ulps), the
-    exchange and unsmeared correlation terms, one quadrature, by
-    (detector A, detector B, separation), and the spatial smear's C by
-    detector pair alone, so an r sweep computes it once.  Only the
-    rest of each row's smeared correlation term is its own.  Returns, in
-    row order, the report or the ``ROW_ERRORS`` exception that row raised;
-    a failed shared integral fails every row that needs it.  Nothing is
-    kept after the call returns.
+    (equal to within ``_DURATION_ULPS`` ulps), the exchange and unsmeared
+    correlation terms, one quadrature, by (detector A, detector B,
+    separation), and the spatial smear's C by detector pair alone, so an r
+    sweep computes it once.  Only the rest of each row's smeared
+    correlation term is its own.  Returns, in row order, the report or the
+    ``ROW_ERRORS`` exception that row raised; a failed shared integral
+    fails every row that needs it.  Nothing is kept after the call returns.
     """
     cache: dict = {}
     out: list = []
@@ -838,15 +838,14 @@ def evaluate_scenario(
 
     The local term is one time-domain quadrature, computed once for two
     equal detectors, and the exchange and unsmeared correlation terms
-    share another.  With nonzero position uncertainty the
-    correlation term is smeared over separations: from r0 = 10 delta on by
-    one time-domain quadrature of a kernel summed in powers of delta/r0;
-    closer, by the erfi closed form, one time-domain quadrature, C, where
-    the separation is within a few uncertainties, and a frequency
-    quadrature damped on the scale 1/delta.  ``time_smear`` applies the clock-offset smear instead, a time-domain
-    quadrature of the exactly averaged window factor.  Both hold for
-    every window timing.  The local terms are
-    separation-independent and never smeared.
+    share another.  With nonzero position uncertainty the correlation term
+    is smeared over separations: from r0 = 9.5 delta on by one time-domain
+    quadrature of a kernel summed in powers of delta/r0; closer, by the
+    erfi closed form, one time-domain quadrature, C, where the separation
+    is within a few uncertainties, and a frequency quadrature damped on the
+    scale 1/delta.  ``time_smear`` applies the clock-offset smear instead,
+    a time-domain quadrature of the exactly averaged window factor.  Both
+    hold for every window timing.  The local terms are never smeared.
     """
     out = evaluate_scenarios([(s, time_smear)], settings)[0]
     if isinstance(out, Exception):

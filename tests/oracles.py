@@ -12,6 +12,9 @@ the spatial smear's two terms or the clock smear's window factor.  The
 state layer is checked against the matrix form: eigen-solves of the
 partial transpose and Bell projectors.  ``initial_panels_reference`` is
 the loop form of the quadrature's starting partition.
+``fourier_reference`` and ``kernel_reference`` share ``faddeeva_w`` with
+the package on purpose: they pin the unsmeared kernels' arithmetic, bit
+for bit, as closed forms.
 """
 import math
 from dataclasses import dataclass, replace
@@ -411,3 +414,26 @@ def initial_panels_reference(spec):
         edges.append(a + (b - a) * np.arange(n) / n)
     edges.append(np.array([hi]))
     return np.concatenate(edges)
+
+
+# --- time-domain kernels ----------------------------------------------------------
+
+def fourier_reference(u, shift, sigma):
+    """F(v) = sqrt(pi/2)/sigma * w(v/(sqrt(2)*sigma)) at v = u + shift, in
+    the arithmetic the package's unsmeared outputs are pinned to: the
+    argument (u + shift)/(sqrt(2)*sigma), one ``faddeeva_w`` call, and the
+    constant applied last."""
+    from harvestsim.specfun import faddeeva_w
+    sqrt2, sqrt_pi = math.sqrt(2.0), math.sqrt(math.pi)
+    return (sqrt_pi / (sqrt2 * sigma)) * faddeeva_w((u + shift) / (sqrt2 * sigma))
+
+
+def kernel_reference(u, shift, r, sigma):
+    """K(v; r) = [F(v + r) - F(v - r)]/(2ir) at v = u + shift, r well
+    above the r -> 0 limit, in the same pinned arithmetic: both arguments
+    u + (shift +- r) in one ``faddeeva_w`` call, then the constant."""
+    from harvestsim.specfun import faddeeva_w
+    sqrt2, sqrt_pi = math.sqrt(2.0), math.sqrt(math.pi)
+    u, shift = np.broadcast_arrays(np.asarray(u, dtype=float), shift)
+    w = faddeeva_w(np.concatenate([u + (shift + r), u + (shift - r)]) / (sqrt2 * sigma))
+    return (w[:u.size] - w[u.size:]) * (sqrt_pi / (sqrt2 * sigma * 2j * r))

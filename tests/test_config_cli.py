@@ -404,12 +404,12 @@ class TestBatchedSweep:
     def test_fig3_quadrature_cost(self, monkeypatch):
         # pins the preset's total evaluations across all of its integrals:
         # one I_nn, one I_AB/J pass, C, and per row a remainder below
-        # x = r0/delta = 10 or the time-domain series from there on
+        # x = r0/delta = 9.5 or the time-domain series from there on
         counts = self.record_evaluations(monkeypatch)
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
         assert len(counts) == 44
-        assert sum(counts) <= 11_805
+        assert sum(counts) <= 11_085
 
     def test_fig2a_quadrature_cost(self, monkeypatch):
         # one I_nn, then one I_AB/J pass per row

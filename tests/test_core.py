@@ -411,12 +411,13 @@ def mp_smeared_kernel(mp, v, r0, delta, sigma):
 
 
 class TestSeriesSmear:
-    """The spatial smear from x = r0/delta = 10 on: one time-domain
+    """The spatial smear from x = r0/delta = 9.5 on: one time-domain
     quadrature against a kernel summed in powers of delta/r0."""
 
     SIGMA = 1e-3
 
-    @pytest.mark.parametrize("r0, delta", [(0.15, 0.015), (0.15, 0.0015), (1500.0, 1e-3)])
+    @pytest.mark.parametrize("r0, delta", [(0.15, 0.015), (0.15, 0.0015), (1500.0, 1e-3),
+                                           (0.15, 0.15 / 9.5)])
     def test_kernel_matches_mpmath(self, r0, delta):
         # nodes from the peak at v = r0 out to |v - r0| = 1e6 s, on both
         # sides of the switch to the moments' asymptotic expansion
@@ -456,7 +457,7 @@ class TestSeriesSmear:
                         got = complex(kernel(np.array([u]), r0)[0])
                         assert abs(got - complex(exact)) <= bound
 
-    @pytest.mark.parametrize("x", [10.0, 15.0, 30.0])
+    @pytest.mark.parametrize("x", [9.5, 10.0, 15.0, 30.0])
     def test_routes_agree_where_both_converge(self, monkeypatch, x):
         s = fig_scenario(delta=0.15 / x)
         series = core._j_smeared_result(s, core.DEFAULT_SETTINGS, {})
@@ -667,28 +668,47 @@ class TestTimeDomainKernels:
         sigma = 0.05
         ref = self.kernel_by_quadrature(v, r, sigma)
         for shift in (0.0, r, -r):
-            got = core._kernel(np.array([v - shift]), shift, r, sigma)[0]
+            got = core._kernel(r, sigma)(np.array([v - shift]), shift)[0]
             assert abs(got - ref) <= 1e-9 * abs(ref)
 
     def test_kernel_limit_is_continuous_in_r(self):
         # below r = 1e-5 max(sigma, |v|) the r -> 0 limit takes over
         sigma, v = 0.01, np.array([0.0, 0.003, -0.02, 0.5])
-        k0 = core._kernel(v, 0.0, 0.0, sigma)
+        k0 = core._kernel(0.0, sigma)(v, 0.0)
         for r in (1e-8, 5e-8, 2e-7):
-            assert np.allclose(core._kernel(v, 0.0, r, sigma), k0, rtol=1e-9, atol=0.0)
+            assert np.allclose(core._kernel(r, sigma)(v, 0.0), k0, rtol=1e-9, atol=0.0)
 
     def test_kernel_far_series(self):
-        # real part of K(v; 0) beyond |x| = 20 from the asymptotic series,
-        # against a 40-digit Dawson function
+        # K(v; 0) = G_1 = (1 + i sqrt(pi) x w(x))/sigma^2, x = v/(sqrt(2) sigma),
+        # on both sides of the switch to the moments' expansion at
+        # |v|/sigma = 15 (x = 10.6) and beyond it, where the closed form's
+        # real part would cancel to about eps*x^2, against 40-digit mpmath
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
         sigma = 1.0
-        for x in (19.9, 20.1, 35.0, 400.0, -1e4):
-            v = x * math.sqrt(2.0) * sigma
-            exact = float(1 - 2 * mpmath.mpf(x) * mpmath.sqrt(mpmath.pi) / 2
-                          * mpmath.erfi(x) * mpmath.exp(-mpmath.mpf(x) ** 2))
-            got = core._kernel(np.array([v]), 0.0, 0.0, sigma)[0].real
-            assert got == pytest.approx(exact, rel=1e-12)
+        xs = (0.3, -2.0, 7.0, 10.5, 10.65, 15.0, 19.7, 19.9, 20.1, 35.0, 400.0, -1e4)
+        got = core._kernel(0.0, sigma)(np.array(xs) * math.sqrt(2.0) * sigma, 0.0)
+        with mpmath.workdps(40):
+            for x, g in zip(xs, got):
+                x = mpmath.mpf(x)
+                w = mpmath.exp(-x * x) * mpmath.erfc(-1j * x)
+                exact = complex((1 + 1j * mpmath.sqrt(mpmath.pi) * x * w) / sigma**2)
+                assert abs(g - exact) <= 1e-13 * abs(exact)
+
+    def test_unsmeared_kernels_are_bit_identical(self):
+        # F and K(v; r) keep the closed forms' arithmetic exactly, which keeps
+        # every unsmeared output byte-identical: nodes over fig2a's supports
+        # (v from 50 to 250 sigma, peaks at v = +-r) for its r range
+        rng = np.random.default_rng(20)
+        sigma = 1e-3
+        fourier = core._fourier_kernel(sigma)
+        for r in (10 * sigma, 150 * sigma, 400 * sigma):
+            kernel = core._kernel(r, sigma)
+            v = np.concatenate([rng.uniform(-0.3, 0.5, 400),
+                                rng.normal(r, 3 * sigma, 100), rng.normal(-r, 3 * sigma, 100)])
+            for shift in (0.0, r, -r):
+                u = v - shift
+                assert np.array_equal(kernel(u, shift), oracles.kernel_reference(u, shift, r, sigma))
+                assert np.array_equal(fourier(u, shift), oracles.fourier_reference(u, shift, sigma))
 
     def test_damped_erf(self):
         mpmath = pytest.importorskip("mpmath")
