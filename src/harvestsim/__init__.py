@@ -27,7 +27,6 @@ from .core import (
     compute_J_time_smeared,
     evaluate_scenario,
     evaluate_scenarios,
-    jtilde,
     negativity_closed,
     negativity_sectors,
     partial_transpose,

@@ -5,17 +5,19 @@ of the correlation term.
 
 The integrals are pref times one quadrature over v = t_B - t_A of a
 window factor M(v) and the radial kernel
-K(v; r) = int_0^inf sin(w*r)/r exp(-(w*sigma)^2/2 + i*w*v) dw:
+K(v; r) = int_0^inf sin(w*r)/r exp(-(w*sigma)^2/2 + i*w*v) dw, sigma the
+smearing width both detectors share (``Scenario`` rejects unequal ones):
 I_nn = int M(v; -gap, gap) K(v; 0), I_AB = int M(v; -gap_A, gap_B) K(v; r)
 and J = int M(v; gap_A, gap_B) K(-|v|; r), the signs of v being J's time
 orderings.  K(-v) = conj K(v), so J's kernel is the conjugate of K where
 v >= 0, and I_AB and J are two components of one quadrature that
 evaluates K once per node.  I_nn is integrated by parts, as
-i*int M'(v) F(v) dv.  A clock offset averages M exactly.  The spatial
-smear, x = r0/delta, is from x = 9.5 on one time-domain quadrature of M
-against the smeared kernel summed in powers of delta/r0.  Below, it
-splits its erfi factor into a separation-independent term, e^(-x^2)
-times one time-domain integral C = int M(v; gap_A, gap_B) F(-|v|) dv
+i*int M'(v) F(v) dv.  A clock offset averages M exactly, on one route,
+``_j_clock_result``, that checks its inputs before any quadrature.  The
+spatial smear, x = r0/delta, is from x = 9.5 on one time-domain
+quadrature of M against the smeared kernel summed in powers of delta/r0.
+Below, it splits its erfi factor into a separation-independent term,
+e^(-x^2) times one time-domain integral C = int M(v; gap_A, gap_B) F(-|v|) dv
 shared per detector pair, and a remainder damped as e^(-(w*delta)^2/4),
 a frequency quadrature of the kernel Jhat over the finite range where
 its envelope exceeds 1e-18 (``_TAIL``).  Every kernel, F = G_0,
@@ -56,14 +58,13 @@ from .quadrature import (
     QuadResult,
     integrate_radial,
 )
-from .specfun import _check_finite, _damped_erf, _ediff, damped_erf, faddeeva_w
+from .specfun import _damped_erf, _ediff, faddeeva_w
 
 __all__ = [
     "SecondOrderIntegrals",
     "HarvestReport",
     "compute_I_nn",
     "compute_I_AB",
-    "jtilde",
     "compute_J",
     "compute_J_smeared",
     "compute_J_time_smeared",
@@ -128,7 +129,8 @@ def _scaled(res: QuadResult, pref: float, phase_rate: float, t0: float) -> QuadR
     return QuadResult(value, pref * res.abs_error, res.evaluations)
 
 
-def jtilde(emitter: DetectorParams, absorber: DetectorParams, omega, t0: float = 0.0):
+def _jtilde(emitter: DetectorParams, absorber: DetectorParams, omega: np.ndarray,
+            t0: float) -> np.ndarray:
     """Correlation kernel: the nested two-time integral over absorber time t
     and emitter time t' <= t, for any window timing.
 
@@ -142,13 +144,6 @@ def jtilde(emitter: DetectorParams, absorber: DetectorParams, omega, t0: float =
     windows are measured from t0; the absolute kernel is
     exp(i*(absorber.gap + emitter.gap)*t0) times this one.
     """
-    _check_finite("jtilde", omega, t0)
-    out = _jtilde(emitter, absorber, np.asarray(omega, dtype=float), t0)
-    return complex(out) if out.ndim == 0 else out
-
-
-def _jtilde(emitter: DetectorParams, absorber: DetectorParams, omega: np.ndarray,
-            t0: float) -> np.ndarray:
     n_on, n_off = absorber.window.t_on - t0, absorber.window.t_off - t0
     m_on, m_off = emitter.window.t_on - t0, emitter.window.t_off - t0
     a_minus = omega - absorber.gap
@@ -170,12 +165,6 @@ def _jhat(s: Scenario, omega: np.ndarray, t0: float) -> np.ndarray:
     """Sum of both emitter/absorber orderings of the correlation kernel,
     windows measured from t0."""
     return _jtilde(s.det_a, s.det_b, omega, t0) + _jtilde(s.det_b, s.det_a, omega, t0)
-
-
-def _require_equal_smearing(s: Scenario, op: str) -> float:
-    if s.det_a.smearing != s.det_b.smearing:
-        raise ValueError(f"{op}: requires equal smearing widths for both detectors")
-    return s.det_a.smearing
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -343,7 +332,7 @@ def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
     mu = g_a + g_b
     s_on, s_off = b[0] - v, b[1] - v
     x = np.stack([a[0] - s_off, a[0] - s_on, a[1] - s_off, a[1] - s_on]) / dt
-    e = damped_erf(x, 0.5 * mu * dt)
+    e = _damped_erf(x, np.float64(0.5 * mu * dt))
     p = erf(x)
     end = np.exp(1j * mu * a[1]) * (p[3] - p[2]) + np.exp(1j * mu * s_off) * (e[2] - e[0])
     start = np.exp(1j * mu * a[0]) * (p[1] - p[0]) + np.exp(1j * mu * s_on) * (e[3] - e[1])
@@ -444,41 +433,22 @@ def compute_I_nn(det: DetectorParams, settings: QuadratureSettings = DEFAULT_SET
     return _i_nn_result(det, settings).value.real
 
 
-def _pair_results(s: Scenario, r: float, settings: QuadratureSettings,
-                  op: str = "compute_I_AB") -> list[QuadResult]:
-    """[I_AB, J] at separation r (any real; both even in r), from one
-    quadrature; each carries its evaluations."""
-    _require_equal_smearing(s, op)
-    return _time_integral(s.det_a, s.det_b, r, settings, exchange=True)
-
-
 def compute_I_AB(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
     """Exchange term between the detectors (enters the |ge><eg| coherence)."""
-    return _pair_results(s, s.separation, settings)[0].value
-
-
-def _j_result_at_separation(s: Scenario, r: float, settings: QuadratureSettings,
-                            delta_t: float = 0.0) -> QuadResult:
-    """Correlation term at separation r (any real; even in r), averaged over a
-    Gaussian clock offset of B's window of scale delta_t when delta_t > 0;
-    without it, the second component of ``_pair_results``."""
-    if not delta_t > 0.0:
-        return _pair_results(s, r, settings, "compute_J")[1]
-    _require_equal_smearing(s, "compute_J")
-    return _time_integral(s.det_a, s.det_b, r, settings, delta_t)[0]
+    return _time_integral(s.det_a, s.det_b, s.separation, settings, exchange=True)[0].value
 
 
 def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
     """Correlation term connecting |gg> and |ee> at the mean separation."""
-    return _j_result_at_separation(s, s.separation, settings).value
+    return _time_integral(s.det_a, s.det_b, s.separation, settings, exchange=True)[1].value
 
 
 def _c_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
     """C = pref * int M(v; gap_A, gap_B) F(-|v|) dv, which is
     pref * int_0^inf exp(-(w*sigma)^2/2) Jhat(w) dw: the part of the spatial
     smear that depends on neither separation nor uncertainty."""
-    sigma = _require_equal_smearing(s, "compute_J_smeared")
-    return _time_integral(s.det_a, s.det_b, 0.0, settings, transform=_fourier_kernel(sigma))[0]
+    return _time_integral(s.det_a, s.det_b, 0.0, settings,
+                          transform=_fourier_kernel(s.det_a.smearing))[0]
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) -> QuadResult:
@@ -497,7 +467,7 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) ->
     delta = s.position_uncertainty
     if not delta > 0.0:
         raise ValueError("compute_J_smeared: requires position_uncertainty > 0")
-    sig = _require_equal_smearing(s, "compute_J_smeared")
+    sig = s.det_a.smearing
     x = s.separation / delta
     if x >= _SERIES_X0:
         res = _j_series_result(s, settings)
@@ -604,6 +574,17 @@ def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTIN
     return abs(_j_smeared_result(s, settings, {}).value)
 
 
+def _j_clock_result(s: Scenario, delta_t: float, settings: QuadratureSettings) -> QuadResult:
+    """Correlation term averaged over a Gaussian clock offset of B's window
+    of scale delta_t: the only route to it, which checks both of its
+    preconditions before any quadrature runs."""
+    if s.position_uncertainty > 0.0:
+        raise ValueError("clock-offset smear: spatial and temporal smearing are exclusive")
+    if not delta_t > 0.0:
+        raise ValueError("clock-offset smear: delta_t must be > 0")
+    return _time_integral(s.det_a, s.det_b, s.separation, settings, delta_t)[0]
+
+
 def compute_J_time_smeared(
     s: Scenario,
     delta_t: float,
@@ -615,9 +596,7 @@ def compute_J_time_smeared(
     (variance delta_t^2/2) and shifts the second window; its average is
     exact for every window timing (``_clock_window``).
     """
-    if not delta_t > 0.0:
-        raise ValueError("compute_J_time_smeared: requires delta_t > 0")
-    return abs(_j_result_at_separation(s, s.separation, settings, delta_t).value)
+    return abs(_j_clock_result(s, delta_t, settings).value)
 
 
 def assemble_rho(ints: SecondOrderIntegrals) -> np.ndarray:
@@ -739,9 +718,14 @@ def _shared(cache: dict, key, compute):
 def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSettings,
                 cache: dict) -> HarvestReport:
     """One row of ``evaluate_scenarios``; ``cache`` holds the integrals rows
-    share, keyed by what each depends on."""
-    if time_smear is not None and s.position_uncertainty > 0.0:
-        raise ValueError("evaluate_scenario: spatial and temporal smearing are exclusive")
+    share, keyed by what each depends on.  The row's smear comes first, so
+    an input it rejects costs no quadrature."""
+    if time_smear is not None:
+        res_sm, method = _j_clock_result(s, time_smear, settings), "closed-form-time"
+    elif s.position_uncertainty > 0.0:
+        res_sm, method = _j_smeared_result(s, settings, cache), "erfi-closed-form"
+    else:
+        res_sm, method = None, None
 
     def i_nn(det: DetectorParams) -> QuadResult:
         # keyed by what ``_i_nn_result`` reads, not by where the window sits;
@@ -753,23 +737,15 @@ def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSetti
 
     res_aa, res_bb = i_nn(s.det_a), i_nn(s.det_b)
     res_ab, res_j = _shared(cache, ("pair", s.det_a, s.det_b, s.separation),
-                            lambda: _pair_results(s, s.separation, settings))
+                            lambda: _time_integral(s.det_a, s.det_b, s.separation, settings,
+                                                   exchange=True))
     errors = {"i_aa": res_aa.abs_error, "i_bb": res_bb.abs_error,
               "i_ab": res_ab.abs_error, "j": res_j.abs_error}
 
     j_unsmeared = res_j.value
-    method = None
     j_eff = j_unsmeared
     j_smeared_abs = None
-    if s.position_uncertainty > 0.0:
-        res_sm = _j_smeared_result(s, settings, cache)
-        method = "erfi-closed-form"
-    elif time_smear is not None:
-        if not time_smear > 0.0:
-            raise ValueError("evaluate_scenario: time_smear must be > 0")
-        res_sm = _j_result_at_separation(s, s.separation, settings, time_smear)
-        method = "closed-form-time"
-    if method is not None:
+    if res_sm is not None:
         j_eff = res_sm.value
         errors["j_smeared"] = res_sm.abs_error
         j_smeared_abs = abs(j_eff)

@@ -40,14 +40,6 @@ class SwitchingWindow:
             )
 
     @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.t_off + self.t_on)
-
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.t_off - self.t_on)
-
-    @property
     def duration(self) -> float:
         return self.t_off - self.t_on
 
@@ -81,7 +73,11 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A detector pair, their mean separation, and the positioning uncertainty."""
+    """A detector pair, their mean separation, and the positioning uncertainty.
+
+    The pair terms are derived for one smearing width shared by both
+    detectors; gaps, couplings and windows may differ.
+    """
 
     det_a: DetectorParams
     det_b: DetectorParams
@@ -93,7 +89,9 @@ class Scenario:
             raise ValueError("Scenario: separation must be positive")
         if not (self.position_uncertainty >= 0.0 and math.isfinite(self.position_uncertainty)):
             raise ValueError("Scenario: position_uncertainty must be >= 0")
-        sig = max(self.det_a.smearing, self.det_b.smearing)
+        sig = self.det_a.smearing
+        if self.det_b.smearing != sig:
+            raise ValueError("Scenario: both detectors must have the same smearing width")
         if self.separation < 5.0 * sig:
             warnings.warn(
                 f"separation {self.separation:.3g} < 5*smearing {sig:.3g}; "

@@ -6,7 +6,9 @@ unchanged; in a ``delta`` or ``delta_t`` sweep also the exchange term and
 the unsmeared correlation term; and the spatial smear's separation- and
 uncertainty-independent term C once per detector pair, in an ``r`` sweep
 too.
-Isolated failures are recorded per row instead of aborting the sweep.
+Isolated failures are recorded per row instead of aborting the sweep; a
+scenario no row could evaluate, such as detectors of unequal smearing
+widths, is rejected when the config is built, before any row runs.
 Output formatting uses shortest round-trip floats so that repeated runs
 are byte-identical.
 """

@@ -368,7 +368,7 @@ def oracle_J_space(scn, delta):
     cuts = sorted({lo, hi} | {c for c in splits if lo < c < hi})
     rs, wt = _panel_rule(_graded_edges(cuts, sig, 1.0), 16)
     wt = wt * np.exp(-((rs - r0) / delta) ** 2) / (delta * math.sqrt(math.pi))
-    j = [core._j_result_at_separation(scn, r, DEFAULT_SETTINGS).value for r in rs]
+    j = [core._time_integral(da, db, r, DEFAULT_SETTINGS, exchange=True)[1].value for r in rs]
     return complex(np.sum(wt * np.array(j)))
 
 

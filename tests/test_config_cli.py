@@ -385,7 +385,7 @@ class TestBatchedSweep:
         rows = run_sweep(sweep_cfg("delta_t", "2*sigma", "10*sigma", 3,
                                    uncertainty="3*sigma"))
         assert [r.status for r in rows] == [
-            "ValueError: evaluate_scenario: spatial and temporal smearing are exclusive"] * 3
+            "ValueError: clock-offset smear: spatial and temporal smearing are exclusive"] * 3
         assert all(r.report is None for r in rows)
 
     @staticmethod
@@ -439,7 +439,7 @@ class TestBatchedSweep:
 
     def test_zero_width_row_fails_alone(self):
         rows = run_sweep(sweep_cfg("delta_t", "0", "4*sigma", 3))
-        assert rows[0].status == "ValueError: evaluate_scenario: time_smear must be > 0"
+        assert rows[0].status == "ValueError: clock-offset smear: delta_t must be > 0"
         assert rows[0].report is None
         assert [r.status for r in rows[1:]] == ["ok", "ok"]
 
@@ -550,12 +550,26 @@ class TestCli:
         assert captured.err == ("invalid input: QuadratureSettings: "
                                 "tolerances must be positive and finite\n")
 
-    def test_unequal_smearing_compute_exit_code(self, tmp_path, capsys):
-        text = FIG2_CONFIG.replace("smearing = 0.001\nt_on = 150", "smearing = 0.002\nt_on = 150")
-        assert main(["compute", self.write_cfg(tmp_path, text)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid input: compute_I_AB: requires equal smearing")
-        assert err.count("\n") == 1
+    def unequal_smearing_run(self, tmp_path, capsys, monkeypatch, verb):
+        # rejected as the config is built: one line, and no file written
+        text = (FIG2_CONFIG.replace("smearing = 0.001\nt_on = 150", "smearing = 0.002\nt_on = 150")
+                + "[sweep]\nparameter = delta\nfrom = 0\nto = 0.1\npoints = 3\n"
+                + "\n[output]\npath = out.csv\n")
+        path = self.write_cfg(tmp_path, text)
+        monkeypatch.chdir(tmp_path)
+        assert main([verb, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: [scenario]: Scenario: both detectors must "
+                                "have the same smearing width\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    def test_unequal_smearing_compute_exit_code(self, tmp_path, capsys, monkeypatch):
+        self.unequal_smearing_run(tmp_path, capsys, monkeypatch, "compute")
+
+    def test_unequal_smearing_sweep_exit_code(self, tmp_path, capsys, monkeypatch):
+        # formerly a table of failed rows
+        self.unequal_smearing_run(tmp_path, capsys, monkeypatch, "sweep")
 
     def test_figure_writes_sidecar_metadata(self, tmp_path, capsys):
         out_path = tmp_path / "fig.csv"

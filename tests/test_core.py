@@ -21,7 +21,6 @@ from harvestsim.core import (
     compute_J_smeared,
     compute_J_time_smeared,
     evaluate_scenario,
-    jtilde,
     negativity_closed,
     negativity_sectors,
     partial_transpose,
@@ -71,77 +70,67 @@ def fig_scenario(r0=0.15, delta=0.0, coupling=0.01):
 
 
 class TestJtilde:
-    def time_domain(self, absorber, emitter, w):
-        return oracles.jtilde_time_domain(absorber, emitter, w)
+    """``core._jtilde`` on arrays of frequencies, windows measured from 0."""
+
+    @staticmethod
+    def jtilde(emitter, absorber, ws):
+        return core._jtilde(emitter, absorber, np.asarray(ws, dtype=float), 0.0)
+
+    def check(self, emitter, absorber, ws, tol):
+        got = self.jtilde(emitter, absorber, ws)
+        ref = np.array([oracles.jtilde_time_domain(absorber, emitter, w) for w in ws])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) < tol
 
     def test_disjoint_regular_at_gap_frequency(self):
         emitter = detector(window=(0.0, 1.0))
         absorber = detector(window=(1.5, 2.5), gap=1.3)
-        v = jtilde(emitter, absorber, 1.3)  # omega == absorber gap
-        assert np.isfinite(v.real) and np.isfinite(v.imag)
-        ref = self.time_domain(absorber, emitter, 1.3)
-        assert v == pytest.approx(ref, abs=1e-10)
+        self.check(emitter, absorber, [1.3], 1e-10)  # omega == absorber gap
 
     def test_disjoint_matches_time_domain(self):
         emitter = detector(window=(0.2, 0.9), gap=0.8)
         absorber = detector(window=(1.1, 2.4), gap=1.2)
         rng = np.random.default_rng(17)
-        for w in rng.uniform(0.0, 8.0, size=10):
-            v = jtilde(emitter, absorber, float(w))
-            ref = self.time_domain(absorber, emitter, float(w))
-            assert abs(v - ref) < 1e-10
+        self.check(emitter, absorber, rng.uniform(0.0, 8.0, size=10), 1e-10)
 
     def test_disjoint_short_emitter_window(self):
         emitter = detector(window=(0.0, 1e-9))
         absorber = detector(window=(1.0, 2.0))
-        assert abs(jtilde(emitter, absorber, 2.0)) < 1e-8
+        assert np.abs(self.jtilde(emitter, absorber, [2.0])).max() < 1e-8
 
     def test_overlap_matches_time_domain(self):
         emitter = detector(window=(0.0, 1.0), gap=0.9)
         absorber = detector(window=(0.4, 1.3), gap=1.1)
         rng = np.random.default_rng(23)
-        for w in list(rng.uniform(0.0, 6.0, size=8)) + [1.1]:  # include omega == gap
-            v = jtilde(emitter, absorber, float(w))
-            ref = self.time_domain(absorber, emitter, float(w))
-            assert abs(v - ref) < 1e-9
+        ws = list(rng.uniform(0.0, 6.0, size=8)) + [1.1]  # include omega == gap
+        self.check(emitter, absorber, ws, 1e-9)
 
     def test_overlap_identical_windows(self):
         emitter = detector(window=(0.0, 0.5))
         absorber = detector(window=(0.0, 0.5))
         rng = np.random.default_rng(29)
-        for w in rng.uniform(0.0, 6.0, size=8):
-            v = jtilde(emitter, absorber, float(w))
-            ref = self.time_domain(absorber, emitter, float(w))
-            assert abs(v - ref) < 1e-9
+        self.check(emitter, absorber, rng.uniform(0.0, 6.0, size=8), 1e-9)
 
     def test_overlap_containment(self):
         emitter = detector(window=(0.2, 0.5))
         absorber = detector(window=(0.0, 1.0))
-        for w in (0.3, 1.0, 2.7):
-            v = jtilde(emitter, absorber, w)
-            ref = self.time_domain(absorber, emitter, w)
-            assert abs(v - ref) < 1e-9
+        self.check(emitter, absorber, [0.3, 1.0, 2.7], 1e-9)
 
     def test_overlap_shrinks_to_disjoint(self):
         # overlap of width eps -> 0 reproduces the touching disjoint value
-        w = 2.3
-        disjoint = jtilde(
-            detector(window=(0.0, 1.0)), detector(window=(1.0, 2.0)), w
-        )
+        w = [2.3]
+        disjoint = self.jtilde(detector(window=(0.0, 1.0)), detector(window=(1.0, 2.0)), w)
         for eps in (1e-4, 1e-6, 1e-8):
-            v = jtilde(
-                detector(window=(0.0, 1.0 + eps)), detector(window=(1.0, 2.0)), w
-            )
-            assert abs(v - disjoint) < 5.0 * eps
+            v = self.jtilde(detector(window=(0.0, 1.0 + eps)), detector(window=(1.0, 2.0)), w)
+            assert np.abs(v - disjoint).max() < 5.0 * eps
 
     def test_absorber_before_emitter_vanishes(self):
         # the absorber switches off before the emitter switches on
         emitter = detector(window=(2.0, 3.0), gap=0.9)
         absorber = detector(window=(0.0, 1.0), gap=1.1)
-        for w in (0.0, 1.1, 2.7):
-            v = jtilde(emitter, absorber, w)
-            assert v == 0.0
-            assert v == self.time_domain(absorber, emitter, w)
+        ws = [0.0, 1.1, 2.7]
+        assert self.jtilde(emitter, absorber, ws).tolist() == [0.0] * 3
+        assert [oracles.jtilde_time_domain(absorber, emitter, w) for w in ws] == [0.0] * 3
 
 
 class TestLocalTerms:
@@ -210,10 +199,13 @@ class TestExchangeTerm:
                                         rel=1e-12)
 
     def test_requires_equal_smearing(self):
+        # the pair terms are never reached: the scenario itself is rejected
         s = scenario()
-        s = replace(s, det_b=replace(s.det_b, smearing=0.2))
-        with pytest.raises(ValueError):
-            compute_I_AB(s)
+        unequal = replace(s.det_b, smearing=0.2)
+        with pytest.raises(ValueError, match="same smearing width"):
+            replace(s, det_b=unequal)
+        with pytest.raises(ValueError, match="same smearing width"):
+            Scenario(det_a=s.det_a, det_b=unequal, separation=s.separation)
 
     def test_cauchy_schwarz_on_computed_scenarios(self):
         for s in (scenario(), scenario(wa=(0.0, 1.0), wb=(0.4, 1.2), r0=0.8),
@@ -528,6 +520,27 @@ class TestTimeSmearedCorrelation:
         with pytest.raises(ValueError):
             compute_J_time_smeared(fig_scenario(), 0.0)
 
+    @pytest.mark.parametrize("entry", ["compute_J_time_smeared", "evaluate_scenario"])
+    @pytest.mark.parametrize("delta, dt, message", [
+        (0.15, 0.005, "spatial and temporal smearing are exclusive"),  # delta = r0
+        (0.15, 0.0, "spatial and temporal smearing are exclusive"),
+        (0.0, 0.0, "delta_t must be > 0"),
+        (0.0, -0.005, "delta_t must be > 0"),
+        (0.0, math.nan, "delta_t must be > 0"),
+    ])
+    def test_both_entry_points_reject_before_any_quadrature(self, monkeypatch, entry, delta,
+                                                            dt, message):
+        # one route to the clock smear checks both of its inputs first
+        calls = []
+        monkeypatch.setattr(core, "integrate_radial", lambda *args: calls.append(args))
+        s = fig_scenario(delta=delta)
+        with pytest.raises(ValueError, match=message):
+            if entry == "compute_J_time_smeared":
+                compute_J_time_smeared(s, dt)
+            else:
+                evaluate_scenario(s, time_smear=dt)
+        assert calls == []
+
 
 def clock_J_gauss_hermite(s, dt, nodes=161):
     """Average the correlation term over clock offsets tau ~ N(0, dt^2/2) of
@@ -602,10 +615,10 @@ class TestQuadratureCost:
         s = fig_scenario()
         settings = core.DEFAULT_SETTINGS
         assert core._i_nn_result(s.det_a, settings).evaluations <= 300
-        assert core._pair_results(s, s.separation, settings)[0].evaluations <= 700
-        assert core._j_result_at_separation(s, s.separation, settings).evaluations <= 700
+        i_ab, j = core._time_integral(s.det_a, s.det_b, s.separation, settings, exchange=True)
+        assert i_ab.evaluations == j.evaluations <= 700
         for dt in (0.005, 0.02, 0.04):
-            assert core._j_result_at_separation(s, s.separation, settings, dt).evaluations <= 1100
+            assert core._j_clock_result(s, dt, settings).evaluations <= 1100
 
     @staticmethod
     def count_quadratures(monkeypatch):
@@ -637,7 +650,9 @@ class TestQuadratureCost:
 
     def test_pair_pass_costs_what_each_integral_did(self):
         # I_AB and J, each 450 evaluations as separate quadratures, share them
-        i_ab, j = core._pair_results(fig_scenario(), 0.15, core.DEFAULT_SETTINGS)
+        s = fig_scenario()
+        i_ab, j = core._time_integral(s.det_a, s.det_b, 0.15, core.DEFAULT_SETTINGS,
+                                      exchange=True)
         assert i_ab.evaluations == j.evaluations == 450
 
     def test_single_core(self):
@@ -785,16 +800,15 @@ class TestTimeShiftInvariance:
         assert abs(i1.i_ab - i0.i_ab * ab_phase) <= 1e-12 * abs(i0.i_ab)
         assert abs(i1.j - i0.j * j_phase) <= 1e-12 * abs(i0.j)
         # and the cost of the correlation term does not grow with it
-        evals0 = core._j_result_at_separation(s0, r0, core.DEFAULT_SETTINGS).evaluations
-        evals1 = core._j_result_at_separation(s1, r0, core.DEFAULT_SETTINGS).evaluations
+        evals0, evals1 = (core._time_integral(s.det_a, s.det_b, r0, core.DEFAULT_SETTINGS,
+                                              exchange=True)[1].evaluations for s in (s0, s1))
         assert evals1 <= evals0
         # both smeared correlation terms carry the same phase, and the spatial
         # smear costs no more
         delta, dt = delta_rel * r0, dt_rel * 0.1
         sm0, sm1 = (core._j_smeared_result(replace(s, position_uncertainty=delta),
                                            core.DEFAULT_SETTINGS, {}) for s in (s0, s1))
-        ck0, ck1 = (core._j_result_at_separation(s, r0, core.DEFAULT_SETTINGS, dt)
-                    for s in (s0, s1))
+        ck0, ck1 = (core._j_clock_result(s, dt, core.DEFAULT_SETTINGS) for s in (s0, s1))
         for res0, res1 in ((sm0, sm1), (ck0, ck1)):
             assert abs(res1.value) == pytest.approx(abs(res0.value), rel=1e-12)
             assert abs(res1.value - res0.value * j_phase) <= 1e-12 * abs(res0.value)

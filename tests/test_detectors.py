@@ -32,8 +32,7 @@ class TestValidation:
 
     def test_window_derived_quantities(self):
         w = SwitchingWindow(0.15, 0.25)
-        assert w.midpoint == pytest.approx(0.2)
-        assert w.half_width == pytest.approx(0.05)
+        assert w.shifted(0.5) == SwitchingWindow(0.65, 0.75)
         assert w.duration == pytest.approx(0.1)
 
     def test_detector_rejects_bad_params(self):
