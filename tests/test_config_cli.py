@@ -370,6 +370,33 @@ class TestBatchedSweep:
         cfg = sweep_cfg(parameter, lo, hi, points, spacing)
         assert rows_to_csv(run_sweep(cfg)) == per_row_csv(cfg)
 
+    @pytest.mark.parametrize("cfg", [
+        figure_config("fig3"),
+        figure_config("fig2a"),
+        # x = r/delta crosses 9.5 at r = 95 sigma: both spatial routes
+        sweep_cfg("r", "10*sigma", "400*sigma", 40, uncertainty="10*sigma"),
+        sweep_cfg("delta_t", "1*sigma", "40*sigma", 40),
+        sweep_cfg("gap", "10*sigma", "100*sigma", 20),
+        # every row fails, with the message of the smear that rejects it
+        sweep_cfg("delta_t", "2*sigma", "10*sigma", 3, uncertainty="3*sigma"),
+    ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "delta_t-rejected"])
+    def test_sweep_bit_identical_to_single_points(self, cfg):
+        # the rows of one call share their integrals and evaluate them
+        # together; every field of every report, the error estimates
+        # included, and every failure must be what the row gives alone
+        rows = [_apply_parameter(cfg.scenario, cfg.sweep.parameter, float(v))
+                for v in sweep_values(cfg.sweep)]
+        together = core.evaluate_scenarios(rows, cfg.numerics)
+        for (s, time_smear), got in zip(rows, together, strict=True):
+            try:
+                alone = evaluate_scenario(s, cfg.numerics, time_smear=time_smear)
+            except core.ROW_ERRORS as exc:
+                alone = exc
+            if isinstance(alone, Exception):
+                assert (type(got), str(got)) == (type(alone), str(alone))
+            else:
+                assert got == alone
+
     def test_delta_t_mixing_methods_matches_per_row_evaluation(self):
         # the windows are 50 sigma apart: offsets of 2 sigma keep them apart,
         # offsets of 50 sigma reach an overlap; one method covers both
