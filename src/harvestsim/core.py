@@ -13,7 +13,7 @@ orderings.  K(-v) = conj K(v), so J's kernel is the conjugate of K where
 v >= 0, and I_AB and J are two components of one quadrature that
 evaluates K once per node.  I_nn is integrated by parts, as
 i*int M'(v) F(v) dv.  A clock offset averages M exactly, on one route,
-``_j_clock_result``, that checks its inputs before any quadrature.  The
+``_clock_member``, that checks its inputs before any quadrature.  The
 spatial smear, x = r0/delta, is from x = 9.5 on one time-domain
 quadrature of M against the smeared kernel summed in powers of delta/r0.
 Below, it splits its erfi factor into a separation-independent term,
@@ -24,6 +24,14 @@ its envelope exceeds 1e-18 (``_TAIL``).  Every kernel, F = G_0,
 K(v; r) = [F(v + r) - F(v - r)]/(2ir), K(v; 0) = G_1 and the smeared one,
 is one sum of the Faddeeva moments G_m = int_0^inf w^m exp(-(w*S)^2/2 +
 i*w*a) dw (``_MomentKernel``).
+
+Each integral is a ``_Member`` of one of six kinds (the I_AB/J pair, the
+clock-smeared J, the series-smeared J, C, the frequency remainder and
+I_nn), whose evaluator reads the member's parameters.  A call adds the
+integrals its rows need to a ``_Plan`` and runs each kind as one group:
+a member alone through ``integrate_radial``, several in lockstep through
+``integrate_lockstep``, which evaluates the nodes of every member of the
+group in one call of the evaluator at per-node parameters.
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -56,6 +64,7 @@ from .quadrature import (
     IntegrandSpec,
     QuadratureSettings,
     QuadResult,
+    integrate_lockstep,
     integrate_radial,
 )
 from .specfun import _damped_erf, _ediff, faddeeva_w
@@ -129,10 +138,24 @@ def _scaled(res: QuadResult, pref: float, phase_rate: float, t0: float) -> QuadR
     return QuadResult(value, pref * res.abs_error, res.evaluations)
 
 
-def _jtilde(emitter: DetectorParams, absorber: DetectorParams, omega: np.ndarray,
-            t0: float) -> np.ndarray:
+def _jtilde_terms(emitter: DetectorParams, absorber: DetectorParams, t0: float) -> dict:
+    """What ``_jtilde`` reads of one emitter/absorber ordering, windows
+    measured from t0: the window edges, the gaps, which of its two time
+    domains are nonempty, and the overlap's frequency-independent block."""
+    n_on, n_off = absorber.window.t_on - t0, absorber.window.t_off - t0
+    m_on, m_off = emitter.window.t_on - t0, emitter.window.t_off - t0
+    u0, u1 = max(n_on, m_on), min(n_off, m_off)
+    v0, v1 = max(n_on, m_off), n_off
+    overlap = u1 > u0
+    const = _ediff(u0, u1, np.float64(absorber.gap + emitter.gap)) if overlap else 0j
+    return dict(absorber_gap=absorber.gap, emitter_gap=emitter.gap, m_on=m_on, m_off=m_off,
+                u0=u0, u1=u1, overlap=overlap, const=const, v0=v0, v1=v1, after=v1 > v0)
+
+
+def _jtilde(omega: np.ndarray, p: dict) -> np.ndarray:
     """Correlation kernel: the nested two-time integral over absorber time t
-    and emitter time t' <= t, for any window timing.
+    and emitter time t' <= t, for any window timing, of the ordering p
+    (``_jtilde_terms``, or arrays of them, one per frequency).
 
     Closed form assembled from entire ``ediff`` blocks, split into the
     overlap and no-overlap time domains and recombined before any
@@ -140,31 +163,21 @@ def _jtilde(emitter: DetectorParams, absorber: DetectorParams, omega: np.ndarray
     expression is regular for all omega >= 0 (in particular at
     omega = absorber.gap).  Disjoint windows give the product of the two
     one-window time integrals, and an absorber window that ends before
-    the emitter's starts gives exactly 0.  Vectorized in omega.  The
-    windows are measured from t0; the absolute kernel is
-    exp(i*(absorber.gap + emitter.gap)*t0) times this one.
+    the emitter's starts gives exactly 0.  The windows are measured from
+    t0; the absolute kernel is exp(i*(absorber.gap + emitter.gap)*t0)
+    times this one.
     """
-    n_on, n_off = absorber.window.t_on - t0, absorber.window.t_off - t0
-    m_on, m_off = emitter.window.t_on - t0, emitter.window.t_off - t0
-    a_minus = omega - absorber.gap
-    a_plus = omega + emitter.gap
-    gap_sum = absorber.gap + emitter.gap
+    a_minus = omega - p["absorber_gap"]
+    a_plus = omega + p["emitter_gap"]
     out = np.zeros(omega.shape, dtype=complex)
-
-    u0, u1 = max(n_on, m_on), min(n_off, m_off)
-    if u1 > u0:
-        const = _ediff(u0, u1, np.float64(gap_sum))  # frequency-independent block
-        out -= (const - np.exp(1j * a_plus * m_on) * _ediff(u0, u1, -a_minus)) / a_plus
-    v0, v1 = max(n_on, m_off), n_off
-    if v1 > v0:
-        out -= _ediff(v0, v1, -a_minus) * _ediff(m_on, m_off, a_plus)
+    if np.any(p["overlap"]):
+        term = (p["const"] - np.exp(1j * a_plus * p["m_on"])
+                * _ediff(p["u0"], p["u1"], -a_minus)) / a_plus
+        out -= np.where(p["overlap"], term, 0.0)
+    if np.any(p["after"]):
+        term = _ediff(p["v0"], p["v1"], -a_minus) * _ediff(p["m_on"], p["m_off"], a_plus)
+        out -= np.where(p["after"], term, 0.0)
     return out
-
-
-def _jhat(s: Scenario, omega: np.ndarray, t0: float) -> np.ndarray:
-    """Sum of both emitter/absorber orderings of the correlation kernel,
-    windows measured from t0."""
-    return _jtilde(s.det_a, s.det_b, omega, t0) + _jtilde(s.det_b, s.det_a, omega, t0)
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -236,35 +249,94 @@ class _MomentKernel:
     and B = 0.  Where a sum of higher moments cancels, from |t| = ``split``
     on, it is i/t times a polynomial in 1/t (``far``), the moments'
     expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.
+
+    ``stack`` makes one kernel of several, for a lockstep group: offsets,
+    scale, factor and split become arrays with one entry per kernel, unless
+    all kernels share them, and ``place`` the kernel's index, whose rows of
+    the tables are place*len(offsets) + offset.  ``take`` picks one entry
+    per node.
     """
 
     offsets: tuple
     scale: float
     factor: complex
-    near: np.ndarray                # [offset, (A, B), power of t], or A [offset]
+    near: np.ndarray                # [row, (A, B), power], or A [offset]
     split: float = math.inf
-    far: np.ndarray | None = None   # [offset, power of 1/t]
+    far: np.ndarray | None = None   # [row, power of 1/t]
+    place: int | np.ndarray = 0
+    powers: tuple = (None, None)    # of a stack: per row, the powers near and far use
 
     def __call__(self, u, shift):
         u = np.asarray(u, dtype=float)
-        z = np.concatenate([u + (shift + c) for c in self.offsets]) / (_SQRT2 * self.scale)
+        n = len(self.offsets)
+        z = np.concatenate([(u + (shift + c)) / (_SQRT2 * self.scale) for c in self.offsets])
         t = _SQRT2 * z
-        near = slice(None) if self.near.ndim == 1 else np.abs(t) < self.split
-        w = faddeeva_w(z[near])
         if self.near.ndim == 1:  # constant A, B = 0: no polynomial work
-            out = w.reshape(len(self.offsets), -1) * self.near[:, None]
+            out = faddeeva_w(z).reshape(n, -1) * self.near[:, None]
         else:
-            row = np.repeat(np.arange(len(self.offsets)), u.size)
+            near = (np.abs(t).reshape(n, -1) < self.split).ravel()
+            row = np.add.outer(np.arange(n), n * np.broadcast_to(self.place, u.shape)).ravel()
             out = np.empty(z.size, dtype=complex)
-            powers = np.vander(t[near], self.near.shape[2], increasing=True)
-            a, b = np.einsum("ik,ipk->pi", powers, self.near[row[near]])
+            w = faddeeva_w(z[near])
+            a, b = _polynomial("ik,ipk->pi", t[near], row[near], self.near, self.powers[0])
             out[near] = w * a - 1j * b
             far = ~near
             if far.any():
                 inv = 1.0 / t[far]
-                powers = np.vander(inv, self.far.shape[1], increasing=True)
-                out[far] = 1j * inv * np.einsum("ij,ij->i", powers, self.far[row[far]])
-        return out.reshape(len(self.offsets), -1).sum(axis=0) * self.factor
+                out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], self.far,
+                                                  self.powers[1])
+        return out.reshape(n, -1).sum(axis=0) * self.factor
+
+    @staticmethod
+    def stack(kernels: list) -> _MomentKernel:
+        first = kernels[0]
+        entries = dict(
+            offsets=tuple(_entries([k.offsets[c] for k in kernels])
+                          for c in range(len(first.offsets))),
+            scale=_entries([k.scale for k in kernels]),
+            factor=_entries([k.factor for k in kernels]),
+            split=_entries([k.split for k in kernels]),
+            place=np.arange(len(kernels)))
+        if first.near.ndim == 1:  # F's and K's constant A, the same in every kernel
+            return _MomentKernel(near=first.near, **entries)
+        near, near_powers = _padded([k.near for k in kernels])
+        far, far_powers = _padded([k.far for k in kernels])
+        return _MomentKernel(near=near, far=far, powers=(near_powers, far_powers), **entries)
+
+    def take(self, index: np.ndarray) -> _MomentKernel:
+        return replace(self, offsets=tuple(_take(c, index) for c in self.offsets),
+                       scale=_take(self.scale, index), factor=_take(self.factor, index),
+                       split=_take(self.split, index), place=self.place[index])
+
+
+def _padded(tables: list) -> tuple[np.ndarray, np.ndarray]:
+    """The tables' rows in one table, zero-padded in their last axis, and
+    each row's own width."""
+    rows = [t.shape[0] for t in tables]
+    out = np.zeros((sum(rows),) + tables[0].shape[1:-1] + (max(t.shape[-1] for t in tables),))
+    widths = np.repeat([t.shape[-1] for t in tables], rows)
+    start = 0
+    for t in tables:
+        out[start:start + t.shape[0], ..., :t.shape[-1]] = t
+        start += t.shape[0]
+    return out, widths
+
+
+def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, table: np.ndarray,
+                powers: np.ndarray | None) -> np.ndarray:
+    """``einsum(subscripts)`` of the powers x^k against the coefficients
+    table[row], k below the table's width, or below each row's own count
+    of ``powers``: one einsum per count, since the sum of a padded row
+    need not round as the row's own does."""
+    if powers is None:
+        return np.einsum(subscripts, np.vander(x, table.shape[-1], increasing=True), table[row])
+    count = powers[row]
+    out = np.empty(table.shape[1:-1] + x.shape, dtype=table.dtype)
+    for k in np.unique(count).tolist():
+        sel = count == k
+        out[..., sel] = np.einsum(subscripts, np.vander(x[sel], k, increasing=True),
+                                  table[row[sel], ..., :k])
+    return out
 
 
 def _moment_kernel(offsets: tuple, scale: float, factor: complex, d: np.ndarray,
@@ -289,25 +361,44 @@ def _fourier_kernel(sigma: float) -> _MomentKernel:
     return _MomentKernel((0.0,), sigma, _SQRT_PI / (_SQRT2 * sigma), np.ones(1))
 
 
-def _kernel(r: float, sigma: float):
+@dataclass(frozen=True, eq=False)
+class _SeparationKernel:
     """K(v; r) = [F(v + r) - F(v - r)]/(2ir), r >= 0, as a transform of
-    ``_time_integral``.  Formed as u + (shift +- r), a peak of F at
+    ``_time_member``.  Formed as u + (shift +- r), a peak of F at
     shift = -+r is resolved to the rounding of u, not of v.  The difference
     cancels to about eps*max(sigma, |v|)/r, so at nodes where
-    r < 1e-5*max(sigma, |v|) its limit K(v; 0) = G_1, exact there to
-    (r/sigma)^2/6, is used."""
-    limit = replace(_G1, scale=sigma, factor=1j / sigma**2)
-    if r == 0.0:
-        return limit
-    exact = _MomentKernel((r, -r), sigma, _SQRT_PI / (_SQRT2 * sigma * 2j * r),
-                          np.array([1.0, -1.0]))
+    r < 1e-5*max(sigma, |v|), at r = 0 everywhere, its limit
+    K(v; 0) = G_1, exact there to (r/sigma)^2/6, is used.  Stacks and
+    takes entries as ``_MomentKernel`` does."""
 
-    def kernel(u, shift):
-        out = exact(u, shift)
-        near = r < 1e-5 * np.maximum(sigma, np.abs(u + shift))
-        return np.where(near, limit(u, shift), out) if near.any() else out
+    r: float
+    sigma: float
+    exact: _MomentKernel
+    limit: _MomentKernel
 
-    return kernel
+    def __call__(self, u, shift):
+        out = self.exact(u, shift)
+        near = self.r < 1e-5 * np.maximum(self.sigma, np.abs(u + shift))
+        return np.where(near, self.limit(u, shift), out) if near.any() else out
+
+    @staticmethod
+    def stack(kernels: list) -> _SeparationKernel:
+        return _SeparationKernel(_entries([k.r for k in kernels]),
+                                 _entries([k.sigma for k in kernels]),
+                                 _MomentKernel.stack([k.exact for k in kernels]),
+                                 _MomentKernel.stack([k.limit for k in kernels]))
+
+    def take(self, index: np.ndarray) -> _SeparationKernel:
+        return _SeparationKernel(_take(self.r, index), _take(self.sigma, index),
+                                 self.exact.take(index), self.limit.take(index))
+
+
+def _kernel(r: float, sigma: float) -> _SeparationKernel:
+    """K(v; r), r >= 0 (``_SeparationKernel``); at r = 0 the exact form
+    is a zero that only holds its place."""
+    factor = _SQRT_PI / (_SQRT2 * sigma * 2j * r) if r else 0j
+    exact = _MomentKernel((r, -r), sigma, factor, np.array([1.0, -1.0]))
+    return _SeparationKernel(r, sigma, exact, replace(_G1, scale=sigma, factor=1j / sigma**2))
 
 
 def _window(v, a, b, g_a: float, g_b: float):
@@ -339,20 +430,44 @@ def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
     return 0.5 * np.exp(1j * g_b * v) * (end - start) / (1j * mu)
 
 
-def _time_integral(da: DetectorParams, db: DetectorParams, r: float,
-                   settings: QuadratureSettings, delta_t: float = 0.0,
-                   transform: Callable | None = None, exchange: bool = False) -> list[QuadResult]:
+@dataclass(frozen=True, eq=False)
+class _Member:
+    """One integral, ready to run alone or in a lockstep group of its kind.
+
+    Every member of a kind is integrated by that kind's evaluator
+    (``_EVALUATE``) at its own ``params``; ``spec.evaluate`` is the
+    evaluator at them, and ``finish`` turns the quadrature's result into
+    the member's quantity (prefactor, phase, added error terms), raising
+    a ROW_ERRORS exception where that quantity misses its tolerance.
+    """
+
+    kind: str
+    spec: IntegrandSpec
+    params: dict
+    finish: Callable
+
+
+def _member(kind: str, params: dict, finish: Callable, **geometry) -> _Member:
+    evaluate = _EVALUATE[kind]
+    return _Member(kind, IntegrandSpec(evaluate=lambda u: evaluate(u, params), **geometry),
+                   params, finish)
+
+
+def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
+                 delta_t: float = 0.0, kernel: Callable | None = None,
+                 finish: Callable | None = None) -> _Member:
     """pref times the integral of M(v; gap_A, gap_B) * K(-|v|), J's time
-    ordering, over the support of M; with ``exchange``, preceded by that of
+    ordering, over the support of M; of kind "pair", preceded by that of
     the unsmeared M(v; -gap_A, gap_B) * K(v), I_AB's, from the same
-    quadrature.  One result per integral.  The kernel at v = u + shift is
-    ``transform(u, shift)``, by default K(v; r), with peaks at v = +-r.
+    quadrature, as a list of both results.  The kernel at v = u + shift is
+    ``kernel(u, shift)``, by default K(v; r), with peaks at v = +-r.
     Each transforms a real spectrum, so K(-v) = conj K(v): the time-ordered
     kernel is the conjugate where v >= 0, and one kernel evaluation per
     node serves both integrals, which share support, anchors and phase
-    rate.  With delta_t > 0, M is averaged over a clock
+    rate.  With delta_t > 0 (kind "clock"), M is averaged over a clock
     offset of db's window of scale delta_t, which widens the support by
-    delta_t*sqrt(ln(1/_TAIL)) on each side.
+    delta_t*sqrt(ln(1/_TAIL)) on each side.  ``finish`` takes the scaled
+    result on from there.
 
     The windows are measured from the earlier switch-on time, and v from
     the kernel peak c = +-r on the side of the support's midpoint, so that
@@ -368,40 +483,49 @@ def _time_integral(da: DetectorParams, db: DetectorParams, r: float,
     lo, hi = b[0] - a[1], b[1] - a[0]
     r = abs(r)
     kinks, peaks = [0.0, b[0] - a[0], b[1] - a[1]], [(-r, sigma), (r, sigma)]
+    params = dict(a_on=a[0], a_off=a[1], b_on=b[0], b_off=b[1], g_a=g_a, g_b=g_b)
     if delta_t > 0.0:  # M's kinks and ends, smoothed over the offset's spread
         width = max(sigma, delta_t / _SQRT2)
         peaks += [(p, width) for p in kinks[1:] + [lo, hi]]
         tail = delta_t * math.sqrt(math.log(1.0 / _TAIL))
         lo, hi = lo - tail, hi + tail
+        params["dt"] = delta_t
     c = r if lo + hi >= 0.0 else -r
-    transform = transform or _kernel(r, sigma)
-
-    def evaluate(u):
-        v = u + c
-        kernel = transform(u, c)
-        m = (_clock_window(v, a, b, g_a, g_b, delta_t) if delta_t > 0.0
-             else _window(v, a, b, g_a, g_b))
-        ordered = m * np.where(v >= 0.0, kernel.conj(), kernel)
-        if not exchange:
-            return ordered
-        return np.stack([_window(v, a, b, -g_a, g_b) * kernel, ordered], axis=1)
-
-    spec = IntegrandSpec(
-        evaluate=evaluate,
-        max_phase_rate=g_a + g_b,
-        singular_points=tuple(k - c for k in kinks),
-        support=(lo - c, hi - c),
-        peaks=tuple((p - c, w) for p, w in peaks),
-    )
-    res = integrate_radial(spec, settings)
+    params.update(c=c, kernel=kernel or _kernel(r, sigma))
     pref = da.coupling * db.coupling / (4.0 * math.pi**2)
+    exchange = kind == "pair"
     rates = (g_b - g_a, g_a + g_b) if exchange else (g_a + g_b,)
-    values, errors = np.atleast_1d(res.value, res.abs_error)
-    return [_scaled(QuadResult(complex(v), float(e), res.evaluations), pref, rate, t0)
-            for v, e, rate in zip(values, errors, rates)]
+
+    def scaled(res: QuadResult):
+        values, errors = np.atleast_1d(res.value, res.abs_error)
+        out = [_scaled(QuadResult(complex(v), float(e), res.evaluations), pref, rate, t0)
+               for v, e, rate in zip(values, errors, rates)]
+        out = out if exchange else out[0]
+        return out if finish is None else finish(out)
+
+    return _member(kind, params, scaled,
+                   max_phase_rate=g_a + g_b,
+                   singular_points=tuple(k - c for k in kinks),
+                   support=(lo - c, hi - c),
+                   peaks=tuple((p - c, w) for p, w in peaks))
 
 
-def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResult:
+def _time_evaluate(u, p: dict, exchange: bool = False):
+    """The integrand of ``_time_member`` at u, for the parameters p of one
+    member, or arrays of them, one per node."""
+    c = p["c"]
+    v = u + c
+    kernel = p["kernel"](u, c)
+    a, b = (p["a_on"], p["a_off"]), (p["b_on"], p["b_off"])
+    m = (_clock_window(v, a, b, p["g_a"], p["g_b"], p["dt"]) if "dt" in p
+         else _window(v, a, b, p["g_a"], p["g_b"]))
+    ordered = m * np.where(v >= 0.0, kernel.conj(), kernel)
+    if not exchange:
+        return ordered
+    return np.stack([_window(v, a, b, -p["g_a"], p["g_b"]) * kernel, ordered], axis=1)
+
+
+def _i_nn_member(det: DetectorParams) -> _Member:
     """I_nn by parts.  K(v; 0) = -i*F'(v), and M(v; -gap, gap) =
     e^(i*gap*v)*(T - |v|) vanishes at v = +-T, so
     I_nn = pref*i*int e^(i*gap*v)*(i*gap*(T - |v|) - sign v)*F(v) dv over
@@ -411,55 +535,54 @@ def _i_nn_result(det: DetectorParams, settings: QuadratureSettings) -> QuadResul
     F leaves no small difference of large terms.
     """
     g, sigma, width = det.gap, det.smearing, det.window.duration
-    fourier = _fourier_kernel(sigma)
-
-    def evaluate(v):
-        f = 1j * np.exp(1j * g * v) * (1j * g * (width - v) - 1.0) * fourier(v, 0.0)
-        return f.real
-
-    spec = IntegrandSpec(
-        evaluate=evaluate,
-        max_phase_rate=2.0 * g,  # gap_A + gap_B, as in ``_time_integral``
-        support=(0.0, width),
-        peaks=((0.0, sigma),),
-    )
-    res = integrate_radial(spec, settings)
     pref = 2.0 * det.coupling**2 / (4.0 * math.pi**2)
-    return QuadResult(pref * res.value.real, pref * res.abs_error, res.evaluations)
+    return _member(
+        "i_nn", dict(gap=g, width=width, fourier=_fourier_kernel(sigma)),
+        lambda res: QuadResult(pref * res.value.real, pref * res.abs_error, res.evaluations),
+        max_phase_rate=2.0 * g,  # gap_A + gap_B, as in ``_time_member``
+        support=(0.0, width),
+        peaks=((0.0, sigma),))
+
+
+def _i_nn_evaluate(v, p: dict):
+    g = p["gap"]
+    f = 1j * np.exp(1j * g * v) * (1j * g * (p["width"] - v) - 1.0) * p["fourier"](v, 0.0)
+    return f.real
 
 
 def compute_I_nn(det: DetectorParams, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Local excitation term of one detector (separation-independent, >= 0)."""
-    return _i_nn_result(det, settings).value.real
+    return _single(_i_nn_member(det), settings).value.real
 
 
 def compute_I_AB(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
     """Exchange term between the detectors (enters the |ge><eg| coherence)."""
-    return _time_integral(s.det_a, s.det_b, s.separation, settings, exchange=True)[0].value
+    return _single(_time_member("pair", s.det_a, s.det_b, s.separation), settings)[0].value
 
 
 def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
     """Correlation term connecting |gg> and |ee> at the mean separation."""
-    return _time_integral(s.det_a, s.det_b, s.separation, settings, exchange=True)[1].value
+    return _single(_time_member("pair", s.det_a, s.det_b, s.separation), settings)[1].value
 
 
-def _c_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
+def _c_member(da: DetectorParams, db: DetectorParams) -> _Member:
     """C = pref * int M(v; gap_A, gap_B) F(-|v|) dv, which is
     pref * int_0^inf exp(-(w*sigma)^2/2) Jhat(w) dw: the part of the spatial
     smear that depends on neither separation nor uncertainty."""
-    return _time_integral(s.det_a, s.det_b, 0.0, settings,
-                          transform=_fourier_kernel(s.det_a.smearing))[0]
+    return _time_member("c", da, db, 0.0, kernel=_fourier_kernel(da.smearing))
 
 
-def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) -> QuadResult:
-    """Complex correlation term averaged over a Gaussian separation spread.
+def _spatial_request(s: Scenario, plan: _Plan) -> Callable[[], QuadResult]:
+    """Add to ``plan`` what the complex correlation term averaged over a
+    Gaussian separation spread needs, and return what gives it once the
+    plan has run.
 
     The separation enters only through sinc(w*r), whose Gaussian average
     is D(x, delta*w/2) = e^(-x^2) - R, x = r0/delta (``damped_im_erfi``),
     for every window timing.  From x = ``_SERIES_X0`` on, the whole
-    average is the time-domain series of ``_j_series_result``.  Below
+    average is the time-domain series of ``_series_member``.  Below
     it, the e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta times C, shared in
-    ``cache`` by detector pair; R carries exp(-(w*sigma)^2/2 - (w*delta)^2/4),
+    ``plan`` by detector pair; R carries exp(-(w*sigma)^2/2 - (w*delta)^2/4),
     so its frequency quadrature ends where that envelope falls to
     ``_TAIL``.  A sum whose error misses the tolerance raises a
     ConvergenceFailure carrying it.
@@ -467,37 +590,55 @@ def _j_smeared_result(s: Scenario, settings: QuadratureSettings, cache: dict) ->
     delta = s.position_uncertainty
     if not delta > 0.0:
         raise ValueError("compute_J_smeared: requires position_uncertainty > 0")
-    sig = s.det_a.smearing
+    settings = plan.settings
     x = s.separation / delta
     if x >= _SERIES_X0:
-        res = _j_series_result(s, settings)
-        if res is not None:
-            return res
+        series = _series_member(s, settings)
+        if series is not None:
+            key = plan.need(object(), lambda: series)
+            return lambda: plan.result(key)
     da, db = s.det_a, s.det_b
+    remainder = plan.need(object(), lambda: _remainder_member(s))
+    weight = math.exp(-x * x) * _SQRT_PI / delta
+    c = plan.need(("c", da, db), lambda: _c_member(da, db)) if weight > 0.0 else None
+    pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
+
+    def smeared() -> QuadResult:
+        res = plan.result(remainder)
+        value, error, evaluations = -res.value, res.abs_error, res.evaluations
+        if c is not None:
+            res = plan.result(c)
+            value += weight * res.value
+            error += weight * res.abs_error
+            evaluations += res.evaluations
+        return _within_tolerance(QuadResult(value, error, evaluations), settings, pref)
+
+    return smeared
+
+
+def _remainder_member(s: Scenario) -> _Member:
+    """R's frequency quadrature of ``_spatial_request``, scaled; the caller
+    subtracts it."""
+    da, db = s.det_a, s.det_b
+    delta, sig = s.position_uncertainty, da.smearing
+    x = s.separation / delta
     t0 = _origin(da, db)
-    flat = math.exp(-x * x)
-
-    def remainder(w):
-        return ((flat - _damped_erf(0.5 * delta * w, np.float64(x)).real)
-                * np.exp(-0.5 * (w * sig) ** 2) * _jhat(s, w, t0))
-
     scale = math.sqrt(sig**2 + 0.5 * delta**2)
-    spec = IntegrandSpec(
-        evaluate=remainder,
+    pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
+    params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig,
+                  ab=_jtilde_terms(da, db, t0), ba=_jtilde_terms(db, da, t0))
+    return _member(
+        "remainder", params, lambda res: _scaled(res, pref, da.gap + db.gap, t0),
         support=(0.0, math.sqrt(2.0 * math.log(1.0 / _TAIL)) / scale),
         max_phase_rate=s.separation + 2.0 * (max(da.window.t_off, db.window.t_off) - t0),
-        singular_points=(da.gap, db.gap),
-    )
-    pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
-    res = _scaled(integrate_radial(spec, settings), pref, da.gap + db.gap, t0)
-    value, error, evaluations = -res.value, res.abs_error, res.evaluations
-    weight = flat * _SQRT_PI / delta
-    if weight > 0.0:
-        c = _shared(cache, ("c", da, db), lambda: _c_result(s, settings))
-        value += weight * c.value
-        error += weight * c.abs_error
-        evaluations += c.evaluations
-    return _within_tolerance(QuadResult(value, error, evaluations), settings, pref)
+        singular_points=(da.gap, db.gap))
+
+
+def _remainder_evaluate(w, p: dict):
+    """R's integrand: its damped erfi factor times the kernel Jhat of both
+    emitter/absorber orderings."""
+    return ((p["flat"] - _damped_erf(0.5 * p["delta"] * w, np.float64(p["x"])).real)
+            * np.exp(-0.5 * (w * p["sigma"]) ** 2) * (_jtilde(w, p["ab"]) + _jtilde(w, p["ba"])))
 
 
 def _within_tolerance(res: QuadResult, settings: QuadratureSettings, pref: float) -> QuadResult:
@@ -550,7 +691,7 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     return kernel, float(bounds[n])
 
 
-def _j_series_result(s: Scenario, settings: QuadratureSettings) -> QuadResult | None:
+def _series_member(s: Scenario, settings: QuadratureSettings) -> _Member | None:
     """The spatially smeared J as one time-domain quadrature of the
     windows' factor against ``_make_series_kernel``'s kernel, its error
     raised by the bound on what the series leaves out; None where the
@@ -564,17 +705,27 @@ def _j_series_result(s: Scenario, settings: QuadratureSettings) -> QuadResult | 
     if series is None:
         return None
     kernel, bound = series
-    res = _time_integral(da, db, r0, settings, transform=kernel)[0]
-    return _within_tolerance(QuadResult(res.value, res.abs_error + pref * bound,
-                                        res.evaluations), settings, pref)
+    return _time_member("series", da, db, r0, kernel=kernel, finish=lambda res: _within_tolerance(
+        QuadResult(res.value, res.abs_error + pref * bound, res.evaluations), settings, pref))
+
+
+def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
+    """The complex spatially smeared correlation term (``_spatial_request``)."""
+    plan = _Plan(settings)
+    smeared = _spatial_request(s, plan)
+    plan.run()
+    return smeared()
 
 
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """|correlation term| under Gaussian separation uncertainty (closed form)."""
-    return abs(_j_smeared_result(s, settings, {}).value)
+    """|correlation term| under Gaussian separation uncertainty: from
+    r0 = 9.5 delta on one time-domain quadrature of a kernel summed in
+    powers of delta/r0, closer the erfi split into C and a frequency
+    remainder (``_spatial_request``)."""
+    return abs(_j_smeared_result(s, settings).value)
 
 
-def _j_clock_result(s: Scenario, delta_t: float, settings: QuadratureSettings) -> QuadResult:
+def _clock_member(s: Scenario, delta_t: float) -> _Member:
     """Correlation term averaged over a Gaussian clock offset of B's window
     of scale delta_t: the only route to it, which checks both of its
     preconditions before any quadrature runs."""
@@ -582,7 +733,7 @@ def _j_clock_result(s: Scenario, delta_t: float, settings: QuadratureSettings) -
         raise ValueError("clock-offset smear: spatial and temporal smearing are exclusive")
     if not delta_t > 0.0:
         raise ValueError("clock-offset smear: delta_t must be > 0")
-    return _time_integral(s.det_a, s.det_b, s.separation, settings, delta_t)[0]
+    return _time_member("clock", s.det_a, s.det_b, s.separation, delta_t)
 
 
 def compute_J_time_smeared(
@@ -596,7 +747,111 @@ def compute_J_time_smeared(
     (variance delta_t^2/2) and shifts the second window; its average is
     exact for every window timing (``_clock_window``).
     """
-    return abs(_j_clock_result(s, delta_t, settings).value)
+    return abs(_single(_clock_member(s, delta_t), settings).value)
+
+
+_EVALUATE = {
+    "pair": lambda u, p: _time_evaluate(u, p, exchange=True),
+    "clock": _time_evaluate,
+    "series": _time_evaluate,
+    "c": _time_evaluate,
+    "remainder": _remainder_evaluate,
+    "i_nn": _i_nn_evaluate,
+}
+
+
+def _entries(values: list):
+    """Values of the members of a group: one shared value as it is, or
+    else an array with one entry per member."""
+    first = values[0]
+    # -0.0 == 0.0, but the sign of a zero can reach a result
+    if all(v == first for v in values) and (first != 0 or len(set(map(repr, values))) == 1):
+        return first
+    return np.array(values)
+
+
+def _stack(values: list):
+    """The members' parameters as one set, each as ``_entries``."""
+    first = values[0]
+    if isinstance(first, dict):
+        return {k: _stack([v[k] for v in values]) for k in first}
+    if isinstance(first, (_MomentKernel, _SeparationKernel)):
+        return first.stack(values)
+    return _entries(values)
+
+
+def _take(params, index: np.ndarray):
+    """Stacked parameters at the member of each node: per-member arrays
+    indexed, shared values as they are."""
+    if isinstance(params, dict):
+        return {k: _take(v, index) for k, v in params.items()}
+    if isinstance(params, (_MomentKernel, _SeparationKernel)):
+        return params.take(index)
+    return params[index] if isinstance(params, np.ndarray) else params
+
+
+def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
+    """Each member's finished quantity, or the ROW_ERRORS exception that
+    ends it.  A member alone runs through ``integrate_radial``; members of
+    one kind run in lockstep, each round one evaluate call of the kind's
+    evaluator at the stacked parameters of each node's member."""
+    if len(members) == 1:
+        try:
+            results = [integrate_radial(members[0].spec, settings)]
+        except ROW_ERRORS as exc:
+            results = [exc]
+    else:
+        evaluate = _EVALUATE[members[0].kind]
+        params = _stack([m.params for m in members])
+        results = integrate_lockstep([m.spec for m in members],
+                                     lambda x, owner: evaluate(x, _take(params, owner)),
+                                     settings)
+    out = []
+    for member, res in zip(members, results):
+        try:
+            out.append(res if isinstance(res, Exception) else member.finish(res))
+        except ROW_ERRORS as exc:
+            out.append(exc)
+    return out
+
+
+def _single(member: _Member, settings: QuadratureSettings):
+    """The quantity of one member, run alone; raises its failure."""
+    (out,) = _run_group([member], settings)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+class _Plan:
+    """The integrals one call needs, each added once under a key naming
+    what it depends on, then run as one lockstep group per kind."""
+
+    def __init__(self, settings: QuadratureSettings):
+        self.settings = settings
+        self.members: dict = {}
+        self.results: dict = {}
+        self.durations: dict = {}   # local-term durations added, by detector
+
+    def need(self, key, make: Callable[[], _Member]):
+        """key, with ``make()`` added under it unless it already is."""
+        if key not in self.members:
+            self.members[key] = make()
+        return key
+
+    def run(self) -> None:
+        groups: dict = {}
+        for key, member in self.members.items():
+            groups.setdefault(member.kind, []).append(key)
+        for keys in groups.values():
+            self.results.update(zip(keys, _run_group([self.members[k] for k in keys],
+                                                     self.settings)))
+
+    def result(self, key):
+        out = self.results[key]
+        if isinstance(out, Exception):
+            raise out
+        return out
 
 
 def assemble_rho(ints: SecondOrderIntegrals) -> np.ndarray:
@@ -701,44 +956,44 @@ ROW_ERRORS = (ConvergenceFailure, ValueError, ZeroDivisionError)
 """Exceptions that ``evaluate_scenarios`` records for a row instead of raising."""
 
 
-def _shared(cache: dict, key, compute):
-    """cache[key], computed on first use; a failure is kept and raised again
-    for every row that needs the same integral."""
-    if key not in cache:
-        try:
-            cache[key] = compute()
-        except ROW_ERRORS as exc:
-            cache[key] = exc
-    out = cache[key]
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def _row_report(s: Scenario, time_smear: float | None, settings: QuadratureSettings,
-                cache: dict) -> HarvestReport:
-    """One row of ``evaluate_scenarios``; ``cache`` holds the integrals rows
-    share, keyed by what each depends on.  The row's smear comes first, so
-    an input it rejects costs no quadrature."""
+def _row_request(s: Scenario, time_smear: float | None,
+                 plan: _Plan) -> Callable[[], HarvestReport]:
+    """Add to ``plan`` the integrals row s needs, keyed by what each depends
+    on, and return what builds the row's report once the plan has run.
+    The row's smear comes first, so an input it rejects costs no
+    quadrature, and its failure is the row's first."""
     if time_smear is not None:
-        res_sm, method = _j_clock_result(s, time_smear, settings), "closed-form-time"
+        key = plan.need(object(), lambda: _clock_member(s, time_smear))
+        smear, method = (lambda: plan.result(key)), "closed-form-time"
     elif s.position_uncertainty > 0.0:
-        res_sm, method = _j_smeared_result(s, settings, cache), "erfi-closed-form"
+        smear, method = _spatial_request(s, plan), "erfi-closed-form"
     else:
-        res_sm, method = None, None
+        smear, method = None, None
 
-    def i_nn(det: DetectorParams) -> QuadResult:
-        # keyed by what ``_i_nn_result`` reads, not by where the window sits;
-        # a duration within rounding of a computed one reuses it
-        durations = cache.setdefault(("i_nn", det.coupling, det.gap, det.smearing), {})
+    def i_nn(det: DetectorParams):
+        # keyed by what ``_i_nn_member`` reads, not by where the window sits;
+        # a duration within rounding of an added one reuses it
+        durations = plan.durations.setdefault((det.coupling, det.gap, det.smearing), [])
         t = det.window.duration
-        key = next((d for d in durations if abs(d - t) <= _DURATION_ULPS * math.ulp(max(d, t))), t)
-        return _shared(durations, key, lambda: _i_nn_result(det, settings))
+        d = next((d for d in durations if abs(d - t) <= _DURATION_ULPS * math.ulp(max(d, t))),
+                 None)
+        if d is None:
+            durations.append(t)
+            d = t
+        return plan.need(("i_nn", det.coupling, det.gap, det.smearing, d),
+                         lambda: _i_nn_member(det))
 
-    res_aa, res_bb = i_nn(s.det_a), i_nn(s.det_b)
-    res_ab, res_j = _shared(cache, ("pair", s.det_a, s.det_b, s.separation),
-                            lambda: _time_integral(s.det_a, s.det_b, s.separation, settings,
-                                                   exchange=True))
+    aa, bb = i_nn(s.det_a), i_nn(s.det_b)
+    pair = plan.need(("pair", s.det_a, s.det_b, s.separation),
+                     lambda: _time_member("pair", s.det_a, s.det_b, s.separation))
+    return lambda: _report(s, method, smear() if smear else None, plan.result(aa),
+                           plan.result(bb), plan.result(pair))
+
+
+def _report(s: Scenario, method: str | None, res_sm: QuadResult | None, res_aa: QuadResult,
+            res_bb: QuadResult, pair: list[QuadResult]) -> HarvestReport:
+    """Every report quantity of s from its integrals."""
+    res_ab, res_j = pair
     errors = {"i_aa": res_aa.abs_error, "i_bb": res_bb.abs_error,
               "i_ab": res_ab.abs_error, "j": res_j.abs_error}
 
@@ -783,23 +1038,36 @@ def evaluate_scenarios(
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> list[HarvestReport | Exception]:
     """``evaluate_scenario`` for each ``(scenario, time_smear)`` row, computing
-    what the rows share once.
+    what the rows share once and the rest in lockstep groups.
 
-    One cache holds every integral rows share, keyed by what it depends
-    on: the local term by coupling, gap, smearing and window duration
-    (equal to within ``_DURATION_ULPS`` ulps), the exchange and unsmeared
-    correlation terms, one quadrature, by (detector A, detector B,
-    separation), and the spatial smear's C by detector pair alone, so an r
-    sweep computes it once.  Only the rest of each row's smeared
-    correlation term is its own.  Returns, in row order, the report or the
-    ``ROW_ERRORS`` exception that row raised; a failed shared integral
-    fails every row that needs it.  Nothing is kept after the call returns.
+    First every row adds the integrals it needs to one plan, keyed by
+    what each depends on: the local term by coupling, gap, smearing and
+    window duration (equal to within ``_DURATION_ULPS`` ulps), the
+    exchange and unsmeared correlation terms, one quadrature, by
+    (detector A, detector B, separation), and the spatial smear's C by
+    detector pair alone, so an r sweep computes it once; the smeared
+    correlation term is the row's own.  Then the integrals of each kind
+    (pair, clock, series, C, frequency remainder, local term) advance
+    together, round by round, each round one evaluate call of the kind's
+    integrand per chunk of nodes, while each keeps its own partition,
+    refinement, sums, budget and failure; a kind with one integral runs
+    it alone.  So every number is bit-identical to evaluating its row
+    alone.  Returns, in row order, the report or the ``ROW_ERRORS``
+    exception that row raised; a failed shared integral fails every row
+    that needs it.  Nothing is kept after the call returns.
     """
-    cache: dict = {}
-    out: list = []
+    plan = _Plan(settings)
+    requests: list = []
     for s, time_smear in rows:
         try:
-            out.append(_row_report(s, time_smear, settings, cache))
+            requests.append(_row_request(s, time_smear, plan))
+        except ROW_ERRORS as exc:
+            requests.append(exc)
+    plan.run()
+    out: list = []
+    for request in requests:
+        try:
+            out.append(request if isinstance(request, Exception) else request())
         except ROW_ERRORS as exc:
             out.append(exc)
     return out

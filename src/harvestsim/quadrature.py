@@ -12,6 +12,14 @@ error budget are bisected.  An integrand may have k components, several
 integrals over one partition that share each evaluation: each component
 keeps its own error budget, and a panel is bisected when any of them
 misses its share.  Everything is deterministic.
+
+Several integrals, each on its own partition, can advance in lockstep
+(``integrate_lockstep``): each round evaluates the pending panels of all
+of them together, in calls of at most ``_CHUNK`` nodes that also name
+the integral each node belongs to, and each integral then keeps its own
+sums, refinement, budget and failure, exactly as it would alone.
+``integrate_radial`` is that loop with a group of one.  Memory per round
+is bounded by the chunk, not by the partition.
 """
 from __future__ import annotations
 
@@ -28,6 +36,7 @@ __all__ = [
     "QuadratureSettings",
     "ConvergenceFailure",
     "integrate_radial",
+    "integrate_lockstep",
 ]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights,
@@ -142,6 +151,12 @@ class ConvergenceFailure(Exception):
 
 
 _EPS = float(np.finfo(float).eps)
+# Nodes per evaluate call: about the fastest size.  The I_AB/J integrand of
+# fig2a's 200 separations costs 1000, 460, 375, 440 and 565 ns a node in
+# calls of 300, 1,500, 3,000, 6,000 and 60,000 nodes (2-vCPU x86-64): below
+# it the fixed cost of a call dominates, above it the working arrays leave
+# the cache.  It also caps the memory of a round, however many panels.
+_CHUNK = 3000
 # 0, -0, 1, -1, 3, -3, ..., +-(2^k - 1) up to the largest finite power: a
 # peak's graded edges in units of its width, for any number of doublings
 _STEPS = 2.0 ** np.arange(1024) - 1.0
@@ -195,20 +210,42 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     return np.append(edges, hi)
 
 
-def _gk15(evaluate, a: np.ndarray, b: np.ndarray):
-    """Vectorized GK15 on a batch of panels; returns (kronrod, |K-G| error),
-    each of shape (k, panels), and whether the integrand has one component."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c[:, None] + h[:, None] * _NODES[None, :]
-    v = np.asarray(evaluate(x.ravel()), dtype=complex)
-    # component by component, so each is summed as it would be on its own
-    rows = v.T.reshape(-1, _NODES.size)
-    # einsum, not ``v @ w``: the BLAS product wakes a thread pool that burns
-    # a second core without any gain in wall time
-    ik = h * np.einsum("ij,j->i", rows, _WK).reshape(-1, a.size)
-    ig = h * np.einsum("ij,j->i", rows, _WG).reshape(-1, a.size)
-    return ik, np.abs(ik - ig), v.ndim == 1
+def _gk15(evaluate, a: list, b: list, owners: list | None) -> tuple[list, list, bool]:
+    """Vectorized GK15 on the panels a[i], b[i] of integral owners[i], for
+    every i, in evaluate calls of at most ``_CHUNK`` nodes; owners is None
+    for the one integral of a group of one.  Returns per integral
+    (kronrod, |K-G| error), each of shape (k, panels), and whether the
+    integrand has one component."""
+    sizes = [x.size for x in a]
+    if owners is None:
+        (a,), (b,), owner = a, b, None
+    else:
+        a, b = np.concatenate(a), np.concatenate(b)
+        owner = np.repeat(owners, sizes)
+    step = _CHUNK // _NODES.size
+    ik, ig = [], []
+    for start in range(0, a.size, step):
+        pa, pb = a[start:start + step], b[start:start + step]
+        c = 0.5 * (pa + pb)
+        h = 0.5 * (pb - pa)
+        x = c[:, None] + h[:, None] * _NODES[None, :]
+        v = np.asarray(evaluate(x.ravel(), None if owner is None
+                                else np.repeat(owner[start:start + step], _NODES.size)),
+                       dtype=complex)
+        # component by component, so each is summed as it would be on its own
+        rows = v.T.reshape(-1, _NODES.size)
+        # einsum, not ``v @ w``: the BLAS product wakes a thread pool that burns
+        # a second core without any gain in wall time
+        ik.append(h * np.einsum("ij,j->i", rows, _WK).reshape(-1, pa.size))
+        ig.append(h * np.einsum("ij,j->i", rows, _WG).reshape(-1, pa.size))
+    ik, ig = (ik[0], ig[0]) if len(ik) == 1 else (np.concatenate(ik, axis=1),
+                                                  np.concatenate(ig, axis=1))
+    err = np.abs(ik - ig)
+    if owner is None:
+        return [ik], [err], v.ndim == 1
+    ends = np.cumsum(sizes).tolist()
+    return ([ik[:, e - n:e] for n, e in zip(sizes, ends)],
+            [err[:, e - n:e] for n, e in zip(sizes, ends)], v.ndim == 1)
 
 
 def integrate_radial(
@@ -217,8 +254,9 @@ def integrate_radial(
 ) -> QuadResult:
     """Integrate spec.evaluate over its support to the configured tolerances.
 
-    Every integral of the package goes through this one rule, and its
-    caller states the range.
+    Every integral of the package goes through this one rule, alone or
+    in lockstep with others (``integrate_lockstep``), and its caller
+    states the range.
 
     The reported ``abs_error`` satisfies
     abs_error <= max(tol_abs, tol_rel*|value|) on success, for every
@@ -229,35 +267,71 @@ def integrate_radial(
     integrand gives a complex value and a float error, a k-component one
     length-k arrays of both.
     """
-    lo, hi = spec.support
-    edges = _initial_panels(spec)
-    a, b = edges[:-1], edges[1:]
-    vals, errs, scalar = _gk15(spec.evaluate, a, b)
-    evals = 15 * a.size
-    min_width = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    while True:
-        value, error = vals.sum(axis=1), errs.sum(axis=1)
-        best = (QuadResult(complex(value[0]), float(error[0]), evals) if scalar
-                else QuadResult(value, error, evals))
-        target = np.maximum(settings.tol_abs, settings.tol_rel * np.abs(value))
-        if (error <= target).all() and evals <= settings.eval_budget:
-            return best
-        refine = ((errs > target[:, None] * (b - a) / (hi - lo)).any(axis=0)
-                  & ((b - a) > min_width))
-        n_new = 2 * int(refine.sum())
-        if evals + 15 * n_new > settings.eval_budget:
-            raise ConvergenceFailure(
-                f"integrate_radial: evaluation budget {settings.eval_budget} exhausted", best)
-        if not n_new:
-            raise ConvergenceFailure(
-                "integrate_radial: panels at roundoff width before reaching tolerance", best)
-        ra, rb = a[refine], b[refine]
-        mid = 0.5 * (ra + rb)
-        na = np.concatenate([a[~refine], ra, mid])
-        nb = np.concatenate([b[~refine], mid, rb])
-        new_vals, new_errs, _ = _gk15(spec.evaluate, np.concatenate([ra, mid]),
-                                      np.concatenate([mid, rb]))
-        vals = np.concatenate([vals[:, ~refine], new_vals], axis=1)
-        errs = np.concatenate([errs[:, ~refine], new_errs], axis=1)
-        a, b = na, nb
-        evals += 15 * n_new
+    (out,) = integrate_lockstep([spec], lambda x, owner: spec.evaluate(x), settings)
+    if isinstance(out, ConvergenceFailure):
+        raise out
+    return out
+
+
+def integrate_lockstep(
+    specs: list[IntegrandSpec],
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> list[QuadResult | ConvergenceFailure]:
+    """``integrate_radial`` of every spec, advanced round by round together.
+
+    Each integral keeps its own partition, refinement, panel order,
+    sums, budget and failure, so its result is the one it gets alone;
+    what they share is the evaluate call.  A round evaluates the pending
+    panels of every unfinished integral in calls of at most ``_CHUNK``
+    nodes, ``evaluate(x, owner)``, where owner[i] is the index in
+    ``specs`` of the integral that node x[i] belongs to (None for a
+    single spec); it must equal ``specs[owner[i]].evaluate`` at x[i],
+    and every spec must have the same number of components.  Returns, in spec order, the result or
+    the ConvergenceFailure ``integrate_radial`` would raise.
+    """
+    edges = [_initial_panels(spec) for spec in specs]
+    a, b = [e[:-1] for e in edges], [e[1:] for e in edges]
+    group = len(specs) > 1
+    vals, errs, scalar = _gk15(evaluate, a, b, list(range(len(specs))) if group else None)
+    evals = [15 * x.size for x in a]
+    out: list = [None] * len(specs)
+    active = list(range(len(specs)))
+    while active:
+        keep, new_a, new_b = {}, [], []
+        for i in active:
+            lo, hi = specs[i].support
+            value, error = vals[i].sum(axis=1), errs[i].sum(axis=1)
+            best = (QuadResult(complex(value[0]), float(error[0]), evals[i]) if scalar
+                    else QuadResult(value, error, evals[i]))
+            target = np.maximum(settings.tol_abs, settings.tol_rel * np.abs(value))
+            if (error <= target).all() and evals[i] <= settings.eval_budget:
+                out[i] = best
+                continue
+            width = b[i] - a[i]
+            refine = ((errs[i] > target[:, None] * width / (hi - lo)).any(axis=0)
+                      & (width > 64.0 * _EPS * max(abs(lo), abs(hi))))
+            n_new = 2 * int(refine.sum())
+            if evals[i] + 15 * n_new > settings.eval_budget:
+                out[i] = ConvergenceFailure(
+                    f"integrate_radial: evaluation budget {settings.eval_budget} exhausted", best)
+                continue
+            if not n_new:
+                out[i] = ConvergenceFailure(
+                    "integrate_radial: panels at roundoff width before reaching tolerance", best)
+                continue
+            ra, rb = a[i][refine], b[i][refine]
+            mid = 0.5 * (ra + rb)
+            a[i] = np.concatenate([a[i][~refine], ra, mid])
+            b[i] = np.concatenate([b[i][~refine], mid, rb])
+            keep[i] = ~refine
+            new_a.append(np.concatenate([ra, mid]))
+            new_b.append(np.concatenate([mid, rb]))
+            evals[i] += 15 * n_new
+        active = list(keep)
+        if active:
+            new_vals, new_errs, _ = _gk15(evaluate, new_a, new_b, active if group else None)
+            for i, nv, ne in zip(active, new_vals, new_errs):
+                vals[i] = np.concatenate([vals[i][:, keep[i]], nv], axis=1)
+                errs[i] = np.concatenate([errs[i][:, keep[i]], ne], axis=1)
+    return out

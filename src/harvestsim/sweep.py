@@ -5,7 +5,9 @@ rows share once: the local term of every detector the sweep leaves
 unchanged; in a ``delta`` or ``delta_t`` sweep also the exchange term and
 the unsmeared correlation term; and the spatial smear's separation- and
 uncertainty-independent term C once per detector pair, in an ``r`` sweep
-too.
+too.  The rest, the integrals each row needs of its own, run in lockstep
+by kind, one evaluate call per round for all rows of a kind, and read
+the same bits as the rows evaluated one at a time.
 Isolated failures are recorded per row instead of aborting the sweep; a
 scenario no row could evaluate, such as detectors of unequal smearing
 widths, is rejected when the config is built, before any row runs.

@@ -17,6 +17,7 @@ the package on purpose: they pin the unsmeared kernels' arithmetic, bit
 for bit, as closed forms.
 """
 import math
+import warnings
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -347,19 +348,29 @@ def oracle_gl(scn, n=16):
     return total[0].real, complex(total[1]), complex(total[2])
 
 
+def _unsmeared_j(scenarios):
+    """The unsmeared time-domain J of ``core`` at each scenario, from one
+    ``evaluate_scenarios`` call, so that the quadratures run in lockstep."""
+    from harvestsim import core
+
+    out = core.evaluate_scenarios([(replace(s, position_uncertainty=0.0), None)
+                                   for s in scenarios])
+    for report in out:
+        if isinstance(report, Exception):
+            raise report
+    return np.array([report.j_unsmeared for report in out])
+
+
 def oracle_J_space(scn, delta):
     """Correlation term averaged over a separation r ~ N(r0, delta^2/2), as a
     Gauss-Legendre sum of the unsmeared time-domain J(r) of ``core``.
 
     J is even in r, so the average runs over all of r0 +- 6.5 delta (the
-    Gaussian weight beyond is below 1e-18).  J(r) has features of width
-    sigma where r meets a difference of window edges and at r = 0, so the
-    range is split there and the 16-node panels double in width away from
-    each split, from sigma up to 1.
+    Gaussian weight beyond is below 1e-18), J(r) taken at |r|.  J(r) has
+    features of width sigma where r meets a difference of window edges
+    and at r = 0, so the range is split there and the 16-node panels
+    double in width away from each split, from sigma up to 1.
     """
-    from harvestsim import core
-    from harvestsim.quadrature import DEFAULT_SETTINGS
-
     da, db = scn.det_a, scn.det_b
     r0, sig = scn.separation, da.smearing
     lo, hi = r0 - 6.5 * delta, r0 + 6.5 * delta
@@ -368,8 +379,11 @@ def oracle_J_space(scn, delta):
     cuts = sorted({lo, hi} | {c for c in splits if lo < c < hi})
     rs, wt = _panel_rule(_graded_edges(cuts, sig, 1.0), 16)
     wt = wt * np.exp(-((rs - r0) / delta) ** 2) / (delta * math.sqrt(math.pi))
-    j = [core._time_integral(da, db, r, DEFAULT_SETTINGS, exchange=True)[1].value for r in rs]
-    return complex(np.sum(wt * np.array(j)))
+    with warnings.catch_warnings():
+        # nodes within 5 sigma of r = 0 are meant: no overlap warning for them
+        warnings.filterwarnings("ignore", "separation .* detector overlap", UserWarning)
+        j = _unsmeared_j([replace(scn, separation=abs(float(r))) for r in rs])
+    return complex(np.sum(wt * j))
 
 
 def oracle_J_clock_offsets(scn, dt):
@@ -377,13 +391,11 @@ def oracle_J_clock_offsets(scn, dt):
     window, as a Gauss-Legendre sum of the unsmeared time-domain J of
     ``core`` with B's window shifted by tau, on the offsets of
     ``_clock_offsets`` in 16-node panels that double from sigma."""
-    from harvestsim import core
-
     db = scn.det_b
     taus, wt = _clock_offsets(scn, dt, db.smearing, 16)
-    j = [core.compute_J(replace(scn, det_b=replace(db, window=db.window.shifted(tau))))
-         for tau in taus]
-    return complex(np.sum(wt * np.array(j)))
+    j = _unsmeared_j([replace(scn, det_b=replace(db, window=db.window.shifted(tau)))
+                      for tau in taus])
+    return complex(np.sum(wt * j))
 
 
 # --- quadrature -----------------------------------------------------------------

@@ -377,9 +377,11 @@ class TestBatchedSweep:
         sweep_cfg("r", "10*sigma", "400*sigma", 40, uncertainty="10*sigma"),
         sweep_cfg("delta_t", "1*sigma", "40*sigma", 40),
         sweep_cfg("gap", "10*sigma", "100*sigma", 20),
+        # a local term, a C and a pair per duration, in groups of their own
+        sweep_cfg("duration", "10*sigma", "1000*sigma", 12, "log", uncertainty="30*sigma"),
         # every row fails, with the message of the smear that rejects it
         sweep_cfg("delta_t", "2*sigma", "10*sigma", 3, uncertainty="3*sigma"),
-    ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "delta_t-rejected"])
+    ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "duration", "delta_t-rejected"])
     def test_sweep_bit_identical_to_single_points(self, cfg):
         # the rows of one call share their integrals and evaluate them
         # together; every field of every report, the error estimates
@@ -417,15 +419,22 @@ class TestBatchedSweep:
 
     @staticmethod
     def record_evaluations(monkeypatch):
+        # of every integral, whether it runs alone or in a lockstep group
         counts = []
-        original = core.integrate_radial
+        alone, together = core.integrate_radial, core.integrate_lockstep
 
         def counted(spec, settings):
-            res = original(spec, settings)
+            res = alone(spec, settings)
             counts.append(res.evaluations)
             return res
 
+        def counted_group(specs, evaluate, settings):
+            results = together(specs, evaluate, settings)
+            counts.extend(res.evaluations for res in results)
+            return results
+
         monkeypatch.setattr(core, "integrate_radial", counted)
+        monkeypatch.setattr(core, "integrate_lockstep", counted_group)
         return counts
 
     def test_fig3_quadrature_cost(self, monkeypatch):
@@ -451,13 +460,13 @@ class TestBatchedSweep:
         # the window sits.  Moving B's window rounds its duration to one of a
         # few neighbouring floats, within a few ulps: I_nn is computed once
         calls = []
-        original = core._i_nn_result
+        original = core._i_nn_member
 
-        def recorded(det, settings):
+        def recorded(det):
             calls.append(det.window.duration)
-            return original(det, settings)
+            return original(det)
 
-        monkeypatch.setattr(core, "_i_nn_result", recorded)
+        monkeypatch.setattr(core, "_i_nn_member", recorded)
         cfg = sweep_cfg("gap", "10*sigma", "100*sigma", 20)
         rows = run_sweep(cfg)
         assert len(rows) == 20 and all(r.status == "ok" for r in rows)
@@ -475,13 +484,13 @@ class TestBatchedSweep:
         # C, the separation- and uncertainty-independent term of the spatial
         # smear, is shared by every row of the detector pair
         calls = []
-        original = core._c_result
+        original = core._c_member
 
-        def recorded(s, settings):
-            calls.append(s)
-            return original(s, settings)
+        def recorded(da, db):
+            calls.append((da, db))
+            return original(da, db)
 
-        monkeypatch.setattr(core, "_c_result", recorded)
+        monkeypatch.setattr(core, "_c_member", recorded)
         return calls
 
     def test_smear_constant_computed_once_per_delta_sweep(self, monkeypatch):

@@ -74,7 +74,8 @@ class TestJtilde:
 
     @staticmethod
     def jtilde(emitter, absorber, ws):
-        return core._jtilde(emitter, absorber, np.asarray(ws, dtype=float), 0.0)
+        terms = core._jtilde_terms(emitter, absorber, 0.0)
+        return core._jtilde(np.asarray(ws, dtype=float), terms)
 
     def check(self, emitter, absorber, ws, tol):
         got = self.jtilde(emitter, absorber, ws)
@@ -452,9 +453,9 @@ class TestSeriesSmear:
     @pytest.mark.parametrize("x", [9.5, 10.0, 15.0, 30.0])
     def test_routes_agree_where_both_converge(self, monkeypatch, x):
         s = fig_scenario(delta=0.15 / x)
-        series = core._j_smeared_result(s, core.DEFAULT_SETTINGS, {})
+        series = core._j_smeared_result(s, core.DEFAULT_SETTINGS)
         monkeypatch.setattr(core, "_SERIES_X0", math.inf)
-        remainder = core._j_smeared_result(s, core.DEFAULT_SETTINGS, {})
+        remainder = core._j_smeared_result(s, core.DEFAULT_SETTINGS)
         assert series.evaluations < remainder.evaluations
         assert abs(series.value - remainder.value) <= series.abs_error + remainder.abs_error
 
@@ -485,12 +486,12 @@ class TestSeriesSmear:
         s = fig_scenario(delta=0.015)
         tight = replace(core.DEFAULT_SETTINGS, tol_abs=1e-30)
         assert core._make_series_kernel(10.0, 1e-3, 0.15, 0.01, 1e-32) is None
-        core._j_smeared_result(s, tight, {})
+        core._j_smeared_result(s, tight)
         assert any(not spec.peaks for spec in specs)
 
     def test_error_includes_the_tail_bound(self):
         s = fig_scenario(delta=0.0015)
-        res = core._j_smeared_result(s, core.DEFAULT_SETTINGS, {})
+        res = core._j_smeared_result(s, core.DEFAULT_SETTINGS)
         _, bound = core._make_series_kernel(100.0, 1e-3, 0.15, 0.1 * 0.1, 1e-14)
         pref = 0.01**2 / (4.0 * math.pi**2)
         assert res.abs_error >= pref * bound > 0.0
@@ -614,22 +615,29 @@ class TestQuadratureCost:
     def test_evaluations_at_reference_geometry(self):
         s = fig_scenario()
         settings = core.DEFAULT_SETTINGS
-        assert core._i_nn_result(s.det_a, settings).evaluations <= 300
-        i_ab, j = core._time_integral(s.det_a, s.det_b, s.separation, settings, exchange=True)
+        assert core._single(core._i_nn_member(s.det_a), settings).evaluations <= 300
+        i_ab, j = core._single(core._time_member("pair", s.det_a, s.det_b, s.separation),
+                               settings)
         assert i_ab.evaluations == j.evaluations <= 700
         for dt in (0.005, 0.02, 0.04):
-            assert core._j_clock_result(s, dt, settings).evaluations <= 1100
+            assert core._single(core._clock_member(s, dt), settings).evaluations <= 1100
 
     @staticmethod
     def count_quadratures(monkeypatch):
+        # every integral, whether it runs alone or in a lockstep group
         calls = []
-        original = core.integrate_radial
+        alone, together = core.integrate_radial, core.integrate_lockstep
 
         def counted(spec, settings):
             calls.append(spec)
-            return original(spec, settings)
+            return alone(spec, settings)
+
+        def counted_group(specs, evaluate, settings):
+            calls.extend(specs)
+            return together(specs, evaluate, settings)
 
         monkeypatch.setattr(core, "integrate_radial", counted)
+        monkeypatch.setattr(core, "integrate_lockstep", counted_group)
         return calls
 
     @pytest.mark.parametrize("delta, time_smear, quadratures", [
@@ -651,8 +659,8 @@ class TestQuadratureCost:
     def test_pair_pass_costs_what_each_integral_did(self):
         # I_AB and J, each 450 evaluations as separate quadratures, share them
         s = fig_scenario()
-        i_ab, j = core._time_integral(s.det_a, s.det_b, 0.15, core.DEFAULT_SETTINGS,
-                                      exchange=True)
+        i_ab, j = core._single(core._time_member("pair", s.det_a, s.det_b, 0.15),
+                               core.DEFAULT_SETTINGS)
         assert i_ab.evaluations == j.evaluations == 450
 
     def test_single_core(self):
@@ -800,15 +808,16 @@ class TestTimeShiftInvariance:
         assert abs(i1.i_ab - i0.i_ab * ab_phase) <= 1e-12 * abs(i0.i_ab)
         assert abs(i1.j - i0.j * j_phase) <= 1e-12 * abs(i0.j)
         # and the cost of the correlation term does not grow with it
-        evals0, evals1 = (core._time_integral(s.det_a, s.det_b, r0, core.DEFAULT_SETTINGS,
-                                              exchange=True)[1].evaluations for s in (s0, s1))
+        evals0, evals1 = (core._single(core._time_member("pair", s.det_a, s.det_b, r0),
+                                       core.DEFAULT_SETTINGS)[1].evaluations for s in (s0, s1))
         assert evals1 <= evals0
         # both smeared correlation terms carry the same phase, and the spatial
         # smear costs no more
         delta, dt = delta_rel * r0, dt_rel * 0.1
         sm0, sm1 = (core._j_smeared_result(replace(s, position_uncertainty=delta),
-                                           core.DEFAULT_SETTINGS, {}) for s in (s0, s1))
-        ck0, ck1 = (core._j_clock_result(s, dt, core.DEFAULT_SETTINGS) for s in (s0, s1))
+                                           core.DEFAULT_SETTINGS) for s in (s0, s1))
+        ck0, ck1 = (core._single(core._clock_member(s, dt), core.DEFAULT_SETTINGS)
+                    for s in (s0, s1))
         for res0, res1 in ((sm0, sm1), (ck0, ck1)):
             assert abs(res1.value) == pytest.approx(abs(res0.value), rel=1e-12)
             assert abs(res1.value - res0.value * j_phase) <= 1e-12 * abs(res0.value)

@@ -5,11 +5,13 @@ import pytest
 from scipy.special import dawsn, erf
 
 import oracles
+from harvestsim import quadrature
 from harvestsim.quadrature import (
     ConvergenceFailure,
     IntegrandSpec,
     QuadratureSettings,
     _initial_panels,
+    integrate_lockstep,
     integrate_radial,
 )
 
@@ -376,3 +378,63 @@ class TestComponents:
         best = exc.value.best
         assert best.evaluations == 15 * (_initial_panels(spec).size - 1)
         assert best.value.shape == best.abs_error.shape == (2,)
+
+
+class TestLockstep:
+    """Integrals advanced together share only the evaluate call: each keeps
+    the result, bit for bit, and the failure it has alone."""
+
+    SETTINGS = QuadratureSettings(tol_abs=1e-14, tol_rel=1e-14, eval_budget=3000)
+
+    @staticmethod
+    def specs():
+        # converges, needs refinement, runs out of budget
+        return [gaussian_spec(1.0), gauss_sin_spec(0.3, 4.0), gauss_sin_spec(0.01, 30.0)]
+
+    def alone(self, spec):
+        try:
+            return integrate_radial(spec, self.SETTINGS)
+        except ConvergenceFailure as exc:
+            return exc
+
+    def test_group_matches_each_integral_alone(self):
+        specs = self.specs()
+        calls = []
+
+        def evaluate(x, owner):
+            calls.append(np.unique(owner).tolist())
+            out = np.empty(x.size, dtype=complex)
+            for i, spec in enumerate(specs):
+                out[owner == i] = spec.evaluate(x[owner == i])
+            return out
+
+        together = integrate_lockstep(specs, evaluate, self.SETTINGS)
+        assert calls[0] == [0, 1, 2]   # one call serves every first partition
+        for got, spec in zip(together, specs):
+            ref = self.alone(spec)
+            if isinstance(ref, ConvergenceFailure):
+                assert type(got) is ConvergenceFailure and str(got) == str(ref)
+                got, ref = got.best, ref.best
+            assert (got.value, got.abs_error, got.evaluations) == (
+                ref.value, ref.abs_error, ref.evaluations)
+
+    def test_rounds_are_chunked(self, monkeypatch):
+        # a first partition of 47,730 nodes: no evaluate call holds more than
+        # _CHUNK of them, and the sums are those of one call over all nodes
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x * x) * np.cos(40.0 * x) + 0j
+
+        spec = IntegrandSpec(evaluate=f, support=(-50.0, 50.0), max_phase_rate=400.0)
+        chunked = integrate_radial(spec)
+        assert len(sizes) > 1 and max(sizes) <= quadrature._CHUNK
+        monkeypatch.setattr(quadrature, "_CHUNK", 10**9)
+        sizes.clear()
+        whole = integrate_radial(spec)
+        assert sizes[0] == 15 * (_initial_panels(spec).size - 1) > quadrature._CHUNK // 10**5
+        assert (chunked.value, chunked.abs_error, chunked.evaluations) == (
+            whole.value, whole.abs_error, whole.evaluations)
+        assert chunked.value.real == pytest.approx(math.sqrt(math.pi) * math.exp(-400.0),
+                                                   abs=1e-12)
