@@ -545,6 +545,7 @@ def _i_nn_member(det: DetectorParams) -> _Member:
 
 
 def _i_nn_evaluate(v, p: dict):
+    """The integrand of ``_i_nn_member``."""
     g = p["gap"]
     f = 1j * np.exp(1j * g * v) * (1j * g * (p["width"] - v) - 1.0) * p["fourier"](v, 0.0)
     return f.real
@@ -595,13 +596,13 @@ def _spatial_request(s: Scenario, plan: _Plan) -> Callable[[], QuadResult]:
     if x >= _SERIES_X0:
         series = _series_member(s, settings)
         if series is not None:
-            key = plan.need(object(), lambda: series)
+            key = plan.add(series)
             return lambda: plan.result(key)
     da, db = s.det_a, s.det_b
-    remainder = plan.need(object(), lambda: _remainder_member(s))
+    pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
+    remainder = plan.add(_remainder_member(s, x, pref))
     weight = math.exp(-x * x) * _SQRT_PI / delta
     c = plan.need(("c", da, db), lambda: _c_member(da, db)) if weight > 0.0 else None
-    pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
 
     def smeared() -> QuadResult:
         res = plan.result(remainder)
@@ -616,15 +617,13 @@ def _spatial_request(s: Scenario, plan: _Plan) -> Callable[[], QuadResult]:
     return smeared
 
 
-def _remainder_member(s: Scenario) -> _Member:
-    """R's frequency quadrature of ``_spatial_request``, scaled; the caller
-    subtracts it."""
+def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
+    """R's frequency quadrature of ``_spatial_request`` at x = r0/delta,
+    times pref; the caller subtracts it."""
     da, db = s.det_a, s.det_b
     delta, sig = s.position_uncertainty, da.smearing
-    x = s.separation / delta
     t0 = _origin(da, db)
     scale = math.sqrt(sig**2 + 0.5 * delta**2)
-    pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
     params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig,
                   ab=_jtilde_terms(da, db, t0), ba=_jtilde_terms(db, da, t0))
     return _member(
@@ -705,8 +704,12 @@ def _series_member(s: Scenario, settings: QuadratureSettings) -> _Member | None:
     if series is None:
         return None
     kernel, bound = series
-    return _time_member("series", da, db, r0, kernel=kernel, finish=lambda res: _within_tolerance(
-        QuadResult(res.value, res.abs_error + pref * bound, res.evaluations), settings, pref))
+
+    def bounded(res: QuadResult) -> QuadResult:
+        return _within_tolerance(QuadResult(res.value, res.abs_error + pref * bound,
+                                            res.evaluations), settings, pref)
+
+    return _time_member("series", da, db, r0, kernel=kernel, finish=bounded)
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
@@ -750,6 +753,7 @@ def compute_J_time_smeared(
     return abs(_single(_clock_member(s, delta_t), settings).value)
 
 
+# each kind's evaluator; kinds that share one differ in how their kernels stack
 _EVALUATE = {
     "pair": lambda u, p: _time_evaluate(u, p, exchange=True),
     "clock": _time_evaluate,
@@ -801,11 +805,15 @@ def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
         except ROW_ERRORS as exc:
             results = [exc]
     else:
-        evaluate = _EVALUATE[members[0].kind]
         params = _stack([m.params for m in members])
-        results = integrate_lockstep([m.spec for m in members],
-                                     lambda x, owner: evaluate(x, _take(params, owner)),
-                                     settings)
+
+        def evaluate(x, owner):
+            # a call within one large member needs no per-node parameters
+            one = owner[0] if (owner == owner[0]).all() else None
+            return _EVALUATE[members[0].kind](
+                x, _take(params, owner) if one is None else members[one].params)
+
+        results = integrate_lockstep([m.spec for m in members], evaluate, settings)
     out = []
     for member, res in zip(members, results):
         try:
@@ -837,6 +845,12 @@ class _Plan:
         """key, with ``make()`` added under it unless it already is."""
         if key not in self.members:
             self.members[key] = make()
+        return key
+
+    def add(self, member: _Member):
+        """The key of a member that nothing else shares."""
+        key = object()
+        self.members[key] = member
         return key
 
     def run(self) -> None:
@@ -963,7 +977,7 @@ def _row_request(s: Scenario, time_smear: float | None,
     The row's smear comes first, so an input it rejects costs no
     quadrature, and its failure is the row's first."""
     if time_smear is not None:
-        key = plan.need(object(), lambda: _clock_member(s, time_smear))
+        key = plan.add(_clock_member(s, time_smear))
         smear, method = (lambda: plan.result(key)), "closed-form-time"
     elif s.position_uncertainty > 0.0:
         smear, method = _spatial_request(s, plan), "erfi-closed-form"
