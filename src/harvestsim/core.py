@@ -170,13 +170,15 @@ def _jtilde(omega: np.ndarray, p: dict) -> np.ndarray:
     a_minus = omega - p["absorber_gap"]
     a_plus = omega + p["emitter_gap"]
     out = np.zeros(omega.shape, dtype=complex)
-    if np.any(p["overlap"]):
+    overlap, after = p["overlap"], p["after"]
+    # each domain's flag is one bool, or one per node where a group's members differ
+    if overlap is True or isinstance(overlap, np.ndarray) and overlap.any():
         term = (p["const"] - np.exp(1j * a_plus * p["m_on"])
                 * _ediff(p["u0"], p["u1"], -a_minus)) / a_plus
-        out -= np.where(p["overlap"], term, 0.0)
-    if np.any(p["after"]):
+        out -= term if overlap is True else np.where(overlap, term, 0.0)
+    if after is True or isinstance(after, np.ndarray) and after.any():
         term = _ediff(p["v0"], p["v1"], -a_minus) * _ediff(p["m_on"], p["m_off"], a_plus)
-        out -= np.where(p["after"], term, 0.0)
+        out -= term if after is True else np.where(after, term, 0.0)
     return out
 
 
@@ -354,6 +356,8 @@ def _moment_kernel(offsets: tuple, scale: float, factor: complex, d: np.ndarray,
 
 # K(v; 0) = G_1 = i p_1(t)/sigma^2 at sigma = 1; its real part cancels to eps*t^2
 _G1 = _moment_kernel((0.0,), 1.0, 1j, np.array([[0.0, 1.0]]), _ASYMPTOTIC_T)
+# K(v; r)'s constant weights of F at v + r and v - r
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def _fourier_kernel(sigma: float) -> _MomentKernel:
@@ -397,8 +401,9 @@ def _kernel(r: float, sigma: float) -> _SeparationKernel:
     """K(v; r), r >= 0 (``_SeparationKernel``); at r = 0 the exact form
     is a zero that only holds its place."""
     factor = _SQRT_PI / (_SQRT2 * sigma * 2j * r) if r else 0j
-    exact = _MomentKernel((r, -r), sigma, factor, np.array([1.0, -1.0]))
-    return _SeparationKernel(r, sigma, exact, replace(_G1, scale=sigma, factor=1j / sigma**2))
+    exact = _MomentKernel((r, -r), sigma, factor, _PLUS_MINUS)
+    limit = _MomentKernel(_G1.offsets, sigma, 1j / sigma**2, _G1.near, _G1.split, _G1.far)
+    return _SeparationKernel(r, sigma, exact, limit)
 
 
 def _window(v, a, b, g_a: float, g_b: float):

@@ -216,16 +216,16 @@ def _gk15(evaluate, a: list, b: list, owners: list | None) -> tuple[list, list, 
     for the one integral of a group of one.  Returns per integral
     (kronrod, |K-G| error), each of shape (k, panels), and whether the
     integrand has one component."""
-    sizes = [x.size for x in a]
     if owners is None:
         (a,), (b,), owner = a, b, None
     else:
+        sizes = [x.size for x in a]
         a, b = np.concatenate(a), np.concatenate(b)
         owner = np.repeat(owners, sizes)
     step = _CHUNK // _NODES.size
     ik, ig = [], []
     for start in range(0, a.size, step):
-        pa, pb = a[start:start + step], b[start:start + step]
+        pa, pb = (a, b) if a.size <= step else (a[start:start + step], b[start:start + step])
         c = 0.5 * (pa + pb)
         h = 0.5 * (pb - pa)
         x = c[:, None] + h[:, None] * _NODES[None, :]
@@ -295,12 +295,14 @@ def integrate_lockstep(
     group = len(specs) > 1
     vals, errs, scalar = _gk15(evaluate, a, b, list(range(len(specs))) if group else None)
     evals = [15 * x.size for x in a]
+    # per integral: its range, and the width below which a panel is not bisected
+    spans = [(hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi))) for lo, hi in
+             (spec.support for spec in specs)]
     out: list = [None] * len(specs)
     active = list(range(len(specs)))
     while active:
         keep, new_a, new_b = {}, [], []
         for i in active:
-            lo, hi = specs[i].support
             value, error = vals[i].sum(axis=1), errs[i].sum(axis=1)
             best = (QuadResult(complex(value[0]), float(error[0]), evals[i]) if scalar
                     else QuadResult(value, error, evals[i]))
@@ -309,8 +311,9 @@ def integrate_lockstep(
                 out[i] = best
                 continue
             width = b[i] - a[i]
-            refine = ((errs[i] > target[:, None] * width / (hi - lo)).any(axis=0)
-                      & (width > 64.0 * _EPS * max(abs(lo), abs(hi))))
+            span, min_width = spans[i]
+            refine = ((errs[i] > target[:, None] * width / span).any(axis=0)
+                      & (width > min_width))
             n_new = 2 * int(refine.sum())
             if evals[i] + 15 * n_new > settings.eval_budget:
                 out[i] = ConvergenceFailure(
