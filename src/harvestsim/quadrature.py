@@ -287,19 +287,23 @@ def integrate_lockstep(
     nodes, ``evaluate(x, owner)``, where owner[i] is the index in
     ``specs`` of the integral that node x[i] belongs to (None for a
     single spec); it must equal ``specs[owner[i]].evaluate`` at x[i],
-    and every spec must have the same number of components.  Returns, in spec order, the result or
-    the ConvergenceFailure ``integrate_radial`` would raise.
+    and every spec must have the same number of components.  Returns,
+    in spec order, the result or the ConvergenceFailure
+    ``integrate_radial`` would raise.
     """
-    edges = [_initial_panels(spec) for spec in specs]
-    a, b = [e[:-1] for e in edges], [e[1:] for e in edges]
-    group = len(specs) > 1
-    vals, errs, scalar = _gk15(evaluate, a, b, list(range(len(specs))) if group else None)
-    evals = [15 * x.size for x in a]
-    # per integral: its range, and the width below which a panel is not bisected
-    spans = [(hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi))) for lo, hi in
-             (spec.support for spec in specs)]
-    out: list = [None] * len(specs)
+    a, b, evals, spans = [], [], [], []
+    for spec in specs:
+        edges = _initial_panels(spec)
+        a.append(edges[:-1])
+        b.append(edges[1:])
+        evals.append(15 * (edges.size - 1))
+        # its range, and the width below which a panel is not bisected
+        lo, hi = spec.support
+        spans.append((hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi))))
     active = list(range(len(specs)))
+    group = len(specs) > 1
+    vals, errs, scalar = _gk15(evaluate, a, b, active if group else None)
+    out: list = [None] * len(specs)
     while active:
         keep, new_a, new_b = {}, [], []
         for i in active:
