@@ -265,7 +265,7 @@ class _MomentKernel:
     near: np.ndarray                # [row, (A, B), power], or A [offset]
     split: float = math.inf
     far: np.ndarray | None = None   # [row, power of 1/t]
-    place: int | np.ndarray = 0
+    place: np.ndarray | None = None
     powers: tuple = (None, None)    # of a stack: per row, the powers near and far use
 
     def __call__(self, u, shift):
@@ -276,8 +276,12 @@ class _MomentKernel:
         if self.near.ndim == 1:  # constant A, B = 0: no polynomial work
             out = faddeeva_w(z).reshape(n, -1) * self.near[:, None]
         else:
-            near = (np.abs(t).reshape(n, -1) < self.split).ravel()
-            row = np.add.outer(np.arange(n), n * np.broadcast_to(self.place, u.shape)).ravel()
+            if self.place is None:
+                split, row = self.split, np.repeat(np.arange(n), u.size)
+            else:
+                split = np.tile(self.split, n) if np.ndim(self.split) else self.split
+                row = (np.arange(n)[:, None] + n * self.place).ravel()
+            near = np.abs(t) < split
             out = np.empty(z.size, dtype=complex)
             w = faddeeva_w(z[near])
             a, b = _polynomial("ik,ipk->pi", t[near], row[near], self.near, self.powers[0])

@@ -225,7 +225,7 @@ def _gk15(evaluate, a: list, b: list, owners: list | None) -> tuple[list, list, 
     step = _CHUNK // _NODES.size
     ik, ig = [], []
     for start in range(0, a.size, step):
-        pa, pb = (a, b) if a.size <= step else (a[start:start + step], b[start:start + step])
+        pa, pb = a[start:start + step], b[start:start + step]
         c = 0.5 * (pa + pb)
         h = 0.5 * (pb - pa)
         x = c[:, None] + h[:, None] * _NODES[None, :]
