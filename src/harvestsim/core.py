@@ -146,10 +146,10 @@ def _jtilde_terms(emitter: DetectorParams, absorber: DetectorParams, t0: float) 
     m_on, m_off = emitter.window.t_on - t0, emitter.window.t_off - t0
     u0, u1 = max(n_on, m_on), min(n_off, m_off)
     v0, v1 = max(n_on, m_off), n_off
-    overlap = u1 > u0
+    overlap = bool(u1 > u0)  # a NumPy bool where window edges are NumPy floats
     const = _ediff(u0, u1, np.float64(absorber.gap + emitter.gap)) if overlap else 0j
     return dict(absorber_gap=absorber.gap, emitter_gap=emitter.gap, m_on=m_on, m_off=m_off,
-                u0=u0, u1=u1, overlap=overlap, const=const, v0=v0, v1=v1, after=v1 > v0)
+                u0=u0, u1=u1, overlap=overlap, const=const, v0=v0, v1=v1, after=bool(v1 > v0))
 
 
 def _jtilde(omega: np.ndarray, p: dict) -> np.ndarray:
@@ -170,16 +170,22 @@ def _jtilde(omega: np.ndarray, p: dict) -> np.ndarray:
     a_minus = omega - p["absorber_gap"]
     a_plus = omega + p["emitter_gap"]
     out = np.zeros(omega.shape, dtype=complex)
-    overlap, after = p["overlap"], p["after"]
-    # each domain's flag is one bool, or one per node where a group's members differ
-    if overlap is True or isinstance(overlap, np.ndarray) and overlap.any():
-        term = (p["const"] - np.exp(1j * a_plus * p["m_on"])
-                * _ediff(p["u0"], p["u1"], -a_minus)) / a_plus
-        out -= term if overlap is True else np.where(overlap, term, 0.0)
-    if after is True or isinstance(after, np.ndarray) and after.any():
-        term = _ediff(p["v0"], p["v1"], -a_minus) * _ediff(p["m_on"], p["m_off"], a_plus)
-        out -= term if after is True else np.where(after, term, 0.0)
+    _subtract(out, p["overlap"], lambda: (p["const"] - np.exp(1j * a_plus * p["m_on"])
+                                          * _ediff(p["u0"], p["u1"], -a_minus)) / a_plus)
+    _subtract(out, p["after"], lambda: _ediff(p["v0"], p["v1"], -a_minus)
+              * _ediff(p["m_on"], p["m_off"], a_plus))
     return out
+
+
+def _subtract(out: np.ndarray, flag, term: Callable[[], np.ndarray]) -> None:
+    """out -= term() where a time domain is nonempty: flag is one bool for
+    every node, or an array with one per node where a group's members
+    differ.  term is evaluated only if the domain is nonempty somewhere."""
+    if isinstance(flag, np.ndarray):
+        if flag.any():
+            out -= np.where(flag, term(), 0.0)
+    elif flag:
+        out -= term()
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -375,9 +381,9 @@ class _SeparationKernel:
     ``_time_member``.  Formed as u + (shift +- r), a peak of F at
     shift = -+r is resolved to the rounding of u, not of v.  The difference
     cancels to about eps*max(sigma, |v|)/r, so at nodes where
-    r < 1e-5*max(sigma, |v|), at r = 0 everywhere, its limit
-    K(v; 0) = G_1, exact there to (r/sigma)^2/6, is used.  Stacks and
-    takes entries as ``_MomentKernel`` does."""
+    r < 1e-5*max(sigma, |v|) its limit K(v; 0) = G_1, exact there to
+    (r/sigma)^2/6, is used.  Stacks and takes entries as ``_MomentKernel``
+    does."""
 
     r: float
     sigma: float
@@ -401,12 +407,12 @@ class _SeparationKernel:
                                  self.exact.take(index), self.limit.take(index))
 
 
-def _kernel(r: float, sigma: float) -> _SeparationKernel:
-    """K(v; r), r >= 0 (``_SeparationKernel``); at r = 0 the exact form
-    is a zero that only holds its place."""
-    factor = _SQRT_PI / (_SQRT2 * sigma * 2j * r) if r else 0j
-    exact = _MomentKernel((r, -r), sigma, factor, _PLUS_MINUS)
+def _kernel(r: float, sigma: float) -> _SeparationKernel | _MomentKernel:
+    """K(v; r), r >= 0 (``_SeparationKernel``); at r = 0 its limit alone."""
     limit = _MomentKernel(_G1.offsets, sigma, 1j / sigma**2, _G1.near, _G1.split, _G1.far)
+    if r == 0.0:
+        return limit
+    exact = _MomentKernel((r, -r), sigma, _SQRT_PI / (_SQRT2 * sigma * 2j * r), _PLUS_MINUS)
     return _SeparationKernel(r, sigma, exact, limit)
 
 

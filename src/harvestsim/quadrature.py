@@ -18,8 +18,10 @@ Several integrals, each on its own partition, can advance in lockstep
 of them together, in calls of at most ``_CHUNK`` nodes that also name
 the integral each node belongs to, and each integral then keeps its own
 sums, refinement, budget and failure, exactly as it would alone.
-``integrate_radial`` is that loop with a group of one.  Memory per round
-is bounded by the chunk, not by the partition.
+``integrate_radial`` is that loop with a group of one.  Each evaluate
+call holds at most ``_CHUNK`` nodes, but a group keeps the panels, sums
+and errors of all its integrals until it ends, so its memory grows with
+their total panels.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ __all__ = [
     "QuadratureSettings",
     "ConvergenceFailure",
     "integrate_radial",
-    "integrate_lockstep",
 ]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights,

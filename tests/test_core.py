@@ -133,6 +133,24 @@ class TestJtilde:
         assert self.jtilde(emitter, absorber, ws).tolist() == [0.0] * 3
         assert [oracles.jtilde_time_domain(absorber, emitter, w) for w in ws] == [0.0] * 3
 
+    def test_numpy_float_windows_bit_identical(self):
+        # window edges from np.linspace or an np.float64 shift make each
+        # domain's flag a NumPy bool, which must count as a Python bool does
+        ws = [0.3, 1.1, 2.7]
+        pairs = ((detector(window=(0.0, 1.0), gap=0.9), detector(window=(0.4, 1.3), gap=1.1)),
+                 (detector(window=(0.2, 0.9)), detector(window=(1.1, 2.4))))
+        for emitter, absorber in pairs:
+            ref = self.jtilde(emitter, absorber, ws)
+            got = self.jtilde(numpy_windows(emitter), numpy_windows(absorber), ws)
+            assert np.all(ref != 0.0)
+            assert got.tolist() == ref.tolist()
+
+
+def numpy_windows(d):
+    """d with its window edges as NumPy floats."""
+    w = d.window
+    return replace(d, window=SwitchingWindow(np.float64(w.t_on), np.float64(w.t_off)))
+
 
 class TestLocalTerms:
     def test_zero_coupling(self):
@@ -315,6 +333,14 @@ class TestSmearedCorrelation:
             assert abs(complex(re, im)) == pytest.approx(closed, rel=1e-6)
             assert evaluate_scenario(s).j_smeared_abs == closed
 
+    def test_numpy_float_windows_bit_identical(self):
+        # the frequency-remainder route reads the correlation kernel's
+        # domain flags, NumPy bools where the window edges are NumPy floats
+        for s in (scenario(wa=(0.0, 1.0), wb=(0.5, 1.5), r0=1.0, delta=0.3),
+                  fig_scenario(delta=0.75)):
+            t = replace(s, det_a=numpy_windows(s.det_a), det_b=numpy_windows(s.det_b))
+            assert compute_J_smeared(t) == compute_J_smeared(s)
+            assert evaluate_scenario(t) == evaluate_scenario(s)
 
     def test_cancelling_terms_fail_the_row(self, monkeypatch):
         # the smeared J is C's term minus the frequency-domain remainder; an
