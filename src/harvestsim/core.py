@@ -259,95 +259,74 @@ class _MomentKernel:
     expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.
 
     ``stack`` makes one kernel of several, for a lockstep group: offsets,
-    scale, factor and split become arrays with one entry per kernel, unless
-    all kernels share them, and ``place`` the kernel's index, whose rows of
-    the tables are place*len(offsets) + offset.  ``take`` picks one entry
-    per node.
-    """
+    scale, factor, split and tables become one entry per kernel, unless all
+    kernels share them, ``place`` the index of each kernel's tables, and
+    ``take`` picks one entry per node.  Each node is summed against its own
+    kernel's table, as that kernel alone sums it."""
 
     offsets: tuple
     scale: float
     factor: complex
-    near: np.ndarray                # [row, (A, B), power], or A [offset]
+    near: tuple                     # tables [row, (A, B), power], or A [offset]
     split: float = math.inf
-    far: np.ndarray | None = None   # [row, power of 1/t]
-    place: np.ndarray | None = None
-    powers: tuple = (None, None)    # of a stack: per row, the powers near and far use
+    far: tuple = ()                 # tables [row, power of 1/t]
+    place: np.ndarray | int = 0     # each entry's table
 
     def __call__(self, u, shift):
         u = np.asarray(u, dtype=float)
         n = len(self.offsets)
         z = np.concatenate([(u + (shift + c)) / (_SQRT2 * self.scale) for c in self.offsets])
-        t = _SQRT2 * z
-        if self.near.ndim == 1:  # constant A, B = 0: no polynomial work
-            out = faddeeva_w(z).reshape(n, -1) * self.near[:, None]
+        if self.near[0].ndim == 1:  # constant A, B = 0: no polynomial work
+            out = faddeeva_w(z).reshape(n, -1) * self.near[0][:, None]
         else:
-            if self.place is None:
-                split, row = self.split, np.repeat(np.arange(n), u.size)
-            else:
-                split = np.tile(self.split, n) if np.ndim(self.split) else self.split
-                row = (np.arange(n)[:, None] + n * self.place).ravel()
-            near = np.abs(t) < split
+            t = _SQRT2 * z
+            row = np.repeat(np.arange(n), u.size)
+            place = np.tile(self.place, n) if np.ndim(self.place) else self.place
+            near = np.abs(t) < (np.tile(self.split, n) if np.ndim(self.split) else self.split)
             out = np.empty(z.size, dtype=complex)
             w = faddeeva_w(z[near])
-            a, b = _polynomial("ik,ipk->pi", t[near], row[near], self.near, self.powers[0])
+            a, b = _polynomial("ik,ipk->pi", t[near], row[near], _take(place, near), self.near)
             out[near] = w * a - 1j * b
             far = ~near
             if far.any():
                 inv = 1.0 / t[far]
-                out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], self.far,
-                                                  self.powers[1])
+                out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], _take(place, far),
+                                                  self.far)
         return out.reshape(n, -1).sum(axis=0) * self.factor
 
     @staticmethod
     def stack(kernels: list) -> _MomentKernel:
         first = kernels[0]
-        entries = dict(
-            offsets=tuple(_entries([k.offsets[c] for k in kernels])
-                          for c in range(len(first.offsets))),
+        shared = all(k.near is first.near and k.far is first.far for k in kernels)
+        return _MomentKernel(
+            offsets=tuple(_entries(list(c)) for c in zip(*(k.offsets for k in kernels))),
             scale=_entries([k.scale for k in kernels]),
             factor=_entries([k.factor for k in kernels]),
+            near=first.near if shared else tuple(k.near[0] for k in kernels),
             split=_entries([k.split for k in kernels]),
-            place=np.arange(len(kernels)))
-        if first.near.ndim == 1:  # F's and K's constant A, the same in every kernel
-            return _MomentKernel(near=first.near, **entries)
-        near, near_powers = _padded([k.near for k in kernels])
-        far, far_powers = _padded([k.far for k in kernels])
-        return _MomentKernel(near=near, far=far, powers=(near_powers, far_powers), **entries)
+            far=first.far if shared else tuple(k.far[0] for k in kernels),
+            place=0 if shared else np.arange(len(kernels)))
 
     def take(self, index: np.ndarray) -> _MomentKernel:
         return replace(self, offsets=tuple(_take(c, index) for c in self.offsets),
                        scale=_take(self.scale, index), factor=_take(self.factor, index),
-                       split=_take(self.split, index), place=self.place[index])
+                       split=_take(self.split, index), place=_take(self.place, index))
 
 
-def _padded(tables: list) -> tuple[np.ndarray, np.ndarray]:
-    """The tables' rows in one table, zero-padded in their last axis, and
-    each row's own width."""
-    rows = [t.shape[0] for t in tables]
-    out = np.zeros((sum(rows),) + tables[0].shape[1:-1] + (max(t.shape[-1] for t in tables),))
-    widths = np.repeat([t.shape[-1] for t in tables], rows)
-    start = 0
-    for t in tables:
-        out[start:start + t.shape[0], ..., :t.shape[-1]] = t
-        start += t.shape[0]
-    return out, widths
-
-
-def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, table: np.ndarray,
-                powers: np.ndarray | None) -> np.ndarray:
+def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, place,
+                tables: tuple) -> np.ndarray:
     """``einsum(subscripts)`` of the powers x^k against the coefficients
-    table[row], k below the table's width, or below each row's own count
-    of ``powers``: one einsum per count, since the sum of a padded row
-    need not round as the row's own does."""
-    if powers is None:
+    tables[place][row], k below that table's width; place is one table
+    for every entry, or one per entry, when each run of entries of one
+    table takes an einsum of its own, as their kernel alone does."""
+    if np.ndim(place) == 0:
+        table = tables[place]
         return np.einsum(subscripts, np.vander(x, table.shape[-1], increasing=True), table[row])
-    count = powers[row]
-    out = np.empty(table.shape[1:-1] + x.shape, dtype=table.dtype)
-    for k in np.unique(count).tolist():
-        sel = count == k
-        out[..., sel] = np.einsum(subscripts, np.vander(x[sel], k, increasing=True),
-                                  table[row[sel], ..., :k])
+    out = np.empty(tables[0].shape[1:-1] + x.shape)
+    starts = np.flatnonzero(np.diff(place, prepend=-1)).tolist()
+    for start, end in zip(starts, starts[1:] + [place.size]):
+        out[..., start:end] = _polynomial(subscripts, x[start:end], row[start:end],
+                                          int(place[start]), tables)
     return out
 
 
@@ -361,18 +340,19 @@ def _moment_kernel(offsets: tuple, scale: float, factor: complex, d: np.ndarray,
     size = np.abs(far).max(axis=0) * (1.0 / split) ** np.arange(far.shape[1])
     terms = int(np.nonzero(size > _ASYMPTOTIC_CUT * size.max())[0][-1]) + 1
     near = np.stack([(_SQRT_PI / _SQRT2) * (d @ _HE[:n, :n]), d @ _HQ[:n, :n]], axis=1)
-    return _MomentKernel(offsets, scale, factor, near, split, far[:, :terms])
+    return _MomentKernel(offsets, scale, factor, (near,), split, (far[:, :terms],))
 
 
 # K(v; 0) = G_1 = i p_1(t)/sigma^2 at sigma = 1; its real part cancels to eps*t^2
 _G1 = _moment_kernel((0.0,), 1.0, 1j, np.array([[0.0, 1.0]]), _ASYMPTOTIC_T)
-# K(v; r)'s constant weights of F at v + r and v - r
-_PLUS_MINUS = np.array([1.0, -1.0])
+# the constant weights of F, and of F at v + r and v - r in K(v; r): like _G1's
+# tables, every kernel of their kind shares them, so a stack keeps one
+_ONE, _PLUS_MINUS = (np.ones(1),), (np.array([1.0, -1.0]),)
 
 
 def _fourier_kernel(sigma: float) -> _MomentKernel:
     """F(v) = int_0^inf exp(-(w*sigma)^2/2 + i*w*v) dw = G_0."""
-    return _MomentKernel((0.0,), sigma, _SQRT_PI / (_SQRT2 * sigma), np.ones(1))
+    return _MomentKernel((0.0,), sigma, _SQRT_PI / (_SQRT2 * sigma), _ONE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +389,7 @@ class _SeparationKernel:
 
 def _kernel(r: float, sigma: float) -> _SeparationKernel | _MomentKernel:
     """K(v; r), r >= 0 (``_SeparationKernel``); at r = 0 its limit alone."""
-    limit = _MomentKernel(_G1.offsets, sigma, 1j / sigma**2, _G1.near, _G1.split, _G1.far)
+    limit = replace(_G1, scale=sigma, factor=1j / sigma**2)
     if r == 0.0:
         return limit
     exact = _MomentKernel((r, -r), sigma, _SQRT_PI / (_SQRT2 * sigma * 2j * r), _PLUS_MINUS)

@@ -19,9 +19,10 @@ of them together, in calls of at most ``_CHUNK`` nodes that also name
 the integral each node belongs to, and each integral then keeps its own
 sums, refinement, budget and failure, exactly as it would alone.
 ``integrate_radial`` is that loop with a group of one.  Each evaluate
-call holds at most ``_CHUNK`` nodes, but a group keeps the panels, sums
-and errors of all its integrals until it ends, so its memory grows with
-their total panels.
+call holds at most ``_CHUNK`` nodes, and an integral's panels, sums and
+errors are dropped once it finishes, but a group keeps those of all its
+unfinished integrals, and each round takes in all their pending panels,
+so its memory grows with their total panels.
 """
 from __future__ import annotations
 
@@ -156,7 +157,7 @@ _EPS = float(np.finfo(float).eps)
 # fig2a's 200 separations costs 1000, 460, 375, 440 and 565 ns a node in
 # calls of 300, 1,500, 3,000, 6,000 and 60,000 nodes (2-vCPU x86-64): below
 # it the fixed cost of a call dominates, above it the working arrays leave
-# the cache.  It also caps the memory of a round, however many panels.
+# the cache.  It also caps the memory of an evaluate call, however many panels.
 _CHUNK = 3000
 # 0, -0, 1, -1, 3, -3, ..., +-(2^k - 1) up to the largest finite power: a
 # peak's graded edges in units of its width, for any number of doublings
@@ -336,6 +337,9 @@ def integrate_lockstep(
             new_a.append(np.concatenate([ra, mid]))
             new_b.append(np.concatenate([mid, rb]))
             evals[i] += 15 * n_new
+        # a finished integral's arrays are views that keep a round's results alive
+        for i in set(active) - keep.keys():
+            a[i] = b[i] = vals[i] = errs[i] = None
         active = list(keep)
         if active:
             new_vals, new_errs, _ = _gk15(evaluate, new_a, new_b, active if group else None)

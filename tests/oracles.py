@@ -349,16 +349,17 @@ def oracle_gl(scn, n=16):
 
 
 def _unsmeared_j(scenarios):
-    """The unsmeared time-domain J of ``core`` at each scenario, from one
-    ``evaluate_scenarios`` call, so that the quadratures run in lockstep."""
+    """The unsmeared time-domain J of ``core`` at each scenario, J alone (a
+    clock-smear integral with no offset, so no I_AB refines its panels),
+    every scenario's in one lockstep group."""
     from harvestsim import core
 
-    out = core.evaluate_scenarios([(replace(s, position_uncertainty=0.0), None)
-                                   for s in scenarios])
-    for report in out:
-        if isinstance(report, Exception):
-            raise report
-    return np.array([report.j_unsmeared for report in out])
+    out = core._run_group([core._time_member("clock", s.det_a, s.det_b, s.separation)
+                           for s in scenarios], core.DEFAULT_SETTINGS)
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+    return np.array([res.value for res in out])
 
 
 def oracle_J_space(scn, delta):

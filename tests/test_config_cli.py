@@ -381,7 +381,12 @@ class TestBatchedSweep:
         sweep_cfg("duration", "10*sigma", "1000*sigma", 12, "log", uncertainty="30*sigma"),
         # every row fails, with the message of the smear that rejects it
         sweep_cfg("delta_t", "2*sigma", "10*sigma", 3, uncertainty="3*sigma"),
-    ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "duration", "delta_t-rejected"])
+        # stacked pairs whose K(v; r) takes its r -> 0 limit at every node
+        # (|v| >= 50 sigma here), then at some nodes and not at others
+        sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 12, "log"),
+        sweep_cfg("r", "1e-6*sigma", "1e-2*sigma", 12, "log"),
+    ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "duration", "delta_t-rejected",
+            "r-tiny", "r-limit-switch"])
     def test_sweep_bit_identical_to_single_points(self, cfg):
         # the rows of one call share their integrals and evaluate them
         # together; every field of every report, the error estimates

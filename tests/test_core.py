@@ -442,7 +442,7 @@ class TestSeriesSmear:
         # sides of the switch to the moments' asymptotic expansion
         mpmath = pytest.importorskip("mpmath")
         kernel, _ = core._make_series_kernel(r0 / delta, self.SIGMA, r0, 1.0, 1e-14)
-        n = kernel.near.shape[2]
+        n = kernel.near[0].shape[2]
         s = delta / math.sqrt(2.0)
         with mpmath.workdps(60):
             for a in (0.0, 0.5, -3.0, 10.0, -14.0, 16.0, 40.0, -200.0, 1e3, 1e4, 1e6):
@@ -468,7 +468,7 @@ class TestSeriesSmear:
                                           mpmath.mpf(self.SIGMA))
                 for floor, terms in ((2.0, 4), (1e-14, 30)):
                     kernel, bound = core._make_series_kernel(r0 / delta, self.SIGMA, r0, 1.0, floor)
-                    assert kernel.near.shape[2] == terms
+                    assert kernel.near[0].shape[2] == terms
                     series = mp_series_kernel(mpmath.mp, v, mpmath.mpf(r0), mpmath.mpf(delta),
                                               mpmath.mpf(self.SIGMA), terms)
                     assert 0.0 < abs(exact - series) <= bound
@@ -758,6 +758,29 @@ class TestTimeDomainKernels:
                 u = v - shift
                 assert np.array_equal(kernel(u, shift), oracles.kernel_reference(u, shift, r, sigma))
                 assert np.array_equal(fourier(u, shift), oracles.fourier_reference(u, shift, sigma))
+
+    def test_stacked_series_kernels_are_bit_identical(self):
+        # kernels of four widths, their nodes interleaved, near both peaks and
+        # past the switch to the moments' expansion: each node is what its
+        # own kernel gives alone
+        sigma, r0 = 1e-3, 0.15
+        kernels = [core._make_series_kernel(x, sigma, r0, 1.0, 1e-14)[0]
+                   for x in (9.5, 12.0, 30.0, 100.0)]
+        assert len({k.near[0].shape[-1] for k in kernels}) == len(kernels)
+        rng = np.random.default_rng(3)
+        owner = rng.integers(len(kernels), size=600)
+        u = np.concatenate([rng.normal(0.0, 0.02, 300), rng.normal(-2 * r0, 0.02, 300)])
+        got = core._MomentKernel.stack(kernels).take(owner)(u, r0)
+        for i, kernel in enumerate(kernels):
+            assert np.array_equal(got[owner == i], kernel(u[owner == i], r0))
+
+    def test_stack_keeps_shared_tables_as_one(self):
+        # every K(v; r) shares its constant weights and its limit's tables, so a
+        # stack of them sums each node against one table
+        stacked = core._SeparationKernel.stack([core._kernel(r, 1e-3) for r in (1e-9, 1e-6, 0.1)])
+        assert stacked.exact.near is core._PLUS_MINUS
+        assert (stacked.limit.near, stacked.limit.far, stacked.limit.place) == (
+            core._G1.near, core._G1.far, 0)
 
     def test_damped_erf(self):
         mpmath = pytest.importorskip("mpmath")

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -439,3 +440,32 @@ class TestLockstep:
             whole.value, whole.abs_error, whole.evaluations)
         assert chunked.value.real == pytest.approx(math.sqrt(math.pi) * math.exp(-400.0),
                                                    abs=1e-12)
+
+    def test_finished_integral_releases_its_arrays(self, monkeypatch):
+        # an integral that converges in the first round keeps no view into
+        # that round's results once another integral has refined past it
+        specs = [IntegrandSpec(evaluate=lambda x: x * x + 0j, support=(0.0, 1.0)),
+                 self.specs()[1]]
+        first_round = []
+        gk15 = quadrature._gk15
+
+        def recording(*args):
+            out = gk15(*args)
+            if not first_round:
+                first_round.append(weakref.ref(out[0][0].base))
+            return out
+
+        monkeypatch.setattr(quadrature, "_gk15", recording)
+        alive = []
+
+        def evaluate(x, owner):
+            if first_round:
+                alive.append(first_round[0]() is not None)
+            return np.where(owner == 0, specs[0].evaluate(x), specs[1].evaluate(x))
+
+        results = integrate_lockstep(specs, evaluate, self.SETTINGS)
+        assert all(isinstance(res, quadrature.QuadResult) for res in results)
+        assert results[0].evaluations == 15 * (_initial_panels(specs[0]).size - 1)
+        # the second round still holds the refining integral's first sums;
+        # from the third on nothing holds the first round's results
+        assert len(alive) >= 2 and alive[0] and not any(alive[1:])
