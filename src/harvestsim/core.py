@@ -27,11 +27,14 @@ i*w*a) dw (``_MomentKernel``).
 
 Each integral is a ``_Member`` of one of six kinds (the I_AB/J pair, the
 clock-smeared J, the series-smeared J, C, the frequency remainder and
-I_nn), whose evaluator reads the member's parameters.  A call adds the
+I_nn), whose evaluator reads the member's parameters; ``_finish`` applies
+its prefactor and phase to the quadrature's result.  A call adds the
 integrals its rows need to a ``_Plan`` and runs each kind as one group:
 a member alone through ``integrate_radial``, several in lockstep through
 ``integrate_lockstep``, which evaluates the nodes of every member of the
-group in one call of the evaluator at per-node parameters.
+group in one call of the evaluator at per-node parameters.  A spatial
+smear is one weighted sum of its members' results (``_sum_request``), the
+one place where a sum's error is checked against the tolerance.
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -127,15 +130,6 @@ def _origin(da: DetectorParams, db: DetectorParams) -> float:
     the constant phase the shift carries is restored exactly afterwards.
     """
     return min(da.window.t_on, db.window.t_on)
-
-
-def _scaled(res: QuadResult, pref: float, phase_rate: float, t0: float) -> QuadResult:
-    """pref times an integral whose kernel was evaluated from origin t0,
-    with the kernel's constant phase exp(i*phase_rate*t0) restored."""
-    value = pref * res.value
-    if t0 != 0.0:
-        value *= cmath.exp(1j * phase_rate * t0)
-    return QuadResult(value, pref * res.abs_error, res.evaluations)
 
 
 def _jtilde_terms(emitter: DetectorParams, absorber: DetectorParams, t0: float) -> dict:
@@ -431,38 +425,56 @@ class _Member:
 
     Every member of a kind is integrated by that kind's evaluator
     (``_EVALUATE``) at its own ``params``; ``spec.evaluate`` is the
-    evaluator at them, and ``finish`` turns the quadrature's result into
-    the member's quantity (prefactor, phase, added error terms), raising
-    a ROW_ERRORS exception where that quantity misses its tolerance.
+    evaluator at them.  The quadrature gives one component per entry of
+    ``rates``, and ``_finish`` makes each the member's quantity: pref
+    times it, with the constant phase exp(i*rate*t0) restored that its
+    kernel leaves out by measuring time from t0.
     """
 
     kind: str
     spec: IntegrandSpec
     params: dict
-    finish: Callable
+    pref: float
+    rates: tuple
+    t0: float
 
 
-def _member(kind: str, params: dict, finish: Callable, **geometry) -> _Member:
+def _member(kind: str, params: dict, pref: float, rates: tuple, t0: float,
+            **geometry) -> _Member:
     evaluate = _EVALUATE[kind]
     return _Member(kind, IntegrandSpec(evaluate=lambda u: evaluate(u, params), **geometry),
-                   params, finish)
+                   params, pref, rates, t0)
+
+
+def _finish(member: _Member, res: QuadResult):
+    """The member's quantity from its quadrature's result: per component,
+    pref times the value with its phase restored, and pref times the
+    error; a list of both components for the I_AB/J pair."""
+    pair = len(member.rates) > 1
+    out = []
+    for value, error, rate in zip(res.value if pair else [res.value],
+                                  res.abs_error if pair else [res.abs_error], member.rates):
+        value = member.pref * complex(value)
+        if member.t0 != 0.0:
+            value *= cmath.exp(1j * rate * member.t0)
+        out.append(QuadResult(value, member.pref * float(error), res.evaluations))
+    return out if pair else out[0]
 
 
 def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
-                 delta_t: float = 0.0, kernel: Callable | None = None,
-                 finish: Callable | None = None) -> _Member:
+                 delta_t: float = 0.0, kernel: Callable | None = None) -> _Member:
     """pref times the integral of M(v; gap_A, gap_B) * K(-|v|), J's time
     ordering, over the support of M; of kind "pair", preceded by that of
     the unsmeared M(v; -gap_A, gap_B) * K(v), I_AB's, from the same
-    quadrature, as a list of both results.  The kernel at v = u + shift is
-    ``kernel(u, shift)``, by default K(v; r), with peaks at v = +-r.
+    quadrature, each with a phase rate of its own (``_finish``).  The
+    kernel at v = u + shift is ``kernel(u, shift)``, by default K(v; r),
+    with peaks at v = +-r.
     Each transforms a real spectrum, so K(-v) = conj K(v): the time-ordered
     kernel is the conjugate where v >= 0, and one kernel evaluation per
     node serves both integrals, which share support, anchors and phase
     rate.  With delta_t > 0 (kind "clock"), M is averaged over a clock
     offset of db's window of scale delta_t, which widens the support by
-    delta_t*sqrt(ln(1/_TAIL)) on each side.  ``finish`` takes the scaled
-    result on from there.
+    delta_t*sqrt(ln(1/_TAIL)) on each side.
 
     The windows are measured from the earlier switch-on time, and v from
     the kernel peak c = +-r on the side of the support's midpoint, so that
@@ -488,17 +500,8 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
     c = r if lo + hi >= 0.0 else -r
     params.update(c=c, kernel=kernel or _kernel(r, sigma))
     pref = da.coupling * db.coupling / (4.0 * math.pi**2)
-    exchange = kind == "pair"
-    rates = (g_b - g_a, g_a + g_b) if exchange else (g_a + g_b,)
-
-    def scaled(res: QuadResult):
-        values, errors = np.atleast_1d(res.value, res.abs_error)
-        out = [_scaled(QuadResult(complex(v), float(e), res.evaluations), pref, rate, t0)
-               for v, e, rate in zip(values, errors, rates)]
-        out = out if exchange else out[0]
-        return out if finish is None else finish(out)
-
-    return _member(kind, params, scaled,
+    rates = (g_b - g_a, g_a + g_b) if kind == "pair" else (g_a + g_b,)
+    return _member(kind, params, pref, rates, t0,
                    max_phase_rate=g_a + g_b,
                    singular_points=tuple(k - c for k in kinks),
                    support=(lo - c, hi - c),
@@ -532,8 +535,7 @@ def _i_nn_member(det: DetectorParams) -> _Member:
     g, sigma, width = det.gap, det.smearing, det.window.duration
     pref = 2.0 * det.coupling**2 / (4.0 * math.pi**2)
     return _member(
-        "i_nn", dict(gap=g, width=width, fourier=_fourier_kernel(sigma)),
-        lambda res: QuadResult(pref * res.value.real, pref * res.abs_error, res.evaluations),
+        "i_nn", dict(gap=g, width=width, fourier=_fourier_kernel(sigma)), pref, (0.0,), 0.0,
         max_phase_rate=2.0 * g,  # gap_A + gap_B, as in ``_time_member``
         support=(0.0, width),
         peaks=((0.0, sigma),))
@@ -571,45 +573,58 @@ def _c_member(da: DetectorParams, db: DetectorParams) -> _Member:
 def _spatial_request(s: Scenario, plan: _Plan) -> Callable[[], QuadResult]:
     """Add to ``plan`` what the complex correlation term averaged over a
     Gaussian separation spread needs, and return what gives it once the
-    plan has run.
+    plan has run: one weighted sum of its members (``_sum_request``).
 
     The separation enters only through sinc(w*r), whose Gaussian average
     is D(x, delta*w/2) = e^(-x^2) - R, x = r0/delta (``damped_im_erfi``),
     for every window timing.  From x = ``_SERIES_X0`` on, the whole
-    average is the time-domain series of ``_series_member``.  Below
-    it, the e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta times C, shared in
-    ``plan`` by detector pair; R carries exp(-(w*sigma)^2/2 - (w*delta)^2/4),
-    so its frequency quadrature ends where that envelope falls to
-    ``_TAIL``.  A sum whose error misses the tolerance raises a
-    ConvergenceFailure carrying it.
+    average is one time-domain quadrature of the windows' factor against
+    ``_make_series_kernel``'s kernel, its error raised by the bound on
+    what the series leaves out, unless the series would need too many
+    terms.  Otherwise the e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta times
+    C, shared in ``plan`` by detector pair and left out where that weight
+    underflows, less R, which carries exp(-(w*sigma)^2/2 - (w*delta)^2/4),
+    so its frequency quadrature ends where that envelope falls to ``_TAIL``.
     """
     delta = s.position_uncertainty
     if not delta > 0.0:
         raise ValueError("compute_J_smeared: requires position_uncertainty > 0")
-    settings = plan.settings
-    x = s.separation / delta
+    da, db, r0 = s.det_a, s.det_b, s.separation
+    x = r0 / delta
     if x >= _SERIES_X0:
-        series = _series_member(s, settings)
+        series = _make_series_kernel(x, da.smearing, r0, da.window.duration * db.window.duration,
+                                     _SERIES_FLOOR * plan.settings.tol_abs)
         if series is not None:
-            key = plan.add(series)
-            return lambda: plan.result(key)
-    da, db = s.det_a, s.det_b
+            kernel, bound = series
+            member = _time_member("series", da, db, r0, kernel=kernel)
+            return _sum_request(plan, [(1.0, plan.add(member))], member.pref,
+                                member.pref * bound)
     pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
-    remainder = plan.add(_remainder_member(s, x, pref))
+    parts = [(-1.0, plan.add(_remainder_member(s, x, pref)))]
     weight = math.exp(-x * x) * _SQRT_PI / delta
-    c = plan.need(("c", da, db), lambda: _c_member(da, db)) if weight > 0.0 else None
+    if weight > 0.0:
+        parts.append((weight, plan.need(("c", da, db), lambda: _c_member(da, db))))
+    return _sum_request(plan, parts, pref, 0.0)
 
-    def smeared() -> QuadResult:
-        res = plan.result(remainder)
-        value, error, evaluations = -res.value, res.abs_error, res.evaluations
-        if c is not None:
-            res = plan.result(c)
-            value += weight * res.value
-            error += weight * res.abs_error
-            evaluations += res.evaluations
-        return _within_tolerance(QuadResult(value, error, evaluations), settings, pref)
 
-    return smeared
+def _sum_request(plan: _Plan, parts: list, pref: float,
+                 extra: float) -> Callable[[], QuadResult]:
+    """What gives sum weight*result over the (weight, key) parts in
+    ``plan`` once it has run, with error sum |weight|*error + extra; a
+    ConvergenceFailure carrying that sum where its error misses the
+    tolerance of an integral with prefactor pref."""
+    def total() -> QuadResult:
+        results = [(weight, plan.result(key)) for weight, key in parts]
+        res = QuadResult(sum(weight * r.value for weight, r in results),
+                         sum(abs(weight) * r.abs_error for weight, r in results) + extra,
+                         sum(r.evaluations for _, r in results))
+        settings = plan.settings
+        if res.abs_error > max(settings.tol_abs * pref, settings.tol_rel * abs(res.value)):
+            raise ConvergenceFailure(
+                "compute_J_smeared: the sum of its parts' errors misses the tolerance", res)
+        return res
+
+    return total
 
 
 def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
@@ -622,7 +637,7 @@ def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
     params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig,
                   ab=_jtilde_terms(da, db, t0), ba=_jtilde_terms(db, da, t0))
     return _member(
-        "remainder", params, lambda res: _scaled(res, pref, da.gap + db.gap, t0),
+        "remainder", params, pref, (da.gap + db.gap,), t0,
         support=(0.0, math.sqrt(2.0 * math.log(1.0 / _TAIL)) / scale),
         max_phase_rate=s.separation + 2.0 * (max(da.window.t_off, db.window.t_off) - t0),
         singular_points=(da.gap, db.gap))
@@ -633,15 +648,6 @@ def _remainder_evaluate(w, p: dict):
     emitter/absorber orderings."""
     return ((p["flat"] - _damped_erf(0.5 * p["delta"] * w, np.float64(p["x"])).real)
             * np.exp(-0.5 * (w * p["sigma"]) ** 2) * (_jtilde(w, p["ab"]) + _jtilde(w, p["ba"])))
-
-
-def _within_tolerance(res: QuadResult, settings: QuadratureSettings, pref: float) -> QuadResult:
-    """res, or a ConvergenceFailure carrying it when its error, summed over
-    its parts, misses the tolerance of an integral with prefactor pref."""
-    if res.abs_error > max(settings.tol_abs * pref, settings.tol_rel * abs(res.value)):
-        raise ConvergenceFailure(
-            "compute_J_smeared: the sum of its parts' errors misses the tolerance", res)
-    return res
 
 
 def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
@@ -683,28 +689,6 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     kernel = _moment_kernel((r0, -r0), scale, 1.0 / (2j * r0 * scale), d,
                             max(_ASYMPTOTIC_T, 1.0 / (eps * eta)))
     return kernel, float(bounds[n])
-
-
-def _series_member(s: Scenario, settings: QuadratureSettings) -> _Member | None:
-    """The spatially smeared J as one time-domain quadrature of the
-    windows' factor against ``_make_series_kernel``'s kernel, its error
-    raised by the bound on what the series leaves out; None where the
-    series would need too many terms."""
-    da, db = s.det_a, s.det_b
-    r0 = s.separation
-    pref = da.coupling * db.coupling / (4.0 * math.pi**2)
-    series = _make_series_kernel(r0 / s.position_uncertainty, da.smearing, r0,
-                                 da.window.duration * db.window.duration,
-                                 _SERIES_FLOOR * settings.tol_abs)
-    if series is None:
-        return None
-    kernel, bound = series
-
-    def bounded(res: QuadResult) -> QuadResult:
-        return _within_tolerance(QuadResult(res.value, res.abs_error + pref * bound,
-                                            res.evaluations), settings, pref)
-
-    return _time_member("series", da, db, r0, kernel=kernel, finish=bounded)
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
@@ -790,10 +774,11 @@ def _take(params, index: np.ndarray):
 
 
 def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
-    """Each member's finished quantity, or the ROW_ERRORS exception that
-    ends it.  A member alone runs through ``integrate_radial``; members of
-    one kind run in lockstep, each round one evaluate call of the kind's
-    evaluator at the stacked parameters of each node's member."""
+    """Each member's quantity (``_finish``), or the ROW_ERRORS exception
+    that ends its quadrature.  A member alone runs through
+    ``integrate_radial``; members of one kind run in lockstep, each round
+    one evaluate call of the kind's evaluator at the stacked parameters of
+    each node's member."""
     if len(members) == 1:
         try:
             results = [integrate_radial(members[0].spec, settings)]
@@ -809,13 +794,8 @@ def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
                 x, _take(params, owner) if one is None else members[one].params)
 
         results = integrate_lockstep([m.spec for m in members], evaluate, settings)
-    out = []
-    for member, res in zip(members, results):
-        try:
-            out.append(res if isinstance(res, Exception) else member.finish(res))
-        except ROW_ERRORS as exc:
-            out.append(exc)
-    return out
+    return [res if isinstance(res, Exception) else _finish(member, res)
+            for member, res in zip(members, results)]
 
 
 def _single(member: _Member, settings: QuadratureSettings):

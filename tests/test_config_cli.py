@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import textwrap
@@ -647,6 +649,48 @@ class TestCli:
         capsys.readouterr()
         expect = rows_to_json(run_sweep(loads_config(text)))
         assert out_path.read_text(encoding="utf-8") == expect
+
+    def test_unconverged_quadrature_exit_code(self, tmp_path, capsys):
+        # a budget of one panel, which every first partition exceeds
+        path = self.write_cfg(tmp_path, FIG2_CONFIG + "\n[numerics]\neval_budget = 15\n")
+        assert main(["compute", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("quadrature did not converge: integrate_radial: "
+                                "evaluation budget 15 exhausted\n")
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.csv"
+        assert main(["figure", "fig3", "--out", str(out_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert captured.err.count("\n") == 1
+        assert not out_path.parent.exists()
+
+    def test_compute_prints_the_smeared_term(self, tmp_path, capsys):
+        text = FIG2_CONFIG + "position_uncertainty = 150*sigma\n"
+        assert main(["compute", self.write_cfg(tmp_path, text)]) == 0
+        report = run_point(loads_config(text))
+        lines = capsys.readouterr().out.splitlines()
+        assert f"|j| smeared    = {report.j_smeared_abs!r}  (erfi-closed-form)" in lines
+
+    def test_row_that_cannot_be_built_fails_alone(self, tmp_path, capsys):
+        # durations of -50 and 0 sigma give no window; the others run
+        text = FIG2_CONFIG + textwrap.dedent("""\
+            [sweep]
+            parameter = duration
+            from = -50*sigma
+            to = 100*sigma
+            points = 4
+            """)
+        assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        statuses = [row["status"] for row in rows]
+        for status in statuses[:2]:
+            assert re.fullmatch(r"ValueError: SwitchingWindow: t_off \(\S+\) "
+                                r"must exceed t_on \(\S+\)", status)
+        assert statuses[2:] == ["ok", "ok"]
 
     def test_figure_rejects_unknown_name(self, capsys):
         with pytest.raises(SystemExit):

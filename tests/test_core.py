@@ -27,7 +27,7 @@ from harvestsim.core import (
     ratio_R,
 )
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
-from harvestsim.quadrature import ConvergenceFailure, QuadResult
+from harvestsim.quadrature import ConvergenceFailure, QuadratureSettings, QuadResult
 from harvestsim.specfun import damped_erf
 
 def detector(gap=1.0, sigma=0.1, window=(0.0, 1.0), coupling=1.0):
@@ -522,6 +522,27 @@ class TestSeriesSmear:
         pref = 0.01**2 / (4.0 * math.pi**2)
         assert res.abs_error >= pref * bound > 0.0
 
+    def test_bound_beyond_tolerance_fails_the_row(self, monkeypatch):
+        # a tail bound 1e6 times its own: every series row misses its
+        # tolerance, while x = 5 takes the split route and stays ok
+        original = core._make_series_kernel
+
+        def loose(*args):
+            kernel, bound = original(*args)
+            return kernel, bound * 1e6
+
+        monkeypatch.setattr(core, "_make_series_kernel", loose)
+        message = "compute_J_smeared: the sum of its parts' errors misses the tolerance"
+        rows = [(fig_scenario(delta=0.15 / x), None) for x in (5.0, 20.0, 100.0)]
+        near, *far = core.evaluate_scenarios(rows)
+        assert isinstance(near, core.HarvestReport)
+        for out in far:
+            assert isinstance(out, ConvergenceFailure)
+            assert f"{type(out).__name__}: {out}" == f"ConvergenceFailure: {message}"
+            assert out.best.abs_error > 1e-9 * abs(out.best.value)
+        with pytest.raises(ConvergenceFailure, match=f"^{message}$"):
+            compute_J_smeared(fig_scenario(delta=0.15 / 20.0))
+
 
 class TestTimeSmearedCorrelation:
     def test_small_width_limit(self):
@@ -681,6 +702,16 @@ class TestQuadratureCost:
         evaluate_scenario(scenario(wa=(0.0, 0.1), wb=(0.15, 0.24), r0=0.15, sigma=0.001,
                                    coupling=0.01))
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("compute", [
+        lambda s, settings: compute_I_nn(s.det_a, settings),
+        compute_I_AB,
+        compute_J,
+    ], ids=["I_nn", "I_AB", "J"])
+    def test_public_integral_raises_its_failure(self, compute):
+        # a budget of one panel: the first partition alone exceeds it
+        with pytest.raises(ConvergenceFailure, match="evaluation budget 15 exhausted"):
+            compute(fig_scenario(), QuadratureSettings(eval_budget=15))
 
     def test_pair_pass_costs_what_each_integral_did(self):
         # I_AB and J, each 450 evaluations as separate quadratures, share them

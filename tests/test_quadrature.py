@@ -173,6 +173,19 @@ class TestIntegrateRadial:
         assert best.evaluations > 1000
         assert best.value.real == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
 
+    def test_step_fails_at_roundoff_width(self):
+        # a jump no anchor names: bisection closes in on x = 0.3 until the
+        # panel around it is too narrow to split, far within the budget
+        spec = IntegrandSpec(evaluate=lambda x: np.where(x > 0.3, 1.0, 0.0) + 0j,
+                             support=(0.0, 1.0))
+        with pytest.raises(ConvergenceFailure,
+                           match="panels at roundoff width before reaching tolerance") as exc:
+            integrate_radial(spec, QuadratureSettings(tol_abs=1e-30, tol_rel=3e-16))
+        best = exc.value.best
+        assert best.evaluations < QuadratureSettings().eval_budget
+        assert best.value.real == pytest.approx(0.7, rel=1e-12)
+        assert best.abs_error > 3e-16 * abs(best.value)
+
     def test_tolerance_contract(self):
         spec = gauss_sin_spec(0.1, 3.0)
         settings = QuadratureSettings(tol_abs=1e-11, tol_rel=1e-9)
