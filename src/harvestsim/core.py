@@ -27,14 +27,17 @@ i*w*a) dw (``_MomentKernel``).
 
 Each integral is a ``_Member`` of one of six kinds (the I_AB/J pair, the
 clock-smeared J, the series-smeared J, C, the frequency remainder and
-I_nn), whose evaluator reads the member's parameters; ``_finish`` applies
-its prefactor and phase to the quadrature's result.  A call adds the
+I_nn), whose evaluator and kernel read the member's parameters: numbers,
+bools, coefficient tables and dicts of these.  ``_finish`` applies its
+prefactor and phase to the quadrature's result.  A call adds the
 integrals its rows need to a ``_Plan`` and runs each kind as one group:
 a member alone through ``integrate_radial``, several in lockstep through
 ``integrate_lockstep``, which evaluates the nodes of every member of the
-group in one call of the evaluator at per-node parameters.  A spatial
-smear is one weighted sum of its members' results (``_sum_request``), the
-one place where a sum's error is checked against the tolerance.
+group in one call of the evaluator at the columns of ``_stack``: a value
+every member holds as one object stays one, and any other number is read
+at each node's member.  A spatial smear is one weighted sum of its
+members' results (``_sum_request``), the one place where a sum's error
+is checked against the tolerance.
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -48,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf, gamma, gammaincc
@@ -250,13 +253,9 @@ class _MomentKernel:
     ``faddeeva_w`` call per node and offset.  F and K(v; r) have constant A
     and B = 0.  Where a sum of higher moments cancels, from |t| = ``split``
     on, it is i/t times a polynomial in 1/t (``far``), the moments'
-    expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.
-
-    ``stack`` makes one kernel of several, for a lockstep group: offsets,
-    scale, factor, split and tables become one entry per kernel, unless all
-    kernels share them, ``place`` the index of each kernel's tables, and
-    ``take`` picks one entry per node.  Each node is summed against its own
-    kernel's table, as that kernel alone sums it."""
+    expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.  A kernel
+    builds one per call from its columns, one value or one entry per node,
+    and ``place`` picks the table each node's member sums with."""
 
     offsets: tuple
     scale: float
@@ -288,31 +287,13 @@ class _MomentKernel:
                                                   self.far)
         return out.reshape(n, -1).sum(axis=0) * self.factor
 
-    @staticmethod
-    def stack(kernels: list) -> _MomentKernel:
-        first = kernels[0]
-        shared = all(k.near is first.near and k.far is first.far for k in kernels)
-        return _MomentKernel(
-            offsets=tuple(_entries(list(c)) for c in zip(*(k.offsets for k in kernels))),
-            scale=_entries([k.scale for k in kernels]),
-            factor=_entries([k.factor for k in kernels]),
-            near=first.near if shared else tuple(k.near[0] for k in kernels),
-            split=_entries([k.split for k in kernels]),
-            far=first.far if shared else tuple(k.far[0] for k in kernels),
-            place=0 if shared else np.arange(len(kernels)))
-
-    def take(self, index: np.ndarray) -> _MomentKernel:
-        return replace(self, offsets=tuple(_take(c, index) for c in self.offsets),
-                       scale=_take(self.scale, index), factor=_take(self.factor, index),
-                       split=_take(self.split, index), place=_take(self.place, index))
-
 
 def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, place,
                 tables: tuple) -> np.ndarray:
     """``einsum(subscripts)`` of the powers x^k against the coefficients
     tables[place][row], k below that table's width; place is one table
     for every entry, or one per entry, when each run of entries of one
-    table takes an einsum of its own, as their kernel alone does."""
+    table takes an einsum of its own, as their member alone does."""
     if np.ndim(place) == 0:
         table = tables[place]
         return np.einsum(subscripts, np.vander(x, table.shape[-1], increasing=True), table[row])
@@ -324,70 +305,63 @@ def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, place,
     return out
 
 
-def _moment_kernel(offsets: tuple, scale: float, factor: complex, d: np.ndarray,
-                   split: float) -> _MomentKernel:
-    """factor * sum_(c, m) d[c, m] p_m(t_c) for real weights d, with the
-    moments' expansion from |t| = split on."""
+def _moment_tables(d: np.ndarray, split: float) -> dict:
+    """The tables of factor * sum_(c, m) d[c, m] p_m(t_c) for real weights
+    d, with the moments' expansion from |t| = split on."""
     n = d.shape[1]
     far = d @ _ASYMPTOTIC[:, :n].T
     # from the split on, each term of the expansion is at most its size there
     size = np.abs(far).max(axis=0) * (1.0 / split) ** np.arange(far.shape[1])
     terms = int(np.nonzero(size > _ASYMPTOTIC_CUT * size.max())[0][-1]) + 1
     near = np.stack([(_SQRT_PI / _SQRT2) * (d @ _HE[:n, :n]), d @ _HQ[:n, :n]], axis=1)
-    return _MomentKernel(offsets, scale, factor, (near,), split, (far[:, :terms],))
+    return dict(near=(near,), split=split, far=(far[:, :terms],))
 
 
-# K(v; 0) = G_1 = i p_1(t)/sigma^2 at sigma = 1; its real part cancels to eps*t^2
-_G1 = _moment_kernel((0.0,), 1.0, 1j, np.array([[0.0, 1.0]]), _ASYMPTOTIC_T)
-# the constant weights of F, and of F at v + r and v - r in K(v; r): like _G1's
-# tables, every kernel of their kind shares them, so a stack keeps one
+# the tables of K(v; 0) = G_1 = i p_1(t)/sigma^2, whose real part cancels to
+# eps*t^2; the constant weights of F, and of F at v + r and v - r in K(v; r)
+_G1 = _moment_tables(np.array([[0.0, 1.0]]), _ASYMPTOTIC_T)
 _ONE, _PLUS_MINUS = (np.ones(1),), (np.array([1.0, -1.0]),)
 
 
-def _fourier_kernel(sigma: float) -> _MomentKernel:
+# Each kernel reads the columns p of one member, or of a group (``_stack``),
+# at v = u + shift; a ``_columns`` function computes a member's factors once.
+def _fourier_columns(sigma: float) -> dict:
+    return dict(sigma=sigma, factor=_SQRT_PI / (_SQRT2 * sigma))
+
+
+def _fourier(u, shift, p: dict):
     """F(v) = int_0^inf exp(-(w*sigma)^2/2 + i*w*v) dw = G_0."""
-    return _MomentKernel((0.0,), sigma, _SQRT_PI / (_SQRT2 * sigma), _ONE)
+    return _MomentKernel((0.0,), p["sigma"], p["factor"], _ONE)(u, shift)
 
 
-@dataclass(frozen=True, eq=False)
-class _SeparationKernel:
-    """K(v; r) = [F(v + r) - F(v - r)]/(2ir), r >= 0, as a transform of
-    ``_time_member``.  Formed as u + (shift +- r), a peak of F at
-    shift = -+r is resolved to the rounding of u, not of v.  The difference
-    cancels to about eps*max(sigma, |v|)/r, so at nodes where
-    r < 1e-5*max(sigma, |v|) its limit K(v; 0) = G_1, exact there to
-    (r/sigma)^2/6, is used.  Stacks and takes entries as ``_MomentKernel``
-    does."""
-
-    r: float
-    sigma: float
-    exact: _MomentKernel
-    limit: _MomentKernel
-
-    def __call__(self, u, shift):
-        out = self.exact(u, shift)
-        near = self.r < 1e-5 * np.maximum(self.sigma, np.abs(u + shift))
-        return np.where(near, self.limit(u, shift), out) if near.any() else out
-
-    @staticmethod
-    def stack(kernels: list) -> _SeparationKernel:
-        return _SeparationKernel(_entries([k.r for k in kernels]),
-                                 _entries([k.sigma for k in kernels]),
-                                 _MomentKernel.stack([k.exact for k in kernels]),
-                                 _MomentKernel.stack([k.limit for k in kernels]))
-
-    def take(self, index: np.ndarray) -> _SeparationKernel:
-        return _SeparationKernel(_take(self.r, index), _take(self.sigma, index),
-                                 self.exact.take(index), self.limit.take(index))
+def _separation_columns(r: float, sigma: float) -> dict:
+    return dict(r=r, sigma=sigma, factor=_SQRT_PI / (_SQRT2 * sigma * 2j * r),
+                limit=1j / sigma**2)
 
 
-def _kernel(r: float, sigma: float) -> _SeparationKernel | _MomentKernel:
-    """K(v; r), r >= 0 (``_SeparationKernel``); at r = 0 its limit alone."""
-    limit = replace(_G1, scale=sigma, factor=1j / sigma**2)
-    if r == 0.0:
-        return limit
-    exact = _MomentKernel((r, -r), sigma, _SQRT_PI / (_SQRT2 * sigma * 2j * r), _PLUS_MINUS)
-    return _SeparationKernel(r, sigma, exact, limit)
+def _separation(u, shift, p: dict):
+    """K(v; r) = [F(v + r) - F(v - r)]/(2ir), r > 0.  Formed as
+    u + (shift +- r), a peak of F at shift = -+r is resolved to the rounding
+    of u, not of v.  The difference cancels to about eps*max(sigma, |v|)/r,
+    so at nodes where r < 1e-5*max(sigma, |v|) its limit K(v; 0) = G_1,
+    exact there to (r/sigma)^2/6, is used."""
+    r, sigma = p["r"], p["sigma"]
+    out = _MomentKernel((r, -r), sigma, p["factor"], _PLUS_MINUS)(u, shift)
+    near = r < 1e-5 * np.maximum(sigma, np.abs(u + shift))
+    return np.where(near, _separation_limit(u, shift, p), out) if near.any() else out
+
+
+def _separation_limit(u, shift, p: dict):
+    """K(v; 0) = G_1, its factor ``limit`` = i/sigma^2."""
+    return _MomentKernel((0.0,), p["sigma"], p["limit"], **_G1)(u, shift)
+
+
+def _series(u, shift, p: dict):
+    """The series-smeared kernel (``_make_series_kernel``); a node's tables
+    are at ``place``, its owner, where a group's members hold their own."""
+    near = p["near"]
+    return _MomentKernel((p["r0"], -p["r0"]), p["scale"], p["factor"], near, p["split"],
+                         p["far"], p["place"] if len(near) > 1 else 0)(u, shift)
 
 
 def _window(v, a, b, g_a: float, g_b: float):
@@ -462,13 +436,13 @@ def _finish(member: _Member, res: QuadResult):
 
 
 def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
-                 delta_t: float = 0.0, kernel: Callable | None = None) -> _Member:
+                 delta_t: float = 0.0, kernel: dict | None = None) -> _Member:
     """pref times the integral of M(v; gap_A, gap_B) * K(-|v|), J's time
     ordering, over the support of M; of kind "pair", preceded by that of
     the unsmeared M(v; -gap_A, gap_B) * K(v), I_AB's, from the same
     quadrature, each with a phase rate of its own (``_finish``).  The
-    kernel at v = u + shift is ``kernel(u, shift)``, by default K(v; r),
-    with peaks at v = +-r.
+    kernel, the kind's (``_EVALUATE``), reads the columns ``kernel``, by
+    default those of K(v; r); its peaks are at v = +-r.
     Each transforms a real spectrum, so K(-v) = conj K(v): the time-ordered
     kernel is the conjugate where v >= 0, and one kernel evaluation per
     node serves both integrals, which share support, anchors and phase
@@ -498,7 +472,7 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
         lo, hi = lo - tail, hi + tail
         params["dt"] = delta_t
     c = r if lo + hi >= 0.0 else -r
-    params.update(c=c, kernel=kernel or _kernel(r, sigma))
+    params.update(c=c, **(kernel or _separation_columns(r, sigma)))
     pref = da.coupling * db.coupling / (4.0 * math.pi**2)
     rates = (g_b - g_a, g_a + g_b) if kind == "pair" else (g_a + g_b,)
     return _member(kind, params, pref, rates, t0,
@@ -508,12 +482,12 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
                    peaks=tuple((p - c, w) for p, w in peaks))
 
 
-def _time_evaluate(u, p: dict, exchange: bool = False):
+def _time_evaluate(u, p: dict, kernel: Callable, exchange: bool = False):
     """The integrand of ``_time_member`` at u, for the parameters p of one
-    member, or arrays of them, one per node."""
+    member, or columns of them, one entry per node, with its kind's kernel."""
     c = p["c"]
     v = u + c
-    kernel = p["kernel"](u, c)
+    kernel = kernel(u, c, p)
     a, b = (p["a_on"], p["a_off"]), (p["b_on"], p["b_off"])
     m = (_clock_window(v, a, b, p["g_a"], p["g_b"], p["dt"]) if "dt" in p
          else _window(v, a, b, p["g_a"], p["g_b"]))
@@ -535,7 +509,7 @@ def _i_nn_member(det: DetectorParams) -> _Member:
     g, sigma, width = det.gap, det.smearing, det.window.duration
     pref = 2.0 * det.coupling**2 / (4.0 * math.pi**2)
     return _member(
-        "i_nn", dict(gap=g, width=width, fourier=_fourier_kernel(sigma)), pref, (0.0,), 0.0,
+        "i_nn", dict(gap=g, width=width, **_fourier_columns(sigma)), pref, (0.0,), 0.0,
         max_phase_rate=2.0 * g,  # gap_A + gap_B, as in ``_time_member``
         support=(0.0, width),
         peaks=((0.0, sigma),))
@@ -544,7 +518,7 @@ def _i_nn_member(det: DetectorParams) -> _Member:
 def _i_nn_evaluate(v, p: dict):
     """The integrand of ``_i_nn_member``."""
     g = p["gap"]
-    f = 1j * np.exp(1j * g * v) * (1j * g * (p["width"] - v) - 1.0) * p["fourier"](v, 0.0)
+    f = 1j * np.exp(1j * g * v) * (1j * g * (p["width"] - v) - 1.0) * _fourier(v, 0.0, p)
     return f.real
 
 
@@ -567,7 +541,7 @@ def _c_member(da: DetectorParams, db: DetectorParams) -> _Member:
     """C = pref * int M(v; gap_A, gap_B) F(-|v|) dv, which is
     pref * int_0^inf exp(-(w*sigma)^2/2) Jhat(w) dw: the part of the spatial
     smear that depends on neither separation nor uncertainty."""
-    return _time_member("c", da, db, 0.0, kernel=_fourier_kernel(da.smearing))
+    return _time_member("c", da, db, 0.0, kernel=_fourier_columns(da.smearing))
 
 
 def _spatial_request(s: Scenario, plan: _Plan) -> Callable[[], QuadResult]:
@@ -595,12 +569,12 @@ def _spatial_request(s: Scenario, plan: _Plan) -> Callable[[], QuadResult]:
         series = _make_series_kernel(x, da.smearing, r0, da.window.duration * db.window.duration,
                                      _SERIES_FLOOR * plan.settings.tol_abs)
         if series is not None:
-            kernel, bound = series
-            member = _time_member("series", da, db, r0, kernel=kernel)
+            columns, bound = series
+            member = _time_member("series", da, db, r0, kernel=columns)
             return _sum_request(plan, [(1.0, plan.add(member))], member.pref,
                                 member.pref * bound)
     pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
-    parts = [(-1.0, plan.add(_remainder_member(s, x, pref)))]
+    parts = [(-1.0, plan.add(_remainder_member(s, x, pref, *plan.orderings(da, db))))]
     weight = math.exp(-x * x) * _SQRT_PI / delta
     if weight > 0.0:
         parts.append((weight, plan.need(("c", da, db), lambda: _c_member(da, db))))
@@ -627,15 +601,14 @@ def _sum_request(plan: _Plan, parts: list, pref: float,
     return total
 
 
-def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
+def _remainder_member(s: Scenario, x: float, pref: float, ab: dict, ba: dict) -> _Member:
     """R's frequency quadrature of ``_spatial_request`` at x = r0/delta,
-    times pref; the caller subtracts it."""
+    times pref, of the orderings ab and ba; the caller subtracts it."""
     da, db = s.det_a, s.det_b
     delta, sig = s.position_uncertainty, da.smearing
     t0 = _origin(da, db)
     scale = math.sqrt(sig**2 + 0.5 * delta**2)
-    params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig,
-                  ab=_jtilde_terms(da, db, t0), ba=_jtilde_terms(db, da, t0))
+    params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig, ab=ab, ba=ba)
     return _member(
         "remainder", params, pref, (da.gap + db.gap,), t0,
         support=(0.0, math.sqrt(2.0 * math.log(1.0 / _TAIL)) / scale),
@@ -651,15 +624,16 @@ def _remainder_evaluate(w, p: dict):
 
 
 def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
-                        floor: float) -> tuple[_MomentKernel, float] | None:
-    """The smeared kernel <K(v; r)>, r = r0 + rho, rho ~ N(0, s^2),
-    s = delta/sqrt(2), to N terms in s/r0, and a bound on what the rest
-    adds to the raw J integral.  As 1/r = sum_(n<N) (-rho)^n/r0^(n+1) +
-    (-rho/r0)^N/r, term n is (-1)^n r0^-(n+1) int_0^inf Im[e^(i w r0)
-    m_n(w)] e^(-(w sigma)^2/2 + i w v) dw, and Stein's identity gives
-    m_n(w) = E[rho^n e^(i w rho)] = s^n e^(-(w s)^2/2) sum_m h_nm (i w s)^m:
-    moments of S^2 = sigma^2 + s^2 at v +- r0, over 2i r0 S, whose terms
-    are of size |eps eta t|^m, eps = s/r0, eta = s/S.
+                        floor: float) -> tuple[dict, float] | None:
+    """The columns of the smeared kernel <K(v; r)> (``_series``),
+    r = r0 + rho, rho ~ N(0, s^2), s = delta/sqrt(2), to N terms in s/r0,
+    and a bound on what the rest adds to the raw J integral.  As
+    1/r = sum_(n<N) (-rho)^n/r0^(n+1) + (-rho/r0)^N/r, term n is
+    (-1)^n r0^-(n+1) int_0^inf Im[e^(i w r0) m_n(w)] e^(-(w sigma)^2/2 +
+    i w v) dw, and Stein's identity gives m_n(w) = E[rho^n e^(i w rho)] =
+    s^n e^(-(w s)^2/2) sum_m h_nm (i w s)^m: moments of S^2 = sigma^2 + s^2
+    at v +- r0, over 2i r0 S, whose terms are of size |eps eta t|^m,
+    eps = s/r0, eta = s/S.
 
     |K(v; r)| <= 1/sigma^2 everywhere and <= sqrt(pi/2)/(sigma |r|), so
     the rest, r0^-N E[(-rho)^N K(v; r)], is at most eps^N mu_N
@@ -686,9 +660,8 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     # w_m = sum_(n<N) (-eps)^n h_nm
     weights = (-eps) ** m @ _STEIN[:n, :n] * eta**m
     d = np.stack([weights * (-1.0) ** m, -weights])
-    kernel = _moment_kernel((r0, -r0), scale, 1.0 / (2j * r0 * scale), d,
-                            max(_ASYMPTOTIC_T, 1.0 / (eps * eta)))
-    return kernel, float(bounds[n])
+    tables = _moment_tables(d, max(_ASYMPTOTIC_T, 1.0 / (eps * eta)))
+    return dict(r0=r0, scale=scale, factor=1.0 / (2j * r0 * scale), **tables), float(bounds[n])
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
@@ -732,44 +705,37 @@ def compute_J_time_smeared(
     return abs(_single(_clock_member(s, delta_t), settings).value)
 
 
-# each kind's evaluator; kinds that share one differ in how their kernels stack
+# each kind's evaluator, with the kernel of its time-domain members
 _EVALUATE = {
-    "pair": lambda u, p: _time_evaluate(u, p, exchange=True),
-    "clock": _time_evaluate,
-    "series": _time_evaluate,
-    "c": _time_evaluate,
+    "pair": lambda u, p: _time_evaluate(u, p, _separation, exchange=True),
+    "clock": lambda u, p: _time_evaluate(u, p, _separation),
+    "series": lambda u, p: _time_evaluate(u, p, _series),
+    "c": lambda u, p: _time_evaluate(u, p, _fourier),
     "remainder": _remainder_evaluate,
     "i_nn": _i_nn_evaluate,
 }
 
 
-def _entries(values: list):
-    """Values of the members of a group: one shared value as it is, or
-    else an array with one entry per member."""
+def _stack(values: list):
+    """The parameters of a group's members as one set.  A value every
+    member holds as one object stays one value: one object has one set of
+    bits, where equal numbers may not (-0.0 == 0.0).  Otherwise a number
+    becomes a column, one entry per member, a tuple of tables one tuple of
+    every member's tables, and a dict is stacked key by key."""
     first = values[0]
-    # -0.0 == 0.0, but the sign of a zero can reach a result
-    if all(v == first for v in values) and (first != 0 or len(set(map(repr, values))) == 1):
+    if all(v is first for v in values):
         return first
+    if isinstance(first, dict):
+        return {k: _stack([v[k] for v in values]) for k in first}
+    if isinstance(first, tuple):
+        return tuple(table for v in values for table in v)
     return np.array(values)
 
 
-def _stack(values: list):
-    """The members' parameters as one set, each as ``_entries``."""
-    first = values[0]
-    if isinstance(first, dict):
-        return {k: _stack([v[k] for v in values]) for k in first}
-    if isinstance(first, (_MomentKernel, _SeparationKernel)):
-        return first.stack(values)
-    return _entries(values)
-
-
 def _take(params, index: np.ndarray):
-    """Stacked parameters at the member of each node: per-member arrays
-    indexed, shared values as they are."""
+    """Stacked parameters at each node's member: columns indexed, the rest as is."""
     if isinstance(params, dict):
         return {k: _take(v, index) for k, v in params.items()}
-    if isinstance(params, (_MomentKernel, _SeparationKernel)):
-        return params.take(index)
     return params[index] if isinstance(params, np.ndarray) else params
 
 
@@ -788,10 +754,11 @@ def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
         params = _stack([m.params for m in members])
 
         def evaluate(x, owner):
-            # a call within one large member needs no per-node parameters
-            one = owner[0] if (owner == owner[0]).all() else None
-            return _EVALUATE[members[0].kind](
-                x, _take(params, owner) if one is None else members[one].params)
+            # a call within one large member needs no per-node parameters;
+            # otherwise ``place``, each node's owner, picks its member's tables
+            if (owner == owner[0]).all():
+                return _EVALUATE[members[0].kind](x, members[owner[0]].params)
+            return _EVALUATE[members[0].kind](x, dict(_take(params, owner), place=owner))
 
         results = integrate_lockstep([m.spec for m in members], evaluate, settings)
     return [res if isinstance(res, Exception) else _finish(member, res)
@@ -815,6 +782,7 @@ class _Plan:
         self.members: dict = {}
         self.results: dict = {}
         self.durations: dict = {}   # local-term durations added, by detector
+        self.terms: dict = {}       # both orderings' ``_jtilde_terms``, by detector pair
 
     def need(self, key, make: Callable[[], _Member]):
         """key, with ``make()`` added under it unless it already is."""
@@ -827,6 +795,13 @@ class _Plan:
         key = object()
         self.members[key] = member
         return key
+
+    def orderings(self, da: DetectorParams, db: DetectorParams) -> tuple:
+        """Both orderings' ``_jtilde_terms`` of a detector pair, made once."""
+        if (da, db) not in self.terms:
+            t0 = _origin(da, db)
+            self.terms[da, db] = (_jtilde_terms(da, db, t0), _jtilde_terms(db, da, t0))
+        return self.terms[da, db]
 
     def run(self) -> None:
         groups: dict = {}

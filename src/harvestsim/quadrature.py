@@ -145,7 +145,11 @@ DEFAULT_SETTINGS = QuadratureSettings()
 
 
 class ConvergenceFailure(Exception):
-    """Raised when the evaluation budget runs out; carries the best result."""
+    """Raised when a result misses its tolerance: a quadrature whose next
+    refinement would exceed the evaluation budget, one whose panels left
+    to refine are all at roundoff width, or a smear whose summed parts'
+    error exceeds its tolerance (``core._sum_request``).  Carries the best
+    result."""
 
     def __init__(self, message: str, best: QuadResult):
         super().__init__(message)

@@ -387,8 +387,12 @@ class TestBatchedSweep:
         # (|v| >= 50 sigma here), then at some nodes and not at others
         sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 12, "log"),
         sweep_cfg("r", "1e-6*sigma", "1e-2*sigma", 12, "log"),
+        # A is one object in every row while B's window moves through an
+        # overlap with it: a remainder group and a C group mix one value
+        # with columns, and the overlap flag of both orderings changes there
+        sweep_cfg("gap", "-90*sigma", "90*sigma", 13, uncertainty="30*sigma"),
     ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "duration", "delta_t-rejected",
-            "r-tiny", "r-limit-switch"])
+            "r-tiny", "r-limit-switch", "gap-smeared"])
     def test_sweep_bit_identical_to_single_points(self, cfg):
         # the rows of one call share their integrals and evaluate them
         # together; every field of every report, the error estimates
@@ -505,6 +509,22 @@ class TestBatchedSweep:
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
         assert len(calls) == 1
+
+    def test_correlation_terms_built_once_per_detector_pair(self, monkeypatch):
+        # both orderings' terms of the remainder's kernel Jhat are made once
+        # for fig3's one detector pair, so its 30 remainder rows hold one
+        # object each and stack no column of them
+        calls = []
+        original = core._jtilde_terms
+
+        def recorded(emitter, absorber, t0):
+            calls.append((emitter, absorber))
+            return original(emitter, absorber, t0)
+
+        monkeypatch.setattr(core, "_jtilde_terms", recorded)
+        rows = run_sweep(figure_config("fig3"))
+        assert len(rows) == 41 and all(r.status == "ok" for r in rows)
+        assert len(calls) == 2
 
     def test_smear_constant_computed_once_per_r_sweep(self, monkeypatch):
         # C depends on the detector pair alone, so rows at other separations

@@ -441,13 +441,13 @@ class TestSeriesSmear:
         # nodes from the peak at v = r0 out to |v - r0| = 1e6 s, on both
         # sides of the switch to the moments' asymptotic expansion
         mpmath = pytest.importorskip("mpmath")
-        kernel, _ = core._make_series_kernel(r0 / delta, self.SIGMA, r0, 1.0, 1e-14)
-        n = kernel.near[0].shape[2]
+        columns, _ = core._make_series_kernel(r0 / delta, self.SIGMA, r0, 1.0, 1e-14)
+        n = columns["near"][0].shape[2]
         s = delta / math.sqrt(2.0)
         with mpmath.workdps(60):
             for a in (0.0, 0.5, -3.0, 10.0, -14.0, 16.0, 40.0, -200.0, 1e3, 1e4, 1e6):
                 u = a * s
-                got = complex(kernel(np.array([u]), r0)[0])
+                got = complex(core._series(np.array([u]), r0, columns)[0])
                 exact = complex(mp_series_kernel(mpmath.mp, mpmath.mpf(u) + r0, mpmath.mpf(r0),
                                                  mpmath.mpf(delta), mpmath.mpf(self.SIGMA), n))
                 # far from both peaks the two shifts' terms, each about
@@ -467,13 +467,14 @@ class TestSeriesSmear:
                 exact = mp_smeared_kernel(mpmath.mp, v, mpmath.mpf(r0), mpmath.mpf(delta),
                                           mpmath.mpf(self.SIGMA))
                 for floor, terms in ((2.0, 4), (1e-14, 30)):
-                    kernel, bound = core._make_series_kernel(r0 / delta, self.SIGMA, r0, 1.0, floor)
-                    assert kernel.near[0].shape[2] == terms
+                    columns, bound = core._make_series_kernel(r0 / delta, self.SIGMA, r0, 1.0,
+                                                              floor)
+                    assert columns["near"][0].shape[2] == terms
                     series = mp_series_kernel(mpmath.mp, v, mpmath.mpf(r0), mpmath.mpf(delta),
                                               mpmath.mpf(self.SIGMA), terms)
                     assert 0.0 < abs(exact - series) <= bound
                     if terms == 4:
-                        got = complex(kernel(np.array([u]), r0)[0])
+                        got = complex(core._series(np.array([u]), r0, columns)[0])
                         assert abs(got - complex(exact)) <= bound
 
     @pytest.mark.parametrize("x", [9.5, 10.0, 15.0, 30.0])
@@ -528,8 +529,8 @@ class TestSeriesSmear:
         original = core._make_series_kernel
 
         def loose(*args):
-            kernel, bound = original(*args)
-            return kernel, bound * 1e6
+            columns, bound = original(*args)
+            return columns, bound * 1e6
 
         monkeypatch.setattr(core, "_make_series_kernel", loose)
         message = "compute_J_smeared: the sum of its parts' errors misses the tolerance"
@@ -742,21 +743,29 @@ class TestTimeDomainKernels:
         radial = np.sin(w * r) / r if r else w
         return complex(np.sum(wt * radial * np.exp(-0.5 * (w * sigma) ** 2 + 1j * w * v)))
 
+    @staticmethod
+    def limit_columns(sigma):
+        # the columns K(v; 0) = G_1 reads: sigma and its factor i/sigma^2
+        return dict(sigma=sigma, limit=1j / sigma**2)
+
     @pytest.mark.parametrize("v, r", [(0.0, 0.3), (0.29, 0.3), (-0.31, 0.3), (1.7, 0.3),
                                       (0.05, 0.0), (-0.4, 0.0), (0.2, 1e-9)])
     def test_kernel_matches_frequency_integral(self, v, r):
         sigma = 0.05
         ref = self.kernel_by_quadrature(v, r, sigma)
+        kernel, columns = ((core._separation, core._separation_columns(r, sigma)) if r
+                           else (core._separation_limit, self.limit_columns(sigma)))
         for shift in (0.0, r, -r):
-            got = core._kernel(r, sigma)(np.array([v - shift]), shift)[0]
+            got = kernel(np.array([v - shift]), shift, columns)[0]
             assert abs(got - ref) <= 1e-9 * abs(ref)
 
     def test_kernel_limit_is_continuous_in_r(self):
         # below r = 1e-5 max(sigma, |v|) the r -> 0 limit takes over
         sigma, v = 0.01, np.array([0.0, 0.003, -0.02, 0.5])
-        k0 = core._kernel(0.0, sigma)(v, 0.0)
+        k0 = core._separation_limit(v, 0.0, self.limit_columns(sigma))
         for r in (1e-8, 5e-8, 2e-7):
-            assert np.allclose(core._kernel(r, sigma)(v, 0.0), k0, rtol=1e-9, atol=0.0)
+            k = core._separation(v, 0.0, core._separation_columns(r, sigma))
+            assert np.allclose(k, k0, rtol=1e-9, atol=0.0)
 
     def test_kernel_far_series(self):
         # K(v; 0) = G_1 = (1 + i sqrt(pi) x w(x))/sigma^2, x = v/(sqrt(2) sigma),
@@ -766,7 +775,8 @@ class TestTimeDomainKernels:
         mpmath = pytest.importorskip("mpmath")
         sigma = 1.0
         xs = (0.3, -2.0, 7.0, 10.5, 10.65, 15.0, 19.7, 19.9, 20.1, 35.0, 400.0, -1e4)
-        got = core._kernel(0.0, sigma)(np.array(xs) * math.sqrt(2.0) * sigma, 0.0)
+        got = core._separation_limit(np.array(xs) * math.sqrt(2.0) * sigma, 0.0,
+                                     self.limit_columns(sigma))
         with mpmath.workdps(40):
             for x, g in zip(xs, got):
                 x = mpmath.mpf(x)
@@ -780,38 +790,68 @@ class TestTimeDomainKernels:
         # (v from 50 to 250 sigma, peaks at v = +-r) for its r range
         rng = np.random.default_rng(20)
         sigma = 1e-3
-        fourier = core._fourier_kernel(sigma)
+        fourier = core._fourier_columns(sigma)
         for r in (10 * sigma, 150 * sigma, 400 * sigma):
-            kernel = core._kernel(r, sigma)
+            columns = core._separation_columns(r, sigma)
             v = np.concatenate([rng.uniform(-0.3, 0.5, 400),
                                 rng.normal(r, 3 * sigma, 100), rng.normal(-r, 3 * sigma, 100)])
             for shift in (0.0, r, -r):
                 u = v - shift
-                assert np.array_equal(kernel(u, shift), oracles.kernel_reference(u, shift, r, sigma))
-                assert np.array_equal(fourier(u, shift), oracles.fourier_reference(u, shift, sigma))
+                assert np.array_equal(core._separation(u, shift, columns),
+                                      oracles.kernel_reference(u, shift, r, sigma))
+                assert np.array_equal(core._fourier(u, shift, fourier),
+                                      oracles.fourier_reference(u, shift, sigma))
 
     def test_stacked_series_kernels_are_bit_identical(self):
         # kernels of four widths, their nodes interleaved, near both peaks and
         # past the switch to the moments' expansion: each node is what its
         # own kernel gives alone
         sigma, r0 = 1e-3, 0.15
-        kernels = [core._make_series_kernel(x, sigma, r0, 1.0, 1e-14)[0]
+        members = [core._make_series_kernel(x, sigma, r0, 1.0, 1e-14)[0]
                    for x in (9.5, 12.0, 30.0, 100.0)]
-        assert len({k.near[0].shape[-1] for k in kernels}) == len(kernels)
+        assert len({m["near"][0].shape[-1] for m in members}) == len(members)
         rng = np.random.default_rng(3)
-        owner = rng.integers(len(kernels), size=600)
+        owner = rng.integers(len(members), size=600)
         u = np.concatenate([rng.normal(0.0, 0.02, 300), rng.normal(-2 * r0, 0.02, 300)])
-        got = core._MomentKernel.stack(kernels).take(owner)(u, r0)
-        for i, kernel in enumerate(kernels):
-            assert np.array_equal(got[owner == i], kernel(u[owner == i], r0))
+        got = core._series(u, r0, dict(core._take(core._stack(members), owner), place=owner))
+        for i, columns in enumerate(members):
+            assert np.array_equal(got[owner == i], core._series(u[owner == i], r0, columns))
 
-    def test_stack_keeps_shared_tables_as_one(self):
-        # every K(v; r) shares its constant weights and its limit's tables, so a
-        # stack of them sums each node against one table
-        stacked = core._SeparationKernel.stack([core._kernel(r, 1e-3) for r in (1e-9, 1e-6, 0.1)])
-        assert stacked.exact.near is core._PLUS_MINUS
-        assert (stacked.limit.near, stacked.limit.far, stacked.limit.place) == (
-            core._G1.near, core._G1.far, 0)
+    def test_stacked_separation_kernels_are_bit_identical(self):
+        # K(v; r) at three separations, their nodes interleaved and measured
+        # from the peak at v = r: each node is what its own member gives
+        # alone, on both sides of the switch to the r -> 0 limit where
+        # r < 1e-5*max(sigma, |v|), which r = 1e-9 takes at every node
+        sigma, rs = 1e-3, (1e-9, 1e-6, 0.1)
+        members = [core._separation_columns(r, sigma) for r in rs]
+        rng = np.random.default_rng(5)
+        owner = rng.integers(len(rs), size=900)
+        v = rng.choice([-1.0, 1.0], 900) * 10.0 ** rng.uniform(-5.0, 4.5, 900)
+        shift = np.array(rs)[owner]
+        u = v - shift
+        stacked = core._stack(members)
+        assert stacked["sigma"] == sigma and stacked["r"].shape == (3,)
+        got = core._separation(u, shift, dict(core._take(stacked, owner), place=owner))
+        for i, r in enumerate(rs):
+            mine = owner == i
+            limit = r < 1e-5 * np.maximum(sigma, np.abs(v[mine]))
+            assert limit.any() and (r == 1e-9 or not limit.all())
+            assert np.array_equal(got[mine], core._separation(u[mine], r, members[i]))
+
+    def test_stack_keeps_one_object_and_signed_zeros(self):
+        # a value every member holds as one object stays that object; equal
+        # numbers that are not one object become a column, so 0.0 and -0.0
+        # keep their signs, and tables one tuple of every member's
+        one, table = {"g": 1.5}, (np.ones(2),)
+        members = [dict(one=one, table=table, zero=z, own=(np.full(2, z),)) for z in (0.0, -0.0)]
+        stacked = core._stack(members)
+        assert stacked["one"] is one and stacked["table"] is table
+        assert np.array_equal(np.signbit(stacked["zero"]), [False, True])
+        assert [t is m["own"][0] for t, m in zip(stacked["own"], members)] == [True, True]
+        assert core._stack([members[0], members[0]]) is members[0]
+        taken = core._take(stacked, np.array([1, 0, 1]))
+        assert np.array_equal(np.signbit(taken["zero"]), [True, False, True])
+        assert taken["one"] == one and taken["own"] is stacked["own"]
 
     def test_damped_erf(self):
         mpmath = pytest.importorskip("mpmath")
