@@ -23,19 +23,20 @@ a frequency quadrature of the kernel Jhat over the finite range where
 its envelope exceeds 1e-18 (``_TAIL``).  Every kernel, F = G_0,
 K(v; r) = [F(v + r) - F(v - r)]/(2ir), K(v; 0) = G_1 and the smeared one,
 is one sum of the Faddeeva moments G_m = int_0^inf w^m exp(-(w*S)^2/2 +
-i*w*a) dw (``_MomentKernel``).
+i*w*a) dw, one function of the kernel's columns (``_moments``).
 
 Each integral is a ``_Member`` of one of six kinds (the I_AB/J pair, the
 clock-smeared J, the series-smeared J, C, the frequency remainder and
-I_nn), whose evaluator and kernel read the member's parameters: numbers,
-bools, coefficient tables and dicts of these.  ``_finish`` applies its
-prefactor and phase to the quadrature's result.  A call adds the
-integrals its rows need to a ``_Plan`` and runs each kind as one group:
-a member alone through ``integrate_radial``, several in lockstep through
-``integrate_lockstep``, which evaluates the nodes of every member of the
-group in one call of the evaluator at the columns of ``_stack``: a value
-every member holds as one object stays one, and any other number is read
-at each node's member.  A spatial smear is one weighted sum of its
+I_nn), whose evaluator reads the member's parameters: numbers, bools,
+coefficient tables and dicts of these, a time-domain member's kernel
+columns among them.  ``_finish`` applies its prefactor and phase to the
+quadrature's result.  A call adds the integrals its rows need to a
+``_Plan`` and runs each kind as one group: a member alone through
+``integrate_radial``, several in lockstep through ``integrate_lockstep``,
+which evaluates the nodes of every member of the group in one call of
+the evaluator at the columns of ``_stack``: a number every member holds
+with the same bits stays one value, and any other is read at each
+node's member.  A spatial smear is one weighted sum of its
 members' results (``_sum_request``), the one place where a sum's error
 is checked against the tolerance.
 
@@ -240,52 +241,53 @@ _ASYMPTOTIC = np.array([[math.factorial(j) / (math.factorial((j - m) // 2) * 2.0
                         for j in range(_SERIES_MAX_TERMS + _ASYMPTOTIC_EXTRA)])
 
 
-@dataclass(frozen=True, eq=False)
-class _MomentKernel:
-    """Every time-domain kernel: a sum over offsets c of the Faddeeva
-    moments G_m(a) = int_0^inf w^m exp(-(w S)^2/2 + i w a) dw at a = v + c,
-    S = ``scale``, as a transform (u, shift) -> value at v = u + shift.
-    In t = a/S, G_m = i^m p_m(t)/S^(m+1), and their recurrence (Abramowitz
-    & Stegun 7.2.5) p_(m+1) = t p_m - m p_(m-1) from p_0 = sqrt(pi/2)
-    w(t/sqrt(2)) and p_1 = t p_0 - i gives p_m = p_0 He_m(t) - i Q_m(t).
-    A real-weighted sum of p_m is factor * sum_c [w(z_c) A_c(t_c) - i B_c(t_c)],
+def _moments(u, shift, p: dict):
+    """Every time-domain kernel, at v = u + shift, from its columns p: a
+    sum over offsets c of the Faddeeva moments G_m(a) = int_0^inf w^m
+    exp(-(w S)^2/2 + i w a) dw at a = v + c, S = ``scale``, c = ``offset``
+    alone, or +-``offset`` where ``near`` has two rows.  In t = a/S,
+    G_m = i^m p_m(t)/S^(m+1), and their recurrence (Abramowitz & Stegun
+    7.2.5) p_(m+1) = t p_m - m p_(m-1) from p_0 = sqrt(pi/2) w(t/sqrt(2))
+    and p_1 = t p_0 - i gives p_m = p_0 He_m(t) - i Q_m(t).  A real-weighted
+    sum of p_m is factor * sum_c [w(z_c) A_c(t_c) - i B_c(t_c)],
     z_c = (u + (shift + c))/(sqrt(2) S), t_c = sqrt(2) z_c: one
     ``faddeeva_w`` call per node and offset.  F and K(v; r) have constant A
     and B = 0.  Where a sum of higher moments cancels, from |t| = ``split``
     on, it is i/t times a polynomial in 1/t (``far``), the moments'
-    expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.  A kernel
-    builds one per call from its columns, one value or one entry per node,
-    and ``place`` picks the table each node's member sums with."""
-
-    offsets: tuple
-    scale: float
-    factor: complex
-    near: tuple                     # tables [row, (A, B), power], or A [offset]
-    split: float = math.inf
-    far: tuple = ()                 # tables [row, power of 1/t]
-    place: np.ndarray | int = 0     # each entry's table
-
-    def __call__(self, u, shift):
-        u = np.asarray(u, dtype=float)
-        n = len(self.offsets)
-        z = np.concatenate([(u + (shift + c)) / (_SQRT2 * self.scale) for c in self.offsets])
-        if self.near[0].ndim == 1:  # constant A, B = 0: no polynomial work
-            out = faddeeva_w(z).reshape(n, -1) * self.near[0][:, None]
-        else:
-            t = _SQRT2 * z
-            row = np.repeat(np.arange(n), u.size)
-            place = np.tile(self.place, n) if np.ndim(self.place) else self.place
-            near = np.abs(t) < (np.tile(self.split, n) if np.ndim(self.split) else self.split)
-            out = np.empty(z.size, dtype=complex)
-            w = faddeeva_w(z[near])
-            a, b = _polynomial("ik,ipk->pi", t[near], row[near], _take(place, near), self.near)
-            out[near] = w * a - 1j * b
-            far = ~near
-            if far.any():
-                inv = 1.0 / t[far]
-                out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], _take(place, far),
-                                                  self.far)
-        return out.reshape(n, -1).sum(axis=0) * self.factor
+    expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.  Each
+    column is one value or one entry per node, and ``place`` picks the
+    table each node's member sums with.  K(v; r)'s difference cancels to
+    about eps*max(sigma, |v|)/r, so at nodes where r < 1e-5*max(sigma, |v|)
+    its limit K(v; 0) = G_1, exact there to (r/sigma)^2/6, is used: the
+    columns ``limit``."""
+    u = np.asarray(u, dtype=float)
+    offset, scale, tables = p["offset"], p["scale"], p["near"]
+    n = tables[0].shape[0]
+    z = np.concatenate([(u + (shift + c)) / (_SQRT2 * scale)
+                        for c in ((offset, -offset) if n > 1 else (offset,))])
+    if tables[0].ndim == 1:  # constant A, B = 0: no polynomial work
+        out = faddeeva_w(z).reshape(n, -1) * tables[0][:, None]
+    else:
+        t = _SQRT2 * z
+        row = np.repeat(np.arange(n), u.size)
+        place = np.tile(p["place"], n) if len(tables) > 1 else 0
+        split = p["split"]
+        near = np.abs(t) < (np.tile(split, n) if np.ndim(split) else split)
+        out = np.empty(z.size, dtype=complex)
+        w = faddeeva_w(z[near])
+        a, b = _polynomial("ik,ipk->pi", t[near], row[near], _take(place, near), tables)
+        out[near] = w * a - 1j * b
+        far = ~near
+        if far.any():
+            inv = 1.0 / t[far]
+            out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], _take(place, far),
+                                              p["far"])
+    out = out.reshape(n, -1).sum(axis=0) * p["factor"]
+    if "limit" in p:
+        limit = offset < 1e-5 * np.maximum(scale, np.abs(u + shift))
+        if limit.any():
+            return np.where(limit, _moments(u, shift, p["limit"]), out)
+    return out
 
 
 def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, place,
@@ -323,45 +325,19 @@ _G1 = _moment_tables(np.array([[0.0, 1.0]]), _ASYMPTOTIC_T)
 _ONE, _PLUS_MINUS = (np.ones(1),), (np.array([1.0, -1.0]),)
 
 
-# Each kernel reads the columns p of one member, or of a group (``_stack``),
-# at v = u + shift; a ``_columns`` function computes a member's factors once.
+# A member's kernel columns (``_moments``), its factors computed once.
 def _fourier_columns(sigma: float) -> dict:
-    return dict(sigma=sigma, factor=_SQRT_PI / (_SQRT2 * sigma))
-
-
-def _fourier(u, shift, p: dict):
     """F(v) = int_0^inf exp(-(w*sigma)^2/2 + i*w*v) dw = G_0."""
-    return _MomentKernel((0.0,), p["sigma"], p["factor"], _ONE)(u, shift)
+    return dict(offset=0.0, scale=sigma, factor=_SQRT_PI / (_SQRT2 * sigma), near=_ONE)
 
 
 def _separation_columns(r: float, sigma: float) -> dict:
-    return dict(r=r, sigma=sigma, factor=_SQRT_PI / (_SQRT2 * sigma * 2j * r),
-                limit=1j / sigma**2)
-
-
-def _separation(u, shift, p: dict):
-    """K(v; r) = [F(v + r) - F(v - r)]/(2ir), r > 0.  Formed as
-    u + (shift +- r), a peak of F at shift = -+r is resolved to the rounding
-    of u, not of v.  The difference cancels to about eps*max(sigma, |v|)/r,
-    so at nodes where r < 1e-5*max(sigma, |v|) its limit K(v; 0) = G_1,
-    exact there to (r/sigma)^2/6, is used."""
-    r, sigma = p["r"], p["sigma"]
-    out = _MomentKernel((r, -r), sigma, p["factor"], _PLUS_MINUS)(u, shift)
-    near = r < 1e-5 * np.maximum(sigma, np.abs(u + shift))
-    return np.where(near, _separation_limit(u, shift, p), out) if near.any() else out
-
-
-def _separation_limit(u, shift, p: dict):
-    """K(v; 0) = G_1, its factor ``limit`` = i/sigma^2."""
-    return _MomentKernel((0.0,), p["sigma"], p["limit"], **_G1)(u, shift)
-
-
-def _series(u, shift, p: dict):
-    """The series-smeared kernel (``_make_series_kernel``); a node's tables
-    are at ``place``, its owner, where a group's members hold their own."""
-    near = p["near"]
-    return _MomentKernel((p["r0"], -p["r0"]), p["scale"], p["factor"], near, p["split"],
-                         p["far"], p["place"] if len(near) > 1 else 0)(u, shift)
+    """K(v; r) = [F(v + r) - F(v - r)]/(2ir), r > 0, and its limit
+    K(v; 0) = G_1, of factor i/sigma^2.  Formed as u + (shift +- r), a peak
+    of F at shift = -+r is resolved to the rounding of u, not of v."""
+    return dict(offset=r, scale=sigma, factor=_SQRT_PI / (_SQRT2 * sigma * 2j * r),
+                near=_PLUS_MINUS,
+                limit=dict(offset=0.0, scale=sigma, factor=1j / sigma**2, **_G1))
 
 
 def _window(v, a, b, g_a: float, g_b: float):
@@ -380,7 +356,7 @@ def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
     exp(i*mu*t), mu = g_a + g_b, from max(a_on, b_on - v + tau) to
     min(a_off, b_off - v + tau).  Each end is either fixed or moves with
     tau, so the average is a sum of Gaussian masses of 1 (real erf) and
-    of exp(i*mu*tau) (``damped_erf``) between the offsets where the ends
+    of exp(i*mu*tau) (``_damped_erf``) between the offsets where the ends
     switch: exact for every window timing.  Requires mu != 0.
     """
     mu = g_a + g_b
@@ -441,8 +417,8 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
     ordering, over the support of M; of kind "pair", preceded by that of
     the unsmeared M(v; -gap_A, gap_B) * K(v), I_AB's, from the same
     quadrature, each with a phase rate of its own (``_finish``).  The
-    kernel, the kind's (``_EVALUATE``), reads the columns ``kernel``, by
-    default those of K(v; r); its peaks are at v = +-r.
+    kernel is ``_moments`` of the columns ``kernel``, by default those of
+    K(v; r); its peaks are at v = +-r.
     Each transforms a real spectrum, so K(-v) = conj K(v): the time-ordered
     kernel is the conjugate where v >= 0, and one kernel evaluation per
     node serves both integrals, which share support, anchors and phase
@@ -482,12 +458,12 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
                    peaks=tuple((p - c, w) for p, w in peaks))
 
 
-def _time_evaluate(u, p: dict, kernel: Callable, exchange: bool = False):
+def _time_evaluate(u, p: dict, exchange: bool = False):
     """The integrand of ``_time_member`` at u, for the parameters p of one
-    member, or columns of them, one entry per node, with its kind's kernel."""
+    member, or columns of them, one entry per node, with its kernel's columns."""
     c = p["c"]
     v = u + c
-    kernel = kernel(u, c, p)
+    kernel = _moments(u, c, p)
     a, b = (p["a_on"], p["a_off"]), (p["b_on"], p["b_off"])
     m = (_clock_window(v, a, b, p["g_a"], p["g_b"], p["dt"]) if "dt" in p
          else _window(v, a, b, p["g_a"], p["g_b"]))
@@ -518,7 +494,7 @@ def _i_nn_member(det: DetectorParams) -> _Member:
 def _i_nn_evaluate(v, p: dict):
     """The integrand of ``_i_nn_member``."""
     g = p["gap"]
-    f = 1j * np.exp(1j * g * v) * (1j * g * (p["width"] - v) - 1.0) * _fourier(v, 0.0, p)
+    f = 1j * np.exp(1j * g * v) * (1j * g * (p["width"] - v) - 1.0) * _moments(v, 0.0, p)
     return f.real
 
 
@@ -625,7 +601,7 @@ def _remainder_evaluate(w, p: dict):
 
 def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
                         floor: float) -> tuple[dict, float] | None:
-    """The columns of the smeared kernel <K(v; r)> (``_series``),
+    """The columns (``_moments``) of the smeared kernel <K(v; r)>,
     r = r0 + rho, rho ~ N(0, s^2), s = delta/sqrt(2), to N terms in s/r0,
     and a bound on what the rest adds to the raw J integral.  As
     1/r = sum_(n<N) (-rho)^n/r0^(n+1) + (-rho/r0)^N/r, term n is
@@ -661,7 +637,7 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     weights = (-eps) ** m @ _STEIN[:n, :n] * eta**m
     d = np.stack([weights * (-1.0) ** m, -weights])
     tables = _moment_tables(d, max(_ASYMPTOTIC_T, 1.0 / (eps * eta)))
-    return dict(r0=r0, scale=scale, factor=1.0 / (2j * r0 * scale), **tables), float(bounds[n])
+    return dict(offset=r0, scale=scale, factor=1.0 / (2j * r0 * scale), **tables), float(bounds[n])
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
@@ -705,12 +681,12 @@ def compute_J_time_smeared(
     return abs(_single(_clock_member(s, delta_t), settings).value)
 
 
-# each kind's evaluator, with the kernel of its time-domain members
+# each kind's evaluator; the time-domain kinds differ only in I_AB's component
 _EVALUATE = {
-    "pair": lambda u, p: _time_evaluate(u, p, _separation, exchange=True),
-    "clock": lambda u, p: _time_evaluate(u, p, _separation),
-    "series": lambda u, p: _time_evaluate(u, p, _series),
-    "c": lambda u, p: _time_evaluate(u, p, _fourier),
+    "pair": lambda u, p: _time_evaluate(u, p, exchange=True),
+    "clock": _time_evaluate,
+    "series": _time_evaluate,
+    "c": _time_evaluate,
     "remainder": _remainder_evaluate,
     "i_nn": _i_nn_evaluate,
 }
@@ -718,10 +694,11 @@ _EVALUATE = {
 
 def _stack(values: list):
     """The parameters of a group's members as one set.  A value every
-    member holds as one object stays one value: one object has one set of
-    bits, where equal numbers may not (-0.0 == 0.0).  Otherwise a number
-    becomes a column, one entry per member, a tuple of tables one tuple of
-    every member's tables, and a dict is stacked key by key."""
+    member holds as one object stays one value, and so does a number every
+    member holds with the same bits, where equal numbers need not have them
+    (-0.0 == 0.0).  Otherwise a number becomes a column, one entry per
+    member, a tuple of tables one tuple of every member's tables, and a
+    dict is stacked key by key."""
     first = values[0]
     if all(v is first for v in values):
         return first
@@ -729,7 +706,9 @@ def _stack(values: list):
         return {k: _stack([v[k] for v in values]) for k in first}
     if isinstance(first, tuple):
         return tuple(table for v in values for table in v)
-    return np.array(values)
+    column = np.array(values)
+    bits = column.view(f"V{column.itemsize}")
+    return first if (bits == bits[0]).all() else column
 
 
 def _take(params, index: np.ndarray):

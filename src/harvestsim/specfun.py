@@ -16,7 +16,7 @@ import cmath
 import numpy as np
 from scipy.special import wofz
 
-__all__ = ["sinc", "ediff", "faddeeva_w", "damped_erf", "damped_im_erfi"]
+__all__ = ["sinc", "ediff", "faddeeva_w", "damped_im_erfi"]
 
 # Below this the 7th-order Taylor series of sin(x)/x is exact to < 1e-18.
 _SINC_TAYLOR_CUT = 1e-2
@@ -92,19 +92,13 @@ def _faddeeva_w(z: np.ndarray) -> np.ndarray:
     return np.where(mag > 1.0, w / np.where(mag > 1.0, mag, 1.0), w)
 
 
-def damped_erf(x, y):
+def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """exp(-y^2) * erf(x - i*y) for real x and y, without overflow.
 
     With s the sign of x (+1 at 0),
         exp(-y^2)*erf(x - iy) = s*(exp(-y^2) - exp(-x^2) * exp(2ixy) * w(s*y + i|x|)),
     every factor of which is bounded.
     """
-    _check_finite("damped_erf", x, y)
-    out = _damped_erf(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return complex(out) if out.ndim == 0 else out
-
-
-def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     s = np.where(x >= 0.0, 1.0, -1.0)
     w = _faddeeva_w(s * y + 1j * np.abs(x))
     return s * (np.exp(-y * y) - np.exp(-x * x) * (w * np.exp(2j * x * y)))
@@ -113,7 +107,7 @@ def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def damped_im_erfi(x, y):
     """exp(-x^2) * Im[Erfi(x + i*y)] without overflow, for x, y >= 0.
 
-    Erfi(x + iy) = i*erf(y - ix), so this is Re ``damped_erf(y, x)``:
+    Erfi(x + iy) = i*erf(y - ix), so this is Re ``_damped_erf(y, x)``:
 
         exp(-x^2) - exp(-y^2) * Re[w(x+iy) * exp(2ixy)].
     """

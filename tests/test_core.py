@@ -1,4 +1,5 @@
 import math
+import numbers
 import time
 import warnings
 from dataclasses import replace
@@ -28,7 +29,8 @@ from harvestsim.core import (
 )
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
 from harvestsim.quadrature import ConvergenceFailure, QuadratureSettings, QuadResult
-from harvestsim.specfun import damped_erf
+from harvestsim.specfun import _damped_erf
+from harvestsim.sweep import _apply_parameter, figure_config, sweep_values
 
 def detector(gap=1.0, sigma=0.1, window=(0.0, 1.0), coupling=1.0):
     return DetectorParams(coupling=coupling, gap=gap, smearing=sigma,
@@ -447,7 +449,7 @@ class TestSeriesSmear:
         with mpmath.workdps(60):
             for a in (0.0, 0.5, -3.0, 10.0, -14.0, 16.0, 40.0, -200.0, 1e3, 1e4, 1e6):
                 u = a * s
-                got = complex(core._series(np.array([u]), r0, columns)[0])
+                got = complex(core._moments(np.array([u]), r0, columns)[0])
                 exact = complex(mp_series_kernel(mpmath.mp, mpmath.mpf(u) + r0, mpmath.mpf(r0),
                                                  mpmath.mpf(delta), mpmath.mpf(self.SIGMA), n))
                 # far from both peaks the two shifts' terms, each about
@@ -474,7 +476,7 @@ class TestSeriesSmear:
                                               mpmath.mpf(self.SIGMA), terms)
                     assert 0.0 < abs(exact - series) <= bound
                     if terms == 4:
-                        got = complex(core._series(np.array([u]), r0, columns)[0])
+                        got = complex(core._moments(np.array([u]), r0, columns)[0])
                         assert abs(got - complex(exact)) <= bound
 
     @pytest.mark.parametrize("x", [9.5, 10.0, 15.0, 30.0])
@@ -745,26 +747,25 @@ class TestTimeDomainKernels:
 
     @staticmethod
     def limit_columns(sigma):
-        # the columns K(v; 0) = G_1 reads: sigma and its factor i/sigma^2
-        return dict(sigma=sigma, limit=1j / sigma**2)
+        # the columns of K(v; 0) = G_1, which do not depend on r
+        return core._separation_columns(1.0, sigma)["limit"]
 
     @pytest.mark.parametrize("v, r", [(0.0, 0.3), (0.29, 0.3), (-0.31, 0.3), (1.7, 0.3),
                                       (0.05, 0.0), (-0.4, 0.0), (0.2, 1e-9)])
     def test_kernel_matches_frequency_integral(self, v, r):
         sigma = 0.05
         ref = self.kernel_by_quadrature(v, r, sigma)
-        kernel, columns = ((core._separation, core._separation_columns(r, sigma)) if r
-                           else (core._separation_limit, self.limit_columns(sigma)))
+        columns = core._separation_columns(r, sigma) if r else self.limit_columns(sigma)
         for shift in (0.0, r, -r):
-            got = kernel(np.array([v - shift]), shift, columns)[0]
+            got = core._moments(np.array([v - shift]), shift, columns)[0]
             assert abs(got - ref) <= 1e-9 * abs(ref)
 
     def test_kernel_limit_is_continuous_in_r(self):
         # below r = 1e-5 max(sigma, |v|) the r -> 0 limit takes over
         sigma, v = 0.01, np.array([0.0, 0.003, -0.02, 0.5])
-        k0 = core._separation_limit(v, 0.0, self.limit_columns(sigma))
+        k0 = core._moments(v, 0.0, self.limit_columns(sigma))
         for r in (1e-8, 5e-8, 2e-7):
-            k = core._separation(v, 0.0, core._separation_columns(r, sigma))
+            k = core._moments(v, 0.0, core._separation_columns(r, sigma))
             assert np.allclose(k, k0, rtol=1e-9, atol=0.0)
 
     def test_kernel_far_series(self):
@@ -775,8 +776,8 @@ class TestTimeDomainKernels:
         mpmath = pytest.importorskip("mpmath")
         sigma = 1.0
         xs = (0.3, -2.0, 7.0, 10.5, 10.65, 15.0, 19.7, 19.9, 20.1, 35.0, 400.0, -1e4)
-        got = core._separation_limit(np.array(xs) * math.sqrt(2.0) * sigma, 0.0,
-                                     self.limit_columns(sigma))
+        got = core._moments(np.array(xs) * math.sqrt(2.0) * sigma, 0.0,
+                            self.limit_columns(sigma))
         with mpmath.workdps(40):
             for x, g in zip(xs, got):
                 x = mpmath.mpf(x)
@@ -797,9 +798,9 @@ class TestTimeDomainKernels:
                                 rng.normal(r, 3 * sigma, 100), rng.normal(-r, 3 * sigma, 100)])
             for shift in (0.0, r, -r):
                 u = v - shift
-                assert np.array_equal(core._separation(u, shift, columns),
+                assert np.array_equal(core._moments(u, shift, columns),
                                       oracles.kernel_reference(u, shift, r, sigma))
-                assert np.array_equal(core._fourier(u, shift, fourier),
+                assert np.array_equal(core._moments(u, shift, fourier),
                                       oracles.fourier_reference(u, shift, sigma))
 
     def test_stacked_series_kernels_are_bit_identical(self):
@@ -813,9 +814,9 @@ class TestTimeDomainKernels:
         rng = np.random.default_rng(3)
         owner = rng.integers(len(members), size=600)
         u = np.concatenate([rng.normal(0.0, 0.02, 300), rng.normal(-2 * r0, 0.02, 300)])
-        got = core._series(u, r0, dict(core._take(core._stack(members), owner), place=owner))
+        got = core._moments(u, r0, dict(core._take(core._stack(members), owner), place=owner))
         for i, columns in enumerate(members):
-            assert np.array_equal(got[owner == i], core._series(u[owner == i], r0, columns))
+            assert np.array_equal(got[owner == i], core._moments(u[owner == i], r0, columns))
 
     def test_stacked_separation_kernels_are_bit_identical(self):
         # K(v; r) at three separations, their nodes interleaved and measured
@@ -830,22 +831,26 @@ class TestTimeDomainKernels:
         shift = np.array(rs)[owner]
         u = v - shift
         stacked = core._stack(members)
-        assert stacked["sigma"] == sigma and stacked["r"].shape == (3,)
-        got = core._separation(u, shift, dict(core._take(stacked, owner), place=owner))
+        assert stacked["scale"] == sigma and stacked["offset"].shape == (3,)
+        got = core._moments(u, shift, dict(core._take(stacked, owner), place=owner))
         for i, r in enumerate(rs):
             mine = owner == i
             limit = r < 1e-5 * np.maximum(sigma, np.abs(v[mine]))
             assert limit.any() and (r == 1e-9 or not limit.all())
-            assert np.array_equal(got[mine], core._separation(u[mine], r, members[i]))
+            assert np.array_equal(got[mine], core._moments(u[mine], r, members[i]))
 
     def test_stack_keeps_one_object_and_signed_zeros(self):
-        # a value every member holds as one object stays that object; equal
-        # numbers that are not one object become a column, so 0.0 and -0.0
-        # keep their signs, and tables one tuple of every member's
+        # a value every member holds as one object stays that object, and
+        # numbers of equal bits made apart stay one value; equal numbers of
+        # other bits become a column, so 0.0 and -0.0 keep their signs, and
+        # tables one tuple of every member's
         one, table = {"g": 1.5}, (np.ones(2),)
-        members = [dict(one=one, table=table, zero=z, own=(np.full(2, z),)) for z in (0.0, -0.0)]
+        members = [dict(one=one, table=table, zero=z, own=(np.full(2, z),), same=math.sqrt(2.0))
+                   for z in (0.0, -0.0)]
+        assert members[0]["same"] is not members[1]["same"]
         stacked = core._stack(members)
         assert stacked["one"] is one and stacked["table"] is table
+        assert stacked["same"] is members[0]["same"]
         assert np.array_equal(np.signbit(stacked["zero"]), [False, True])
         assert [t is m["own"][0] for t, m in zip(stacked["own"], members)] == [True, True]
         assert core._stack([members[0], members[0]]) is members[0]
@@ -853,13 +858,40 @@ class TestTimeDomainKernels:
         assert np.array_equal(np.signbit(taken["zero"]), [True, False, True])
         assert taken["one"] == one and taken["own"] is stacked["own"]
 
+    def test_member_params_hold_only_data(self):
+        # ``_stack`` and ``_take`` read numbers, bools, tuples of tables and
+        # dicts of these, K(v; r)'s nested limit columns among them: one plan
+        # over fig3's rows (pair, series, C, remainder, I_nn), a clock row
+        # and a smeared row whose windows overlap
+        cfg = figure_config("fig3")
+        rows = [_apply_parameter(cfg.scenario, "delta", float(d)) for d in sweep_values(cfg.sweep)]
+        rows += [(fig_scenario(), 0.03),
+                 _apply_parameter(fig_scenario(delta=0.03), "gap", -0.05)]
+        plan = core._Plan(core.DEFAULT_SETTINGS)
+        for s, time_smear in rows:
+            core._row_request(s, time_smear, plan)
+        members = list(plan.members.values())
+        assert {m.kind for m in members} == {"pair", "clock", "series", "c", "remainder", "i_nn"}
+        assert all(isinstance(m.params["limit"], dict) for m in members
+                   if m.kind in ("pair", "clock"))
+
+        def data(value) -> bool:
+            if isinstance(value, dict):
+                return all(data(v) for v in value.values())
+            if isinstance(value, tuple):
+                return all(isinstance(table, np.ndarray) for table in value)
+            return isinstance(value, (numbers.Number, np.bool_))
+
+        for m in members:
+            assert data(m.params), m.kind
+
     def test_damped_erf(self):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
         for x, y in [(0.0, 0.3), (1.2, 0.0), (-0.7, 2.5), (3.0, -1.5), (-40.0, 30.0),
                      (6.0, 25.0), (-0.01, 1e-3)]:
             exact = complex(mpmath.exp(-mpmath.mpf(y) ** 2) * mpmath.erf(mpmath.mpc(x, -y)))
-            got = complex(damped_erf(np.array([x]), y)[0])
+            got = complex(_damped_erf(np.array([x]), np.float64(y))[0])
             assert abs(got - exact) <= 1e-13 * max(abs(exact), math.exp(-y * y))
 
     def test_window_factor_matches_time_integral(self):

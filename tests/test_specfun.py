@@ -171,7 +171,6 @@ FINITE_ARGS = {
     "sinc": (1.0,),
     "ediff": (0.0, 1.0, 2.0),
     "faddeeva_w": (1.0 + 1.0j,),
-    "damped_erf": (1.0, 2.0),
     "damped_im_erfi": (1.0, 2.0),
 }
 NON_FINITE = [math.nan, math.inf, -math.inf]
