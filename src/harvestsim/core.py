@@ -52,7 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf, gamma, gammaincc
@@ -562,19 +562,55 @@ def _sum_request(plan: _Plan, parts: list, pref: float,
     """What gives sum weight*result over the (weight, key) parts in
     ``plan`` once it has run, with error sum |weight|*error + extra; a
     ConvergenceFailure carrying that sum where its error misses the
-    tolerance of an integral with prefactor pref."""
+    tolerance of an integral with prefactor pref.
+
+    Parts that cancel can miss it although each met its own: then every
+    part whose weighted error exceeds an equal share of what the
+    tolerance leaves beside extra is integrated again, alone, to that
+    share (``_share_settings``), and the sum checked once more."""
+    settings = plan.settings
+
+    def summed(results: list, evaluations: int) -> QuadResult:
+        return QuadResult(sum(weight * r.value for weight, r in results),
+                          sum(abs(weight) * r.abs_error for weight, r in results) + extra,
+                          evaluations + sum(r.evaluations for _, r in results))
+
+    def target(res: QuadResult) -> float:
+        return max(settings.tol_abs * pref, settings.tol_rel * abs(res.value))
+
     def total() -> QuadResult:
         results = [(weight, plan.result(key)) for weight, key in parts]
-        res = QuadResult(sum(weight * r.value for weight, r in results),
-                         sum(abs(weight) * r.abs_error for weight, r in results) + extra,
-                         sum(r.evaluations for _, r in results))
-        settings = plan.settings
-        if res.abs_error > max(settings.tol_abs * pref, settings.tol_rel * abs(res.value)):
+        res = summed(results, 0)
+        share = (target(res) - extra) / len(parts)
+        if res.abs_error > target(res) and share > 0.0:
+            again = {}
+            for i, ((weight, r), (_, key)) in enumerate(zip(results, parts)):
+                member = plan.members[key]
+                tight = (abs(weight) * r.abs_error > share
+                         and _share_settings(settings, share / abs(weight), member.pref, r))
+                if tight:
+                    again[i] = (weight, _single(member, tight))
+            spent = sum(results[i][1].evaluations for i in again)
+            res = summed([again.get(i, wr) for i, wr in enumerate(results)], spent)
+        if res.abs_error > target(res):
             raise ConvergenceFailure(
                 "compute_J_smeared: the sum of its parts' errors misses the tolerance", res)
         return res
 
     return total
+
+
+def _share_settings(settings: QuadratureSettings, share: float, pref: float,
+                    first: QuadResult) -> QuadratureSettings | None:
+    """Settings under which a member of prefactor pref, whose first result
+    was ``first``, ends with an error of at most about share (its value
+    moves by its error between the runs); None where a tolerance that
+    small is not a positive float."""
+    tol_abs = min(settings.tol_abs, share / abs(pref))
+    tol_rel = min(settings.tol_rel, share / abs(first.value)) if first.value else settings.tol_rel
+    if not (tol_abs > 0.0 and tol_rel > 0.0):
+        return None
+    return replace(settings, tol_abs=tol_abs, tol_rel=tol_rel)
 
 
 def _remainder_member(s: Scenario, x: float, pref: float, ab: dict, ba: dict) -> _Member:

@@ -362,6 +362,44 @@ class TestSmearedCorrelation:
         assert out.best.abs_error > 1e-9 * abs(out.best.value)
         assert abs(out.best.value) > 0.0
 
+    # (gap_a, gap_b, delta/r0) of rows whose remainder and C's term cancel:
+    # each part meets its own tolerance on its first run, their sum does not
+    CANCELLING = [(1.0, 1.0, 1.8), (1.0, 1.0, 1.85), (0.5, 2.0, 1.6), (0.5, 2.0, 1.85),
+                  (0.5, 2.0, 1.9), (0.5, 2.0, 1.95), (0.5, 2.0, 2.0), (0.5, 2.0, 2.05),
+                  (0.5, 2.0, 2.1), (2.0, 2.0, 1.4), (2.0, 2.0, 1.6), (2.0, 2.0, 1.8)]
+
+    @staticmethod
+    def cancelling_row(gap_a, gap_b, delta_rel):
+        return scenario(wa=(0.0, 1.0), wb=(2.0, 3.0), r0=0.5, gap_a=gap_a, gap_b=gap_b,
+                        delta=delta_rel * 0.5, coupling=0.05)
+
+    @pytest.mark.parametrize("gap_a, gap_b, delta_rel", CANCELLING)
+    def test_cancelling_parts_are_integrated_again(self, monkeypatch, gap_a, gap_b,
+                                                   delta_rel):
+        # the part missing its share of the sum's tolerance runs again alone
+        # (the only ``_single`` call of a smear), and the sum then meets it
+        again = []
+        original = core._single
+
+        def recorded(member, settings):
+            again.append((member.kind, settings))
+            return original(member, settings)
+
+        monkeypatch.setattr(core, "_single", recorded)
+        s = self.cancelling_row(gap_a, gap_b, delta_rel)
+        res = core._j_smeared_result(s, core.DEFAULT_SETTINGS)
+        assert [kind for kind, _ in again] == ["remainder"]
+        assert again[0][1].tol_rel < core.DEFAULT_SETTINGS.tol_rel
+        assert res.abs_error <= 1e-9 * abs(res.value)
+        tight = core._j_smeared_result(s, QuadratureSettings(tol_abs=1e-20, tol_rel=1e-13))
+        assert abs(res.value - tight.value) <= res.abs_error + tight.abs_error
+
+    def test_cancelling_rows_read_ok_in_a_sweep(self):
+        # in lockstep every such row gets what it gets alone
+        rows = [self.cancelling_row(*c) for c in self.CANCELLING]
+        reports = core.evaluate_scenarios([(s, None) for s in rows])
+        assert [r.j_smeared_abs for r in reports] == [compute_J_smeared(s) for s in rows]
+
     @pytest.mark.parametrize("delta", [0.03, 0.15])
     def test_remainder_support_ends_at_tail_tolerance(self, monkeypatch, delta):
         # the remainder's range ends where its envelope exp(-(w*d)^2/2),
