@@ -30,7 +30,6 @@ from .core import (
     negativity_closed,
     negativity_sectors,
     partial_transpose,
-    ratio_R,
 )
 from .quadrature import (
     ConvergenceFailure,

@@ -27,13 +27,14 @@ i*w*a) dw, one function of the kernel's columns (``_moments``).
 
 Each integral is a ``_Member`` of one of six kinds (the I_AB/J pair, the
 clock-smeared J, the series-smeared J, C, the frequency remainder and
-I_nn), whose evaluator reads the member's parameters: numbers, bools,
+I_nn), whose evaluator reads the member's parameters: numbers,
 coefficient tables and dicts of these, a time-domain member's kernel
-columns among them.  ``_finish`` applies its prefactor and phase to the
-quadrature's result.  A call adds the integrals its rows need to a
-``_Plan`` and runs each kind as one group: a member alone through
-``integrate_radial``, several in lockstep through ``integrate_lockstep``,
-which evaluates the nodes of every member of the group in one call of
+columns among them, and every member of a detector pair its windows and
+gaps as the same six numbers (``_windows``).  ``_finish`` applies its
+prefactor and phase to the quadrature's result.  A call adds the
+integrals its rows need to a ``_Plan`` and runs each kind as one group:
+a member alone through ``integrate_radial``, several in lockstep
+through ``integrate_lockstep``, which evaluates the nodes of every member of the group in one call of
 the evaluator at the columns of ``_stack``: a number every member holds
 with the same bits stays one value, and any other is read at each
 node's member.  A spatial smear is one weighted sum of its
@@ -89,7 +90,6 @@ __all__ = [
     "negativity_closed",
     "negativity_sectors",
     "bell_fractions",
-    "ratio_R",
     "ROW_ERRORS",
     "evaluate_scenario",
     "evaluate_scenarios",
@@ -126,52 +126,43 @@ class SecondOrderIntegrals:
             )
 
 
-def _origin(da: DetectorParams, db: DetectorParams) -> float:
-    """Common time origin of the kernels: the earlier switch-on time.
+def _windows(da: DetectorParams, db: DetectorParams) -> tuple[float, dict]:
+    """The common time origin t0 of a detector pair's kernels, the earlier
+    switch-on time, and what every member of the pair reads of it: both
+    windows measured from t0, and both gaps.
 
     Only time differences enter the integrands, so measuring the windows
-    from here makes the quadrature independent of a common time shift;
+    from t0 makes the quadrature independent of a common time shift;
     the constant phase the shift carries is restored exactly afterwards.
     """
-    return min(da.window.t_on, db.window.t_on)
+    t0 = min(da.window.t_on, db.window.t_on)
+    return t0, dict(a_on=da.window.t_on - t0, a_off=da.window.t_off - t0,
+                    b_on=db.window.t_on - t0, b_off=db.window.t_off - t0, g_a=da.gap, g_b=db.gap)
 
 
-def _jtilde_terms(emitter: DetectorParams, absorber: DetectorParams, t0: float) -> dict:
-    """What ``_jtilde`` reads of one emitter/absorber ordering, windows
-    measured from t0: the window edges, the gaps, which of its two time
-    domains are nonempty, and the overlap's frequency-independent block."""
-    n_on, n_off = absorber.window.t_on - t0, absorber.window.t_off - t0
-    m_on, m_off = emitter.window.t_on - t0, emitter.window.t_off - t0
-    u0, u1 = max(n_on, m_on), min(n_off, m_off)
-    v0, v1 = max(n_on, m_off), n_off
-    overlap = bool(u1 > u0)  # a NumPy bool where window edges are NumPy floats
-    const = _ediff(u0, u1, np.float64(absorber.gap + emitter.gap)) if overlap else 0j
-    return dict(absorber_gap=absorber.gap, emitter_gap=emitter.gap, m_on=m_on, m_off=m_off,
-                u0=u0, u1=u1, overlap=overlap, const=const, v0=v0, v1=v1, after=bool(v1 > v0))
-
-
-def _jtilde(omega: np.ndarray, p: dict) -> np.ndarray:
+def _jtilde(omega: np.ndarray, n_on, n_off, m_on, m_off, g_n, g_m) -> np.ndarray:
     """Correlation kernel: the nested two-time integral over absorber time t
-    and emitter time t' <= t, for any window timing, of the ordering p
-    (``_jtilde_terms``, or arrays of them, one per frequency).
+    in (n_on, n_off) and emitter time t' <= t in (m_on, m_off), absorber
+    gap g_n and emitter gap g_m, for any window timing; each a number, or
+    a column with one entry per frequency.
 
     Closed form assembled from entire ``ediff`` blocks, split into the
     overlap and no-overlap time domains and recombined before any
-    division; the only division is by omega + emitter.gap > 0, so the
-    expression is regular for all omega >= 0 (in particular at
-    omega = absorber.gap).  Disjoint windows give the product of the two
-    one-window time integrals, and an absorber window that ends before
-    the emitter's starts gives exactly 0.  The windows are measured from
-    t0; the absolute kernel is exp(i*(absorber.gap + emitter.gap)*t0)
-    times this one.
+    division; the only division is by omega + g_m > 0, so the expression
+    is regular for all omega >= 0 (in particular at omega = g_n).
+    Disjoint windows give the product of the two one-window time
+    integrals, and an absorber window that ends before the emitter's
+    starts gives exactly 0.  The windows are measured from t0
+    (``_windows``); the absolute kernel is exp(i*(g_n + g_m)*t0) times
+    this one.
     """
-    a_minus = omega - p["absorber_gap"]
-    a_plus = omega + p["emitter_gap"]
+    u0, u1, v0 = np.maximum(n_on, m_on), np.minimum(n_off, m_off), np.maximum(n_on, m_off)
+    a_minus = omega - g_n
+    a_plus = omega + g_m
     out = np.zeros(omega.shape, dtype=complex)
-    _subtract(out, p["overlap"], lambda: (p["const"] - np.exp(1j * a_plus * p["m_on"])
-                                          * _ediff(p["u0"], p["u1"], -a_minus)) / a_plus)
-    _subtract(out, p["after"], lambda: _ediff(p["v0"], p["v1"], -a_minus)
-              * _ediff(p["m_on"], p["m_off"], a_plus))
+    _subtract(out, u1 > u0, lambda: (_ediff(u0, u1, g_n + g_m) - np.exp(1j * a_plus * m_on)
+                                     * _ediff(u0, u1, -a_minus)) / a_plus)
+    _subtract(out, n_off > v0, lambda: _ediff(v0, n_off, -a_minus) * _ediff(m_on, m_off, a_plus))
     return out
 
 
@@ -259,9 +250,17 @@ def _moments(u, shift, p: dict):
     table each node's member sums with.  K(v; r)'s difference cancels to
     about eps*max(sigma, |v|)/r, so at nodes where r < 1e-5*max(sigma, |v|)
     its limit K(v; 0) = G_1, exact there to (r/sigma)^2/6, is used: the
-    columns ``limit``."""
+    columns ``limit``, evaluated at those nodes alone, and K's own at the rest."""
     u = np.asarray(u, dtype=float)
     offset, scale, tables = p["offset"], p["scale"], p["near"]
+    if "limit" in p:
+        limit = offset < 1e-5 * np.maximum(scale, np.abs(u + shift))
+        if limit.any():
+            out = np.empty(u.shape, dtype=complex)
+            for nodes, q in ((limit, p["limit"]), (~limit, p)):
+                if nodes.any():  # none of these nodes takes the limit where q is p
+                    out[nodes] = _moments(u[nodes], _take(shift, nodes), _take(q, nodes))
+            return out
     n = tables[0].shape[0]
     z = np.concatenate([(u + (shift + c)) / (_SQRT2 * scale)
                         for c in ((offset, -offset) if n > 1 else (offset,))])
@@ -282,12 +281,7 @@ def _moments(u, shift, p: dict):
             inv = 1.0 / t[far]
             out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], _take(place, far),
                                               p["far"])
-    out = out.reshape(n, -1).sum(axis=0) * p["factor"]
-    if "limit" in p:
-        limit = offset < 1e-5 * np.maximum(scale, np.abs(u + shift))
-        if limit.any():
-            return np.where(limit, _moments(u, shift, p["limit"]), out)
-    return out
+    return out.reshape(n, -1).sum(axis=0) * p["factor"]
 
 
 def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, place,
@@ -433,14 +427,12 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
     A clock offset smooths M's kinks and ends over its standard deviation
     delta_t/sqrt(2); they are then peaks of that width, or of sigma if larger.
     """
-    sigma, g_a, g_b = da.smearing, da.gap, db.gap
-    t0 = _origin(da, db)
-    a = (da.window.t_on - t0, da.window.t_off - t0)
-    b = (db.window.t_on - t0, db.window.t_off - t0)
-    lo, hi = b[0] - a[1], b[1] - a[0]
+    sigma = da.smearing
+    t0, params = _windows(da, db)
+    a_on, a_off, b_on, b_off, g_a, g_b = params.values()
+    lo, hi = b_on - a_off, b_off - a_on
     r = abs(r)
-    kinks, peaks = [0.0, b[0] - a[0], b[1] - a[1]], [(-r, sigma), (r, sigma)]
-    params = dict(a_on=a[0], a_off=a[1], b_on=b[0], b_off=b[1], g_a=g_a, g_b=g_b)
+    kinks, peaks = [0.0, b_on - a_on, b_off - a_off], [(-r, sigma), (r, sigma)]
     if delta_t > 0.0:  # M's kinks and ends, smoothed over the offset's spread
         width = max(sigma, delta_t / _SQRT2)
         peaks += [(p, width) for p in kinks[1:] + [lo, hi]]
@@ -550,7 +542,7 @@ def _spatial_request(s: Scenario, plan: _Plan) -> Callable[[], QuadResult]:
             return _sum_request(plan, [(1.0, plan.add(member))], member.pref,
                                 member.pref * bound)
     pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
-    parts = [(-1.0, plan.add(_remainder_member(s, x, pref, *plan.orderings(da, db))))]
+    parts = [(-1.0, plan.add(_remainder_member(s, x, pref)))]
     weight = math.exp(-x * x) * _SQRT_PI / delta
     if weight > 0.0:
         parts.append((weight, plan.need(("c", da, db), lambda: _c_member(da, db))))
@@ -613,26 +605,30 @@ def _share_settings(settings: QuadratureSettings, share: float, pref: float,
     return replace(settings, tol_abs=tol_abs, tol_rel=tol_rel)
 
 
-def _remainder_member(s: Scenario, x: float, pref: float, ab: dict, ba: dict) -> _Member:
+def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
     """R's frequency quadrature of ``_spatial_request`` at x = r0/delta,
-    times pref, of the orderings ab and ba; the caller subtracts it."""
+    times pref; the caller subtracts it.  Its parameters are numbers: the
+    damping's, and the windows and gaps of ``_windows``, as every
+    time-domain member of the pair holds them."""
     da, db = s.det_a, s.det_b
     delta, sig = s.position_uncertainty, da.smearing
-    t0 = _origin(da, db)
+    t0, windows = _windows(da, db)
     scale = math.sqrt(sig**2 + 0.5 * delta**2)
-    params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig, ab=ab, ba=ba)
+    params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig, **windows)
     return _member(
         "remainder", params, pref, (da.gap + db.gap,), t0,
         support=(0.0, math.sqrt(2.0 * math.log(1.0 / _TAIL)) / scale),
-        max_phase_rate=s.separation + 2.0 * (max(da.window.t_off, db.window.t_off) - t0),
+        max_phase_rate=s.separation + 2.0 * max(windows["a_off"], windows["b_off"]),
         singular_points=(da.gap, db.gap))
 
 
 def _remainder_evaluate(w, p: dict):
     """R's integrand: its damped erfi factor times the kernel Jhat of both
-    emitter/absorber orderings."""
+    orderings, A emitting to B and B to A."""
+    a, b = (p["a_on"], p["a_off"]), (p["b_on"], p["b_off"])
     return ((p["flat"] - _damped_erf(0.5 * p["delta"] * w, np.float64(p["x"])).real)
-            * np.exp(-0.5 * (w * p["sigma"]) ** 2) * (_jtilde(w, p["ab"]) + _jtilde(w, p["ba"])))
+            * np.exp(-0.5 * (w * p["sigma"]) ** 2)
+            * (_jtilde(w, *b, *a, p["g_b"], p["g_a"]) + _jtilde(w, *a, *b, p["g_a"], p["g_b"])))
 
 
 def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
@@ -797,7 +793,6 @@ class _Plan:
         self.members: dict = {}
         self.results: dict = {}
         self.durations: dict = {}   # local-term durations added, by detector
-        self.terms: dict = {}       # both orderings' ``_jtilde_terms``, by detector pair
 
     def need(self, key, make: Callable[[], _Member]):
         """key, with ``make()`` added under it unless it already is."""
@@ -810,13 +805,6 @@ class _Plan:
         key = object()
         self.members[key] = member
         return key
-
-    def orderings(self, da: DetectorParams, db: DetectorParams) -> tuple:
-        """Both orderings' ``_jtilde_terms`` of a detector pair, made once."""
-        if (da, db) not in self.terms:
-            t0 = _origin(da, db)
-            self.terms[da, db] = (_jtilde_terms(da, db, t0), _jtilde_terms(db, da, t0))
-        return self.terms[da, db]
 
     def run(self) -> None:
         groups: dict = {}
@@ -888,14 +876,6 @@ def bell_fractions(ints: SecondOrderIntegrals) -> tuple[float, float, float, flo
     psi = 0.5 * ints.i_plus
     j_re, i_ab_re = float(ints.j.real), float(ints.i_ab.real)
     return phi - j_re, phi + j_re, psi + i_ab_re, psi - i_ab_re
-
-
-def ratio_R(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Smeared-to-unsmeared magnitude ratio of the correlation term."""
-    j0 = abs(compute_J(s, settings))
-    if j0 == 0.0:
-        raise ZeroDivisionError("ratio_R: unsmeared correlation term vanishes")
-    return compute_J_smeared(s, settings) / j0
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ from harvestsim.core import (
     compute_I_nn,
     compute_J,
     compute_J_smeared,
+    evaluate_scenario,
     evaluate_scenarios,
     negativity_closed,
     partial_transpose,
-    ratio_R,
 )
 from harvestsim.core import HarvestReport
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
@@ -65,7 +65,8 @@ def fig3():
 
 def test_criterion_1_fig3_ratio():
     start = time.perf_counter()
-    r = ratio_R(reference_scenario(delta=R0))
+    rep = evaluate_scenario(reference_scenario(delta=R0))
+    r = rep.j_smeared_abs / abs(rep.j_unsmeared)
     elapsed = time.perf_counter() - start
     ok = (0.35 <= r <= 0.45) and elapsed <= 60.0
     criterion(1, "fig3 ratio at delta=r0",

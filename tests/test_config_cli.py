@@ -510,21 +510,42 @@ class TestBatchedSweep:
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
         assert len(calls) == 1
 
-    def test_correlation_terms_built_once_per_detector_pair(self, monkeypatch):
-        # both orderings' terms of the remainder's kernel Jhat are made once
-        # for fig3's one detector pair, so its 30 remainder rows hold one
-        # object each and stack no column of them
-        calls = []
-        original = core._jtilde_terms
+    def test_remainder_windows_stack_as_one_value(self, monkeypatch):
+        # fig3's 30 remainder rows share one detector pair, so each of the
+        # windows and gaps its kernel Jhat reads stays one value when the
+        # group is stacked, not a column with one entry per node's member
+        groups = []
+        original = core._run_group
 
-        def recorded(emitter, absorber, t0):
-            calls.append((emitter, absorber))
-            return original(emitter, absorber, t0)
+        def recorded(members, settings):
+            groups.append(members)
+            return original(members, settings)
 
-        monkeypatch.setattr(core, "_jtilde_terms", recorded)
+        monkeypatch.setattr(core, "_run_group", recorded)
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
-        assert len(calls) == 2
+        (remainder,) = [g for g in groups if g[0].kind == "remainder"]
+        assert len(remainder) == 30
+        stacked = core._stack([m.params for m in remainder])
+        for key in ("a_on", "a_off", "b_on", "b_off", "g_a", "g_b"):
+            assert not isinstance(stacked[key], np.ndarray), key
+        assert isinstance(stacked["delta"], np.ndarray)
+
+    def test_tiny_r_evaluates_only_the_limit_of_the_kernel(self, monkeypatch):
+        # r from 1e-6 to 1e-4 sigma: K(v; r) takes its r -> 0 limit G_1 at
+        # every pair node, which lies past the moments' split and needs no
+        # Faddeeva function, so K's exact form is never evaluated there
+        points = []
+        original = core.faddeeva_w
+
+        def counted(z):
+            points.append(np.size(z))
+            return original(z)
+
+        monkeypatch.setattr(core, "faddeeva_w", counted)
+        rows = run_sweep(sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 40, "log"))
+        assert len(rows) == 40 and all(r.status == "ok" for r in rows)
+        assert sum(points) <= 300
 
     def test_smear_constant_computed_once_per_r_sweep(self, monkeypatch):
         # C depends on the detector pair alone, so rows at other separations

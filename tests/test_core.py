@@ -25,12 +25,11 @@ from harvestsim.core import (
     negativity_closed,
     negativity_sectors,
     partial_transpose,
-    ratio_R,
 )
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
 from harvestsim.quadrature import ConvergenceFailure, QuadratureSettings, QuadResult
 from harvestsim.specfun import _damped_erf
-from harvestsim.sweep import _apply_parameter, figure_config, sweep_values
+from harvestsim.sweep import SweepRow, _apply_parameter, figure_config, sweep_values
 
 def detector(gap=1.0, sigma=0.1, window=(0.0, 1.0), coupling=1.0):
     return DetectorParams(coupling=coupling, gap=gap, smearing=sigma,
@@ -76,8 +75,9 @@ class TestJtilde:
 
     @staticmethod
     def jtilde(emitter, absorber, ws):
-        terms = core._jtilde_terms(emitter, absorber, 0.0)
-        return core._jtilde(np.asarray(ws, dtype=float), terms)
+        n, m = absorber.window, emitter.window
+        return core._jtilde(np.asarray(ws, dtype=float), n.t_on, n.t_off, m.t_on, m.t_off,
+                            absorber.gap, emitter.gap)
 
     def check(self, emitter, absorber, ws, tol):
         got = self.jtilde(emitter, absorber, ws)
@@ -319,6 +319,10 @@ class TestSmearedCorrelation:
             # overlapping windows at delta = r0, where Pr(r) reaches r < 0
             scenario(wa=(0.0, 1.0), wb=(0.4, 1.2), r0=0.8, sigma=0.1, delta=0.8,
                      coupling=0.05),
+            # unequal gaps, where exchanging them in one ordering of the
+            # remainder's kernel Jhat moves the result by 2%
+            scenario(wa=(0.0, 1.0), wb=(0.4, 1.2), r0=0.8, sigma=0.1, delta=0.8,
+                     gap_a=0.8, gap_b=1.3, coupling=0.05),
         ):
             closed = compute_J_smeared(s)
             r0, d = s.separation, s.position_uncertainty
@@ -1226,13 +1230,15 @@ class TestScalarStateLayer:
 class TestRatioAndReport:
     def test_ratio_delta_to_zero(self):
         s = replace(fig_scenario(), position_uncertainty=1e-3 * 0.15)
-        assert ratio_R(s) == pytest.approx(1.0, abs=1e-3)
+        rep = evaluate_scenario(s)
+        assert rep.j_smeared_abs / abs(rep.j_unsmeared) == pytest.approx(1.0, abs=1e-3)
 
-    def test_ratio_rejects_vanishing_baseline(self):
+    def test_ratio_absent_for_vanishing_baseline(self):
         s = replace(fig_scenario(), position_uncertainty=0.15)
         s = replace(s, det_a=replace(s.det_a, coupling=0.0))
-        with pytest.raises(ZeroDivisionError):
-            ratio_R(s)
+        rep = evaluate_scenario(s)
+        assert rep.j_unsmeared == 0.0
+        assert SweepRow("delta", 0.15, rep, "ok").to_record()["ratio_r"] is None
 
     def test_local_terms_independent_of_geometry(self):
         # bit-identical local terms across separation / uncertainty changes
