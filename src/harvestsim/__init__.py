@@ -40,6 +40,6 @@ from .quadrature import (
 )
 from .specfun import damped_im_erfi, ediff, faddeeva_w, sinc
 from .config import RunConfig, load_config, loads_config, save_config
-from .sweep import figure_preset, run_point, run_sweep
+from .sweep import figure_preset, run_sweep
 
 __version__ = "0.1.0"

@@ -17,11 +17,10 @@ import dataclasses
 import json
 import sys
 
-from .config import ConfigError, load_config, with_numerics
-from .core import HarvestReport
+from .config import ConfigError, load_config
+from .core import HarvestReport, evaluate_scenario
 from .quadrature import ConvergenceFailure
-from .sweep import (FIGURE_NAMES, figure_config, figure_preset, rows_to_csv, rows_to_json,
-                    run_point, run_sweep)
+from .sweep import FIGURE_NAMES, figure_config, figure_preset, rows_to_csv, rows_to_json, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +53,9 @@ def _override_numerics(cfg, args):
         overrides["tol_abs"] = args.tol_abs
     if args.tol_rel is not None:
         overrides["tol_rel"] = args.tol_rel
-    return with_numerics(cfg, **overrides) if overrides else cfg
+    if overrides:
+        cfg = dataclasses.replace(cfg, numerics=dataclasses.replace(cfg.numerics, **overrides))
+    return cfg
 
 
 def _report_to_dict(report: HarvestReport) -> dict:
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "compute":
             cfg = _override_numerics(load_config(args.config), args)
-            report = run_point(cfg)
+            report = evaluate_scenario(cfg.scenario, cfg.numerics)
             _print_report(report)
             if cfg.output.path is not None:
                 with open(cfg.output.path, "w", encoding="utf-8", newline="\n") as fh:

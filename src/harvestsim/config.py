@@ -11,11 +11,12 @@ Each check is made once, where it belongs.  The parser rejects what is
 not a config: an unknown section or key, a missing required one, text
 that does not parse as the key's kind, and a non-finite number; those
 errors read ``section.key: ...``.  Whether a value is in range is checked
-by the type that takes it (``DetectorParams``, ``SwitchingWindow``,
-``Scenario``, ``QuadratureSettings``, ``SweepSpec``, ``OutputSpec``), and
-its error reads ``[section]: <Type>: ...``.  The one range check made
-here is that [detector_a].smearing, the unit of every '*sigma' length, is
-positive, before any length is parsed.
+by the type that takes it.  The model's types (``DetectorParams``,
+``SwitchingWindow``, ``Scenario``, ``QuadratureSettings``) report it as
+``[section]: <Type>: ...``; this module's ``SweepSpec`` and ``OutputSpec``
+name the key, ``section.key: ...``, as the parser does.  The one range
+check made here is that [detector_a].smearing, the unit of every '*sigma'
+length, is positive, before any length is parsed.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import dataclasses
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .detectors import DetectorParams, Scenario, SwitchingWindow
 from .quadrature import QuadratureSettings
@@ -262,7 +263,3 @@ def save_config(cfg: RunConfig, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_config(cfg))
 
-
-def with_numerics(cfg: RunConfig, **overrides) -> RunConfig:
-    """Return a copy with selected numerics fields replaced (CLI flags)."""
-    return replace(cfg, numerics=replace(cfg.numerics, **overrides))

@@ -765,10 +765,7 @@ def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
         params = _stack([m.params for m in members])
 
         def evaluate(x, owner):
-            # a call within one large member needs no per-node parameters;
-            # otherwise ``place``, each node's owner, picks its member's tables
-            if (owner == owner[0]).all():
-                return _EVALUATE[members[0].kind](x, members[owner[0]].params)
+            # ``place``, each node's owner, picks its member's tables
             return _EVALUATE[members[0].kind](x, dict(_take(params, owner), place=owner))
 
         results = integrate_lockstep([m.spec for m in members], evaluate, settings)

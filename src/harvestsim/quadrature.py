@@ -209,9 +209,13 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     d = a[1:] - a[:-1]
     # the slack keeps a piece one rounding wider than the cap in one panel
     n = np.maximum(1.0, np.ceil(d / cap - 1e-9))
+    ends = np.cumsum(n)
+    if not ends[-1] < 2.0 ** 63:  # counted in floats, before the cast can wrap
+        raise ValueError(f"integrate_radial: a first partition of {ends[-1]:.3g} panels "
+                         "does not fit an int64")
     # per panel: the piece it cuts, and that piece's first panel
     piece = np.repeat(np.arange(n.size), n.astype(np.int64))
-    first = (np.cumsum(n) - n)[piece]
+    first = (ends - n)[piece]
     edges = a[piece] + d[piece] * (np.arange(piece.size) - first) / n[piece]
     return np.append(edges, hi)
 
@@ -274,7 +278,7 @@ def integrate_radial(
     length-k arrays of both.
     """
     (out,) = integrate_lockstep([spec], lambda x, owner: spec.evaluate(x), settings)
-    if isinstance(out, ConvergenceFailure):
+    if isinstance(out, Exception):
         raise out
     return out
 
@@ -295,21 +299,26 @@ def integrate_lockstep(
     single spec); it must equal ``specs[owner[i]].evaluate`` at x[i],
     and every spec must have the same number of components.  Returns,
     in spec order, the result or the ConvergenceFailure
-    ``integrate_radial`` would raise.
+    ``integrate_radial`` would raise, or the ValueError of a first
+    partition that cannot be built.
     """
-    a, b, evals, spans = [], [], [], []
-    for spec in specs:
-        edges = _initial_panels(spec)
+    a, b, evals, spans, out = [], [], [], [], [None] * len(specs)
+    for i, spec in enumerate(specs):
+        try:
+            edges = _initial_panels(spec)
+        except ValueError as exc:
+            out[i], edges = exc, np.array(spec.support[:1])  # no panels
         a.append(edges[:-1])
         b.append(edges[1:])
         evals.append(15 * (edges.size - 1))
         # its range, and the width below which a panel is not bisected
         lo, hi = spec.support
         spans.append((hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi))))
-    active = list(range(len(specs)))
+    active = [i for i, res in enumerate(out) if res is None]
+    if not active:
+        return out
     group = len(specs) > 1
-    vals, errs, scalar = _gk15(evaluate, a, b, active if group else None)
-    out: list = [None] * len(specs)
+    vals, errs, scalar = _gk15(evaluate, a, b, list(range(len(specs))) if group else None)
     while active:
         keep, new_a, new_b = {}, [], []
         for i in active:

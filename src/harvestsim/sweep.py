@@ -1,4 +1,4 @@
-"""Single-point evaluation, parameter sweeps, and figure presets.
+"""Parameter sweeps, figure presets and their tables.
 
 A sweep is one call to ``evaluate_scenarios``, which computes what its
 rows share once: the local term of every detector the sweep leaves
@@ -24,14 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import OutputSpec, RunConfig, SweepSpec
-from .core import ROW_ERRORS, HarvestReport, evaluate_scenario, evaluate_scenarios
+from .core import ROW_ERRORS, HarvestReport, evaluate_scenarios
 from .detectors import DetectorParams, Scenario, SwitchingWindow, light_contact_interval
 from .quadrature import QuadratureSettings
 
 __all__ = [
     "SweepRow",
     "COLUMNS",
-    "run_point",
     "run_sweep",
     "figure_config",
     "figure_preset",
@@ -108,10 +107,6 @@ class SweepRow:
         return rec
 
 
-def run_point(cfg: RunConfig) -> HarvestReport:
-    return evaluate_scenario(cfg.scenario, cfg.numerics)
-
-
 def _apply_parameter(scenario: Scenario, parameter: str, value: float) -> tuple[Scenario, float | None]:
     """Return (scenario for this sweep point, time-smear width or None)."""
     if parameter == "r":
@@ -168,39 +163,37 @@ def run_sweep(cfg: RunConfig) -> list[SweepRow]:
 
 # --- figure presets -------------------------------------------------------
 
-_PRESET_SIGMA = 0.001
-_PRESET_GAP = 1.0
-_PRESET_COUPLING = 0.01  # default coupling 0.01*gap
-_PRESET_WINDOW_A = SwitchingWindow(0.0, 100.0 * _PRESET_SIGMA)
-_PRESET_WINDOW_B = SwitchingWindow(150.0 * _PRESET_SIGMA, 250.0 * _PRESET_SIGMA)
-_PRESET_R0 = 150.0 * _PRESET_SIGMA
+_SIGMA = 0.001
+_R0 = 150.0 * _SIGMA
+_DETECTOR = dict(coupling=0.01, gap=1.0, smearing=_SIGMA)  # default coupling 0.01*gap
+_REFERENCE = Scenario(
+    det_a=DetectorParams(window=SwitchingWindow(0.0, 100.0 * _SIGMA), **_DETECTOR),
+    det_b=DetectorParams(window=SwitchingWindow(150.0 * _SIGMA, 250.0 * _SIGMA), **_DETECTOR),
+    separation=_R0,
+    position_uncertainty=0.0,
+)
+_LIGHT_CONTACT = dict(zip(("light_contact_r_min", "light_contact_r_max"),
+                          light_contact_interval(_REFERENCE.det_a.window,
+                                                 _REFERENCE.det_b.window)))
+_FIG2 = SweepSpec(parameter="r", start=10.0 * _SIGMA, stop=400.0 * _SIGMA,
+                  points=200, spacing="linear")
 
-FIGURE_NAMES = ("fig2a", "fig2b", "fig3")
-
-
-def _preset_scenario() -> Scenario:
-    det = dict(coupling=_PRESET_COUPLING, gap=_PRESET_GAP, smearing=_PRESET_SIGMA)
-    return Scenario(
-        det_a=DetectorParams(window=_PRESET_WINDOW_A, **det),
-        det_b=DetectorParams(window=_PRESET_WINDOW_B, **det),
-        separation=_PRESET_R0,
-        position_uncertainty=0.0,
-    )
+# name -> (its sweep of the reference scenario, the keys its sidecar adds)
+_PRESETS = {
+    "fig2a": (_FIG2, _LIGHT_CONTACT),
+    "fig2b": (_FIG2, _LIGHT_CONTACT | {"highlight_column": "bell_phi_plus"}),
+    "fig3": (SweepSpec(parameter="delta", start=0.01 * _R0, stop=100.0 * _R0,
+                       points=41, spacing="log"), {"r0": _R0}),
+}
+FIGURE_NAMES = tuple(_PRESETS)
 
 
 def figure_config(name: str) -> RunConfig:
     """Sweep configuration reproducing one of the reference figures."""
-    scenario = _preset_scenario()
-    if name in ("fig2a", "fig2b"):
-        sweep = SweepSpec(parameter="r", start=10.0 * _PRESET_SIGMA,
-                          stop=400.0 * _PRESET_SIGMA, points=200, spacing="linear")
-    elif name == "fig3":
-        sweep = SweepSpec(parameter="delta", start=0.01 * _PRESET_R0,
-                          stop=100.0 * _PRESET_R0, points=41, spacing="log")
-    else:
+    if name not in _PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
-    return RunConfig(scenario=scenario, numerics=QuadratureSettings(),
-                     sweep=sweep, output=OutputSpec())
+    return RunConfig(scenario=_REFERENCE, numerics=QuadratureSettings(),
+                     sweep=_PRESETS[name][0], output=OutputSpec())
 
 
 def figure_preset(name: str, numerics=None) -> tuple[list[SweepRow], dict]:
@@ -208,17 +201,8 @@ def figure_preset(name: str, numerics=None) -> tuple[list[SweepRow], dict]:
     cfg = figure_config(name)
     if numerics is not None:
         cfg = replace(cfg, numerics=numerics)
-    rows = run_sweep(cfg)
-    meta = {"preset": name, "parameter": cfg.sweep.parameter}
-    if name in ("fig2a", "fig2b"):
-        lo, hi = light_contact_interval(_PRESET_WINDOW_A, _PRESET_WINDOW_B)
-        meta["light_contact_r_min"] = lo
-        meta["light_contact_r_max"] = hi
-        if name == "fig2b":
-            meta["highlight_column"] = "bell_phi_plus"
-    else:
-        meta["r0"] = _PRESET_R0
-    return rows, meta
+    meta = {"preset": name, "parameter": cfg.sweep.parameter, **_PRESETS[name][1]}
+    return run_sweep(cfg), meta
 
 
 # --- output ---------------------------------------------------------------

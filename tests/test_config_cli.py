@@ -3,7 +3,6 @@ import io
 import json
 import re
 import textwrap
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,13 +20,13 @@ from harvestsim.core import evaluate_scenario
 from harvestsim.quadrature import ConvergenceFailure, QuadratureSettings
 from harvestsim.sweep import (
     COLUMNS,
+    FIGURE_NAMES,
     SweepRow,
     _apply_parameter,
     figure_config,
     figure_preset,
     rows_to_csv,
     rows_to_json,
-    run_point,
     run_sweep,
     sweep_values,
 )
@@ -223,6 +222,21 @@ class TestInputBoundary:
         with pytest.raises(ConfigError, match=message):
             loads_config(with_value(BOUNDARY_CONFIG, section, key, value))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("points = 3", "points = 3\nspacing = cubic",
+         r"^sweep\.spacing: must be 'linear' or 'log'$"),
+        ("from = 100*sigma", "from = 0\nspacing = log",
+         r"^sweep\.from: log spacing requires from > 0$"),
+        ("points = 3", "points = 3\n\n[output]\nformat = xml",
+         r"^output\.format: must be 'csv' or 'json'$"),
+        ("points = 3", "points = 4.5", r"^sweep\.points: cannot parse integer from '4\.5'$"),
+        ("gap = 1.0", "gap = 2*sigma", r"^detector_a\.gap: '\*sigma' not allowed for this key$"),
+    ], ids=["spacing", "log-from-zero", "format", "points", "sigma-on-a-number"])
+    def test_sweep_and_output_errors_name_their_key(self, old, new, message):
+        # SweepSpec and OutputSpec name the key, as the parser does
+        with pytest.raises(ConfigError, match=message):
+            loads_config(BOUNDARY_CONFIG.replace(old, new, 1))
+
     def test_empty_optional_words_mean_defaults(self):
         cfg = loads_config(BOUNDARY_CONFIG + "spacing =\n\n[output]\nformat =\n")
         assert cfg.sweep.spacing == "linear"
@@ -253,6 +267,10 @@ class TestSweepRunner:
         assert tuple(rec.keys()) == COLUMNS
         assert rec["status"] == "ok"
         assert rec["i_aa"] > 0.0
+
+    def test_config_without_sweep_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^run_sweep: config has no \[sweep\] section$"):
+            run_sweep(loads_config(FIG2_CONFIG))
 
     def test_zero_coupling_rows(self):
         cfg = self.small_sweep_cfg(extra="")
@@ -394,21 +412,36 @@ class TestBatchedSweep:
     ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "duration", "delta_t-rejected",
             "r-tiny", "r-limit-switch", "gap-smeared"])
     def test_sweep_bit_identical_to_single_points(self, cfg):
-        # the rows of one call share their integrals and evaluate them
-        # together; every field of every report, the error estimates
-        # included, and every failure must be what the row gives alone
         rows = [_apply_parameter(cfg.scenario, cfg.sweep.parameter, float(v))
                 for v in sweep_values(cfg.sweep)]
-        together = core.evaluate_scenarios(rows, cfg.numerics)
+        self.assert_rows_as_alone(rows, cfg.numerics)
+
+    @staticmethod
+    def assert_rows_as_alone(rows, numerics):
+        """The rows of one call share their integrals and evaluate them
+        together; every field of every report, the error estimates
+        included, and every failure must be what the row gives alone.
+        Returns what the call gave."""
+        together = core.evaluate_scenarios(rows, numerics)
         for (s, time_smear), got in zip(rows, together, strict=True):
             try:
-                alone = evaluate_scenario(s, cfg.numerics, time_smear=time_smear)
+                alone = evaluate_scenario(s, numerics, time_smear=time_smear)
             except core.ROW_ERRORS as exc:
                 alone = exc
             if isinstance(alone, Exception):
                 assert (type(got), str(got)) == (type(alone), str(alone))
             else:
                 assert got == alone
+        return together
+
+    def test_row_whose_partition_cannot_be_built_fails_alone(self):
+        # a window of 1e30 asks for about 1.6e29 first panels, more than an
+        # int64 counts; that failure is its own row's, not its group's
+        cfg = sweep_cfg("duration", "0.1", "0.2", 2)
+        rows = [_apply_parameter(cfg.scenario, "duration", d) for d in (0.1, 1e30, 0.2)]
+        first, failed, last = self.assert_rows_as_alone(rows, cfg.numerics)
+        assert type(failed) is ValueError and "does not fit an int64" in str(failed)
+        assert not isinstance(first, Exception) and not isinstance(last, Exception)
 
     def test_delta_t_mixing_methods_matches_per_row_evaluation(self):
         # the windows are 50 sigma apart: offsets of 2 sigma keep them apart,
@@ -561,7 +594,7 @@ class TestBatchedSweep:
 class TestRunPoint:
     def test_point_report(self):
         cfg = loads_config(FIG2_CONFIG)
-        rep = run_point(cfg)
+        rep = evaluate_scenario(cfg.scenario, cfg.numerics)
         assert rep.integrals.i_aa > 0.0
         assert rep.causal_class.value == "fully-light-connected"
 
@@ -665,6 +698,22 @@ class TestCli:
         assert meta["light_contact_r_min"] == pytest.approx(0.05)
         assert meta["light_contact_r_max"] == pytest.approx(0.25)
 
+    def test_figure_json_holds_the_sidecar(self, tmp_path, capsys):
+        # the JSON table carries what a CSV run writes beside it
+        csv_path, json_path = tmp_path / "fig3.csv", tmp_path / "fig3.json"
+        assert main(["figure", "fig3", "--out", str(csv_path)]) == 0
+        assert main(["figure", "fig3", "--format", "json", "--out", str(json_path)]) == 0
+        capsys.readouterr()
+        data = json.loads(json_path.read_text())
+        assert len(data["rows"]) == 41
+        assert data["metadata"] == json.loads((tmp_path / "fig3.csv.meta.json").read_text())
+
+    def test_figure_to_stdout_prints_its_sidecar_on_stderr(self, capsys):
+        assert main(["figure", "fig3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == rows_to_csv(figure_preset("fig3")[0])
+        assert captured.err == '{"parameter": "delta", "preset": "fig3", "r0": 0.15}\n'
+
     def test_figure_tolerance_override_matches_preset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"
         assert main(["--tol-rel", "1e-8", "figure", "fig3", "--out", str(out_path)]) == 0
@@ -712,7 +761,8 @@ class TestCli:
     def test_compute_prints_the_smeared_term(self, tmp_path, capsys):
         text = FIG2_CONFIG + "position_uncertainty = 150*sigma\n"
         assert main(["compute", self.write_cfg(tmp_path, text)]) == 0
-        report = run_point(loads_config(text))
+        cfg = loads_config(text)
+        report = evaluate_scenario(cfg.scenario, cfg.numerics)
         lines = capsys.readouterr().out.splitlines()
         assert f"|j| smeared    = {report.j_smeared_abs!r}  (erfi-closed-form)" in lines
 
@@ -736,6 +786,8 @@ class TestCli:
     def test_figure_rejects_unknown_name(self, capsys):
         with pytest.raises(SystemExit):
             main(["figure", "fig9"])
+        with pytest.raises(ValueError, match=re.escape(str(FIGURE_NAMES))):
+            figure_config("fig9")
 
 
 class TestFigurePresetShapes:

@@ -404,6 +404,12 @@ class TestSmearedCorrelation:
         reports = core.evaluate_scenarios([(s, None) for s in rows])
         assert [r.j_smeared_abs for r in reports] == [compute_J_smeared(s) for s in rows]
 
+    @pytest.mark.parametrize("share, pref, value", [(1e-300, 1e30, 1.0), (1e-300, 1.0, 1e300)])
+    def test_no_share_settings_below_the_smallest_tolerance(self, share, pref, value):
+        # a share whose tolerance underflows to 0 is not run again
+        first = QuadResult(value, 1e-3, 15)
+        assert core._share_settings(core.DEFAULT_SETTINGS, share, pref, first) is None
+
     @pytest.mark.parametrize("delta", [0.03, 0.15])
     def test_remainder_support_ends_at_tail_tolerance(self, monkeypatch, delta):
         # the remainder's range ends where its envelope exp(-(w*d)^2/2),
@@ -1193,6 +1199,11 @@ class TestScalarStateLayer:
     def test_validate_rejects_saturated_excitation(self):
         with pytest.raises(ValueError, match=r"^assemble_rho: i_aa \+ i_bb = 1\.1 >= 1 "):
             SecondOrderIntegrals(0.6, 0.5, 0.0, 0.0).validate()
+
+    @pytest.mark.parametrize("i_aa, i_bb", [(-1e-4, 1e-4), (1e-4, -1e-4), (math.nan, 1e-4)])
+    def test_validate_rejects_negative_diagonal(self, i_aa, i_bb):
+        with pytest.raises(ValueError, match=r"^SecondOrderIntegrals: diagonal terms must be >= 0$"):
+            SecondOrderIntegrals(i_aa, i_bb, 0.0, 0.0).validate()
 
     def test_report_rejects_saturated_excitation(self):
         with pytest.raises(ValueError, match=r"^assemble_rho: i_aa \+ i_bb = .* >= 1 leaves "

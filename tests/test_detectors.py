@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,12 @@ class TestValidation:
             SwitchingWindow(1.0, 0.5)
         with pytest.raises(ValueError):
             SwitchingWindow(1.0, 1.0)
+
+    @pytest.mark.parametrize("t_on, t_off", [(0.0, math.inf), (-math.inf, 1.0),
+                                              (math.nan, 1.0)])
+    def test_window_rejects_non_finite_end(self, t_on, t_off):
+        with pytest.raises(ValueError, match="^SwitchingWindow: endpoints must be finite$"):
+            SwitchingWindow(t_on, t_off)
 
     def test_window_derived_quantities(self):
         w = SwitchingWindow(0.15, 0.25)

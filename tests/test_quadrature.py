@@ -11,6 +11,7 @@ from harvestsim.quadrature import (
     ConvergenceFailure,
     IntegrandSpec,
     QuadratureSettings,
+    QuadResult,
     _initial_panels,
     integrate_lockstep,
     integrate_radial,
@@ -304,6 +305,16 @@ class TestSpecValidation:
         assert np.array_equal(*edges)
         assert set(points) <= set(edges[0].tolist())
 
+    @pytest.mark.parametrize("error, evaluations, message", [
+        (-1e-3, 15, "abs_error must be finite and >= 0"),
+        (math.nan, 15, "abs_error must be finite and >= 0"),
+        (np.array([1e-3, math.nan]), 15, "abs_error must be finite and >= 0"),
+        (1e-3, 0, "evaluations must be > 0"),
+    ])
+    def test_result_validation(self, error, evaluations, message):
+        with pytest.raises(ValueError, match=f"^QuadResult: {message}$"):
+            QuadResult(1.0, error, evaluations)
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             QuadratureSettings(tol_abs=0.0)
@@ -431,6 +442,23 @@ class TestLockstep:
                 got, ref = got.best, ref.best
             assert (got.value, got.abs_error, got.evaluations) == (
                 ref.value, ref.abs_error, ref.evaluations)
+
+    @pytest.mark.parametrize("n_huge", [1, 2])
+    def test_partition_that_cannot_be_built_fails_alone(self, n_huge):
+        # about 8e301 first panels, more than an int64 counts: that
+        # integral's slot holds the ValueError, and the others run as alone
+        huge = IntegrandSpec(evaluate=lambda w: w + 0j, support=(0.0, 1e300),
+                             max_phase_rate=1e3)
+        specs = [gaussian_spec(1.0)] * (2 - n_huge) + [huge] * n_huge
+        out = integrate_lockstep(specs, lambda x, owner: specs[0].evaluate(x), self.SETTINGS)
+        for got in out[2 - n_huge:]:
+            assert type(got) is ValueError and "does not fit an int64" in str(got)
+        if n_huge == 1:
+            ref = integrate_radial(specs[0], self.SETTINGS)
+            assert (out[0].value, out[0].abs_error, out[0].evaluations) == (
+                ref.value, ref.abs_error, ref.evaluations)
+        with pytest.raises(ValueError, match="does not fit an int64"):
+            integrate_radial(huge, self.SETTINGS)
 
     def test_rounds_are_chunked(self, monkeypatch):
         # a first partition of 47,760 nodes: no evaluate call holds more than
