@@ -75,7 +75,7 @@ from .quadrature import (
     integrate_lockstep,
     integrate_radial,
 )
-from .specfun import _damped_erf, _ediff, faddeeva_w
+from .specfun import _damped_erf, _ediff, _faddeeva_w
 
 __all__ = [
     "SecondOrderIntegrals",
@@ -242,7 +242,7 @@ def _moments(u, shift, p: dict):
     and p_1 = t p_0 - i gives p_m = p_0 He_m(t) - i Q_m(t).  A real-weighted
     sum of p_m is factor * sum_c [w(z_c) A_c(t_c) - i B_c(t_c)],
     z_c = (u + (shift + c))/(sqrt(2) S), t_c = sqrt(2) z_c: one
-    ``faddeeva_w`` call per node and offset.  F and K(v; r) have constant A
+    ``_faddeeva_w`` call per node and offset.  F and K(v; r) have constant A
     and B = 0.  Where a sum of higher moments cancels, from |t| = ``split``
     on, it is i/t times a polynomial in 1/t (``far``), the moments'
     expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.  Each
@@ -265,7 +265,7 @@ def _moments(u, shift, p: dict):
     z = np.concatenate([(u + (shift + c)) / (_SQRT2 * scale)
                         for c in ((offset, -offset) if n > 1 else (offset,))])
     if tables[0].ndim == 1:  # constant A, B = 0: no polynomial work
-        out = faddeeva_w(z).reshape(n, -1) * tables[0][:, None]
+        out = _faddeeva_w(z).reshape(n, -1) * tables[0][:, None]
     else:
         t = _SQRT2 * z
         row = np.repeat(np.arange(n), u.size)
@@ -273,7 +273,7 @@ def _moments(u, shift, p: dict):
         split = p["split"]
         near = np.abs(t) < (np.tile(split, n) if np.ndim(split) else split)
         out = np.empty(z.size, dtype=complex)
-        w = faddeeva_w(z[near])
+        w = _faddeeva_w(z[near])
         a, b = _polynomial("ik,ipk->pi", t[near], row[near], _take(place, near), tables)
         out[near] = w * a - 1j * b
         far = ~near
@@ -334,13 +334,14 @@ def _separation_columns(r: float, sigma: float) -> dict:
                 limit=dict(offset=0.0, scale=sigma, factor=1j / sigma**2, **_G1))
 
 
-def _window(v, a, b, g_a: float, g_b: float):
+def _window(v, a, b, g_a, g_b: float):
     """M(v) = int exp(i*g_a*t + i*g_b*(t + v)) dt over t in window a with
     t + v in window b, windows as (on, off) pairs; zero outside
-    b_on - a_off < v < b_off - a_on."""
+    b_on - a_off < v < b_off - a_on.  g_a of rows (2, 1) or (2, n) gives
+    a row of M per row of g_a."""
     lo = np.maximum(a[0], b[0] - v)
     hi = np.maximum(np.minimum(a[1], b[1] - v), lo)
-    return -1j * np.exp(1j * g_b * v) * _ediff(lo, hi, np.float64(g_a + g_b))
+    return -1j * np.exp(1j * g_b * v) * _ediff(lo, hi, np.asarray(g_a + g_b, dtype=float))
 
 
 def _clock_window(v, a, b, g_a: float, g_b: float, dt: float):
@@ -453,16 +454,17 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
 def _time_evaluate(u, p: dict, exchange: bool = False):
     """The integrand of ``_time_member`` at u, for the parameters p of one
     member, or columns of them, one entry per node, with its kernel's columns."""
-    c = p["c"]
+    c, g_a = p["c"], p["g_a"]
     v = u + c
     kernel = _moments(u, c, p)
     a, b = (p["a_on"], p["a_off"]), (p["b_on"], p["b_off"])
-    m = (_clock_window(v, a, b, p["g_a"], p["g_b"], p["dt"]) if "dt" in p
-         else _window(v, a, b, p["g_a"], p["g_b"]))
+    if exchange:  # M(v; -gap_A, gap_B) and M(v; gap_A, gap_B) in one call
+        m_ab, m = _window(v, a, b, np.reshape([-g_a, g_a], (2, -1)), p["g_b"])
+    else:
+        m = (_clock_window(v, a, b, g_a, p["g_b"], p["dt"]) if "dt" in p
+             else _window(v, a, b, g_a, p["g_b"]))
     ordered = m * np.where(v >= 0.0, kernel.conj(), kernel)
-    if not exchange:
-        return ordered
-    return np.stack([_window(v, a, b, -p["g_a"], p["g_b"]) * kernel, ordered], axis=1)
+    return np.stack([m_ab * kernel, ordered], axis=1) if exchange else ordered
 
 
 def _i_nn_member(det: DetectorParams) -> _Member:

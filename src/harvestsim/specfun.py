@@ -46,12 +46,15 @@ def sinc(x):
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
-    small = np.abs(x) < _SINC_TAYLOR_CUT
-    x2 = x * x
-    taylor = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
-    # avoid 0/0 in the masked-out branch
-    safe = np.where(small, 1.0, x)
-    return np.where(small, taylor, np.sin(safe) / safe)
+    # sin(x)/x where |x| reaches the cut, the Taylor form only below it
+    big = np.abs(x) >= _SINC_TAYLOR_CUT
+    out = np.divide(np.sin(x), x, out=np.empty(x.shape), where=big)
+    if not big.all():
+        small = ~big
+        xs = x[small]
+        x2 = xs * xs
+        out[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
+    return out
 
 
 def ediff(a, b, mu):
@@ -87,9 +90,12 @@ def faddeeva_w(z):
 
 
 def _faddeeva_w(z: np.ndarray) -> np.ndarray:
-    w = wofz(z)
+    w = np.asarray(wofz(z))
     mag = np.abs(w)
-    return np.where(mag > 1.0, w / np.where(mag > 1.0, mag, 1.0), w)
+    over = mag > 1.0
+    if over.any():
+        w[over] /= mag[over]
+    return w
 
 
 def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:

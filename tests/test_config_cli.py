@@ -569,13 +569,13 @@ class TestBatchedSweep:
         # every pair node, which lies past the moments' split and needs no
         # Faddeeva function, so K's exact form is never evaluated there
         points = []
-        original = core.faddeeva_w
+        original = core._faddeeva_w
 
         def counted(z):
             points.append(np.size(z))
             return original(z)
 
-        monkeypatch.setattr(core, "faddeeva_w", counted)
+        monkeypatch.setattr(core, "_faddeeva_w", counted)
         rows = run_sweep(sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 40, "log"))
         assert len(rows) == 40 and all(r.status == "ok" for r in rows)
         assert sum(points) <= 300
