@@ -183,6 +183,9 @@ _SQRT2 = math.sqrt(2.0)
 # spatial remainder's frequency envelope.  It lies far below double
 # precision, so the cut adds nothing to any reported error.
 _TAIL = 1e-18
+# Anchors of a step smoothed by a Gaussian, in units of its width: past 7 the
+# step's slope is e^(-24.5) of its peak, so it needs no graded tail
+_SMOOTH_STEPS = (-7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0)
 # From x = r0/delta = _SERIES_X0 on, the spatial smear is one time-domain
 # quadrature of a kernel summed in powers of delta/r0 instead of C and a
 # frequency remainder, whose first partition holds about 67*x evaluations.
@@ -423,32 +426,35 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
 
     The windows are measured from the earlier switch-on time, and v from
     the kernel peak c = +-r on the side of the support's midpoint, so that
-    the peak, of width sigma, is resolved to the rounding of u = v - c.
-    Anchors: the peaks, the kink at v = 0 (J), and the kinks and ends of M.
-    A clock offset smooths M's kinks and ends over its standard deviation
-    delta_t/sqrt(2); they are then peaks of that width, or of sigma if larger.
+    the peak is resolved to the rounding of u = v - c.  Both peaks are
+    declared at the kernel's own width, its ``scale``: sigma, or the series
+    kernel's sqrt(sigma^2 + delta^2/2).  Anchors: the kink at v = 0 (J),
+    and the kinks and ends of M.  A clock offset smooths M's kinks and ends
+    into steps of its standard deviation delta_t/sqrt(2), or of sigma if
+    larger, each anchored at 0, +-1, +-3 and +-7 of that width.
     """
     sigma = da.smearing
     t0, params = _windows(da, db)
     a_on, a_off, b_on, b_off, g_a, g_b = params.values()
     lo, hi = b_on - a_off, b_off - a_on
     r = abs(r)
-    kinks, peaks = [0.0, b_on - a_on, b_off - a_off], [(-r, sigma), (r, sigma)]
+    kernel = kernel or _separation_columns(r, sigma)
+    kinks = [0.0, b_on - a_on, b_off - a_off]
     if delta_t > 0.0:  # M's kinks and ends, smoothed over the offset's spread
         width = max(sigma, delta_t / _SQRT2)
-        peaks += [(p, width) for p in kinks[1:] + [lo, hi]]
+        kinks[1:] = [p + width * k for p in kinks[1:] + [lo, hi] for k in _SMOOTH_STEPS]
         tail = delta_t * math.sqrt(math.log(1.0 / _TAIL))
         lo, hi = lo - tail, hi + tail
         params["dt"] = delta_t
     c = r if lo + hi >= 0.0 else -r
-    params.update(c=c, **(kernel or _separation_columns(r, sigma)))
+    params.update(c=c, **kernel)
     pref = da.coupling * db.coupling / (4.0 * math.pi**2)
     rates = (g_b - g_a, g_a + g_b) if kind == "pair" else (g_a + g_b,)
     return _member(kind, params, pref, rates, t0,
                    max_phase_rate=g_a + g_b,
                    singular_points=tuple(k - c for k in kinks),
                    support=(lo - c, hi - c),
-                   peaks=tuple((p - c, w) for p, w in peaks))
+                   peaks=((-r - c, kernel["scale"]), (r - c, kernel["scale"])))
 
 
 def _time_evaluate(u, p: dict, exchange: bool = False):

@@ -1,11 +1,13 @@
 """Adaptive evaluation of integrals over a finite interval.
 
 Every integrand states its own interval, its ``support``, its singular
-points (kinks or removable singularities) and its peaks, each with its
-own width.  The interval is covered by initial panels that start at the
-singular points, grow geometrically away from each peak from its width,
-and span up to two periods of the fastest oscillation; the adaptive loop
-refines them where the integrand demands it.  Each panel is integrated
+points (kinks, removable singularities or the edges of smoothed steps)
+and its peaks, each with its own width.  The interval is covered by
+initial panels that start at the singular points, grow geometrically
+away from each peak from its width, in halved steps across the first
+doublings, and span up to two periods of the fastest oscillation, so
+that most integrals meet their tolerance on this first partition; the
+adaptive loop refines them where the integrand demands it.  Each panel is integrated
 by a 15-point Gauss-Kronrod rule with the embedded 7-point Gauss rule as
 the error estimate; panels failing a width-proportional share of the
 error budget are bisected.  An integrand may have k components, several
@@ -85,9 +87,10 @@ class IntegrandSpec:
     be free of singularities (removable ones filled by the caller);
     ``support`` is the finite interval (lo, hi) integrated over;
     ``max_phase_rate`` bounds |d(phase)/dw| of any oscillatory factor;
-    ``singular_points`` are kinks or removable-singularity locations, in
-    any order, used only as panel anchors; ``peaks`` are
-    ``(position, width)`` pairs, features of that width at that position.
+    ``singular_points`` are kinks, removable-singularity locations or
+    edges of smoothed steps, in any order, used only as panel anchors;
+    ``peaks`` are ``(position, width)`` pairs, a core of that width at that
+    position with tails beyond it, graded out to the whole support.
     Anchors outside the support are allowed.
     """
 
@@ -163,9 +166,11 @@ _EPS = float(np.finfo(float).eps)
 # it the fixed cost of a call dominates, above it the working arrays leave
 # the cache.  It also caps the memory of an evaluate call, however many panels.
 _CHUNK = 3000
-# 0, -0, 1, -1, 3, -3, ..., +-(2^k - 1) up to the largest finite power: a
-# peak's graded edges in units of its width, for any number of doublings
-_STEPS = 2.0 ** np.arange(1024) - 1.0
+# 0, -0, 1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 15, -15, ..., +-(2^k - 1)
+# up to the largest finite power: a peak's graded edges in units of its width,
+# for any number of doublings.  The edges 2, 5 and 11, 3*2^(j-1) - 1 for the
+# first three doublings, halve the panels where a Gaussian core meets its tail.
+_STEPS = np.sort(np.append(2.0 ** np.arange(1024) - 1.0, (2.0, 5.0, 11.0)))
 _SIGNED_STEPS = np.stack([_STEPS, -_STEPS], axis=1).ravel()
 
 
@@ -173,9 +178,10 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     """Edges of the starting partition of the support.
 
     Singular points are anchors, and so are the edges of panels that
-    double in width away from each peak, from its own width; a peak
-    outside the range grades from the nearer end, from its distance if
-    that is larger.  Anchors within rounding of each other or of an end
+    grow away from each peak at 0, 1, 2, 3, 5, 7, 11, 15, then 2^k - 1 of
+    its own width: they double in width, and the first three doublings,
+    where a Gaussian core meets its tail, are halved.  A peak outside the
+    range grades from the nearer end, from its distance if that is larger.  Anchors within rounding of each other or of an end
     are merged, so a peak an ulp inside the range starts the same
     partition as one on its end.  Each piece between anchors is cut
     evenly into panels no wider than 1/8 of the range and than two
@@ -195,7 +201,7 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
         width = [max(s, abs(p - c)) for (p, s), c in zip(spec.peaks, q)]
         # the narrowest peak needs the most doublings; the others' extra edges lie beyond the range
         doublings = math.ceil(math.log2((hi - lo) / min(width) + 1.0)) + 1
-        steps = _SIGNED_STEPS[:2 * (doublings + 1)]
+        steps = _SIGNED_STEPS[:2 * (doublings + 4)]  # and the three halving edges
         grown = np.array(q)[:, None] + np.array(width)[:, None] * steps  # q at steps[0] = 0
         points = np.concatenate([points, grown.ravel()])
     points = np.sort(points)

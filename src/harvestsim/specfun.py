@@ -91,10 +91,9 @@ def faddeeva_w(z):
 
 def _faddeeva_w(z: np.ndarray) -> np.ndarray:
     w = np.asarray(wofz(z))
-    mag = np.abs(w)
-    over = mag > 1.0
+    over = np.abs(w) > 1.0
     if over.any():
-        w[over] /= mag[over]
+        w[over] /= np.abs(w[over])
     return w
 
 

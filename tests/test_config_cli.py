@@ -489,7 +489,7 @@ class TestBatchedSweep:
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
         assert len(counts) == 44
-        assert sum(counts) <= 11_085
+        assert sum(counts) <= 10_380
 
     def test_fig2a_quadrature_cost(self, monkeypatch):
         # one I_nn, then one I_AB/J pass per row
@@ -497,7 +497,7 @@ class TestBatchedSweep:
         rows = run_sweep(figure_config("fig2a"))
         assert len(rows) == 200 and all(r.status == "ok" for r in rows)
         assert len(counts) == 201
-        assert sum(counts) <= 59_370
+        assert sum(counts) <= 54_030
 
     def test_local_term_computed_once_per_duration(self, monkeypatch):
         # I_nn reads the coupling, gap, smearing and window duration, not where

@@ -27,7 +27,13 @@ from harvestsim.core import (
     partial_transpose,
 )
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
-from harvestsim.quadrature import ConvergenceFailure, QuadratureSettings, QuadResult
+from harvestsim.quadrature import (
+    ConvergenceFailure,
+    QuadratureSettings,
+    QuadResult,
+    _initial_panels,
+    integrate_radial,
+)
 from harvestsim.specfun import _damped_erf
 from harvestsim.sweep import SweepRow, _apply_parameter, figure_config, sweep_values
 
@@ -720,6 +726,36 @@ class TestQuadratureCost:
         for dt in (0.005, 0.02, 0.04):
             assert core._single(core._clock_member(s, dt), settings).evaluations <= 1100
 
+    @pytest.mark.parametrize("name", ["i_nn", "pair", "c"]
+                             + [f"series-{d}" for d in (1.5, 3.5, 10.0)]
+                             + [f"clock-{dt}-{w}" for dt in (1.0, 5.0, 20.0)
+                                for w in ("disjoint", "overlap")])
+    def test_reference_integral_ends_on_its_first_partition(self, name):
+        # the first partition resolves each integrand's features: the kernel
+        # peaks at their own width (a series kernel's is wider than sigma),
+        # the Gaussian core's edge and the kinks a clock spread smooths, so
+        # the quadrature meets its tolerance with no refinement round
+        kind, *args = name.split("-")
+        s = fig_scenario()
+        if "overlap" in args:
+            s = replace(s, det_b=replace(s.det_b, window=SwitchingWindow(0.05, 0.15)))
+        sigma = s.det_a.smearing
+        if kind == "i_nn":
+            member = core._i_nn_member(s.det_a)
+        elif kind == "pair":
+            member = core._time_member("pair", s.det_a, s.det_b, s.separation)
+        elif kind == "c":
+            member = core._c_member(s.det_a, s.det_b)
+        elif kind == "series":
+            plan = core._Plan(core.DEFAULT_SETTINGS)
+            core._spatial_request(replace(s, position_uncertainty=float(args[0]) * sigma), plan)
+            (member,) = plan.members.values()
+            assert member.kind == "series"
+        else:
+            member = core._clock_member(s, float(args[0]) * sigma)
+        res = integrate_radial(member.spec)
+        assert res.evaluations == 15 * (_initial_panels(member.spec).size - 1)
+
     @staticmethod
     def count_quadratures(monkeypatch):
         # every integral, whether it runs alone or in a lockstep group
@@ -765,11 +801,11 @@ class TestQuadratureCost:
             compute(fig_scenario(), QuadratureSettings(eval_budget=15))
 
     def test_pair_pass_costs_what_each_integral_did(self):
-        # I_AB and J, each 450 evaluations as separate quadratures, share them
+        # I_AB and J, each 360 evaluations as separate quadratures, share them
         s = fig_scenario()
         i_ab, j = core._single(core._time_member("pair", s.det_a, s.det_b, 0.15),
                                core.DEFAULT_SETTINGS)
-        assert i_ab.evaluations == j.evaluations == 450
+        assert i_ab.evaluations == j.evaluations == 360
 
     def test_single_core(self):
         # the panel sums must not wake a BLAS thread pool: process CPU time

@@ -387,7 +387,7 @@ class TestComponents:
         # refined from 150 evaluations
         (gauss_sin_spec(0.3, 4.0), 0.2514306755871315 + 0j, 3.0635290917898007e-11, 570),
         (TestFiniteSupport.spike_spec(1.3, 1e-4, -3.0, 5.0, (1.3,)),
-         -0.8175536037758088 + 0j, 1.820623553717808e-12, 525),
+         -0.8175536037758089 + 0j, 6.970335766909308e-16, 615),
     ])
     def test_one_component_result_is_pinned(self, spec, value, error, evaluations):
         # frozen from the single-component loop: the same arithmetic and types
