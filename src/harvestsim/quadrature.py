@@ -4,16 +4,16 @@ Every integrand states its own interval, its ``support``, its singular
 points (kinks, removable singularities or the edges of smoothed steps)
 and its peaks, each with its own width.  The interval is covered by
 initial panels that start at the singular points, grow geometrically
-away from each peak from its width, in halved steps across the first
-doublings, and span up to two periods of the fastest oscillation, so
-that most integrals meet their tolerance on this first partition; the
-adaptive loop refines them where the integrand demands it.  Each panel is integrated
-by a 15-point Gauss-Kronrod rule with the embedded 7-point Gauss rule as
-the error estimate; panels failing a width-proportional share of the
-error budget are bisected.  An integrand may have k components, several
-integrals over one partition that share each evaluation: each component
-keeps its own error budget, and a panel is bisected when any of them
-misses its share.  Everything is deterministic.
+away from each peak from its width, and span up to two periods of the
+fastest oscillation, so that most integrals meet their tolerance on
+them; the adaptive loop refines them where the integrand demands it.
+Each panel is integrated by a 15-point Gauss-Kronrod rule with the
+embedded 7-point Gauss rule as the error estimate; panels failing a
+width-proportional share of the error budget are bisected.  An
+integrand may have k components, several integrals over one partition
+that share each evaluation: each component keeps its own error budget,
+and a panel is bisected when any of them misses its share.  Everything
+is deterministic.
 
 Several integrals, each on its own partition, can advance in lockstep
 (``integrate_lockstep``): each round evaluates the pending panels of all
@@ -181,9 +181,10 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     grow away from each peak at 0, 1, 2, 3, 5, 7, 11, 15, then 2^k - 1 of
     its own width: they double in width, and the first three doublings,
     where a Gaussian core meets its tail, are halved.  A peak outside the
-    range grades from the nearer end, from its distance if that is larger.  Anchors within rounding of each other or of an end
-    are merged, so a peak an ulp inside the range starts the same
-    partition as one on its end.  Each piece between anchors is cut
+    range grades from the nearer end, from its distance if that is
+    larger.  Anchors within rounding of each other or of an end are
+    merged, so a peak an ulp inside the range starts the same partition
+    as one on its end.  Each piece between anchors is cut
     evenly into panels no wider than 1/8 of the range and than two
     periods, 4*pi/max_phase_rate, of the fastest phase.  Where such a
     panel is too wide for the tolerance, the adaptive loop of

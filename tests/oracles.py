@@ -415,8 +415,7 @@ def initial_panels_reference(spec):
         width = max(s, abs(p - q))
         # 2^k - 1 widths out past the range, and 3*2^(j-1) - 1 for j = 1, 2, 3
         steps = [2.0 ** k - 1.0 for k in range(math.ceil(math.log2((hi - lo) / width + 1.0)) + 1)]
-        for j in (1, 2, 3):
-            steps.append(3.0 * 2.0 ** (j - 1) - 1.0)
+        steps += [3.0 * 2.0 ** (j - 1) - 1.0 for j in (1, 2, 3)]
         grown = width * np.array(steps)
         points += [q] + list(q - grown) + list(q + grown)
     tiny = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))

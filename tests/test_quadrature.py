@@ -386,6 +386,7 @@ class TestComponents:
     @pytest.mark.parametrize("spec, value, error, evaluations", [
         # refined from 150 evaluations
         (gauss_sin_spec(0.3, 4.0), 0.2514306755871315 + 0j, 3.0635290917898007e-11, 570),
+        # ends on its first partition of 41 panels
         (TestFiniteSupport.spike_spec(1.3, 1e-4, -3.0, 5.0, (1.3,)),
          -0.8175536037758089 + 0j, 6.970335766909308e-16, 615),
     ])
