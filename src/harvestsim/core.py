@@ -13,7 +13,7 @@ orderings.  K(-v) = conj K(v), so J's kernel is the conjugate of K where
 v >= 0, and I_AB and J are two components of one quadrature that
 evaluates K once per node.  I_nn is integrated by parts, as
 i*int M'(v) F(v) dv.  A clock offset averages M exactly, on one route,
-``_clock_member``, that checks its inputs before any quadrature.  The
+``_clock_request``, that checks its inputs before any quadrature.  The
 spatial smear, x = r0/delta, is from x = 9.5 on one time-domain
 quadrature of M against the smeared kernel summed in powers of delta/r0.
 Below, it splits its erfi factor into a separation-independent term,
@@ -37,9 +37,11 @@ a member alone through ``integrate_radial``, several in lockstep
 through ``integrate_lockstep``, which evaluates the nodes of every member of the group in one call of
 the evaluator at the columns of ``_stack``: a number every member holds
 with the same bits stays one value, and any other is read at each
-node's member.  A spatial smear is one weighted sum of its
-members' results (``_sum_request``), the one place where a sum's error
-is checked against the tolerance.
+node's member.  Every smear, a row's or one computed alone
+(``_j_smeared_result``), is one weighted sum of its members' results
+(``_sum_request``), the one place where a sum's error is checked
+against the tolerance: a clock smear's, like the series route's, of one
+part.
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -72,6 +74,7 @@ from .quadrature import (
     IntegrandSpec,
     QuadratureSettings,
     QuadResult,
+    _unwrap,
     integrate_lockstep,
     integrate_radial,
 )
@@ -680,10 +683,14 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     return dict(offset=r0, scale=scale, factor=1.0 / (2j * r0 * scale), **tables), float(bounds[n])
 
 
-def _j_smeared_result(s: Scenario, settings: QuadratureSettings) -> QuadResult:
-    """The complex spatially smeared correlation term (``_spatial_request``)."""
+def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
+                      time_smear: float | None = None) -> QuadResult:
+    """The complex correlation term smeared alone: over a clock offset of
+    scale time_smear (``_clock_request``), or without one over separations
+    (``_spatial_request``)."""
     plan = _Plan(settings)
-    smeared = _spatial_request(s, plan)
+    smeared = (_spatial_request(s, plan) if time_smear is None
+               else _clock_request(s, time_smear, plan))
     plan.run()
     return smeared()
 
@@ -696,15 +703,18 @@ def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTIN
     return abs(_j_smeared_result(s, settings).value)
 
 
-def _clock_member(s: Scenario, delta_t: float) -> _Member:
-    """Correlation term averaged over a Gaussian clock offset of B's window
-    of scale delta_t: the only route to it, which checks both of its
-    preconditions before any quadrature runs."""
+def _clock_request(s: Scenario, delta_t: float, plan: _Plan) -> Callable[[], QuadResult]:
+    """Add to ``plan`` the correlation term averaged over a Gaussian clock
+    offset of B's window of scale delta_t, and return what gives it once
+    the plan has run: a sum of one part (``_sum_request``), as the series
+    route's.  The only route to it, which checks both of its preconditions
+    before any quadrature runs."""
     if s.position_uncertainty > 0.0:
         raise ValueError("clock-offset smear: spatial and temporal smearing are exclusive")
     if not delta_t > 0.0:
         raise ValueError("clock-offset smear: delta_t must be > 0")
-    return _time_member("clock", s.det_a, s.det_b, s.separation, delta_t)
+    member = _time_member("clock", s.det_a, s.det_b, s.separation, delta_t)
+    return _sum_request(plan, [(1.0, plan.add(member))], member.pref, 0.0)
 
 
 def compute_J_time_smeared(
@@ -718,7 +728,7 @@ def compute_J_time_smeared(
     (variance delta_t^2/2) and shifts the second window; its average is
     exact for every window timing (``_clock_window``).
     """
-    return abs(_single(_clock_member(s, delta_t), settings).value)
+    return abs(_j_smeared_result(s, settings, delta_t).value)
 
 
 # each kind's evaluator; the time-domain kinds differ only in I_AB's component
@@ -784,9 +794,7 @@ def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
 def _single(member: _Member, settings: QuadratureSettings):
     """The quantity of one member, run alone; raises its failure."""
     (out,) = _run_group([member], settings)
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return _unwrap(out)
 
 
 class _Plan:
@@ -820,10 +828,7 @@ class _Plan:
                                                      self.settings)))
 
     def result(self, key):
-        out = self.results[key]
-        if isinstance(out, Exception):
-            raise out
-        return out
+        return _unwrap(self.results[key])
 
 
 def assemble_rho(ints: SecondOrderIntegrals) -> np.ndarray:
@@ -927,8 +932,7 @@ def _row_request(s: Scenario, time_smear: float | None,
     The row's smear comes first, so an input it rejects costs no
     quadrature, and its failure is the row's first."""
     if time_smear is not None:
-        key = plan.add(_clock_member(s, time_smear))
-        smear, method = (lambda: plan.result(key)), "closed-form-time"
+        smear, method = _clock_request(s, time_smear, plan), "closed-form-time"
     elif s.position_uncertainty > 0.0:
         smear, method = _spatial_request(s, plan), "erfi-closed-form"
     else:
@@ -1055,7 +1059,4 @@ def evaluate_scenario(
     a time-domain quadrature of the exactly averaged window factor.  Both
     hold for every window timing.  The local terms are never smeared.
     """
-    out = evaluate_scenarios([(s, time_smear)], settings)[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return _unwrap(evaluate_scenarios([(s, time_smear)], settings)[0])

@@ -285,9 +285,15 @@ def integrate_radial(
     length-k arrays of both.
     """
     (out,) = integrate_lockstep([spec], lambda x, owner: spec.evaluate(x), settings)
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return _unwrap(out)
+
+
+def _unwrap(slot):
+    """The result a slot holds: a lockstep group's, or a plan's; raises
+    the exception it holds instead."""
+    if isinstance(slot, Exception):
+        raise slot
+    return slot
 
 
 def integrate_lockstep(

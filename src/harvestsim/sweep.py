@@ -20,6 +20,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,31 +39,45 @@ __all__ = [
     "rows_to_json",
 ]
 
-COLUMNS = (
-    "parameter",
-    "value",
-    "i_aa",
-    "i_bb",
-    "i_ab_re",
-    "i_ab_im",
-    "j_re",
-    "j_im",
-    "j_abs",
-    "j_smeared_abs",
-    "ratio_r",
-    "negativity_raw",
-    "negativity",
-    "bell_phi_plus",
-    "bell_phi_minus",
-    "bell_psi_plus",
-    "bell_psi_minus",
-    "causal_class",
-    "err_i_aa",
-    "err_i_bb",
-    "err_i_ab",
-    "err_j",
-    "status",
-)
+def _error(name: str):
+    """What reads the reported error of the integral ``name``."""
+    return lambda rep: rep.quad_errors.get(name)
+
+
+def _ratio_r(rep: HarvestReport) -> float | None:
+    """R = |smeared J|/|J|, where a smear applies and J is not 0."""
+    j = abs(rep.j_unsmeared)
+    return rep.j_smeared_abs / j if rep.j_smeared_abs is not None and j > 0.0 else None
+
+
+# each column, in table order, and what it reads of a row's report; the
+# row's own fields read None
+_FIELDS = {
+    "parameter": None,
+    "value": None,
+    "i_aa": attrgetter("integrals.i_aa"),
+    "i_bb": attrgetter("integrals.i_bb"),
+    "i_ab_re": attrgetter("integrals.i_ab.real"),
+    "i_ab_im": attrgetter("integrals.i_ab.imag"),
+    "j_re": attrgetter("j_unsmeared.real"),
+    "j_im": attrgetter("j_unsmeared.imag"),
+    "j_abs": lambda rep: abs(rep.j_unsmeared),
+    "j_smeared_abs": attrgetter("j_smeared_abs"),
+    "ratio_r": _ratio_r,
+    "negativity_raw": attrgetter("negativity_raw"),
+    "negativity": attrgetter("negativity"),
+    "bell_phi_plus": attrgetter("bell_phi_plus"),
+    "bell_phi_minus": attrgetter("bell_phi_minus"),
+    "bell_psi_plus": attrgetter("bell_psi_plus"),
+    "bell_psi_minus": attrgetter("bell_psi_minus"),
+    "causal_class": attrgetter("causal_class.value"),
+    "err_i_aa": _error("i_aa"),
+    "err_i_bb": _error("i_bb"),
+    "err_i_ab": _error("i_ab"),
+    "err_j": _error("j"),
+    "status": None,
+}
+COLUMNS = tuple(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -73,38 +88,10 @@ class SweepRow:
     status: str  # "ok" or "<ErrorType>: message"
 
     def to_record(self) -> dict:
-        rec = {name: None for name in COLUMNS}
-        rec["parameter"] = self.parameter
-        rec["value"] = self.value
-        rec["status"] = self.status
         rep = self.report
-        if rep is None:
-            return rec
-        ints = rep.integrals
-        rec.update(
-            i_aa=ints.i_aa,
-            i_bb=ints.i_bb,
-            i_ab_re=ints.i_ab.real,
-            i_ab_im=ints.i_ab.imag,
-            j_re=rep.j_unsmeared.real,
-            j_im=rep.j_unsmeared.imag,
-            j_abs=abs(rep.j_unsmeared),
-            j_smeared_abs=rep.j_smeared_abs,
-            negativity_raw=rep.negativity_raw,
-            negativity=rep.negativity,
-            bell_phi_plus=rep.bell_phi_plus,
-            bell_phi_minus=rep.bell_phi_minus,
-            bell_psi_plus=rep.bell_psi_plus,
-            bell_psi_minus=rep.bell_psi_minus,
-            causal_class=rep.causal_class.value,
-            err_i_aa=rep.quad_errors.get("i_aa"),
-            err_i_bb=rep.quad_errors.get("i_bb"),
-            err_i_ab=rep.quad_errors.get("i_ab"),
-            err_j=rep.quad_errors.get("j"),
-        )
-        if rep.j_smeared_abs is not None and abs(rep.j_unsmeared) > 0.0:
-            rec["ratio_r"] = rep.j_smeared_abs / abs(rep.j_unsmeared)
-        return rec
+        return {name: getattr(self, name) if read is None
+                else None if rep is None else read(rep)
+                for name, read in _FIELDS.items()}
 
 
 def _apply_parameter(scenario: Scenario, parameter: str, value: float) -> tuple[Scenario, float | None]:

@@ -646,6 +646,32 @@ class TestTimeSmearedCorrelation:
                 evaluate_scenario(s, time_smear=dt)
         assert calls == []
 
+    def test_both_entry_points_return_one_checked_sum(self, monkeypatch):
+        # a clock smear is a sum of one clock part with no extra error, as
+        # the series route's: in a row and alone, with no ``_single`` call
+        sums, original = [], core._sum_request
+
+        def recorded(plan, parts, pref, extra):
+            total = original(plan, parts, pref, extra)
+
+            def value():
+                sums.append(([(w, plan.members[key].kind) for w, key in parts], extra, total()))
+                return sums[-1][2]
+            return value
+
+        def single(member, settings):
+            raise AssertionError("a smear took the single-integral route")
+
+        monkeypatch.setattr(core, "_sum_request", recorded)
+        monkeypatch.setattr(core, "_single", single)
+        s = fig_scenario()
+        smeared = compute_J_time_smeared(s, 0.005)
+        report = evaluate_scenario(s, time_smear=0.005)
+        assert [(parts, extra) for parts, extra, _ in sums] == [([(1.0, "clock")], 0.0)] * 2
+        assert smeared == abs(sums[0][2].value) == report.j_smeared_abs
+        assert report.integrals.j == sums[1][2].value
+        assert report.quad_errors["j_smeared"] == sums[1][2].abs_error
+
 
 def clock_J_gauss_hermite(s, dt, nodes=161):
     """Average the correlation term over clock offsets tau ~ N(0, dt^2/2) of
@@ -724,7 +750,7 @@ class TestQuadratureCost:
                                settings)
         assert i_ab.evaluations == j.evaluations <= 700
         for dt in (0.005, 0.02, 0.04):
-            assert core._single(core._clock_member(s, dt), settings).evaluations <= 1100
+            assert core._j_smeared_result(s, settings, dt).evaluations <= 1100
 
     @pytest.mark.parametrize("name", ["i_nn", "pair", "c"]
                              + [f"series-{d}" for d in (1.5, 3.5, 10.0)]
@@ -752,7 +778,8 @@ class TestQuadratureCost:
             (member,) = plan.members.values()
             assert member.kind == "series"
         else:
-            member = core._clock_member(s, float(args[0]) * sigma)
+            member = core._time_member("clock", s.det_a, s.det_b, s.separation,
+                                       float(args[0]) * sigma)
         res = integrate_radial(member.spec)
         assert res.evaluations == 15 * (_initial_panels(member.spec).size - 1)
 
@@ -1052,8 +1079,7 @@ class TestTimeShiftInvariance:
         delta, dt = delta_rel * r0, dt_rel * 0.1
         sm0, sm1 = (core._j_smeared_result(replace(s, position_uncertainty=delta),
                                            core.DEFAULT_SETTINGS) for s in (s0, s1))
-        ck0, ck1 = (core._single(core._clock_member(s, dt), core.DEFAULT_SETTINGS)
-                    for s in (s0, s1))
+        ck0, ck1 = (core._j_smeared_result(s, core.DEFAULT_SETTINGS, dt) for s in (s0, s1))
         for res0, res1 in ((sm0, sm1), (ck0, ck1)):
             assert abs(res1.value) == pytest.approx(abs(res0.value), rel=1e-12)
             assert abs(res1.value - res0.value * j_phase) <= 1e-12 * abs(res0.value)
