@@ -431,7 +431,8 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
     the kernel peak c = +-r on the side of the support's midpoint, so that
     the peak is resolved to the rounding of u = v - c.  Both peaks are
     declared at the kernel's own width, its ``scale``: sigma, or the series
-    kernel's sqrt(sigma^2 + delta^2/2).  Anchors: the kink at v = 0 (J),
+    kernel's sqrt(sigma^2 + delta^2/2); two closer than that, 2r < scale,
+    as one at v = 0.  Anchors: the kink at v = 0 (J),
     and the kinks and ends of M.  A clock offset smooths M's kinks and ends
     into steps of its standard deviation delta_t/sqrt(2), or of sigma if
     larger, each anchored at 0, +-1, +-3 and +-7 of that width.
@@ -450,6 +451,8 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
         lo, hi = lo - tail, hi + tail
         params["dt"] = delta_t
     c = r if lo + hi >= 0.0 else -r
+    scale = kernel["scale"]
+    peaks = (0.0,) if 2.0 * r < scale else (-r, r)
     params.update(c=c, **kernel)
     pref = da.coupling * db.coupling / (4.0 * math.pi**2)
     rates = (g_b - g_a, g_a + g_b) if kind == "pair" else (g_a + g_b,)
@@ -457,7 +460,7 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
                    max_phase_rate=g_a + g_b,
                    singular_points=tuple(k - c for k in kinks),
                    support=(lo - c, hi - c),
-                   peaks=((-r - c, kernel["scale"]), (r - c, kernel["scale"])))
+                   peaks=tuple((p - c, scale) for p in peaks))
 
 
 def _time_evaluate(u, p: dict, exchange: bool = False):
@@ -793,8 +796,7 @@ def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
 
 def _single(member: _Member, settings: QuadratureSettings):
     """The quantity of one member, run alone; raises its failure."""
-    (out,) = _run_group([member], settings)
-    return _unwrap(out)
+    return _unwrap(_run_group([member], settings)[0])
 
 
 class _Plan:
@@ -965,27 +967,18 @@ def _report(s: Scenario, method: str | None, res_sm: QuadResult | None, res_aa: 
     errors = {"i_aa": res_aa.abs_error, "i_bb": res_bb.abs_error,
               "i_ab": res_ab.abs_error, "j": res_j.abs_error}
 
-    j_unsmeared = res_j.value
-    j_eff = j_unsmeared
-    j_smeared_abs = None
+    j_eff, j_smeared_abs = res_j.value, None
     if res_sm is not None:
-        j_eff = res_sm.value
+        j_eff, j_smeared_abs = res_sm.value, abs(res_sm.value)
         errors["j_smeared"] = res_sm.abs_error
-        j_smeared_abs = abs(j_eff)
-
-    ints = SecondOrderIntegrals(
-        i_aa=res_aa.value.real,
-        i_bb=res_bb.value.real,
-        i_ab=res_ab.value,
-        j=j_eff,
-    )
+    ints = SecondOrderIntegrals(res_aa.value.real, res_bb.value.real, res_ab.value, j_eff)
     ints.validate()
     raw, clamped = negativity_closed(ints)
     outer = _corner_eigenvalue(ints)
     phi_p, phi_m, psi_p, psi_m = bell_fractions(ints)
     return HarvestReport(
         integrals=ints,
-        j_unsmeared=j_unsmeared,
+        j_unsmeared=res_j.value,
         j_smeared_abs=j_smeared_abs,
         smearing_method=method,
         negativity_raw=raw,

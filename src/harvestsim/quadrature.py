@@ -289,8 +289,7 @@ def integrate_radial(
 
 
 def _unwrap(slot):
-    """The result a slot holds: a lockstep group's, or a plan's; raises
-    the exception it holds instead."""
+    """The result a group's or a plan's slot holds; raises its exception instead."""
     if isinstance(slot, Exception):
         raise slot
     return slot

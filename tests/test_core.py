@@ -783,6 +783,15 @@ class TestQuadratureCost:
         res = integrate_radial(member.spec)
         assert res.evaluations == 15 * (_initial_panels(member.spec).size - 1)
 
+    def test_peaks_closer_than_their_width_are_one(self):
+        # at r = 1e-6 sigma K(v; r)'s peaks at +-r are one feature of width
+        # sigma: the pair's first partition grades once from v = 0, with no
+        # panel 2r wide
+        s = fig_scenario(r0=1e-9)
+        edges = _initial_panels(core._time_member("pair", s.det_a, s.det_b, s.separation).spec)
+        assert edges.size - 1 == 8
+        assert np.diff(edges).min() >= s.det_a.smearing
+
     @staticmethod
     def count_quadratures(monkeypatch):
         # every integral, whether it runs alone or in a lockstep group
@@ -1031,6 +1040,59 @@ class TestTimeDomainKernels:
                 direct += 0.5 * (hi - lo) * np.sum(wt * p * m)
             got = core._clock_window(np.array([v]), a, b, g_a, g_b, dt)[0]
             assert abs(got - direct) < 1e-13
+
+
+class TestReportedErrors:
+    """Each reported error bounds its integral's true error, on every route
+    of the correlation term: the truth is the same scenario at tolerances
+    far below the default ones, within its own reported error."""
+
+    TRUTH = QuadratureSettings(tol_abs=1e-20, tol_rel=1e-12, eval_budget=10**7)
+
+    @staticmethod
+    def rows(n=200, seed=2015):
+        # a quarter each: unsmeared, clock (dt 1 to 100 sigma), the series
+        # route (x = r0/delta 9.6 to 100) and the frequency route (x 0.1 to
+        # 9.4); gaps 1 to 32, unequal in half of the pairs; windows 50 to
+        # 1000 sigma long, B's starting within 300 sigma of A's, so that
+        # both orders and overlaps occur; r0 from 5 sigma, the least
+        # separation ``Scenario`` takes as free of detector overlap, to 500
+        rng = np.random.default_rng(seed)
+        sigma = 0.001
+        rows = []
+        for i in range(n):
+            gap_a, gap_b = 2.0 ** rng.uniform(0.0, 5.0, 2)
+            t_a, t_b = 50.0 * sigma * 20.0 ** rng.uniform(0.0, 1.0, 2)
+            b_on = sigma * rng.uniform(-300.0, 300.0)
+            r0 = 5.0 * sigma * 100.0 ** rng.uniform()
+            u = rng.uniform()
+            route = i % 4
+            delta = r0 / (9.6 * (100.0 / 9.6) ** u) if route == 2 else (
+                r0 / (0.1 * 94.0 ** u) if route == 3 else 0.0)
+            s = scenario(wa=(0.0, t_a), wb=(b_on, b_on + t_b), r0=r0, sigma=sigma, delta=delta,
+                         gap_a=gap_a, gap_b=gap_a if i % 8 < 4 else gap_b, coupling=0.01)
+            rows.append((s, sigma * 100.0 ** u if route == 1 else None))
+        return rows
+
+    @staticmethod
+    def values(rep) -> dict:
+        ints = rep.integrals
+        out = {"i_aa": ints.i_aa, "i_bb": ints.i_bb, "i_ab": ints.i_ab, "j": rep.j_unsmeared}
+        if "j_smeared" in rep.quad_errors:
+            out["j_smeared"] = ints.j
+        return out
+
+    def test_reported_errors_bound_true_errors(self):
+        rows = self.rows()
+        checked = set()
+        for (s, dt), rep, truth in zip(rows, core.evaluate_scenarios(rows),
+                                       core.evaluate_scenarios(rows, self.TRUTH)):
+            exact = self.values(truth)
+            for name, value in self.values(rep).items():
+                error = abs(value - exact[name])
+                assert error <= rep.quad_errors[name] + truth.quad_errors[name], (name, s, dt)
+                checked.add(name)
+        assert checked == {"i_aa", "i_bb", "i_ab", "j", "j_smeared"}
 
 
 class TestTimeShiftInvariance:
