@@ -39,11 +39,6 @@ __all__ = [
     "rows_to_json",
 ]
 
-def _error(name: str):
-    """What reads the reported error of the integral ``name``."""
-    return lambda rep: rep.quad_errors.get(name)
-
-
 def _ratio_r(rep: HarvestReport) -> float | None:
     """R = |smeared J|/|J|, where a smear applies and J is not 0."""
     j = abs(rep.j_unsmeared)
@@ -71,10 +66,10 @@ _FIELDS = {
     "bell_psi_plus": attrgetter("bell_psi_plus"),
     "bell_psi_minus": attrgetter("bell_psi_minus"),
     "causal_class": attrgetter("causal_class.value"),
-    "err_i_aa": _error("i_aa"),
-    "err_i_bb": _error("i_bb"),
-    "err_i_ab": _error("i_ab"),
-    "err_j": _error("j"),
+    "err_i_aa": lambda rep: rep.quad_errors.get("i_aa"),
+    "err_i_bb": lambda rep: rep.quad_errors.get("i_bb"),
+    "err_i_ab": lambda rep: rep.quad_errors.get("i_ab"),
+    "err_j": lambda rep: rep.quad_errors.get("j"),
     "status": None,
 }
 COLUMNS = tuple(_FIELDS)
