@@ -18,18 +18,10 @@ from .detectors import (
 from .core import (
     HarvestReport,
     SecondOrderIntegrals,
-    assemble_rho,
     bell_fractions,
-    compute_I_AB,
-    compute_I_nn,
-    compute_J,
-    compute_J_smeared,
-    compute_J_time_smeared,
     evaluate_scenario,
     evaluate_scenarios,
     negativity_closed,
-    negativity_sectors,
-    partial_transpose,
 )
 from .quadrature import (
     ConvergenceFailure,
@@ -38,7 +30,7 @@ from .quadrature import (
     QuadResult,
     integrate_radial,
 )
-from .specfun import damped_im_erfi, ediff, faddeeva_w, sinc
+from .specfun import ediff, faddeeva_w
 from .config import RunConfig, load_config, loads_config, save_config
 from .sweep import figure_preset, run_sweep
 

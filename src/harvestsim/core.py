@@ -47,8 +47,11 @@ Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
 one exchange term, and one |gg><ee| correlation term; entanglement at
 this order is the competition between the correlation term and the local
-noise.  ``assemble_rho`` and ``partial_transpose`` give the matrix form
-of the state for inspection; no report quantity is computed from it.
+noise.  No report quantity is computed from a matrix.  The route in is
+``evaluate_scenarios`` and its ``HarvestReport``; the ``compute_*``
+integrals, ``assemble_rho``, ``partial_transpose`` and
+``negativity_sectors`` stay here, outside ``__all__``, for the
+benchmark's probes and tracer and for the tests.
 """
 from __future__ import annotations
 
@@ -83,15 +86,7 @@ from .specfun import _damped_erf, _ediff, _faddeeva_w
 __all__ = [
     "SecondOrderIntegrals",
     "HarvestReport",
-    "compute_I_nn",
-    "compute_I_AB",
-    "compute_J",
-    "compute_J_smeared",
-    "compute_J_time_smeared",
-    "assemble_rho",
-    "partial_transpose",
     "negativity_closed",
-    "negativity_sectors",
     "bell_fractions",
     "ROW_ERRORS",
     "evaluate_scenario",
@@ -124,8 +119,8 @@ class SecondOrderIntegrals:
             )
         if self.i_plus >= 1.0:
             raise ValueError(
-                f"assemble_rho: i_aa + i_bb = {self.i_plus:.3g} >= 1 leaves no ground-state "
-                "population; outside the perturbative regime"
+                f"SecondOrderIntegrals: i_aa + i_bb = {self.i_plus:.3g} >= 1 leaves no "
+                "ground-state population; outside the perturbative regime"
             )
 
 
@@ -778,10 +773,7 @@ def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
     one evaluate call of the kind's evaluator at the stacked parameters of
     each node's member."""
     if len(members) == 1:
-        try:
-            results = [integrate_radial(members[0].spec, settings)]
-        except ROW_ERRORS as exc:
-            results = [exc]
+        results = [_attempt(integrate_radial, members[0].spec, settings)]
     else:
         params = _stack([m.params for m in members])
 
@@ -927,6 +919,15 @@ ROW_ERRORS = (ConvergenceFailure, ValueError, ZeroDivisionError)
 """Exceptions that ``evaluate_scenarios`` records for a row instead of raising."""
 
 
+def _attempt(make: Callable, *args):
+    """A slot: ``make(*args)``, or the ``ROW_ERRORS`` exception it raises,
+    which ``_unwrap`` raises again."""
+    try:
+        return make(*args)
+    except ROW_ERRORS as exc:
+        return exc
+
+
 def _row_request(s: Scenario, time_smear: float | None,
                  plan: _Plan) -> Callable[[], HarvestReport]:
     """Add to ``plan`` the integrals row s needs, keyed by what each depends
@@ -1018,20 +1019,10 @@ def evaluate_scenarios(
     that needs it.  Nothing is kept after the call returns.
     """
     plan = _Plan(settings)
-    requests: list = []
-    for s, time_smear in rows:
-        try:
-            requests.append(_row_request(s, time_smear, plan))
-        except ROW_ERRORS as exc:
-            requests.append(exc)
+    requests = [_attempt(_row_request, s, time_smear, plan) for s, time_smear in rows]
     plan.run()
-    out: list = []
-    for request in requests:
-        try:
-            out.append(request if isinstance(request, Exception) else request())
-        except ROW_ERRORS as exc:
-            out.append(exc)
-    return out
+    return [request if isinstance(request, Exception) else _attempt(request)
+            for request in requests]
 
 
 def evaluate_scenario(

@@ -1,8 +1,10 @@
 """Numerically stable elementary and special functions used by every integrand.
 
-All public functions are pure, accept scalars or numpy arrays, and
+The checked functions are pure, accept scalars or numpy arrays, and
 reject non-finite input eagerly, in one pass over each argument.  They
-compose through private kernels that do not check again.  Conventions:
+compose through private kernels that do not check again, which the
+package calls; ``sinc`` and ``damped_im_erfi``, outside ``__all__``,
+serve the benchmark's kernel probes and the tests.  Conventions:
 
 * ``sinc`` is unnormalized, sinc(x) = sin(x)/x, because the Fourier
   transform of a unit rectangle is sinc(omega/2) in that convention.
@@ -16,7 +18,7 @@ import cmath
 import numpy as np
 from scipy.special import wofz
 
-__all__ = ["sinc", "ediff", "faddeeva_w", "damped_im_erfi"]
+__all__ = ["ediff", "faddeeva_w"]
 
 # Below this the 7th-order Taylor series of sin(x)/x is exact to < 1e-18.
 _SINC_TAYLOR_CUT = 1e-2

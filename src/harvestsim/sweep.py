@@ -25,7 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from .config import OutputSpec, RunConfig, SweepSpec
-from .core import ROW_ERRORS, HarvestReport, evaluate_scenarios
+from .core import HarvestReport, _attempt, evaluate_scenarios
 from .detectors import DetectorParams, Scenario, SwitchingWindow, light_contact_interval
 from .quadrature import QuadratureSettings
 
@@ -125,12 +125,7 @@ def run_sweep(cfg: RunConfig) -> list[SweepRow]:
         raise ValueError("run_sweep: config has no [sweep] section")
     parameter = cfg.sweep.parameter
     values = [float(v) for v in sweep_values(cfg.sweep)]
-    points = []
-    for value in values:
-        try:
-            points.append(_apply_parameter(cfg.scenario, parameter, value))
-        except ROW_ERRORS as exc:
-            points.append(exc)
+    points = [_attempt(_apply_parameter, cfg.scenario, parameter, value) for value in values]
     results = iter(evaluate_scenarios(
         [p for p in points if not isinstance(p, Exception)], cfg.numerics))
     rows = []

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import textwrap
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -412,8 +413,12 @@ class TestBatchedSweep:
     ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "duration", "delta_t-rejected",
             "r-tiny", "r-limit-switch", "gap-smeared"])
     def test_sweep_bit_identical_to_single_points(self, cfg):
-        rows = [_apply_parameter(cfg.scenario, cfg.sweep.parameter, float(v))
-                for v in sweep_values(cfg.sweep)]
+        # the tiny-r sweeps build detectors closer than 5 sigma on purpose
+        sweep, sigma = cfg.sweep, cfg.scenario.det_a.smearing
+        overlap = sweep.parameter == "r" and sweep.start < 5.0 * sigma
+        with pytest.warns(UserWarning, match="detector overlap") if overlap else nullcontext():
+            rows = [_apply_parameter(cfg.scenario, sweep.parameter, float(v))
+                    for v in sweep_values(sweep)]
         self.assert_rows_as_alone(rows, cfg.numerics)
 
     @staticmethod
@@ -576,7 +581,8 @@ class TestBatchedSweep:
             return original(z)
 
         monkeypatch.setattr(core, "_faddeeva_w", counted)
-        rows = run_sweep(sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 40, "log"))
+        with pytest.warns(UserWarning, match="detector overlap"):
+            rows = run_sweep(sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 40, "log"))
         assert len(rows) == 40 and all(r.status == "ok" for r in rows)
         assert sum(points) <= 300
 
@@ -589,6 +595,37 @@ class TestBatchedSweep:
         assert len(rows) == 5 and all(r.status == "ok" for r in rows)
         assert len(calls) == 1
         assert rows_to_csv(rows) == per_row_csv(cfg)
+
+
+def raise_injected(error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+    return fail
+
+
+@pytest.mark.parametrize("site", [
+    "harvestsim.core.integrate_radial",   # an integral run alone (``_run_group``)
+    "harvestsim.core._time_member",       # a row's request pass
+    "harvestsim.core._report",            # a row's report pass
+    "harvestsim.sweep._apply_parameter",  # a sweep point
+], ids=["integral", "request", "report", "sweep-point"])
+class TestOnlyRowErrorsBecomeASlot:
+    """A failure of one of ``core.ROW_ERRORS`` is recorded in its row; any
+    other exception, wherever a row can fail, ends the call."""
+
+    @staticmethod
+    def cfg():
+        # a series row and a frequency-route row, every integral run alone
+        return sweep_cfg("delta", "15*sigma", "1500*sigma", 2, "log")
+
+    def test_row_error_is_the_rows_status(self, monkeypatch, site):
+        monkeypatch.setattr(site, raise_injected(ValueError))
+        assert [row.status for row in run_sweep(self.cfg())] == ["ValueError: injected"] * 2
+
+    def test_other_error_propagates(self, monkeypatch, site):
+        monkeypatch.setattr(site, raise_injected(RuntimeError))
+        with pytest.raises(RuntimeError, match="^injected$"):
+            run_sweep(self.cfg())
 
 
 class TestRunPoint:

@@ -787,7 +787,8 @@ class TestQuadratureCost:
         # at r = 1e-6 sigma K(v; r)'s peaks at +-r are one feature of width
         # sigma: the pair's first partition grades once from v = 0, with no
         # panel 2r wide
-        s = fig_scenario(r0=1e-9)
+        with pytest.warns(UserWarning, match="detector overlap"):
+            s = fig_scenario(r0=1e-9)
         edges = _initial_panels(core._time_member("pair", s.det_a, s.det_b, s.separation).spec)
         assert edges.size - 1 == 8
         assert np.diff(edges).min() >= s.det_a.smearing
@@ -1321,7 +1322,7 @@ class TestScalarStateLayer:
         assert outer == 0.0 and math.copysign(1.0, outer) == 1.0
 
     def test_validate_rejects_saturated_excitation(self):
-        with pytest.raises(ValueError, match=r"^assemble_rho: i_aa \+ i_bb = 1\.1 >= 1 "):
+        with pytest.raises(ValueError, match=r"^SecondOrderIntegrals: i_aa \+ i_bb = 1\.1 >= 1 "):
             SecondOrderIntegrals(0.6, 0.5, 0.0, 0.0).validate()
 
     @pytest.mark.parametrize("i_aa, i_bb", [(-1e-4, 1e-4), (1e-4, -1e-4), (math.nan, 1e-4)])
@@ -1330,8 +1331,8 @@ class TestScalarStateLayer:
             SecondOrderIntegrals(i_aa, i_bb, 0.0, 0.0).validate()
 
     def test_report_rejects_saturated_excitation(self):
-        with pytest.raises(ValueError, match=r"^assemble_rho: i_aa \+ i_bb = .* >= 1 leaves "
-                                             r"no ground-state population"):
+        with pytest.raises(ValueError, match=r"^SecondOrderIntegrals: i_aa \+ i_bb = .* >= 1 "
+                                             r"leaves no ground-state population"):
             evaluate_scenario(fig_scenario(coupling=100.0))
 
     def test_report_computes_the_negativity_once(self, monkeypatch):
