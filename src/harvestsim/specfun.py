@@ -79,8 +79,8 @@ def _ediff(a, b, mu: np.ndarray) -> np.ndarray:
 def faddeeva_w(z):
     """Faddeeva function w(z) = exp(-z^2)*erfc(-iz) on the closed upper half-plane.
 
-    Relative error <= 1e-12 over the domain; |w(z)| <= 1 is enforced
-    (the mathematical bound can be overshot by a rounding ulp).
+    Relative error <= 1e-12 over the domain, and |w(z)| <= 1 holds there:
+    w(z) = pi^(-1/2) * int_0^inf exp(-t^2/4 + izt) dt on Im z >= 0.
     Raises on Im z < 0.
     """
     _check_finite("faddeeva_w", z)
@@ -92,11 +92,7 @@ def faddeeva_w(z):
 
 
 def _faddeeva_w(z: np.ndarray) -> np.ndarray:
-    w = np.asarray(wofz(z))
-    over = np.abs(w) > 1.0
-    if over.any():
-        w[over] /= np.abs(w[over])
-    return w
+    return np.asarray(wofz(z))
 
 
 def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -90,7 +90,8 @@ class SweepRow:
 
 
 def _apply_parameter(scenario: Scenario, parameter: str, value: float) -> tuple[Scenario, float | None]:
-    """Return (scenario for this sweep point, time-smear width or None)."""
+    """Return (scenario for this sweep point, time-smear width or None);
+    ``parameter`` is one of the names ``SweepSpec`` accepts."""
     if parameter == "r":
         return replace(scenario, separation=value), None
     if parameter == "delta":
@@ -102,16 +103,15 @@ def _apply_parameter(scenario: Scenario, parameter: str, value: float) -> tuple[
         start = scenario.det_a.window.t_off + value
         new_b = replace(scenario.det_b, window=SwitchingWindow(start, start + wb.duration))
         return replace(scenario, det_b=new_b), None
-    if parameter == "duration":
-        def with_duration(det: DetectorParams) -> DetectorParams:
-            t_on = det.window.t_on
-            return replace(det, window=SwitchingWindow(t_on, t_on + value))
-        return replace(
-            scenario,
-            det_a=with_duration(scenario.det_a),
-            det_b=with_duration(scenario.det_b),
-        ), None
-    raise ValueError(f"unknown sweep parameter {parameter!r}")
+    # "duration"
+    def with_duration(det: DetectorParams) -> DetectorParams:
+        t_on = det.window.t_on
+        return replace(det, window=SwitchingWindow(t_on, t_on + value))
+    return replace(
+        scenario,
+        det_a=with_duration(scenario.det_a),
+        det_b=with_duration(scenario.det_b),
+    ), None
 
 
 def sweep_values(spec: SweepSpec) -> np.ndarray:
