@@ -185,16 +185,14 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     larger.  Anchors within rounding of each other or of an end are
     merged, so a peak an ulp inside the range starts the same partition
     as one on its end.  Each piece between anchors is cut
-    evenly into panels no wider than 1/8 of the range and than two
-    periods, 4*pi/max_phase_rate, of the fastest phase.  Where such a
-    panel is too wide for the tolerance, the adaptive loop of
-    ``integrate_radial`` bisects it, so evaluations go only where the
-    integrand needs them.
+    evenly into panels no wider than two periods, 4*pi/max_phase_rate,
+    of the fastest phase, so every edge comes from a feature the
+    integrand declares.  Where such a panel is too wide for the
+    tolerance, the adaptive loop of ``integrate_radial`` bisects it, so
+    evaluations go only where the integrand needs them.
     """
     lo, hi = spec.support
-    cap = (hi - lo) / 8.0
-    if spec.max_phase_rate > 0.0:
-        cap = min(cap, 4.0 * math.pi / spec.max_phase_rate)
+    cap = 4.0 * math.pi / spec.max_phase_rate if spec.max_phase_rate > 0.0 else math.inf
     points = spec.singular_points
     if spec.peaks:
         # in Python floats: the peaks are few

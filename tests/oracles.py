@@ -406,9 +406,7 @@ def initial_panels_reference(spec):
     peak graded on its own, the anchors sorted and merged one by one, and
     each piece between anchors cut on its own."""
     lo, hi = spec.support
-    cap = (hi - lo) / 8.0
-    if spec.max_phase_rate > 0.0:
-        cap = min(cap, 4.0 * math.pi / spec.max_phase_rate)
+    cap = 4.0 * math.pi / spec.max_phase_rate if spec.max_phase_rate > 0.0 else math.inf
     points = list(spec.singular_points)
     for p, s in spec.peaks:
         q = min(max(p, lo), hi)

@@ -49,6 +49,32 @@ FIG2_CONFIG = textwrap.dedent("""\
     separation = 150*sigma
     """)
 
+# the cancelling delta sweep the CI workflow runs through the installed command
+CANCEL_CONFIG = textwrap.dedent("""\
+    [detector_a]
+    gap = 0.5
+    coupling = 0.05
+    smearing = 0.1
+    t_on = 0
+    t_off = 10*sigma
+
+    [detector_b]
+    gap = 2.0
+    coupling = 0.05
+    smearing = 0.1
+    t_on = 20*sigma
+    t_off = 30*sigma
+
+    [scenario]
+    separation = 5*sigma
+
+    [sweep]
+    parameter = delta
+    from = 7*sigma
+    to = 10.5*sigma
+    points = 40
+    """)
+
 
 class TestLoadConfig:
     def test_minimal_reference_config(self):
@@ -447,6 +473,22 @@ class TestBatchedSweep:
         first, failed, last = self.assert_rows_as_alone(rows, cfg.numerics)
         assert type(failed) is ValueError and "does not fit an int64" in str(failed)
         assert not isinstance(first, Exception) and not isinstance(last, Exception)
+
+    def test_cancelling_sweep_integrates_a_part_again(self, monkeypatch):
+        # on some rows the remainder and C's term cancel, so that the
+        # remainder runs again alone to its share of the sum's tolerance
+        # (``core._sum_request``); every row converges
+        again = []
+        original = core._single
+
+        def recorded(member, settings):
+            again.append(member.kind)
+            return original(member, settings)
+
+        monkeypatch.setattr(core, "_single", recorded)
+        rows = run_sweep(loads_config(CANCEL_CONFIG))
+        assert len(rows) == 40 and all(r.status == "ok" for r in rows)
+        assert again and set(again) == {"remainder"}
 
     def test_delta_t_mixing_methods_matches_per_row_evaluation(self):
         # the windows are 50 sigma apart: offsets of 2 sigma keep them apart,

@@ -76,6 +76,12 @@ def fig_scenario(r0=0.15, delta=0.0, coupling=0.01):
                     delta=delta, coupling=coupling)
 
 
+def envelope_peak(s):
+    """The peaks of s's frequency remainder: its envelope exp(-(w*d)^2/2),
+    d = sqrt(sigma^2 + delta^2/2), one peak at w = 0 of width 1/d."""
+    return ((0.0, 1.0 / math.sqrt(s.det_a.smearing**2 + 0.5 * s.position_uncertainty**2)),)
+
+
 class TestJtilde:
     """``core._jtilde`` on arrays of frequencies, windows measured from 0."""
 
@@ -359,31 +365,37 @@ class TestSmearedCorrelation:
         # error on the remainder beyond the tolerance of the sum must not
         # read ok, even where each quadrature met its own target
         original = core.integrate_radial
+        s = fig_scenario(delta=0.15)
 
         def inflated(spec, settings):
             res = original(spec, settings)
-            if not spec.peaks:  # the remainder; every time-domain spec has peaks
+            if spec.peaks == envelope_peak(s):  # the remainder
                 return QuadResult(res.value, 1e-3 * abs(res.value), res.evaluations)
             return res
 
         monkeypatch.setattr(core, "integrate_radial", inflated)
-        out = core.evaluate_scenarios([(fig_scenario(delta=0.15), None)])[0]
+        out = core.evaluate_scenarios([(s, None)])[0]
         assert isinstance(out, ConvergenceFailure)
         assert out.best.abs_error > 1e-9 * abs(out.best.value)
         assert abs(out.best.value) > 0.0
 
-    # (gap_a, gap_b, delta/r0) of rows whose remainder and C's term cancel:
-    # each part meets its own tolerance on its first run, their sum does not
+    # (gap_a, gap_b, delta/r0) of rows whose remainder and C's term cancel
     CANCELLING = [(1.0, 1.0, 1.8), (1.0, 1.0, 1.85), (0.5, 2.0, 1.6), (0.5, 2.0, 1.85),
                   (0.5, 2.0, 1.9), (0.5, 2.0, 1.95), (0.5, 2.0, 2.0), (0.5, 2.0, 2.05),
                   (0.5, 2.0, 2.1), (2.0, 2.0, 1.4), (2.0, 2.0, 1.6), (2.0, 2.0, 1.8)]
+    # such rows where each part meets its own tolerance on its first run and
+    # their sum does not
+    INTEGRATED_AGAIN = [(1.0, 1.0, 1.6), (1.0, 1.0, 1.65), (1.0, 1.0, 1.7), (0.5, 2.0, 1.5),
+                        (2.0, 2.0, 1.75), (2.0, 2.0, 1.8), (2.0, 2.0, 1.85), (0.5, 0.5, 1.25),
+                        (2.0, 0.5, 1.5), (1.0, 2.0, 1.5)]
+    TIGHT = QuadratureSettings(tol_abs=1e-20, tol_rel=1e-13)
 
     @staticmethod
     def cancelling_row(gap_a, gap_b, delta_rel):
         return scenario(wa=(0.0, 1.0), wb=(2.0, 3.0), r0=0.5, gap_a=gap_a, gap_b=gap_b,
                         delta=delta_rel * 0.5, coupling=0.05)
 
-    @pytest.mark.parametrize("gap_a, gap_b, delta_rel", CANCELLING)
+    @pytest.mark.parametrize("gap_a, gap_b, delta_rel", INTEGRATED_AGAIN)
     def test_cancelling_parts_are_integrated_again(self, monkeypatch, gap_a, gap_b,
                                                    delta_rel):
         # the part missing its share of the sum's tolerance runs again alone
@@ -401,14 +413,29 @@ class TestSmearedCorrelation:
         assert [kind for kind, _ in again] == ["remainder"]
         assert again[0][1].tol_rel < core.DEFAULT_SETTINGS.tol_rel
         assert res.abs_error <= 1e-9 * abs(res.value)
-        tight = core._j_smeared_result(s, QuadratureSettings(tol_abs=1e-20, tol_rel=1e-13))
+        tight = core._j_smeared_result(s, self.TIGHT)
         assert abs(res.value - tight.value) <= res.abs_error + tight.abs_error
 
     def test_cancelling_rows_read_ok_in_a_sweep(self):
-        # in lockstep every such row gets what it gets alone
-        rows = [self.cancelling_row(*c) for c in self.CANCELLING]
+        # in lockstep every such row gets what it gets alone, within the
+        # tolerance and within its error of a tight run
+        rows = [self.cancelling_row(*c) for c in self.CANCELLING + self.INTEGRATED_AGAIN]
         reports = core.evaluate_scenarios([(s, None) for s in rows])
         assert [r.j_smeared_abs for r in reports] == [compute_J_smeared(s) for s in rows]
+        for s, rep in zip(rows, reports):
+            value, error = rep.integrals.j, rep.quad_errors["j_smeared"]
+            assert error <= 1e-9 * abs(value)
+            tight = core._j_smeared_result(s, self.TIGHT)
+            assert abs(value - tight.value) <= error + tight.abs_error
+
+    def test_remainder_declares_its_envelope(self):
+        # the first partition grades out from w = 0 at the envelope's width
+        s = fig_scenario(delta=0.15)
+        member = core._remainder_member(s, 1.0, 1.0)
+        d = math.sqrt(s.det_a.smearing**2 + 0.5 * 0.15**2)
+        ((p, width),) = member.spec.peaks
+        assert p == 0.0
+        assert width == pytest.approx(1.0 / d, rel=1e-15)
 
     @pytest.mark.parametrize("share, pref, value", [(1e-300, 1e30, 1.0), (1e-300, 1.0, 1e300)])
     def test_no_share_settings_below_the_smallest_tolerance(self, share, pref, value):
@@ -431,7 +458,7 @@ class TestSmearedCorrelation:
         monkeypatch.setattr(core, "integrate_radial", recorded)
         s = fig_scenario(delta=delta)
         compute_J_smeared(s)
-        (spec,) = [sp for sp in specs if not sp.peaks]
+        (spec,) = [sp for sp in specs if sp.peaks == envelope_peak(s)]
         lo, hi = spec.support
         d = math.sqrt(s.det_a.smearing**2 + 0.5 * delta**2)
         assert lo == 0.0
@@ -556,7 +583,7 @@ class TestSeriesSmear:
 
     def test_far_row_builds_no_remainder(self, monkeypatch):
         # x = 100: one time-domain quadrature, with peaks at v = +-r0, and no
-        # frequency remainder (the only spec without peaks)
+        # frequency remainder
         specs = self.recorded_specs(monkeypatch)
         compute_J_smeared(fig_scenario(delta=0.0015))
         (spec,) = specs
@@ -570,7 +597,7 @@ class TestSeriesSmear:
         tight = replace(core.DEFAULT_SETTINGS, tol_abs=1e-30)
         assert core._make_series_kernel(10.0, 1e-3, 0.15, 0.01, 1e-32) is None
         core._j_smeared_result(s, tight)
-        assert any(not spec.peaks for spec in specs)
+        assert any(spec.peaks == envelope_peak(s) for spec in specs)
 
     def test_error_includes_the_tail_bound(self):
         s = fig_scenario(delta=0.0015)
@@ -790,7 +817,7 @@ class TestQuadratureCost:
         with pytest.warns(UserWarning, match="detector overlap"):
             s = fig_scenario(r0=1e-9)
         edges = _initial_panels(core._time_member("pair", s.det_a, s.det_b, s.separation).spec)
-        assert edges.size - 1 == 8
+        assert edges.size - 1 == 4
         assert np.diff(edges).min() >= s.det_a.smearing
 
     @staticmethod
@@ -838,11 +865,11 @@ class TestQuadratureCost:
             compute(fig_scenario(), QuadratureSettings(eval_budget=15))
 
     def test_pair_pass_costs_what_each_integral_did(self):
-        # I_AB and J, each 360 evaluations as separate quadratures, share them
+        # I_AB and J, each 300 evaluations as separate quadratures, share them
         s = fig_scenario()
         i_ab, j = core._single(core._time_member("pair", s.det_a, s.det_b, 0.15),
                                core.DEFAULT_SETTINGS)
-        assert i_ab.evaluations == j.evaluations == 360
+        assert i_ab.evaluations == j.evaluations == 300
 
     def test_single_core(self):
         # the panel sums must not wake a BLAS thread pool: process CPU time

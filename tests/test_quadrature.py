@@ -227,14 +227,13 @@ class TestFiniteSupport:
         assert edges[0] == -3.0 and edges[-1] == 5.0
         assert np.all(widths > 0.0)
         assert widths[np.searchsorted(edges, 1.3)] == pytest.approx(1e-4, rel=1e-9)
-        assert widths.max() <= 1.0  # 1/8 of the support
 
         # two peaks of different widths in one spec: each starts its own grading
         spec = IntegrandSpec(evaluate=lambda v: v + 0j, support=(-3.0, 5.0),
                              peaks=((1.3, 1e-4), (-2.0, 3e-3)))
         edges = _initial_panels(spec)
         widths = np.diff(edges)
-        assert np.all(widths > 0.0) and widths.max() <= 1.0
+        assert np.all(widths > 0.0)
         for p, s in spec.peaks:
             i = np.searchsorted(edges, p)
             assert edges[i] == p
@@ -386,9 +385,9 @@ class TestComponents:
     @pytest.mark.parametrize("spec, value, error, evaluations", [
         # refined from 150 evaluations
         (gauss_sin_spec(0.3, 4.0), 0.2514306755871315 + 0j, 3.0635290917898007e-11, 570),
-        # ends on its first partition of 41 panels
+        # ends on its first partition of 39 panels
         (TestFiniteSupport.spike_spec(1.3, 1e-4, -3.0, 5.0, (1.3,)),
-         -0.8175536037758089 + 0j, 6.970335766909308e-16, 615),
+         -0.8175536037758084 + 0j, 5.305001229971573e-16, 585),
     ])
     def test_one_component_result_is_pinned(self, spec, value, error, evaluations):
         # frozen from the single-component loop: the same arithmetic and types
