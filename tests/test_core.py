@@ -432,7 +432,7 @@ class TestSmearedCorrelation:
         # the first partition grades out from w = 0 at the envelope's width
         s = fig_scenario(delta=0.15)
         member = core._remainder_member(s, 1.0, 1.0)
-        d = math.sqrt(s.det_a.smearing**2 + 0.5 * 0.15**2)
+        d = math.sqrt(s.det_a.smearing**2 + 0.5 * s.position_uncertainty**2)
         ((p, width),) = member.spec.peaks
         assert p == 0.0
         assert width == pytest.approx(1.0 / d, rel=1e-15)
