@@ -628,7 +628,8 @@ def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
         "remainder", params, pref, (da.gap + db.gap,), t0,
         support=(0.0, math.sqrt(2.0 * math.log(1.0 / _TAIL)) / scale),
         max_phase_rate=s.separation + 2.0 * max(windows["a_off"], windows["b_off"]),
-        singular_points=(da.gap, db.gap),
+        # the centres of Jhat's resonances, about 2*pi/T wide; _jtilde is regular at w = g
+        singular_points=(da.gap, db.gap),  # not singular: anchors the cancelling rows need
         peaks=((0.0, 1.0 / scale),))  # the envelope exp(-(w*scale)^2/2)
 
 

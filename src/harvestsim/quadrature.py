@@ -170,47 +170,41 @@ _CHUNK = 3000
 # up to the largest finite power: a peak's graded edges in units of its width,
 # for any number of doublings.  The edges 2, 5 and 11, 3*2^(j-1) - 1 for the
 # first three doublings, halve the panels where a Gaussian core meets its tail.
-_STEPS = np.sort(np.append(2.0 ** np.arange(1024) - 1.0, (2.0, 5.0, 11.0)))
-_SIGNED_STEPS = np.stack([_STEPS, -_STEPS], axis=1).ravel()
+_STEPS = sorted([2.0 ** k - 1.0 for k in range(1024)] + [2.0, 5.0, 11.0])
+_SIGNED_STEPS = [x for k in _STEPS for x in (k, -k)]
 
 
 def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     """Edges of the starting partition of the support.
 
-    Singular points are anchors, and so are the edges of panels that
-    grow away from each peak at 0, 1, 2, 3, 5, 7, 11, 15, then 2^k - 1 of
-    its own width: they double in width, and the first three doublings,
-    where a Gaussian core meets its tail, are halved.  A peak outside the
-    range grades from the nearer end, from its distance if that is
-    larger.  Anchors within rounding of each other or of an end are
-    merged, so a peak an ulp inside the range starts the same partition
-    as one on its end.  Each piece between anchors is cut
-    evenly into panels no wider than two periods, 4*pi/max_phase_rate,
-    of the fastest phase, so every edge comes from a feature the
-    integrand declares.  Where such a panel is too wide for the
-    tolerance, the adaptive loop of ``integrate_radial`` bisects it, so
-    evaluations go only where the integrand needs them.
+    Singular points are anchors, and so are the edges of panels that grow
+    away from each peak at 0, 1, 2, 3, 5, 7, 11, 15, then 2^k - 1 of its
+    own width: they double in width, and the first three doublings, where
+    a Gaussian core meets its tail, are halved.  Each peak is graded over
+    its own doublings, out past the range; one outside the range grades
+    from the nearer end, from its distance if that is larger.  Anchors
+    within rounding of each other or of an end are merged, so a peak an
+    ulp inside the range starts the same partition as one on its end.
+    Each piece between anchors is cut evenly into panels no wider than two
+    periods, 4*pi/max_phase_rate, of the fastest phase, so every edge
+    comes from a feature the integrand declares.  Where such a panel is
+    too wide for the tolerance, the adaptive loop of ``integrate_radial``
+    bisects it, so evaluations go only where the integrand needs them.
     """
     lo, hi = spec.support
     cap = 4.0 * math.pi / spec.max_phase_rate if spec.max_phase_rate > 0.0 else math.inf
-    points = spec.singular_points
-    if spec.peaks:
-        # in Python floats: the peaks are few
-        q = [min(max(p, lo), hi) for p, _ in spec.peaks]
-        width = [max(s, abs(p - c)) for (p, s), c in zip(spec.peaks, q)]
-        # the narrowest peak needs the most doublings; the others' extra edges lie beyond the range
-        doublings = math.ceil(math.log2((hi - lo) / min(width) + 1.0)) + 1
-        steps = _SIGNED_STEPS[:2 * (doublings + 4)]  # and the three halving edges
-        grown = np.array(q)[:, None] + np.array(width)[:, None] * steps  # q at steps[0] = 0
-        points = np.concatenate([points, grown.ravel()])
-    points = np.sort(points)
+    points = list(spec.singular_points)
+    for p, s in spec.peaks:
+        q = min(max(p, lo), hi)
+        width = max(s, abs(p - q))
+        doublings = math.ceil(math.log2((hi - lo) / width + 1.0)) + 1
+        points += [q + width * k for k in _SIGNED_STEPS[:2 * (doublings + 4)]]
     tiny = 64.0 * _EPS * max(abs(lo), abs(hi))
     anchors = [lo]
-    for x in points[(points > lo + tiny) & (points < hi - tiny)].tolist():
+    for x in sorted(x for x in points if lo + tiny < x < hi - tiny):
         if x - anchors[-1] > tiny:
             anchors.append(x)
-    anchors.append(hi)
-    a = np.array(anchors)
+    a = np.array(anchors + [hi])
     d = a[1:] - a[:-1]
     # the slack keeps a piece one rounding wider than the cap in one panel
     n = np.maximum(1.0, np.ceil(d / cap - 1e-9))

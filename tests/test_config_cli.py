@@ -8,7 +8,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from harvestsim import core
+from harvestsim import core, quadrature
 from harvestsim.cli import main
 from harvestsim.config import (
     ConfigError,
@@ -528,23 +528,47 @@ class TestBatchedSweep:
         monkeypatch.setattr(core, "integrate_lockstep", counted_group)
         return counts
 
+    @staticmethod
+    def record_rounds(monkeypatch):
+        # [kind, rounds] of each group: a round is one GK15 pass over the
+        # pending panels of all its members, the first partition included
+        groups = []
+        run_group, gk15 = core._run_group, quadrature._gk15
+
+        def counted_group(members, settings):
+            groups.append([members[0].kind, 0])
+            return run_group(members, settings)
+
+        def counted(*args):
+            groups[-1][1] += 1
+            return gk15(*args)
+
+        monkeypatch.setattr(core, "_run_group", counted_group)
+        monkeypatch.setattr(quadrature, "_gk15", counted)
+        return groups
+
     def test_fig3_quadrature_cost(self, monkeypatch):
         # pins the preset's total evaluations across all of its integrals:
         # one I_nn, one I_AB/J pass, C, and per row a remainder below
-        # x = r0/delta = 9.5 or the time-domain series from there on
-        counts = self.record_evaluations(monkeypatch)
+        # x = r0/delta = 9.5 or the time-domain series from there on; every
+        # group but the remainder's ends on its first partition
+        counts, groups = self.record_evaluations(monkeypatch), self.record_rounds(monkeypatch)
         rows = run_sweep(figure_config("fig3"))
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
         assert len(counts) == 44
-        assert sum(counts) <= 10_380
+        assert sum(counts) <= 8_745
+        rounds = dict(groups)
+        assert len(groups) == 5 and rounds.pop("remainder") <= 2
+        assert rounds == {"series": 1, "i_nn": 1, "pair": 1, "c": 1}
 
     def test_fig2a_quadrature_cost(self, monkeypatch):
-        # one I_nn, then one I_AB/J pass per row
-        counts = self.record_evaluations(monkeypatch)
+        # one I_nn, then one I_AB/J pass per row, each group in one round
+        counts, groups = self.record_evaluations(monkeypatch), self.record_rounds(monkeypatch)
         rows = run_sweep(figure_config("fig2a"))
         assert len(rows) == 200 and all(r.status == "ok" for r in rows)
         assert len(counts) == 201
-        assert sum(counts) <= 54_030
+        assert sum(counts) <= 40_725
+        assert sorted(groups) == [["i_nn", 1], ["pair", 1]]
 
     def test_local_term_computed_once_per_duration(self, monkeypatch):
         # I_nn reads the coupling, gap, smearing and window duration, not where

@@ -780,6 +780,7 @@ class TestQuadratureCost:
             assert core._j_smeared_result(s, settings, dt).evaluations <= 1100
 
     @pytest.mark.parametrize("name", ["i_nn", "pair", "c"]
+                             + [f"pair-{r}" for r in (45.0, 49.9, 250.5, 255.0)]
                              + [f"series-{d}" for d in (1.5, 3.5, 10.0)]
                              + [f"clock-{dt}-{w}" for dt in (1.0, 5.0, 20.0)
                                 for w in ("disjoint", "overlap")])
@@ -787,7 +788,9 @@ class TestQuadratureCost:
         # the first partition resolves each integrand's features: the kernel
         # peaks at their own width (a series kernel's is wider than sigma),
         # the Gaussian core's edge and the kinks a clock spread smooths, so
-        # the quadrature meets its tolerance with no refinement round
+        # the quadrature meets its tolerance with no refinement round; pair-r
+        # puts the kernel peak at v = r just outside the pair's support [50,
+        # 250] sigma, graded from the nearer end
         kind, *args = name.split("-")
         s = fig_scenario()
         if "overlap" in args:
@@ -796,7 +799,8 @@ class TestQuadratureCost:
         if kind == "i_nn":
             member = core._i_nn_member(s.det_a)
         elif kind == "pair":
-            member = core._time_member("pair", s.det_a, s.det_b, s.separation)
+            r = float(args[0]) * sigma if args else s.separation
+            member = core._time_member("pair", s.det_a, s.det_b, r)
         elif kind == "c":
             member = core._c_member(s.det_a, s.det_b)
         elif kind == "series":
@@ -1110,8 +1114,8 @@ class TestReportedErrors:
             out["j_smeared"] = ints.j
         return out
 
-    def test_reported_errors_bound_true_errors(self):
-        rows = self.rows()
+    def check(self, rows) -> set:
+        """The names of the values checked on rows."""
         checked = set()
         for (s, dt), rep, truth in zip(rows, core.evaluate_scenarios(rows),
                                        core.evaluate_scenarios(rows, self.TRUTH)):
@@ -1120,7 +1124,33 @@ class TestReportedErrors:
                 error = abs(value - exact[name])
                 assert error <= rep.quad_errors[name] + truth.quad_errors[name], (name, s, dt)
                 checked.add(name)
-        assert checked == {"i_aa", "i_bb", "i_ab", "j", "j_smeared"}
+        return checked
+
+    def test_reported_errors_bound_true_errors(self):
+        assert self.check(self.rows()) == {"i_aa", "i_bb", "i_ab", "j", "j_smeared"}
+
+    def test_series_route_boundary(self, monkeypatch):
+        # both sides of the series route's least x = r0/delta, _SERIES_X0:
+        # the series from x = 9.5 on, with windows T long and g apart; and
+        # two frequency-route rows below it, where the series' reported
+        # error would miss its true one by more than 3 times
+        sigma = 0.001
+        grid = [(t, g, r0, x) for x in (9.5, 10.0, 12.0) for t in (100.0, 1000.0)
+                for g in (0.0, 50.0) for r0 in (10.0, 150.0)]
+        rows = [(scenario(wa=(0.0, t * sigma), wb=((t + g) * sigma, (2.0 * t + g) * sigma),
+                          r0=r0 * sigma, sigma=sigma, delta=r0 * sigma / x, coupling=0.01), None)
+                for t, g, r0, x in grid + [(10.0, 50.0, 150.0, 7.0), (100.0, 0.0, 150.0, 7.75)]]
+        kinds = []
+        run_group = core._run_group
+
+        def recorded(members, settings):
+            if settings != self.TRUTH:  # the truth may take either route
+                kinds.extend(m.kind for m in members)
+            return run_group(members, settings)
+
+        monkeypatch.setattr(core, "_run_group", recorded)
+        assert "j_smeared" in self.check(rows)
+        assert kinds.count("series") == len(grid) and kinds.count("remainder") == 2
 
 
 class TestTimeShiftInvariance:
