@@ -7,6 +7,11 @@ it is required, and so what a config may hold; both parsing and
 such as "150*sigma", resolved against [detector_a].smearing at parse
 time; everything downstream works in natural units.
 
+The text is read in one pass over its lines (``_read``), in the grammar
+the README's "Configuration format" states: ``[name]`` headers, one-line
+``key = value`` or ``key: value`` options, '#' and ';' comments.  An
+error in it reads ``<origin>: line <n>: ...``.
+
 Each check is made once, where it belongs.  The parser rejects what is
 not a config: an unknown section or key, a missing required one, text
 that does not parse as the key's kind, and a non-finite number; those
@@ -20,9 +25,7 @@ length, is positive, before any length is parsed.
 """
 from __future__ import annotations
 
-import configparser
 import dataclasses
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -45,6 +48,7 @@ DEFAULT_COUPLING_PER_GAP = 0.01  # coupling defaults to 0.01*gap when omitted
 
 SWEEP_PARAMETERS = ("r", "delta", "delta_t", "gap", "duration")
 _SIGMA_RE = re.compile(r"^([^*]+)\*\s*sigma$", re.IGNORECASE)
+_COMMENT = re.compile(r"(?:^|(?<=\s))[#;]")
 
 # the kinds of value: a number, a length or time (a number, or <number>*sigma),
 # an integer, and a word (text kept as written)
@@ -148,18 +152,18 @@ def _parse(section: str, key: str, raw: str, sigma: float | None):
     return value
 
 
-def _value(parser, section: str, key: str, sigma: float | None):
+def _value(given: dict, section: str, key: str, sigma: float | None):
     """The parsed value of ``section.key``, or None for an optional key not given."""
-    if parser.has_option(section, key):
-        return _parse(section, key, parser.get(section, key), sigma)
+    if key in given.get(section, ()):
+        return _parse(section, key, given[section][key], sigma)
     if _SCHEMA[section][key][1]:
         raise ConfigError(f"{section}.{key}: required key missing")
     return None
 
 
-def _section(parser, section: str, sigma: float) -> dict:
+def _section(given: dict, section: str, sigma: float) -> dict:
     """The parsed values of the keys given in ``section``, by key."""
-    values = {key: _value(parser, section, key, sigma) for key in _SCHEMA[section]}
+    values = {key: _value(given, section, key, sigma) for key in _SCHEMA[section]}
     return {key: v for key, v in values.items() if v is not None}
 
 
@@ -172,59 +176,77 @@ def _make(section: str, build, *args, **kwargs):
         raise ConfigError(f"[{section}]: {exc}") from None
 
 
-def _detector(parser, section: str, sigma: float) -> DetectorParams:
-    v = _section(parser, section, sigma)
+def _detector(given: dict, section: str, sigma: float) -> DetectorParams:
+    v = _section(given, section, sigma)
     window = _make(section, SwitchingWindow, v["t_on"], v["t_off"])
     return _make(section, DetectorParams,
                  coupling=v.get("coupling", DEFAULT_COUPLING_PER_GAP * v["gap"]),
                  gap=v["gap"], smearing=v["smearing"], window=window)
 
 
-def _build(parser) -> RunConfig:
-    for section in parser.sections():
+def _build(given: dict) -> RunConfig:
+    for section, keys in given.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser.options(section):
+        for key in keys:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
     for section in ("detector_a", "detector_b", "scenario"):
-        if not parser.has_section(section):
+        if section not in given:
             raise ConfigError(f"missing section [{section}]")
-    sigma = _value(parser, "detector_a", "smearing", None)
+    sigma = _value(given, "detector_a", "smearing", None)
     if sigma <= 0.0:
         raise ConfigError("detector_a.smearing: must be > 0")
-    det_a = _detector(parser, "detector_a", sigma)
-    det_b = _detector(parser, "detector_b", sigma)
+    det_a = _detector(given, "detector_a", sigma)
+    det_b = _detector(given, "detector_b", sigma)
     scenario = _make("scenario", Scenario, det_a=det_a, det_b=det_b,
-                     **_section(parser, "scenario", sigma))
-    numerics = _make("numerics", QuadratureSettings, **_section(parser, "numerics", sigma))
+                     **_section(given, "scenario", sigma))
+    numerics = _make("numerics", QuadratureSettings, **_section(given, "numerics", sigma))
 
     sweep = None
-    if parser.has_section("sweep"):
-        v = _section(parser, "sweep", sigma)
+    if "sweep" in given:
+        v = _section(given, "sweep", sigma)
         # an empty optional word means its default, as an absent one does
         sweep = SweepSpec(parameter=v["parameter"], start=v["from"], stop=v["to"],
                           points=v["points"], spacing=v.get("spacing") or "linear")
-    v = _section(parser, "output", sigma)
+    v = _section(given, "output", sigma)
     output = OutputSpec(path=v.get("path") or None, format=v.get("format") or "csv")
     return RunConfig(scenario=scenario, numerics=numerics, sweep=sweep, output=output)
 
 
-def _new_parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(
-        interpolation=None,
-        inline_comment_prefixes=("#", ";"),
-        strict=True,
-    )
+def _read(text: str, origin: str) -> dict:
+    """``{section: {key: raw value}}`` of a config text, in one pass over its lines."""
+    given, keys, key, indent = {}, None, None, 0
+    for number, line in enumerate(text.split("\n"), 1):
+        if "#" in line or ";" in line:
+            line = _COMMENT.split(line, 1)[0]
+        body = line.strip()
+        if not body:
+            continue
+        indent, above = len(line) - len(line.lstrip()), indent
+        if key is not None and indent > above:
+            raise ConfigError(f"{origin}: line {number}: a value must fit on one line")
+        if body[0] == "[" and body[-1] == "]":
+            name, key = body[1:-1], None
+            if name in given or name == "DEFAULT":  # DEFAULT: keys shared by every section
+                raise ConfigError(f"{origin}: line {number}: section [{name}] twice or reserved")
+            keys = given[name] = {}
+            continue
+        if keys is None:
+            raise ConfigError(f"{origin}: line {number}: a line before any section")
+        eq, colon = body.find("="), body.find(":")
+        cut = colon if eq < 0 or 0 <= colon < eq else eq
+        key = body[:cut].strip().lower()
+        if cut < 0 or not key:
+            raise ConfigError(f"{origin}: line {number}: expected 'key = value' or 'key: value'")
+        if key in keys:
+            raise ConfigError(f"{origin}: line {number}: key {name}.{key} given twice")
+        keys[key] = body[cut + 1:].strip()
+    return given
 
 
 def loads_config(text: str, origin: str = "<string>") -> RunConfig:
-    parser = _new_parser()
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
-    return _build(parser)
+    return _build(_read(text, origin))
 
 
 def load_config(path) -> RunConfig:
@@ -248,15 +270,13 @@ def dump_config(cfg: RunConfig) -> str:
         "points": sweep.points, "spacing": sweep.spacing,
     }
     values["output"] = {"format": cfg.output.format, "path": cfg.output.path}
-    parser = _new_parser()
+    lines = []
     for section, keys in _SCHEMA.items():
-        if values[section] is not None:
-            parser[section] = {key: v if kind == _WORD else repr(v)
-                               for key, (kind, _) in keys.items()
-                               if (v := values[section][key]) is not None}
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+        if values[section] is not None:  # a header, a line per key given, a blank line
+            lines += [f"[{section}]"] + [f"{key} = {v if kind == _WORD else repr(v)}"
+                                         for key, (kind, _) in keys.items()
+                                         if (v := values[section][key]) is not None] + [""]
+    return "\n".join(lines) + "\n"
 
 
 def save_config(cfg: RunConfig, path) -> None:

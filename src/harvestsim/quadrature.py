@@ -204,6 +204,8 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     for x in sorted(x for x in points if lo + tiny < x < hi - tiny):
         if x - anchors[-1] > tiny:
             anchors.append(x)
+    if math.ceil((hi - lo) / cap - 1e-9) <= 1:  # monotone rounding: no piece is cut
+        return np.array([x + 0.0 for x in anchors] + [hi])  # a + 0*d below: -0.0 is 0.0
     a = np.array(anchors + [hi])
     d = a[1:] - a[:-1]
     # the slack keeps a piece one rounding wider than the cap in one panel

@@ -103,8 +103,11 @@ def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     every factor of which is bounded.
     """
     s = np.where(x >= 0.0, 1.0, -1.0)
-    w = _faddeeva_w(s * y + 1j * np.abs(x))
-    return s * (np.exp(-y * y) - np.exp(-x * x) * (w * np.exp(2j * x * y)))
+    z, damp = s * y + 1j * np.abs(x), np.exp(-x * x)
+    live = np.broadcast_to(damp > 0.0, z.shape)  # w only where its weight is not 0
+    w = np.zeros(z.shape, dtype=complex)
+    w[live] = _faddeeva_w(z[live])
+    return s * (np.exp(-y * y) - damp * (w * np.exp(2j * x * y)))
 
 
 def damped_im_erfi(x, y):

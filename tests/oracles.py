@@ -14,8 +14,13 @@ partial transpose and Bell projectors.  ``initial_panels_reference`` is
 the loop form of the quadrature's starting partition.
 ``fourier_reference`` and ``kernel_reference`` share ``faddeeva_w`` with
 the package on purpose: they pin the unsmeared kernels' arithmetic, bit
-for bit, as closed forms.
+for bit, as closed forms, and ``damped_erf_reference`` pins
+``specfun._damped_erf`` to its formula with w(z) evaluated everywhere.
+The config format is checked against ``configparser`` as configured for
+it (``config_parser``): the sections it reads and the text it writes.
 """
+import configparser
+import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -451,3 +456,38 @@ def kernel_reference(u, shift, r, sigma):
     u, shift = np.broadcast_arrays(np.asarray(u, dtype=float), shift)
     w = faddeeva_w(np.concatenate([u + (shift + r), u + (shift - r)]) / (sqrt2 * sigma))
     return (w[:u.size] - w[u.size:]) * (sqrt_pi / (sqrt2 * sigma * 2j * r))
+
+
+def damped_erf_reference(x, y):
+    """exp(-y^2) * erf(x - i*y) by the formula of ``specfun._damped_erf``,
+    w(z) evaluated at every point, weighted by exp(-x^2) or not."""
+    from harvestsim.specfun import faddeeva_w
+    s = np.where(x >= 0.0, 1.0, -1.0)
+    w = faddeeva_w(s * y + 1j * np.abs(x))
+    return s * (np.exp(-y * y) - np.exp(-x * x) * (w * np.exp(2j * x * y)))
+
+
+# --- config format ----------------------------------------------------------------
+
+def config_parser():
+    """A ``configparser`` for the config format: no interpolation, '#' and ';'
+    inline comments, and strict about duplicate sections and keys."""
+    return configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"),
+                                     strict=True)
+
+
+def config_sections(text):
+    """``{section: {key: value}}`` as ``config_parser`` reads ``text``; raises
+    ``configparser.Error`` where it rejects it."""
+    parser = config_parser()
+    parser.read_string(text)
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def config_text(sections):
+    """The text ``config_parser`` writes for ``{section: {key: value}}``."""
+    parser = config_parser()
+    parser.read_dict(sections)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()

@@ -1,18 +1,22 @@
 import csv
+import dataclasses
 import io
 import json
 import re
 import textwrap
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from harvestsim import core, quadrature
+import oracles
+from harvestsim import config, core, quadrature
 from harvestsim.cli import main
 from harvestsim.config import (
     ConfigError,
     OutputSpec,
+    dump_config,
     load_config,
     loads_config,
     save_config,
@@ -74,6 +78,51 @@ CANCEL_CONFIG = textwrap.dedent("""\
     to = 10.5*sigma
     points = 40
     """)
+
+
+ROUND_TRIP_SWEEP = textwrap.dedent("""\
+    [sweep]
+    parameter = delta
+    from = 0.0015
+    to = 15.0
+    points = 41
+    spacing = log
+    """)
+
+# with a sweep, and with every [numerics] key off its default and an [output]
+# with a path
+ROUND_TRIP_CONFIGS = (FIG2_CONFIG + ROUND_TRIP_SWEEP,
+                      FIG2_CONFIG + ROUND_TRIP_SWEEP + textwrap.dedent("""\
+                          [numerics]
+                          tol_abs = 3e-11
+                          tol_rel = 2e-8
+                          eval_budget = 50000
+
+                          [output]
+                          path = tables/delta.json
+                          format = json
+                          """))
+
+
+def configparser_dump(cfg):
+    """``dump_config(cfg)`` as configparser writes it: each field of ``cfg``
+    given, numbers by ``repr`` and words as they are."""
+    s, sweep = cfg.scenario, cfg.sweep
+    sections = {name: {"coupling": repr(d.coupling), "gap": repr(d.gap),
+                       "smearing": repr(d.smearing), "t_on": repr(d.window.t_on),
+                       "t_off": repr(d.window.t_off)}
+                for name, d in (("detector_a", s.det_a), ("detector_b", s.det_b))}
+    sections["scenario"] = {"separation": repr(s.separation),
+                            "position_uncertainty": repr(s.position_uncertainty)}
+    sections["numerics"] = {k: repr(v) for k, v in dataclasses.asdict(cfg.numerics).items()}
+    if sweep is not None:
+        sections["sweep"] = {"parameter": sweep.parameter, "from": repr(sweep.start),
+                             "to": repr(sweep.stop), "points": repr(sweep.points),
+                             "spacing": sweep.spacing}
+    sections["output"] = {"format": cfg.output.format}
+    if cfg.output.path is not None:
+        sections["output"]["path"] = cfg.output.path
+    return oracles.config_text(sections)
 
 
 class TestLoadConfig:
@@ -168,27 +217,8 @@ class TestLoadConfig:
             loads_config(FIG2_CONFIG.replace("gap = 1.0", "gap = 1.0\ngap = 2.0", 1))
 
     def test_round_trip(self, tmp_path):
-        sweep = textwrap.dedent("""\
-            [sweep]
-            parameter = delta
-            from = 0.0015
-            to = 15.0
-            points = 41
-            spacing = log
-            """)
-        # every [numerics] key off its default, and an [output] with a path
-        numerics_and_output = textwrap.dedent("""\
-            [numerics]
-            tol_abs = 3e-11
-            tol_rel = 2e-8
-            eval_budget = 50000
-
-            [output]
-            path = tables/delta.json
-            format = json
-            """)
         path = tmp_path / "cfg.ini"
-        for text in (FIG2_CONFIG + sweep, FIG2_CONFIG + sweep + numerics_and_output):
+        for text in ROUND_TRIP_CONFIGS:
             cfg = loads_config(text)
             save_config(cfg, path)
             again = load_config(path)
@@ -201,6 +231,110 @@ class TestLoadConfig:
         path = tmp_path / "cfg.ini"
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("text", (FIG2_CONFIG,) + ROUND_TRIP_CONFIGS + ("fig3",))
+    def test_dump_is_what_configparser_writes(self, text):
+        # byte for byte, on the round-trip configs and fig3's preset
+        cfg = figure_config(text) if text == "fig3" else loads_config(text)
+        assert dump_config(cfg) == configparser_dump(cfg)
+
+
+README_CONFIG = (Path(__file__).parents[1] / "README.md").read_text(
+    encoding="utf-8").split("```ini\n")[1].split("```")[0]
+
+
+def generated_config(rng):
+    """A config text drawn from the format's grammar: sections in any order,
+    keys in any case and order, '=' or ':' with any spacing, full-line and
+    inline comments, blank lines, the whole text indented or not, and '\\n'
+    or '\\r\\n' line ends."""
+    pad = ["", " ", "  ", "\t"]
+    lines = []
+
+    def filler():
+        for _ in range(rng.integers(3) if rng.random() < 0.4 else 0):
+            lines.append(rng.choice(["", "   ", "# note", "; note", "  # note = 1", "\t; [x]"]))
+
+    def comment():
+        return rng.choice(["", "", "  # note", " ; note", "\t# note: 2"])
+
+    filler()
+    names = ["detector_a", "detector_b", "Scenario", "numerics", "sweep", "output", "x y"]
+    for name in rng.permutation(names)[:rng.integers(1, len(names) + 1)]:
+        lines.append(f"[{name}]{comment()}")
+        filler()
+        keys = ["gap", "t_on", "t off", "from", "x1", "path", "Points"]
+        for key in rng.permutation(keys)[:rng.integers(len(keys) + 1)]:
+            shown = "".join(c.upper() if rng.random() < 0.3 else c for c in key)
+            value = rng.choice(["1.0", "150*sigma", "-1e-9", "", "a b", "a;b", "x#y",
+                                "C:/t=1.csv", "log"])
+            delimiter = f"{rng.choice(pad)}{rng.choice(['=', ':'])}{rng.choice(pad)}"
+            lines.append(f"{shown}{delimiter}{value}{comment()}")
+            filler()
+    indent = rng.choice(["", "  "]) if rng.random() < 0.2 else ""
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    return end.join(indent + line for line in lines) + rng.choice([end, ""])
+
+
+class TestConfigReader:
+    """The format's one-pass reader against configparser as configured for
+    it: the same sections on what both accept, an error where both reject."""
+
+    def test_reads_as_configparser_does(self):
+        rng = np.random.default_rng(34)
+        for _ in range(1500):
+            text = generated_config(rng)
+            assert config._read(text, "<t>") == oracles.config_sections(text), text
+
+    def test_readme_example(self):
+        assert config._read(README_CONFIG, "<t>") == oracles.config_sections(README_CONFIG)
+        assert loads_config(README_CONFIG).sweep.points == 200
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("[a]\nx = 1\n\n[a]\ny = 2\n", 4, r"section \[a\] twice or reserved"),
+        ("[a]\nx = 1\nX: 2\n", 3, r"key a\.x given twice"),
+        ("# head\nx = 1\n[a]\n", 2, "a line before any section"),
+        ("[a]\nx = 1\njust words ; x = 2\n", 3, "expected 'key = value' or 'key: value'"),
+        ("[a]\n= 1\n", 2, "expected 'key = value' or 'key: value'"),
+    ])
+    def test_both_reject(self, text, line, reason):
+        with pytest.raises(ConfigError, match=rf"^<t>: line {line}: {reason}$"):
+            config._read(text, "<t>")
+        with pytest.raises(oracles.configparser.Error):
+            oracles.config_sections(text)
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("[a]\nx = 1\n  2\n", 3, "a value must fit on one line"),
+        ("[a]\nx = 1\n\n    [b]\n", 4, "a value must fit on one line"),
+        ("[DEFAULT]\nx = 1\n[a]\n", 1, r"section \[DEFAULT\] twice or reserved"),
+        ("[a] x\nk = 1\n", 1, "a line before any section"),
+        ("[a]\nk = 1\n[b] x\n", 3, "expected 'key = value' or 'key: value'"),
+    ])
+    def test_rejects_what_configparser_accepted(self, text, line, reason):
+        # multi-line values, [DEFAULT]'s keys shared by every section, and
+        # text after a header's ']'
+        oracles.config_sections(text)
+        with pytest.raises(ConfigError, match=rf"^<t>: line {line}: {reason}$"):
+            config._read(text, "<t>")
+
+    def test_comment_starts_at_the_first_prefix_after_whitespace(self):
+        # configparser let the '#' end this value, found before the ' ;' that
+        # follows a ';' inside a word
+        text = "[a]\nk = a;b ; c # d\n"
+        assert oracles.config_sections(text) == {"a": {"k": "a;b ; c"}}
+        assert config._read(text, "<t>") == {"a": {"k": "a;b"}}
+
+    def test_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(FIG2_CONFIG + "[scenario]\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line 15: "):
+            load_config(path)
+
+    def test_same_config_in_any_spelling(self):
+        plain = loads_config(FIG2_CONFIG + "position_uncertainty = 2*sigma\n")
+        spelled = re.sub(r"^(\w+) = (.*)$", lambda m: f"{m[1].upper()}:{m[2]}  ; was {m[1]}",
+                         FIG2_CONFIG + "position_uncertainty = 2*sigma\n", flags=re.M)
+        assert spelled != FIG2_CONFIG and loads_config("# spelled\n" + spelled) == plain
 
 
 BOUNDARY_CONFIG = FIG2_CONFIG + textwrap.dedent("""\

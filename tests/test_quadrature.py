@@ -265,6 +265,42 @@ class TestFiniteSupport:
                                  peaks=peaks)
             assert np.array_equal(_initial_panels(spec), oracles.initial_panels_reference(spec))
 
+    def test_uncut_partition_matches_loop_reference(self):
+        # where no piece between anchors is cut, byte for byte (signed zeros too)
+        # against the loop form: no phase cap, caps from far above the range to
+        # within rounding of its one-panel bound, supports ending at -0.0, and
+        # anchors and peaks within a few ulps of the ends and at -0.0
+        rng = np.random.default_rng(20261020)
+
+        def near(x):
+            return float(x + rng.integers(-4, 5) * np.spacing(x))
+
+        uncut = 0
+        for _ in range(3000):
+            scale = 10.0 ** rng.uniform(-3.0, 4.0)
+            lo = scale * rng.uniform(-2.0, 1.0)
+            hi = lo + scale * 10.0 ** rng.uniform(-1.0, 0.5)
+            if rng.random() < 0.2:
+                lo, hi = lo - hi, -0.0
+            inner = [lo + (hi - lo) * rng.uniform() for _ in range(rng.integers(3))]
+            points = [near((lo, hi)[rng.integers(2)]) for _ in range(rng.integers(3))]
+            points += inner + ([-0.0] if rng.random() < 0.2 else [])
+            peaks = tuple((rng.choice([near(lo), near(hi), *inner, -0.0]),
+                           (hi - lo) * 10.0 ** rng.uniform(-5.0, 0.0))
+                          for _ in range(rng.integers(4)))
+            bound = 4.0 * math.pi / (hi - lo)  # the rate whose cap is the range
+            rate = (0.0 if rng.random() < 0.3 else
+                    bound * (1.0 + rng.integers(-20, 21) * 1e-10) if rng.random() < 0.3 else
+                    bound * rng.uniform())
+            spec = IntegrandSpec(evaluate=lambda v: v + 0j, support=(lo, hi),
+                                 max_phase_rate=rate, singular_points=tuple(points),
+                                 peaks=peaks)
+            edges = _initial_panels(spec)
+            assert edges.tobytes() == oracles.initial_panels_reference(spec).tobytes()
+            cap = 4.0 * math.pi / rate if rate else math.inf
+            uncut += math.ceil((hi - lo) / cap - 1e-9) <= 1
+        assert uncut > 2700
+
     def test_peak_within_rounding_of_an_end_merges(self):
         # the same partition whether rounding puts the peak on the end or an
         # ulp inside it

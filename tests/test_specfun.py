@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from harvestsim import specfun
 from harvestsim.specfun import damped_im_erfi, ediff, faddeeva_w, sinc
 
@@ -164,6 +165,52 @@ class TestDampedImErfi:
             damped_im_erfi(-0.1, 1.0)
         with pytest.raises(ValueError):
             damped_im_erfi(1.0, -0.1)
+
+
+def _underflow_edge():
+    """The least x > 0 at which exp(-x^2) underflows to 0, by bisection."""
+    lo, hi = 27.2, 27.4
+    while lo + np.spacing(lo) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if np.exp(-mid * mid) == 0.0 else (mid, hi)
+    return hi
+
+
+class TestDampedErf:
+    """``_damped_erf`` evaluates w(z) only where its weight exp(-x^2) is not 0;
+    its result is the unmasked formula's, bit for bit."""
+
+    # +-40, with |x| near 27.3, where exp(-x^2) underflows to 0, finely and by ulps
+    ULPS = _underflow_edge() + np.arange(-64, 64) * np.spacing(_underflow_edge())
+    X = np.concatenate([np.linspace(-40.0, 40.0, 8001), np.linspace(27.0, 27.6, 601),
+                        ULPS, -ULPS, [0.0, -0.0, 5e-324]])
+
+    def check(self, x, y):
+        got, ref = specfun._damped_erf(x, y), oracles.damped_erf_reference(x, y)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        # where the weight is 0 the result is s*exp(-y^2), exactly
+        zero = np.broadcast_to(np.exp(-x * x) == 0.0, got.shape)
+        s = np.broadcast_to(np.where(x >= 0.0, 1.0, -1.0), got.shape)
+        flat = np.broadcast_to(np.exp(-y * y), got.shape)
+        assert np.array_equal(got[zero], (s * flat)[zero] + 0j)
+
+    def test_grid_spans_the_underflow(self):
+        weight = np.exp(-self.X ** 2)
+        assert (weight == 0.0).sum() > 1000 and (weight > 0.0).sum() > 1000
+        assert (np.exp(-self.ULPS ** 2) == 0.0).sum() == 64
+
+    @pytest.mark.parametrize("y", [0.0, -0.0, 1e-300, 0.3, -2.5, 5.0, 26.0, 27.3, 40.0])
+    def test_scalar_y(self, y):
+        self.check(self.X, np.float64(y))
+
+    def test_column_y(self):
+        self.check(self.X, np.array([0.0, 0.3, -2.5, 5.0, 27.3, 40.0])[:, None])
+
+    def test_x_of_the_clock_smear_shape(self):
+        # four rows of x per node, as the clock smear's window factor passes them
+        rng = np.random.default_rng(34)
+        self.check(rng.uniform(-40.0, 40.0, size=(4, 500)), np.float64(1.7))
 
 
 # each public function with finite arguments it accepts
