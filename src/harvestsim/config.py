@@ -112,6 +112,13 @@ class OutputSpec:
             raise ConfigError("output.format: must be 'csv' or 'json'")
         if self.path == "":  # no file is None; an empty key loads as None
             raise ConfigError("output.path: must not be empty")
+        if self.path is not None:  # as dump_config writes it, it must load back
+            try:
+                read = _read(f"[output]\npath = {self.path}", "")
+            except ConfigError:
+                read = None
+            if read != {"output": {"path": self.path}}:
+                raise ConfigError(f"output.path: {self.path!r} would not load back as written")
 
 
 @dataclass(frozen=True)
@@ -226,8 +233,11 @@ def _read(text: str, origin: str) -> dict:
         indent, above = len(line) - len(line.lstrip()), indent
         if key is not None and indent > above:
             raise ConfigError(f"{origin}: line {number}: a value must fit on one line")
-        if body[0] == "[" and body[-1] == "]":
-            name, key = body[1:-1], None
+        if body[0] == "[" and "]" in body:
+            name, _, after = body[1:].rpartition("]")
+            if after:
+                raise ConfigError(f"{origin}: line {number}: text after the header [{name}]")
+            key = None
             if name in given or name == "DEFAULT":  # DEFAULT: keys shared by every section
                 raise ConfigError(f"{origin}: line {number}: section [{name}] twice or reserved")
             keys = given[name] = {}

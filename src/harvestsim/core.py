@@ -12,25 +12,19 @@ and J = int M(v; gap_A, gap_B) K(-|v|; r), the signs of v being J's time
 orderings.  K(-v) = conj K(v), so J's kernel is the conjugate of K where
 v >= 0, and I_AB and J are two components of one quadrature that
 evaluates K once per node.  I_nn is integrated by parts, as
-i*int M'(v) F(v) dv.  A clock offset averages M exactly, on one route,
-``_clock_request``, that checks its inputs before any quadrature.  The
-spatial smear, x = r0/delta, is from x = 9.5 on one time-domain
-quadrature of M against the smeared kernel summed in powers of delta/r0.
-Below, it splits its erfi factor into a separation-independent term,
-e^(-x^2) times one time-domain integral C = int M(v; gap_A, gap_B) F(-|v|) dv
-shared per detector pair, and a remainder damped as e^(-(w*delta)^2/4),
-a frequency quadrature of the kernel Jhat over the finite range where
-its envelope exceeds 1e-18 (``_TAIL``).  Every kernel, F = G_0,
-K(v; r) = [F(v + r) - F(v - r)]/(2ir), K(v; 0) = G_1 and the smeared one,
-is one sum of the Faddeeva moments G_m = int_0^inf w^m exp(-(w*S)^2/2 +
-i*w*a) dw, one function of the kernel's columns (``_moments``).
+i*int M'(v) F(v) dv.  A clock offset or a spread of separations smears
+J on the one route ``_smear`` chooses and describes.  Every kernel,
+F = G_0, K(v; r) = [F(v + r) - F(v - r)]/(2ir), K(v; 0) = G_1 and the
+smeared one, is one sum of the Faddeeva moments G_m = int_0^inf w^m
+exp(-(w*S)^2/2 + i*w*a) dw, one function of the kernel's columns
+(``_moments``).
 
 Each integral is a ``_Member`` of one of six kinds (the I_AB/J pair, the
 clock-smeared J, the series-smeared J, C, the frequency remainder and
 I_nn), whose evaluator reads the member's parameters: numbers,
 coefficient tables and dicts of these, a time-domain member's kernel
-columns among them, and every member of a detector pair its windows and
-gaps as the same six numbers (``_windows``).  ``_finish`` applies its
+columns among them, and every member of a detector pair its windows,
+gaps and kernel width from one place (``_pair``).  ``_finish`` applies its
 prefactor and phase to the quadrature's result.  A call adds the
 integrals its rows need to a ``_Plan`` and runs each kind as one group:
 a member alone through ``integrate_radial``, several in lockstep
@@ -124,18 +118,20 @@ class SecondOrderIntegrals:
             )
 
 
-def _windows(da: DetectorParams, db: DetectorParams) -> tuple[float, dict]:
-    """The common time origin t0 of a detector pair's kernels, the earlier
-    switch-on time, and what every member of the pair reads of it: both
-    windows measured from t0, and both gaps.
+def _pair(da: DetectorParams, db: DetectorParams) -> tuple[float, float, dict]:
+    """What every member of a detector pair reads of it: the common time
+    origin t0 of its kernels, the earlier switch-on time; the kernel width
+    sigma; and both windows measured from t0, and both gaps.  The one read
+    of the width on the pair's side.
 
     Only time differences enter the integrands, so measuring the windows
     from t0 makes the quadrature independent of a common time shift;
     the constant phase the shift carries is restored exactly afterwards.
     """
     t0 = min(da.window.t_on, db.window.t_on)
-    return t0, dict(a_on=da.window.t_on - t0, a_off=da.window.t_off - t0,
-                    b_on=db.window.t_on - t0, b_off=db.window.t_off - t0, g_a=da.gap, g_b=db.gap)
+    return t0, da.smearing, dict(a_on=da.window.t_on - t0, a_off=da.window.t_off - t0,
+                                 b_on=db.window.t_on - t0, b_off=db.window.t_off - t0,
+                                 g_a=da.gap, g_b=db.gap)
 
 
 def _jtilde(omega: np.ndarray, n_on, n_off, m_on, m_off, g_n, g_m) -> np.ndarray:
@@ -151,7 +147,7 @@ def _jtilde(omega: np.ndarray, n_on, n_off, m_on, m_off, g_n, g_m) -> np.ndarray
     Disjoint windows give the product of the two one-window time
     integrals, and an absorber window that ends before the emitter's
     starts gives exactly 0.  The windows are measured from t0
-    (``_windows``); the absolute kernel is exp(i*(g_n + g_m)*t0) times
+    (``_pair``); the absolute kernel is exp(i*(g_n + g_m)*t0) times
     this one.
     """
     u0, u1, v0 = np.maximum(n_on, m_on), np.minimum(n_off, m_off), np.maximum(n_on, m_off)
@@ -432,8 +428,7 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
     into steps of its standard deviation delta_t/sqrt(2), or of sigma if
     larger, each anchored at 0, +-1, +-3 and +-7 of that width.
     """
-    sigma = da.smearing
-    t0, params = _windows(da, db)
+    t0, sigma, params = _pair(da, db)
     a_on, a_off, b_on, b_off, g_a, g_b = params.values()
     lo, hi = b_on - a_off, b_off - a_on
     r = abs(r)
@@ -514,48 +509,59 @@ def compute_J(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> c
     return _single(_time_member("pair", s.det_a, s.det_b, s.separation), settings)[1].value
 
 
-def _c_member(da: DetectorParams, db: DetectorParams) -> _Member:
-    """C = pref * int M(v; gap_A, gap_B) F(-|v|) dv, which is
-    pref * int_0^inf exp(-(w*sigma)^2/2) Jhat(w) dw: the part of the spatial
-    smear that depends on neither separation nor uncertainty."""
-    return _time_member("c", da, db, 0.0, kernel=_fourier_columns(da.smearing))
+def _smear(s: Scenario, time_smear: float | None,
+           plan: _Plan) -> tuple[str | None, Callable[[], QuadResult] | None]:
+    """The one choice of a row's smear route: add to ``plan`` what the
+    complex correlation term averaged over the row's imprecision needs,
+    and return the row's ``smearing_method`` and what gives the term once
+    the plan has run, one weighted sum of members (``_sum_request``);
+    (None, None) for a row with no imprecision.  Each route checks its
+    inputs before anything is added, so a rejected row costs no quadrature.
 
-
-def _spatial_request(s: Scenario, plan: _Plan) -> Callable[[], QuadResult]:
-    """Add to ``plan`` what the complex correlation term averaged over a
-    Gaussian separation spread needs, and return what gives it once the
-    plan has run: one weighted sum of its members (``_sum_request``).
-
-    The separation enters only through sinc(w*r), whose Gaussian average
-    is D(x, delta*w/2) = e^(-x^2) - R, x = r0/delta (``damped_im_erfi``),
-    for every window timing.  From x = ``_SERIES_X0`` on, the whole
-    average is one time-domain quadrature of the windows' factor against
-    ``_make_series_kernel``'s kernel, its error raised by the bound on
-    what the series leaves out, unless the series would need too many
-    terms.  Otherwise the e^(-x^2) term is e^(-x^2)*sqrt(pi)/delta times
-    C, shared in ``plan`` by detector pair and left out where that weight
-    underflows, less R, which carries exp(-(w*sigma)^2/2 - (w*delta)^2/4),
-    so its frequency quadrature ends where that envelope falls to ``_TAIL``.
+    - Clock offset (``time_smear`` given; "closed-form-time"): B's window
+      shifted by tau ~ N(0, time_smear^2/2), the spatial convention's
+      variance, whose average over M is exact for every window timing
+      (``_clock_window``); one part.  It requires time_smear > 0 and no
+      position uncertainty.
+    - Spatial ("erfi-closed-form"): a Gaussian separation spread, which
+      enters only through sinc(w*r), whose average is D(x, delta*w/2) =
+      e^(-x^2) - R, x = r0/delta (``damped_im_erfi``), for every window
+      timing.  From x = ``_SERIES_X0`` on, the whole average is one
+      time-domain quadrature against ``_make_series_kernel``'s kernel, its
+      error raised by the bound on what the series leaves out, unless the
+      series would need too many terms.  Otherwise the e^(-x^2) term is
+      e^(-x^2)*sqrt(pi)/delta times C = int M(v; gap_A, gap_B) F(-|v|) dv,
+      which depends on neither separation nor uncertainty, shared in
+      ``plan`` by detector pair and left out where that weight underflows,
+      less R, which carries exp(-(w*sigma)^2/2 - (w*delta)^2/4), so its
+      frequency quadrature ends where that envelope falls to ``_TAIL``.
     """
-    delta = s.position_uncertainty
+    da, db, r0, delta = s.det_a, s.det_b, s.separation, s.position_uncertainty
+    if time_smear is not None:
+        if delta > 0.0:
+            raise ValueError("clock-offset smear: spatial and temporal smearing are exclusive")
+        if not time_smear > 0.0:
+            raise ValueError("clock-offset smear: delta_t must be > 0")
+        member = _time_member("clock", da, db, r0, time_smear)
+        return "closed-form-time", _sum_request(plan, [(1.0, plan.add(member))], member.pref, 0.0)
     if not delta > 0.0:
-        raise ValueError("compute_J_smeared: requires position_uncertainty > 0")
-    da, db, r0 = s.det_a, s.det_b, s.separation
-    x = r0 / delta
+        return None, None
+    sigma, x = _pair(da, db)[1], r0 / delta
     if x >= _SERIES_X0:
-        series = _make_series_kernel(x, da.smearing, r0, da.window.duration * db.window.duration,
+        series = _make_series_kernel(x, sigma, r0, da.window.duration * db.window.duration,
                                      _SERIES_FLOOR * plan.settings.tol_abs)
         if series is not None:
             columns, bound = series
             member = _time_member("series", da, db, r0, kernel=columns)
-            return _sum_request(plan, [(1.0, plan.add(member))], member.pref,
-                                member.pref * bound)
+            return "erfi-closed-form", _sum_request(plan, [(1.0, plan.add(member))], member.pref,
+                                                    member.pref * bound)
     pref = da.coupling * db.coupling / (4.0 * delta * math.pi**1.5)
     parts = [(-1.0, plan.add(_remainder_member(s, x, pref)))]
     weight = math.exp(-x * x) * _SQRT_PI / delta
     if weight > 0.0:
-        parts.append((weight, plan.need(("c", da, db), lambda: _c_member(da, db))))
-    return _sum_request(plan, parts, pref, 0.0)
+        parts.append((weight, plan.need(("c", da, db), lambda: _time_member(
+            "c", da, db, 0.0, kernel=_fourier_columns(sigma)))))
+    return "erfi-closed-form", _sum_request(plan, parts, pref, 0.0)
 
 
 def _sum_request(plan: _Plan, parts: list, pref: float,
@@ -615,13 +621,12 @@ def _share_settings(settings: QuadratureSettings, share: float, pref: float,
 
 
 def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
-    """R's frequency quadrature of ``_spatial_request`` at x = r0/delta,
-    times pref; the caller subtracts it.  Its parameters are numbers: the
-    damping's, and the windows and gaps of ``_windows``, as every
-    time-domain member of the pair holds them."""
-    da, db = s.det_a, s.det_b
-    delta, sig = s.position_uncertainty, da.smearing
-    t0, windows = _windows(da, db)
+    """R's frequency quadrature of the spatial smear (``_smear``) at
+    x = r0/delta, times pref; the caller subtracts it.  Its parameters are
+    numbers: the damping's, and the width, windows and gaps of ``_pair``,
+    as every time-domain member of the pair holds them."""
+    da, db, delta = s.det_a, s.det_b, s.position_uncertainty
+    t0, sig, windows = _pair(da, db)
     scale = math.sqrt(sig**2 + 0.5 * delta**2)
     params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig, **windows)
     return _member(
@@ -685,36 +690,18 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings,
                       time_smear: float | None = None) -> QuadResult:
-    """The complex correlation term smeared alone: over a clock offset of
-    scale time_smear (``_clock_request``), or without one over separations
-    (``_spatial_request``)."""
+    """The complex correlation term smeared alone (``_smear``)."""
     plan = _Plan(settings)
-    smeared = (_spatial_request(s, plan) if time_smear is None
-               else _clock_request(s, time_smear, plan))
+    smeared = _smear(s, time_smear, plan)[1]
+    if smeared is None:
+        raise ValueError("compute_J_smeared: requires position_uncertainty > 0")
     plan.run()
     return smeared()
 
 
 def compute_J_smeared(s: Scenario, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """|correlation term| under Gaussian separation uncertainty: from
-    r0 = 9.5 delta on one time-domain quadrature of a kernel summed in
-    powers of delta/r0, closer the erfi split into C and a frequency
-    remainder (``_spatial_request``)."""
+    """|correlation term| under Gaussian separation uncertainty (``_smear``)."""
     return abs(_j_smeared_result(s, settings).value)
-
-
-def _clock_request(s: Scenario, delta_t: float, plan: _Plan) -> Callable[[], QuadResult]:
-    """Add to ``plan`` the correlation term averaged over a Gaussian clock
-    offset of B's window of scale delta_t, and return what gives it once
-    the plan has run: a sum of one part (``_sum_request``), as the series
-    route's.  The only route to it, which checks both of its preconditions
-    before any quadrature runs."""
-    if s.position_uncertainty > 0.0:
-        raise ValueError("clock-offset smear: spatial and temporal smearing are exclusive")
-    if not delta_t > 0.0:
-        raise ValueError("clock-offset smear: delta_t must be > 0")
-    member = _time_member("clock", s.det_a, s.det_b, s.separation, delta_t)
-    return _sum_request(plan, [(1.0, plan.add(member))], member.pref, 0.0)
 
 
 def compute_J_time_smeared(
@@ -722,12 +709,8 @@ def compute_J_time_smeared(
     delta_t: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
-    """|correlation term| under a Gaussian clock-offset spread of scale delta_t.
-
-    The offset distribution mirrors the spatial convention
-    (variance delta_t^2/2) and shifts the second window; its average is
-    exact for every window timing (``_clock_window``).
-    """
+    """|correlation term| under a Gaussian clock-offset spread of scale
+    delta_t (``_smear``)."""
     return abs(_j_smeared_result(s, settings, delta_t).value)
 
 
@@ -936,12 +919,7 @@ def _row_request(s: Scenario, time_smear: float | None,
     on, and return what builds the row's report once the plan has run.
     The row's smear comes first, so an input it rejects costs no
     quadrature, and its failure is the row's first."""
-    if time_smear is not None:
-        smear, method = _clock_request(s, time_smear, plan), "closed-form-time"
-    elif s.position_uncertainty > 0.0:
-        smear, method = _spatial_request(s, plan), "erfi-closed-form"
-    else:
-        smear, method = None, None
+    method, smear = _smear(s, time_smear, plan)
 
     def i_nn(det: DetectorParams):
         # keyed by what ``_i_nn_member`` reads, not by where the window sits;
@@ -1037,12 +1015,8 @@ def evaluate_scenario(
     The local term is one time-domain quadrature, computed once for two
     equal detectors, and the exchange and unsmeared correlation terms
     share another.  With nonzero position uncertainty the correlation term
-    is smeared over separations: from r0 = 9.5 delta on by one time-domain
-    quadrature of a kernel summed in powers of delta/r0; closer, by the
-    erfi closed form, one time-domain quadrature, C, where the separation
-    is within a few uncertainties, and a frequency quadrature damped on the
-    scale 1/delta.  ``time_smear`` applies the clock-offset smear instead,
-    a time-domain quadrature of the exactly averaged window factor.  Both
-    hold for every window timing.  The local terms are never smeared.
+    is smeared over separations; ``time_smear`` applies the clock-offset
+    smear instead (``_smear``).  Both hold for every window timing.  The
+    local terms are never smeared.
     """
     return _unwrap(evaluate_scenarios([(s, time_smear)], settings)[0])

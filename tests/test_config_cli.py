@@ -307,8 +307,8 @@ class TestConfigReader:
         ("[a]\nx = 1\n  2\n", 3, "a value must fit on one line"),
         ("[a]\nx = 1\n\n    [b]\n", 4, "a value must fit on one line"),
         ("[DEFAULT]\nx = 1\n[a]\n", 1, r"section \[DEFAULT\] twice or reserved"),
-        ("[a] x\nk = 1\n", 1, "a line before any section"),
-        ("[a]\nk = 1\n[b] x\n", 3, "expected 'key = value' or 'key: value'"),
+        ("[a] x\nk = 1\n", 1, r"text after the header \[a\]"),
+        ("[a]\nk = 1\n[b] x\n", 3, r"text after the header \[b\]"),
     ])
     def test_rejects_what_configparser_accepted(self, text, line, reason):
         # multi-line values, [DEFAULT]'s keys shared by every section, and
@@ -408,6 +408,33 @@ class TestInputBoundary:
         assert cfg.output == OutputSpec(path=None, format="csv")
         with pytest.raises(ConfigError, match="output.path"):
             OutputSpec(path="")
+
+    @pytest.mark.parametrize("path, loads", [
+        ("out ;x.csv", "out"), (" lead.csv", "lead.csv"), ("trail.csv ", "trail.csv"),
+        ("#x.csv", ""), ("a\nb.csv", None),
+    ], ids=["comment", "leading-space", "trailing-space", "comment-only", "newline"])
+    def test_output_path_must_load_back(self, path, loads):
+        # dump_config writes 'path = <path>', which would load cut at a
+        # comment, stripped, empty (no file) or not at all
+        text = f"[output]\npath = {path}\n"
+        if loads is None:
+            with pytest.raises(ConfigError, match="^<t>: line 3: expected 'key = value'"):
+                config._read(text, "<t>")
+        else:
+            assert config._read(text, "<t>") == {"output": {"path": loads}}
+        message = rf"^output\.path: {re.escape(repr(path))} would not load back as written$"
+        with pytest.raises(ConfigError, match=message):
+            OutputSpec(path=path)
+
+    @pytest.mark.parametrize("path", ["a;b.csv", "tab\t.csv", "C:/t=1.csv", "[x] y.csv"])
+    def test_output_path_round_trips(self, path):
+        cfg = dataclasses.replace(figure_config("fig3"), output=OutputSpec(path=path))
+        assert loads_config(dump_config(cfg)) == cfg
+
+    def test_loaded_path_that_would_not_load_back_rejected(self):
+        # 'path=#x.csv' reads '#x.csv', a comment once written as 'path = #x.csv'
+        with pytest.raises(ConfigError, match=r"^output\.path: '#x\.csv' would not load back"):
+            loads_config(BOUNDARY_CONFIG + "\n[output]\npath=#x.csv\n")
 
 
 class TestSweepRunner:
@@ -733,13 +760,14 @@ class TestBatchedSweep:
         # C, the separation- and uncertainty-independent term of the spatial
         # smear, is shared by every row of the detector pair
         calls = []
-        original = core._c_member
+        original = core._time_member
 
-        def recorded(da, db):
-            calls.append((da, db))
-            return original(da, db)
+        def recorded(kind, da, db, *args, **kwargs):
+            if kind == "c":
+                calls.append((da, db))
+            return original(kind, da, db, *args, **kwargs)
 
-        monkeypatch.setattr(core, "_c_member", recorded)
+        monkeypatch.setattr(core, "_time_member", recorded)
         return calls
 
     def test_smear_constant_computed_once_per_delta_sweep(self, monkeypatch):

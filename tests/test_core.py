@@ -801,13 +801,15 @@ class TestQuadratureCost:
         elif kind == "pair":
             r = float(args[0]) * sigma if args else s.separation
             member = core._time_member("pair", s.det_a, s.det_b, r)
-        elif kind == "c":
-            member = core._c_member(s.det_a, s.det_b)
-        elif kind == "series":
+        elif kind in ("c", "series"):
+            # C at x = r0/delta = 1, after the frequency remainder; a series
+            # row's one member
+            delta = float(args[0]) * sigma if args else s.separation
             plan = core._Plan(core.DEFAULT_SETTINGS)
-            core._spatial_request(replace(s, position_uncertainty=float(args[0]) * sigma), plan)
-            (member,) = plan.members.values()
-            assert member.kind == "series"
+            core._smear(replace(s, position_uncertainty=delta), None, plan)
+            *_, member = plan.members.values()
+            assert [m.kind for m in plan.members.values()] == (
+                ["series"] if kind == "series" else ["remainder", "c"])
         else:
             member = core._time_member("clock", s.det_a, s.det_b, s.separation,
                                        float(args[0]) * sigma)
@@ -1036,6 +1038,42 @@ class TestTimeDomainKernels:
 
         for m in members:
             assert data(m.params), m.kind
+
+    def test_kernel_width_has_one_source(self, monkeypatch):
+        # a detector pair's members read its kernel width from ``_pair``
+        # alone: doubled there, every pair, clock, series, C and remainder
+        # member carries 2 sigma (a series kernel's scale is
+        # sqrt((2 sigma)^2 + delta^2/2)), while I_nn, a local term read from
+        # its own detector, keeps sigma
+        original = core._pair
+
+        def doubled(da, db):
+            t0, sigma, windows = original(da, db)
+            return t0, 2.0 * sigma, windows
+
+        monkeypatch.setattr(core, "_pair", doubled)
+        cfg = figure_config("fig3")
+        sigma = cfg.scenario.det_a.smearing
+        rows = [_apply_parameter(cfg.scenario, "delta", float(d)) for d in sweep_values(cfg.sweep)]
+        plan = core._Plan(core.DEFAULT_SETTINGS)
+        kinds = set()
+        for s, time_smear in rows + [(fig_scenario(), 0.03)]:
+            before = len(plan.members)
+            core._row_request(s, time_smear, plan)
+            for m in list(plan.members.values())[before:]:
+                kinds.add(m.kind)
+                if m.kind == "i_nn":
+                    assert m.params["scale"] == sigma
+                elif m.kind == "remainder":
+                    assert m.params["sigma"] == 2.0 * sigma
+                elif m.kind == "series":
+                    assert m.params["scale"] == pytest.approx(
+                        math.sqrt(4.0 * sigma**2 + 0.5 * s.position_uncertainty**2), rel=1e-12)
+                else:
+                    assert m.params["scale"] == 2.0 * sigma, m.kind
+                    if m.kind != "c":
+                        assert m.params["limit"]["scale"] == 2.0 * sigma, m.kind
+        assert kinds == {"pair", "clock", "series", "c", "remainder", "i_nn"}
 
     def test_damped_erf(self):
         mpmath = pytest.importorskip("mpmath")
