@@ -271,12 +271,12 @@ def _moments(u, shift, p: dict):
         near = np.abs(t) < (np.tile(split, n) if np.ndim(split) else split)
         out = np.empty(z.size, dtype=complex)
         w = _faddeeva_w(z[near])
-        a, b = _polynomial("ik,ipk->pi", t[near], row[near], _take(place, near), tables)
+        a, b = _polynomial("ik,pk->pi", t[near], row[near], _take(place, near), tables)
         out[near] = w * a - 1j * b
         far = ~near
         if far.any():
             inv = 1.0 / t[far]
-            out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], _take(place, far),
+            out[far] = 1j * inv * _polynomial("ij,j->i", inv, row[far], _take(place, far),
                                               p["far"])
     return out.reshape(n, -1).sum(axis=0) * p["factor"]
 
@@ -286,15 +286,20 @@ def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, place,
     """``einsum(subscripts)`` of the powers x^k against the coefficients
     tables[place][row], k below that table's width; place is one table
     for every entry, or one per entry, when each run of entries of one
-    table takes an einsum of its own, as their member alone does."""
-    if np.ndim(place) == 0:
-        table = tables[place]
-        return np.einsum(subscripts, np.vander(x, table.shape[-1], increasing=True), table[row])
+    table is summed as their member alone sums it: an einsum per row."""
     out = np.empty(tables[0].shape[1:-1] + x.shape)
-    starts = np.flatnonzero(np.diff(place, prepend=-1)).tolist()
-    for start, end in zip(starts, starts[1:] + [place.size]):
-        out[..., start:end] = _polynomial(subscripts, x[start:end], row[start:end],
-                                          int(place[start]), tables)
+    if np.ndim(place):
+        starts = np.flatnonzero(np.diff(place, prepend=-1)).tolist()
+        for start, end in zip(starts, starts[1:] + [place.size]):
+            out[..., start:end] = _polynomial(subscripts, x[start:end], row[start:end],
+                                              int(place[start]), tables)
+        return out
+    table = tables[place]
+    powers = np.vander(x, table.shape[-1], increasing=True)
+    ends = np.searchsorted(row, np.arange(1, table.shape[0] + 1)).tolist()  # rows ascend
+    for r, (start, end) in enumerate(zip([0] + ends, ends)):
+        if end > start:
+            out[..., start:end] = np.einsum(subscripts, powers[start:end], table[r])
     return out
 
 

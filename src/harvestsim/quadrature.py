@@ -20,16 +20,16 @@ Several integrals, each on its own partition, can advance in lockstep
 of them together, in calls of at most ``_CHUNK`` nodes that also name
 the integral each node belongs to, and each integral then keeps its own
 sums, refinement, budget and failure, exactly as it would alone.
-``integrate_radial`` is that loop with a group of one.  Each evaluate
-call holds at most ``_CHUNK`` nodes, and an integral's panels, sums and
-errors are dropped once it finishes, but a group keeps those of all its
-unfinished integrals, and each round takes in all their pending panels,
-so its memory grows with their total panels.
+``integrate_radial`` is that loop with a group of one.  A group keeps
+its unfinished integrals' panels, sums and errors in arrays, rebuilt
+each round, so its memory grows with their total panels.  A first
+partition too large to allocate fails alone.
 """
 from __future__ import annotations
 
 import math
 import numbers
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,8 +120,8 @@ class QuadResult:
 
     def __post_init__(self):
         e = self.abs_error
-        low, high = (e.min(), e.max()) if isinstance(e, np.ndarray) else (e, e)
-        if not (low >= 0.0 and high < math.inf):
+        if not (all(0.0 <= x < math.inf for x in e.ravel().tolist()) if isinstance(e, np.ndarray)
+                else 0.0 <= e < math.inf):
             raise ValueError("QuadResult: abs_error must be finite and >= 0")
         if self.evaluations <= 0:
             raise ValueError("QuadResult: evaluations must be > 0")
@@ -172,6 +172,7 @@ _CHUNK = 3000
 # first three doublings, halve the panels where a Gaussian core meets its tail.
 _STEPS = sorted([2.0 ** k - 1.0 for k in range(1024)] + [2.0, 5.0, 11.0])
 _SIGNED_STEPS = [x for k in _STEPS for x in (k, -k)]
+_SIGNED_ARRAY = np.array(_SIGNED_STEPS)
 
 
 def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
@@ -190,6 +191,7 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     comes from a feature the integrand declares.  Where such a panel is
     too wide for the tolerance, the adaptive loop of ``integrate_radial``
     bisects it, so evaluations go only where the integrand needs them.
+    One too large for an int64 or for memory is a ValueError naming its count.
     """
     lo, hi = spec.support
     cap = 4.0 * math.pi / spec.max_phase_rate if spec.max_phase_rate > 0.0 else math.inf
@@ -214,25 +216,70 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     if not ends[-1] < 2.0 ** 63:  # counted in floats, before the cast can wrap
         raise ValueError(f"integrate_radial: a first partition of {ends[-1]:.3g} panels "
                          "does not fit an int64")
-    # per panel: the piece it cuts, and that piece's first panel
-    piece = np.repeat(np.arange(n.size), n.astype(np.int64))
-    first = (ends - n)[piece]
+    try:  # per panel the piece it cuts; numpy refuses at once what it cannot allocate
+        piece = np.repeat(np.arange(n.size), n.astype(np.int64))
+    except MemoryError:
+        raise ValueError(f"integrate_radial: a first partition of {ends[-1]:.3g} panels "
+                         "does not fit in memory") from None
+    first = (ends - n)[piece]  # and that piece's first panel
     edges = a[piece] + d[piece] * (np.arange(piece.size) - first) / n[piece]
     return np.append(edges, hi)
 
 
-def _gk15(evaluate, a: list, b: list, owners: list | None) -> tuple[list, list, bool]:
-    """Vectorized GK15 on the panels a[i], b[i] of integral owners[i], for
-    every i, in evaluate calls of at most ``_CHUNK`` nodes; owners is None
-    for the one integral of a group of one.  Returns per integral
-    (kronrod, |K-G| error), each of shape (k, panels), and whether the
-    integrand has one component."""
-    if owners is None:
-        (a,), (b,), owner = a, b, None
-    else:
-        sizes = [x.size for x in a]
-        a, b = np.concatenate(a), np.concatenate(b)
-        owner = np.repeat(owners, sizes)
+@np.errstate(invalid="ignore", over="ignore")  # inf*0 and overflow as in Python floats, silently
+def _array_panels(specs: list[IntegrandSpec]) -> tuple | None:
+    """``_initial_panels`` of every spec in one array pass, its points sorted
+    by (owner, point): the panels' ends a, b and owners, spec by spec; None
+    where the group's panel count is not exact in floats."""
+    m, ids = len(specs), np.arange(len(specs))
+    lo, hi, rate = np.array([v for spec in specs for v in (*spec.support, spec.max_phase_rate)]
+                            ).reshape(m, 3).T
+    cap = np.divide(4.0 * math.pi, rate, out=np.full(m, math.inf), where=rate > 0.0)
+    tiny = 64.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
+    at = np.repeat(ids, [len(spec.peaks) for spec in specs])
+    p, s = np.array([v for spec in specs for peak in spec.peaks for v in peak]).reshape(-1, 2).T
+    q = np.minimum(np.maximum(p, lo[at]), hi[at])
+    width = np.fmax(s, np.abs(p - q))  # max(s, nan) is s
+    count = np.array([min(2 * math.ceil(math.log2(r)) + 10, len(_SIGNED_STEPS))  # 2*(doublings+4)
+                      for r in ((hi - lo)[at] / width + 1.0).tolist()], dtype=np.intp)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # each peak's steps
+    x = np.concatenate([lo, hi, [v for spec in specs for v in spec.singular_points],
+                        np.repeat(q, count) + np.repeat(width, count) * _SIGNED_ARRAY[k]])
+    own = np.concatenate([ids, ids, np.repeat(ids, [len(spec.singular_points) for spec in specs]),
+                          np.repeat(at, count)])
+    inside = ((lo + tiny)[own] < x) & (x < (hi - tiny)[own])
+    inside[:2 * m] = True  # the ends, which sort first and last in their spec
+    x, own = x[inside], own[inside]
+    order = np.argsort(x)
+    order = order[np.argsort(own[order].astype(np.min_scalar_type(m)), kind="stable")]
+    x, own = x[order], own[order]
+    end = np.append(True, own[1:] != own[:-1])  # each spec's lo
+    keep = end | np.append(end[1:], True)       # and its hi
+    keep[1:] |= x[1:] - x[:-1] > tiny[own[1:]]
+    # a point within rounding of a merged one, against the last kept (a repeat stays merged)
+    for j in np.flatnonzero(~(keep[1:] | keep[:-1]) & (x[1:] != x[:-1])).tolist():
+        keep[j + 1] = x[j + 1] - x[j - np.argmax(keep[j::-1])] > tiny[own[j + 1]]
+    x, own = x[keep], own[keep]
+    piece = own[1:] == own[:-1]
+    start, own, d = x[:-1][piece], own[1:][piece], (x[1:] - x[:-1])[piece]
+    n = np.maximum(1.0, np.ceil(d / cap[own] - 1e-9))
+    if not n.sum() < 2.0 ** 53:
+        return None
+    piece = np.repeat(np.arange(n.size), n.astype(np.int64))
+    a = start[piece] + d[piece] * (np.arange(piece.size) - (np.cumsum(n) - n)[piece]) / n[piece]
+    own = own[piece]
+    b = np.append(a[1:], 0.0)
+    last = np.append(own[1:] != own[:-1], True)
+    b[last] = hi[own[last]]
+    return a, b, own
+
+
+def _gk15(evaluate, a: np.ndarray, b: np.ndarray, owner: np.ndarray | None) -> tuple:
+    """Vectorized GK15 on the panels a[i], b[i] of integral owner[i], for
+    every i, in evaluate calls of at most ``_CHUNK`` nodes; owner is None
+    for the one integral of a group of one.  Returns the kronrod sums and
+    |K-G| errors, each of shape (k, panels), and whether the integrand has
+    one component."""
     step = _CHUNK // _NODES.size
     ik, ig = [], []
     for start in range(0, a.size, step):
@@ -251,12 +298,7 @@ def _gk15(evaluate, a: list, b: list, owners: list | None) -> tuple[list, list, 
         ig.append(h * np.einsum("ij,j->i", rows, _WG).reshape(-1, pa.size))
     ik, ig = (ik[0], ig[0]) if len(ik) == 1 else (np.concatenate(ik, axis=1),
                                                   np.concatenate(ig, axis=1))
-    err = np.abs(ik - ig)
-    if owner is None:
-        return [ik], [err], v.ndim == 1
-    ends = np.cumsum(sizes).tolist()
-    return ([ik[:, e - n:e] for n, e in zip(sizes, ends)],
-            [err[:, e - n:e] for n, e in zip(sizes, ends)], v.ndim == 1)
+    return ik, np.abs(ik - ig), v.ndim == 1
 
 
 def integrate_radial(
@@ -308,61 +350,84 @@ def integrate_lockstep(
     ``integrate_radial`` would raise, or the ValueError of a first
     partition that cannot be built.
     """
-    a, b, evals, spans, out = [], [], [], [], [None] * len(specs)
-    for i, spec in enumerate(specs):
-        try:
-            edges = _initial_panels(spec)
-        except ValueError as exc:
-            out[i], edges = exc, np.array(spec.support[:1])  # no panels
-        a.append(edges[:-1])
-        b.append(edges[1:])
-        evals.append(15 * (edges.size - 1))
-        # its range, and the width below which a panel is not bisected
-        lo, hi = spec.support
-        spans.append((hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi))))
+    m = len(specs)
+    try:  # numpy refuses an allocation it cannot make before writing to it
+        panels = _array_panels(specs) if m > 1 else None
+    except MemoryError:
+        panels = None
+    if panels is None:  # each first partition alone; one that cannot be built fails alone
+        out, edges = [None] * m, []
+        for i, spec in enumerate(specs):
+            try:
+                edges.append(_initial_panels(spec))
+            except ValueError as exc:
+                out[i] = exc
+                edges.append(np.array(spec.support[:1]))  # no panels
+        a, b = ((np.concatenate(ends) for ends in zip(*[(e[:-1], e[1:]) for e in edges]))
+                if m > 1 else (edges[0][:-1], edges[0][1:]))
+        owner = None if m == 1 else np.repeat(np.arange(m), [e.size - 1 for e in edges])
+    else:
+        (a, b, owner), out = panels, [None] * m
+    at = [0] if owner is None else owner  # each panel's integral, as an index
+    counts = [a.size] if owner is None else np.bincount(owner, minlength=m).tolist()
+    evals = [15 * n for n in counts]
     active = [i for i, res in enumerate(out) if res is None]
-    if not active:
-        return out
-    group = len(specs) > 1
-    vals, errs, scalar = _gk15(evaluate, a, b, list(range(len(specs))) if group else None)
+    vals, errs, scalar = _gk15(evaluate, a, b, owner) if active else (None, None, True)
     while active:
-        keep, new_a, new_b = {}, [], []
-        for i in active:
-            value, error = vals[i].sum(axis=1), errs[i].sum(axis=1)
-            best = (QuadResult(complex(value[0]), float(error[0]), evals[i]) if scalar
-                    else QuadResult(value, error, evals[i]))
-            target = np.maximum(settings.tol_abs, settings.tol_rel * np.abs(value))
-            if (error <= target).all() and evals[i] <= settings.eval_budget:
+        stops = counts if owner is None else list(accumulate(counts))
+        value, error = (x.sum(axis=1)[None] if owner is None else np.array(
+            [x[:, stops[i] - counts[i]:stops[i]].sum(axis=1) for i in active])
+            for x in (vals, errs))  # each integral's sums over its own panels
+        tol = np.maximum(settings.tol_abs, settings.tol_rel * np.abs(value))
+        done = (error <= tol).all(axis=1).tolist()
+        pending = []
+        sums = zip(value[:, 0].tolist(), error[:, 0].tolist()) if scalar else zip(value, error)
+        for i, (v, e), ok in zip(active, sums, done):
+            best = QuadResult(v, e, evals[i])
+            if ok and evals[i] <= settings.eval_budget:
                 out[i] = best
-                continue
-            width = b[i] - a[i]
-            span, min_width = spans[i]
-            refine = ((errs[i] > target[:, None] * width / span).any(axis=0)
-                      & (width > min_width))
-            n_new = 2 * int(refine.sum())
-            if evals[i] + 15 * n_new > settings.eval_budget:
+            else:
+                pending.append((i, best))
+        if not pending:
+            break
+        target = np.zeros((vals.shape[0], m))
+        target[:, active] = tol.T
+        lo, hi = np.array([spec.support for spec in specs]).reshape(-1, 2).T
+        # each integral's range, and the width below which a panel is not bisected
+        span, min_width = hi - lo, 64.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
+        width = b - a
+        refine = (errs > target[:, at] * width / span[at]).any(axis=0) & (width > min_width[at])
+        n_new = ([2 * int(refine.sum())] if owner is None
+                 else (2 * np.bincount(owner[refine], minlength=m)).tolist())
+        active = []
+        for i, best in pending:
+            if evals[i] + 15 * n_new[i] > settings.eval_budget:
                 out[i] = ConvergenceFailure(
                     f"integrate_radial: evaluation budget {settings.eval_budget} exhausted", best)
-                continue
-            if not n_new:
+            elif not n_new[i]:
                 out[i] = ConvergenceFailure(
                     "integrate_radial: panels at roundoff width before reaching tolerance", best)
-                continue
-            ra, rb = a[i][refine], b[i][refine]
-            mid = 0.5 * (ra + rb)
-            a[i] = np.concatenate([a[i][~refine], ra, mid])
-            b[i] = np.concatenate([b[i][~refine], mid, rb])
-            keep[i] = ~refine
-            new_a.append(np.concatenate([ra, mid]))
-            new_b.append(np.concatenate([mid, rb]))
-            evals[i] += 15 * n_new
-        # a finished integral's arrays are views that keep a round's results alive
-        for i in set(active) - keep.keys():
-            a[i] = b[i] = vals[i] = errs[i] = None
-        active = list(keep)
-        if active:
-            new_vals, new_errs, _ = _gk15(evaluate, new_a, new_b, active if group else None)
-            for i, nv, ne in zip(active, new_vals, new_errs):
-                vals[i] = np.concatenate([vals[i][:, keep[i]], nv], axis=1)
-                errs[i] = np.concatenate([errs[i][:, keep[i]], ne], axis=1)
+            else:
+                active.append(i)
+                evals[i] += 15 * n_new[i]
+        if not active:
+            break
+        # each unfinished integral's panels: its unrefined ones in their
+        # order, then the left halves of the rest, then the right halves
+        alive = np.zeros(m, dtype=bool)
+        alive[active] = True
+        split, stay = refine & alive[at], ~refine & alive[at]
+        kept, mid = int(stay.sum()), 0.5 * (a[split] + b[split])
+        a, b = np.concatenate([a[stay], a[split], mid]), np.concatenate([b[stay], mid, b[split]])
+        old, new, counts = slice(None, kept), slice(kept, None), [a.size]
+        if owner is not None:  # each integral's panels together
+            owner = np.concatenate([owner[stay], owner[split], owner[split]])
+            order = np.argsort(owner.astype(np.min_scalar_type(m)), kind="stable")
+            a, b, owner, new = a[order], b[order], owner[order], order >= kept
+            at, old, counts = owner, ~new, np.bincount(owner, minlength=m).tolist()
+        grown = [np.empty((x.shape[0], a.size), dtype=x.dtype) for x in (vals, errs)]
+        fresh = _gk15(evaluate, a[new], b[new], None if owner is None else owner[new])
+        for y, x, z in zip(grown, (vals, errs), fresh):
+            y[:, old], y[:, new] = x[:, stay], z
+        vals, errs = grown
     return out

@@ -45,11 +45,8 @@ def _ratio_r(rep: HarvestReport) -> float | None:
     return rep.j_smeared_abs / j if rep.j_smeared_abs is not None and j > 0.0 else None
 
 
-# each column, in table order, and what it reads of a row's report; the
-# row's own fields read None
-_FIELDS = {
-    "parameter": None,
-    "value": None,
+# each column of a row's report, in table order, and what it reads of it
+_REPORT_FIELDS = {
     "i_aa": attrgetter("integrals.i_aa"),
     "i_bb": attrgetter("integrals.i_bb"),
     "i_ab_re": attrgetter("integrals.i_ab.real"),
@@ -70,9 +67,9 @@ _FIELDS = {
     "err_i_bb": lambda rep: rep.quad_errors.get("i_bb"),
     "err_i_ab": lambda rep: rep.quad_errors.get("i_ab"),
     "err_j": lambda rep: rep.quad_errors.get("j"),
-    "status": None,
 }
-COLUMNS = tuple(_FIELDS)
+_READS = tuple(_REPORT_FIELDS.values())
+COLUMNS = ("parameter", "value", *_REPORT_FIELDS, "status")
 
 
 @dataclass(frozen=True)
@@ -82,11 +79,14 @@ class SweepRow:
     report: HarvestReport | None
     status: str  # "ok" or "<ErrorType>: message"
 
-    def to_record(self) -> dict:
+    def cells(self) -> list:
+        """The row's value in each column, in table order; None where it has none."""
         rep = self.report
-        return {name: getattr(self, name) if read is None
-                else None if rep is None else read(rep)
-                for name, read in _FIELDS.items()}
+        reads = [None] * len(_READS) if rep is None else [read(rep) for read in _READS]
+        return [self.parameter, self.value, *reads, self.status]
+
+    def to_record(self) -> dict:
+        return dict(zip(COLUMNS, self.cells()))
 
 
 def _apply_parameter(scenario: Scenario, parameter: str, value: float) -> tuple[Scenario, float | None]:
@@ -184,21 +184,24 @@ def figure_preset(name: str, numerics=None) -> tuple[list[SweepRow], dict]:
 
 # --- output ---------------------------------------------------------------
 
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def rows_to_csv(rows: list[SweepRow]) -> str:
+    """The table as the csv writer writes it: None as an empty cell, a float
+    by its repr, reused where the row above holds the same nonzero float
+    (a shared integral), and a row with a cell to quote by the writer."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
+    above = texts = [None] * len(COLUMNS)
     for row in rows:
-        rec = row.to_record()
-        writer.writerow([_format_cell(rec[c]) for c in COLUMNS])
+        cells = row.cells()
+        texts = [text if v == u and v.__class__ is float and v else "" if v is None else str(v)
+                 for v, u, text in zip(cells, above, texts)]
+        line = ",".join(texts)
+        if line.count(",") == len(COLUMNS) - 1 and not any(c in line for c in '"\r\n'):
+            buf.write(line + "\n")
+        else:
+            writer.writerow(cells)
+        above = cells
     return buf.getvalue()
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import textwrap
 from contextlib import nullcontext
@@ -528,6 +529,27 @@ class TestSweepRunner:
         assert all(r["status"] == "ok" for r in recs)
         assert recs[0]["j_smeared_abs"] > recs[1]["j_smeared_abs"]
 
+    def test_csv_is_what_the_csv_writer_writes(self):
+        # byte for byte the csv module's writer fed each cell, None as "" and
+        # a float by its repr: a float every row shares, zeros of both signs
+        # and nans one above the other, a failed row, and statuses to quote
+        rows = run_sweep(self.small_sweep_cfg("delta"))
+        rep = rows[0].report
+        rows += [dataclasses.replace(rows[0], report=dataclasses.replace(rep, negativity=v,
+                                                                         negativity_raw=v))
+                 for v in (-0.0, 0.0, -0.0, math.nan, math.nan, 1e-300, 1e-300)]
+        rows += [dataclasses.replace(rows[1], report=None, status=status)
+                 for status in ("ValueError: a, b", 'ValueError: "a"', "ValueError: a\nb",
+                                "ValueError: a\rb", "ok")]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        for row in rows:
+            rec = row.to_record()
+            writer.writerow(["" if rec[c] is None else repr(rec[c]) if isinstance(rec[c], float)
+                             else str(rec[c]) for c in COLUMNS])
+        assert rows_to_csv(rows) == buf.getvalue()
+
     def test_csv_deterministic(self):
         cfg = self.small_sweep_cfg()
         a = rows_to_csv(run_sweep(cfg))
@@ -565,6 +587,29 @@ def sweep_cfg(parameter, lo, hi, points, spacing="linear", uncertainty="0"):
         """))
 
 
+BATCHED_CONFIGS = [pytest.param(cfg, id=name) for name, cfg in [
+    ("fig3", figure_config("fig3")),
+    ("fig2a", figure_config("fig2a")),
+    # x = r/delta crosses 9.5 at r = 95 sigma: both spatial routes
+    ("r-delta10", sweep_cfg("r", "10*sigma", "400*sigma", 40, uncertainty="10*sigma")),
+    ("delta_t", sweep_cfg("delta_t", "1*sigma", "40*sigma", 40)),
+    ("gap", sweep_cfg("gap", "10*sigma", "100*sigma", 20)),
+    # a local term, a C and a pair per duration, in groups of their own
+    ("duration", sweep_cfg("duration", "10*sigma", "1000*sigma", 12, "log",
+                           uncertainty="30*sigma")),
+    # every row fails, with the message of the smear that rejects it
+    ("delta_t-rejected", sweep_cfg("delta_t", "2*sigma", "10*sigma", 3, uncertainty="3*sigma")),
+    # stacked pairs whose K(v; r) takes its r -> 0 limit at every node
+    # (|v| >= 50 sigma here), then at some nodes and not at others
+    ("r-tiny", sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 12, "log")),
+    ("r-limit-switch", sweep_cfg("r", "1e-6*sigma", "1e-2*sigma", 12, "log")),
+    # A is one object in every row while B's window moves through an
+    # overlap with it: a remainder group and a C group mix one value
+    # with columns, and the overlap flag of both orderings changes there
+    ("gap-smeared", sweep_cfg("gap", "-90*sigma", "90*sigma", 13, uncertainty="30*sigma")),
+]]
+
+
 class TestBatchedSweep:
     """A sweep is one batched evaluation; it must write the same table as
     evaluating its rows one by one."""
@@ -578,35 +623,40 @@ class TestBatchedSweep:
         cfg = sweep_cfg(parameter, lo, hi, points, spacing)
         assert rows_to_csv(run_sweep(cfg)) == per_row_csv(cfg)
 
-    @pytest.mark.parametrize("cfg", [
-        figure_config("fig3"),
-        figure_config("fig2a"),
-        # x = r/delta crosses 9.5 at r = 95 sigma: both spatial routes
-        sweep_cfg("r", "10*sigma", "400*sigma", 40, uncertainty="10*sigma"),
-        sweep_cfg("delta_t", "1*sigma", "40*sigma", 40),
-        sweep_cfg("gap", "10*sigma", "100*sigma", 20),
-        # a local term, a C and a pair per duration, in groups of their own
-        sweep_cfg("duration", "10*sigma", "1000*sigma", 12, "log", uncertainty="30*sigma"),
-        # every row fails, with the message of the smear that rejects it
-        sweep_cfg("delta_t", "2*sigma", "10*sigma", 3, uncertainty="3*sigma"),
-        # stacked pairs whose K(v; r) takes its r -> 0 limit at every node
-        # (|v| >= 50 sigma here), then at some nodes and not at others
-        sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 12, "log"),
-        sweep_cfg("r", "1e-6*sigma", "1e-2*sigma", 12, "log"),
-        # A is one object in every row while B's window moves through an
-        # overlap with it: a remainder group and a C group mix one value
-        # with columns, and the overlap flag of both orderings changes there
-        sweep_cfg("gap", "-90*sigma", "90*sigma", 13, uncertainty="30*sigma"),
-    ], ids=["fig3", "fig2a", "r-delta10", "delta_t", "gap", "duration", "delta_t-rejected",
-            "r-tiny", "r-limit-switch", "gap-smeared"])
+    @pytest.mark.parametrize("cfg", BATCHED_CONFIGS)
     def test_sweep_bit_identical_to_single_points(self, cfg):
+        self.assert_rows_as_alone(self.sweep_rows(cfg), cfg.numerics)
+
+    @pytest.mark.parametrize("cfg", BATCHED_CONFIGS)
+    def test_group_first_partitions_match_loop_reference(self, cfg, monkeypatch):
+        # every lockstep group of the sweep, of any size, through the one
+        # array pass over its first partitions: each member's edges, bit for
+        # bit, those of the loop form
+        groups, together = [], core.integrate_lockstep
+
+        def recorded(specs, evaluate, settings):
+            groups.append(specs)
+            return together(specs, evaluate, settings)
+
+        monkeypatch.setattr(core, "integrate_lockstep", recorded)
+        results = core.evaluate_scenarios(self.sweep_rows(cfg), cfg.numerics)
+        # only the sweep whose every row its smear rejects has no group
+        assert bool(groups) == any(not isinstance(res, Exception) for res in results)
+        for specs in groups:
+            a, b, owner = quadrature._array_panels(specs)
+            for i, spec in enumerate(specs):
+                edges = oracles.initial_panels_reference(spec)
+                assert a[owner == i].tobytes() == edges[:-1].tobytes()
+                assert b[owner == i].tobytes() == edges[1:].tobytes()
+
+    @staticmethod
+    def sweep_rows(cfg):
         # the tiny-r sweeps build detectors closer than 5 sigma on purpose
         sweep, sigma = cfg.sweep, cfg.scenario.det_a.smearing
         overlap = sweep.parameter == "r" and sweep.start < 5.0 * sigma
         with pytest.warns(UserWarning, match="detector overlap") if overlap else nullcontext():
-            rows = [_apply_parameter(cfg.scenario, sweep.parameter, float(v))
+            return [_apply_parameter(cfg.scenario, sweep.parameter, float(v))
                     for v in sweep_values(sweep)]
-        self.assert_rows_as_alone(rows, cfg.numerics)
 
     @staticmethod
     def assert_rows_as_alone(rows, numerics):
@@ -633,6 +683,17 @@ class TestBatchedSweep:
         rows = [_apply_parameter(cfg.scenario, "duration", d) for d in (0.1, 1e30, 0.2)]
         first, failed, last = self.assert_rows_as_alone(rows, cfg.numerics)
         assert type(failed) is ValueError and "does not fit an int64" in str(failed)
+        assert not isinstance(first, Exception) and not isinstance(last, Exception)
+
+    def test_row_whose_partition_numpy_cannot_allocate_fails_alone(self):
+        # a window of 3.2e14 asks for 5.0e13 first panels of its local term,
+        # whose 400 TB index array numpy refuses at once, more than a 48-bit
+        # address space holds; that row fails alone, naming the count
+        cfg = sweep_cfg("duration", "0.1", "0.2", 2)
+        rows = [_apply_parameter(cfg.scenario, "duration", d) for d in (0.1, 3.2e14, 0.2)]
+        first, failed, last = self.assert_rows_as_alone(rows, cfg.numerics)
+        assert type(failed) is ValueError and str(failed) == (
+            "integrate_radial: a first partition of 5.09e+13 panels does not fit in memory")
         assert not isinstance(first, Exception) and not isinstance(last, Exception)
 
     def test_cancelling_sweep_integrates_a_part_again(self, monkeypatch):
@@ -1047,6 +1108,28 @@ class TestCli:
             assert re.fullmatch(r"ValueError: SwitchingWindow: t_off \(\S+\) "
                                 r"must exceed t_on \(\S+\)", status)
         assert statuses[2:] == ["ok", "ok"]
+
+    def test_huge_first_partitions_fail_their_own_rows(self, tmp_path, capsys):
+        # durations 0.1, 3.2e14 and 1e30 on the reference geometry: the second
+        # row's local term asks for 5.0e13 first panels, whose index array
+        # numpy refuses at once, the third's for 1.6e29, more than an int64
+        # counts; each is its own row's ValueError, and the sweep exits 0
+        text = FIG2_CONFIG + textwrap.dedent("""\
+            [sweep]
+            parameter = duration
+            from = 0.1
+            to = 1e30
+            points = 3
+            spacing = log
+            """)
+        assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["status"] for row in rows] == [
+            "ok",
+            "ValueError: integrate_radial: a first partition of 5.03e+13 panels "
+            "does not fit in memory",
+            "ValueError: integrate_radial: a first partition of 1.59e+29 panels "
+            "does not fit an int64"]
 
     def test_figure_rejects_unknown_name(self, capsys):
         with pytest.raises(SystemExit):

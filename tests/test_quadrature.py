@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -301,6 +303,55 @@ class TestFiniteSupport:
             uncut += math.ceil((hi - lo) / cap - 1e-9) <= 1
         assert uncut > 2700
 
+    def test_array_pass_matches_loop_reference(self):
+        # a group's first partitions in one array pass, each member's bit for
+        # bit the loop form's: groups of 1 to 40 specs mixing uncut and
+        # cap-cut members, peaks outside the support, anchors and peaks at
+        # +-inf, nan and +-0, and runs of anchors a fraction of the merge
+        # width apart, where the loop merges against the last anchor it
+        # kept, not against the point before
+        rng = np.random.default_rng(20261021)
+        special = [math.inf, -math.inf, math.nan, 0.0, -0.0]
+
+        def at(lo, hi, low, high):
+            return (float(rng.choice(special)) if rng.random() < 0.05
+                    else lo + (hi - lo) * rng.uniform(low, high))
+
+        chained = cut = 0
+        for _ in range(300):
+            specs = []
+            for _ in range(rng.integers(1, 41)):
+                scale = 10.0 ** rng.uniform(-3.0, 4.0)
+                lo = scale * rng.uniform(-2.0, 1.0)
+                hi = lo + scale * 10.0 ** rng.uniform(-1.0, 0.5)
+                tiny = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+                run = lo + (hi - lo) * rng.uniform() + np.cumsum(rng.uniform(0.2, 0.9, 6)) * tiny
+                points = [float(x) for x in run[:rng.integers(7)]]
+                points += [at(lo, hi, -0.5, 1.5) for _ in range(rng.integers(3))]
+                peaks = tuple((at(lo, hi, -2.0, 3.0), (hi - lo) * 10.0 ** rng.uniform(-5.0, 0.5))
+                              for _ in range(rng.integers(4)))
+                rate = (0.0, 1.0 / (hi - lo), 10.0 ** rng.uniform(0.0, 3.0) / (hi - lo))[
+                    rng.integers(3)]
+                specs.append(IntegrandSpec(evaluate=lambda v: v + 0j, support=(lo, hi),
+                                           max_phase_rate=rate, singular_points=tuple(points),
+                                           peaks=peaks))
+                # the loop's rule keeps a run's points where merging against
+                # the point before would keep fewer
+                inside = sorted(x for x in points if lo + tiny < x < hi - tiny)
+                chained += any(y - x <= tiny < y - w for w, x, y in zip(inside, inside[1:],
+                                                                         inside[2:]))
+            with warnings.catch_warnings():  # inf*0 is nan, in silence as in Python floats
+                warnings.simplefilter("error")
+                a, b, owner = quadrature._array_panels(specs)
+            for i, spec in enumerate(specs):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    edges = oracles.initial_panels_reference(spec)
+                assert a[owner == i].tobytes() == edges[:-1].tobytes()
+                assert b[owner == i].tobytes() == edges[1:].tobytes()
+                lo, hi = spec.support
+                cut += spec.max_phase_rate * (hi - lo) / (4.0 * math.pi) > 1.0 + 1e-9
+        assert chained > 1000 and cut > 1000
+
     def test_peak_within_rounding_of_an_end_merges(self):
         # the same partition whether rounding puts the peak on the end or an
         # ulp inside it
@@ -479,6 +530,37 @@ class TestLockstep:
             assert (got.value, got.abs_error, got.evaluations) == (
                 ref.value, ref.abs_error, ref.evaluations)
 
+    def test_group_of_two_component_integrals_matches_each_alone(self):
+        # each member's two components, of their own sizes, refine their own
+        # panels over several rounds; every value and error is the one the
+        # member gets alone
+        comps, peaks, sizes = TestComponents(), (2.0, 5.0, 7.5, 11.0), (1.0, 1e3, 1e-3, 1e6)
+
+        def f(x, p, size):
+            return size * np.stack([np.exp(-0.5 * ((x - p) / comps.W) ** 2) + 0j,
+                                    comps.smooth(x)], 1)
+
+        specs = [IntegrandSpec(evaluate=lambda x, p=p, size=size: f(x, p, size),
+                               support=(0.0, reach(comps.S)), max_phase_rate=comps.R,
+                               peaks=((p, comps.W),)) for p, size in zip(peaks, sizes)]
+        rounds = []
+        gk15 = quadrature._gk15
+
+        def counted(*args):
+            rounds.append(args[3] is not None)
+            return gk15(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_gk15", counted)
+            together = integrate_lockstep(
+                specs, lambda x, owner: f(x, np.array(peaks)[owner], np.array(sizes)[owner, None]),
+                comps.SETTINGS)
+        assert len(rounds) > 2 and all(rounds)
+        for got, spec in zip(together, specs):
+            ref = integrate_radial(spec, comps.SETTINGS)
+            assert (got.value.tolist(), got.abs_error.tolist(), got.evaluations) == (
+                ref.value.tolist(), ref.abs_error.tolist(), ref.evaluations)
+
     @pytest.mark.parametrize("n_huge", [1, 2])
     def test_partition_that_cannot_be_built_fails_alone(self, n_huge):
         # about 8e301 first panels, more than an int64 counts: that
@@ -495,6 +577,30 @@ class TestLockstep:
                 ref.value, ref.abs_error, ref.evaluations)
         with pytest.raises(ValueError, match="does not fit an int64"):
             integrate_radial(huge, self.SETTINGS)
+
+    @pytest.mark.parametrize("support, rate, message", [
+        ((0.0, 1e300), 1e3, "a first partition of 7.96e+301 panels does not fit an int64"),
+        # 5.1e13 panels: numpy refuses their 400 TB index array at once, more
+        # than a 48-bit address space holds
+        ((0.0, 3.2e14), 2.0, "a first partition of 5.09e+13 panels does not fit in memory"),
+    ])
+    def test_group_member_that_cannot_be_built_fails_alone(self, support, rate, message):
+        # in a group that takes the array pass: that member's slot holds the
+        # ValueError, and every other member runs as alone
+        specs = [gauss_sin_spec(0.3, 4.0 + k) for k in range(12)]
+        specs[5] = IntegrandSpec(evaluate=lambda w: w + 0j, support=support, max_phase_rate=rate)
+        out = integrate_lockstep(
+            specs, lambda x, owner: np.exp(-0.5 * (0.3 * x) ** 2) * np.sin((4.0 + owner) * x) + 0j,
+            self.SETTINGS)
+        assert type(out[5]) is ValueError and str(out[5]) == "integrate_radial: " + message
+        for got, spec in zip(out[:5] + out[6:], specs[:5] + specs[6:]):
+            ref = self.alone(spec)
+            if isinstance(ref, ConvergenceFailure):
+                got, ref = got.best, ref.best
+            assert (got.value, got.abs_error, got.evaluations) == (
+                ref.value, ref.abs_error, ref.evaluations)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate_radial(specs[5], self.SETTINGS)
 
     def test_rounds_are_chunked(self, monkeypatch):
         # a first partition of 47,760 nodes: no evaluate call holds more than
