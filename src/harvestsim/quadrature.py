@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from itertools import accumulate
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -232,8 +232,7 @@ def _array_panels(specs: list[IntegrandSpec]) -> tuple | None:
     by (owner, point): the panels' ends a, b and owners, spec by spec; None
     where the group's panel count is not exact in floats."""
     m, ids = len(specs), np.arange(len(specs))
-    lo, hi, rate = np.array([v for spec in specs for v in (*spec.support, spec.max_phase_rate)]
-                            ).reshape(m, 3).T
+    lo, hi, rate = np.array([(*spec.support, spec.max_phase_rate) for spec in specs]).T
     cap = np.divide(4.0 * math.pi, rate, out=np.full(m, math.inf), where=rate > 0.0)
     tiny = 64.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
     at = np.repeat(ids, [len(spec.peaks) for spec in specs])
@@ -268,18 +267,15 @@ def _array_panels(specs: list[IntegrandSpec]) -> tuple | None:
     piece = np.repeat(np.arange(n.size), n.astype(np.int64))
     a = start[piece] + d[piece] * (np.arange(piece.size) - (np.cumsum(n) - n)[piece]) / n[piece]
     own = own[piece]
-    b = np.append(a[1:], 0.0)
-    last = np.append(own[1:] != own[:-1], True)
-    b[last] = hi[own[last]]
-    return a, b, own
+    last = np.append(own[1:] != own[:-1], True)  # each spec's last panel ends at its hi
+    return a, np.where(last, hi[own], np.append(a[1:], 0.0)), own
 
 
 def _gk15(evaluate, a: np.ndarray, b: np.ndarray, owner: np.ndarray | None) -> tuple:
-    """Vectorized GK15 on the panels a[i], b[i] of integral owner[i], for
-    every i, in evaluate calls of at most ``_CHUNK`` nodes; owner is None
-    for the one integral of a group of one.  Returns the kronrod sums and
-    |K-G| errors, each of shape (k, panels), and whether the integrand has
-    one component."""
+    """Vectorized GK15 on the panels a[i], b[i] of integral owner[i] (None for
+    a group of one), in evaluate calls of at most ``_CHUNK`` nodes.  Returns
+    the kronrod sums and |K-G| errors, each of shape (k, panels), and
+    whether the integrand has one component."""
     step = _CHUNK // _NODES.size
     ik, ig = [], []
     for start in range(0, a.size, step):
@@ -350,13 +346,13 @@ def integrate_lockstep(
     ``integrate_radial`` would raise, or the ValueError of a first
     partition that cannot be built.
     """
-    m = len(specs)
+    m, out = len(specs), [None] * len(specs)
     try:  # numpy refuses an allocation it cannot make before writing to it
         panels = _array_panels(specs) if m > 1 else None
     except MemoryError:
         panels = None
     if panels is None:  # each first partition alone; one that cannot be built fails alone
-        out, edges = [None] * m, []
+        edges = []
         for i, spec in enumerate(specs):
             try:
                 edges.append(_initial_panels(spec))
@@ -365,68 +361,61 @@ def integrate_lockstep(
                 edges.append(np.array(spec.support[:1]))  # no panels
         a, b = ((np.concatenate(ends) for ends in zip(*[(e[:-1], e[1:]) for e in edges]))
                 if m > 1 else (edges[0][:-1], edges[0][1:]))
-        owner = None if m == 1 else np.repeat(np.arange(m), [e.size - 1 for e in edges])
+        owner = (np.repeat(np.arange(m), [e.size - 1 for e in edges]) if m > 1
+                 else np.zeros(a.size, dtype=np.intp))
     else:
-        (a, b, owner), out = panels, [None] * m
-    at = [0] if owner is None else owner  # each panel's integral, as an index
-    counts = [a.size] if owner is None else np.bincount(owner, minlength=m).tolist()
+        a, b, owner = panels
+    counts = np.bincount(owner, minlength=m).tolist() if m > 1 else [a.size]
     evals = [15 * n for n in counts]
     active = [i for i, res in enumerate(out) if res is None]
-    vals, errs, scalar = _gk15(evaluate, a, b, owner) if active else (None, None, True)
+    vals, errs, scalar = _gk15(evaluate, a, b, owner if m > 1 else None) if active else [None] * 3
     while active:
-        stops = counts if owner is None else list(accumulate(counts))
-        value, error = (x.sum(axis=1)[None] if owner is None else np.array(
+        stops = list(accumulate(counts))
+        value, error = (x.sum(axis=1)[None] if m == 1 else np.array(
             [x[:, stops[i] - counts[i]:stops[i]].sum(axis=1) for i in active])
             for x in (vals, errs))  # each integral's sums over its own panels
         tol = np.maximum(settings.tol_abs, settings.tol_rel * np.abs(value))
         done = (error <= tol).all(axis=1).tolist()
-        pending = []
         sums = zip(value[:, 0].tolist(), error[:, 0].tolist()) if scalar else zip(value, error)
-        for i, (v, e), ok in zip(active, sums, done):
-            best = QuadResult(v, e, evals[i])
-            if ok and evals[i] <= settings.eval_budget:
-                out[i] = best
-            else:
-                pending.append((i, best))
+        for i, (v, e) in zip(active, sums):
+            out[i] = QuadResult(v, e, evals[i])  # its best so far
+        pending = [i for i, ok in zip(active, done) if not ok or evals[i] > settings.eval_budget]
         if not pending:
             break
+        # each integral's range, and the width below which a panel is not bisected
+        span, min_width = np.array([(hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi)))
+                                    for lo, hi in (spec.support for spec in specs)]).T
         target = np.zeros((vals.shape[0], m))
         target[:, active] = tol.T
-        lo, hi = np.array([spec.support for spec in specs]).reshape(-1, 2).T
-        # each integral's range, and the width below which a panel is not bisected
-        span, min_width = hi - lo, 64.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
         width = b - a
-        refine = (errs > target[:, at] * width / span[at]).any(axis=0) & (width > min_width[at])
-        n_new = ([2 * int(refine.sum())] if owner is None
-                 else (2 * np.bincount(owner[refine], minlength=m)).tolist())
+        refine = (errs > target[:, owner] * width / span[owner]).any(axis=0) & (width > min_width[owner])
+        n_new = (2 * np.bincount(owner[refine], minlength=m)).tolist()
         active = []
-        for i, best in pending:
+        for i in pending:
             if evals[i] + 15 * n_new[i] > settings.eval_budget:
                 out[i] = ConvergenceFailure(
-                    f"integrate_radial: evaluation budget {settings.eval_budget} exhausted", best)
+                    f"integrate_radial: evaluation budget {settings.eval_budget} exhausted", out[i])
             elif not n_new[i]:
                 out[i] = ConvergenceFailure(
-                    "integrate_radial: panels at roundoff width before reaching tolerance", best)
+                    "integrate_radial: panels at roundoff width before reaching tolerance", out[i])
             else:
                 active.append(i)
                 evals[i] += 15 * n_new[i]
         if not active:
             break
-        # each unfinished integral's panels: its unrefined ones in their
-        # order, then the left halves of the rest, then the right halves
-        alive = np.zeros(m, dtype=bool)
-        alive[active] = True
-        split, stay = refine & alive[at], ~refine & alive[at]
+        # each unfinished integral's unrefined panels in order, then left halves, then right
+        alive = np.bincount(active, minlength=m) > 0
+        split, stay = refine & alive[owner], ~refine & alive[owner]
         kept, mid = int(stay.sum()), 0.5 * (a[split] + b[split])
         a, b = np.concatenate([a[stay], a[split], mid]), np.concatenate([b[stay], mid, b[split]])
+        owner = np.concatenate([owner[stay], owner[split], owner[split]])
         old, new, counts = slice(None, kept), slice(kept, None), [a.size]
-        if owner is not None:  # each integral's panels together
-            owner = np.concatenate([owner[stay], owner[split], owner[split]])
+        if m > 1:  # each integral's panels together
             order = np.argsort(owner.astype(np.min_scalar_type(m)), kind="stable")
             a, b, owner, new = a[order], b[order], owner[order], order >= kept
-            at, old, counts = owner, ~new, np.bincount(owner, minlength=m).tolist()
+            old, counts = ~new, np.bincount(owner, minlength=m).tolist()
         grown = [np.empty((x.shape[0], a.size), dtype=x.dtype) for x in (vals, errs)]
-        fresh = _gk15(evaluate, a[new], b[new], None if owner is None else owner[new])
+        fresh = _gk15(evaluate, a[new], b[new], owner[new] if m > 1 else None)
         for y, x, z in zip(grown, (vals, errs), fresh):
             y[:, old], y[:, new] = x[:, stay], z
         vals, errs = grown

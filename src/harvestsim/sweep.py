@@ -185,22 +185,19 @@ def figure_preset(name: str, numerics=None) -> tuple[list[SweepRow], dict]:
 # --- output ---------------------------------------------------------------
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    """The table as the csv writer writes it: None as an empty cell, a float
-    by its repr, reused where the row above holds the same nonzero float
-    (a shared integral), and a row with a cell to quote by the writer."""
+    """The table, None as an empty cell and a float by its repr, whose text
+    is reused where the row above holds the same nonzero float (a shared
+    integral)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
     above = texts = [None] * len(COLUMNS)
     for row in rows:
         cells = row.cells()
-        texts = [text if v == u and v.__class__ is float and v else "" if v is None else str(v)
+        texts = [text if v == u and v and v.__class__ is float is u.__class__
+                 else "" if v is None else repr(v) if isinstance(v, float) else str(v)
                  for v, u, text in zip(cells, above, texts)]
-        line = ",".join(texts)
-        if line.count(",") == len(COLUMNS) - 1 and not any(c in line for c in '"\r\n'):
-            buf.write(line + "\n")
-        else:
-            writer.writerow(cells)
+        writer.writerow(texts)
         above = cells
     return buf.getvalue()
 

@@ -532,12 +532,15 @@ class TestSweepRunner:
     def test_csv_is_what_the_csv_writer_writes(self):
         # byte for byte the csv module's writer fed each cell, None as "" and
         # a float by its repr: a float every row shares, zeros of both signs
-        # and nans one above the other, a failed row, and statuses to quote
+        # and nans one above the other, an int above an equal float, a failed
+        # row, and statuses to quote
         rows = run_sweep(self.small_sweep_cfg("delta"))
         rep = rows[0].report
         rows += [dataclasses.replace(rows[0], report=dataclasses.replace(rep, negativity=v,
                                                                          negativity_raw=v))
                  for v in (-0.0, 0.0, -0.0, math.nan, math.nan, 1e-300, 1e-300)]
+        # an int, then floats equal to it, the last a float subclass
+        rows += [dataclasses.replace(rows[0], value=v) for v in (1, 1.0, np.float64(1.0))]
         rows += [dataclasses.replace(rows[1], report=None, status=status)
                  for status in ("ValueError: a, b", 'ValueError: "a"', "ValueError: a\nb",
                                 "ValueError: a\rb", "ok")]

@@ -530,10 +530,10 @@ class TestLockstep:
             assert (got.value, got.abs_error, got.evaluations) == (
                 ref.value, ref.abs_error, ref.evaluations)
 
-    def test_group_of_two_component_integrals_matches_each_alone(self):
+    @staticmethod
+    def two_component_group():
         # each member's two components, of their own sizes, refine their own
-        # panels over several rounds; every value and error is the one the
-        # member gets alone
+        # panels over several rounds
         comps, peaks, sizes = TestComponents(), (2.0, 5.0, 7.5, 11.0), (1.0, 1e3, 1e-3, 1e6)
 
         def f(x, p, size):
@@ -543,6 +543,11 @@ class TestLockstep:
         specs = [IntegrandSpec(evaluate=lambda x, p=p, size=size: f(x, p, size),
                                support=(0.0, reach(comps.S)), max_phase_rate=comps.R,
                                peaks=((p, comps.W),)) for p, size in zip(peaks, sizes)]
+        return specs, lambda x, owner: f(x, np.array(peaks)[owner], np.array(sizes)[owner, None])
+
+    def test_group_of_two_component_integrals_matches_each_alone(self):
+        # every value and error is the one the member gets alone
+        specs, evaluate = self.two_component_group()
         rounds = []
         gk15 = quadrature._gk15
 
@@ -552,14 +557,31 @@ class TestLockstep:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadrature, "_gk15", counted)
-            together = integrate_lockstep(
-                specs, lambda x, owner: f(x, np.array(peaks)[owner], np.array(sizes)[owner, None]),
-                comps.SETTINGS)
+            together = integrate_lockstep(specs, evaluate, TestComponents.SETTINGS)
         assert len(rounds) > 2 and all(rounds)
         for got, spec in zip(together, specs):
-            ref = integrate_radial(spec, comps.SETTINGS)
+            ref = integrate_radial(spec, TestComponents.SETTINGS)
             assert (got.value.tolist(), got.abs_error.tolist(), got.evaluations) == (
                 ref.value.tolist(), ref.abs_error.tolist(), ref.evaluations)
+
+    def test_refined_group_is_pinned(self):
+        # frozen, to the last bit, from the loop that refined one member at a
+        # time: a refined member's pairwise sums run over its panels in
+        # order (unrefined, then left halves, then right halves), so a change
+        # to that order moves the last bits of the refined components
+        specs, evaluate = self.two_component_group()
+        got = [(r.value.tolist(), r.abs_error.tolist(), r.evaluations)
+               for r in integrate_lockstep(specs, evaluate, TestComponents.SETTINGS)]
+        assert got == [
+            ([0.025066282746310127 + 0j, 2.5143067558713236e-07 + 0j],
+             [7.963727392318143e-16, 1.5531921749002148e-18], 930),
+            ([25.066282746309927 + 0j, 0.00025143067558713167 + 0j],
+             [7.678156057246009e-13, 2.4438419558134082e-15], 930),
+            ([2.5066282746309923e-05 + 0j, 2.514306755871319e-10 + 0j],
+             [7.700319484954147e-19, 4.0077099148330117e-22], 960),
+            ([25066.282746310066 + 0j, 0.25143067558713156 + 0j],
+             [7.432845702657593e-10, 2.0404536920862205e-12], 900),
+        ]
 
     @pytest.mark.parametrize("n_huge", [1, 2])
     def test_partition_that_cannot_be_built_fails_alone(self, n_huge):
