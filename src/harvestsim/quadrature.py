@@ -20,10 +20,11 @@ Several integrals, each on its own partition, can advance in lockstep
 of them together, in calls of at most ``_CHUNK`` nodes that also name
 the integral each node belongs to, and each integral then keeps its own
 sums, refinement, budget and failure, exactly as it would alone.
-``integrate_radial`` is that loop with a group of one.  A group keeps
-its unfinished integrals' panels, sums and errors in arrays, rebuilt
-each round, so its memory grows with their total panels.  A first
-partition too large to allocate fails alone.
+``integrate_radial`` is that loop with a group of one.  Each member
+starts from its own ``_initial_panels``, whatever the group's size, and
+a member whose first partition cannot be built fails alone.  A group
+keeps its unfinished integrals' panels, sums and errors in arrays,
+rebuilt each round, so its memory grows with their total panels.
 """
 from __future__ import annotations
 
@@ -103,8 +104,9 @@ class IntegrandSpec:
     def __post_init__(self):
         if not (self.max_phase_rate >= 0.0 and math.isfinite(self.max_phase_rate)):
             raise ValueError("IntegrandSpec: max_phase_rate must be >= 0 and finite")
-        if not (math.isfinite(self.support[0]) and self.support[0] < self.support[1] < math.inf):
-            raise ValueError("IntegrandSpec: support must be a finite interval lo < hi")
+        lo, hi = self.support
+        if not (lo < hi and math.isfinite(hi - lo)):  # a finite width has finite ends
+            raise ValueError("IntegrandSpec: support must be an interval lo < hi of finite width")
         if not all(s > 0.0 and math.isfinite(s) for _, s in self.peaks):
             raise ValueError("IntegrandSpec: peak widths must be positive and finite")
 
@@ -172,7 +174,6 @@ _CHUNK = 3000
 # first three doublings, halve the panels where a Gaussian core meets its tail.
 _STEPS = sorted([2.0 ** k - 1.0 for k in range(1024)] + [2.0, 5.0, 11.0])
 _SIGNED_STEPS = [x for k in _STEPS for x in (k, -k)]
-_SIGNED_ARRAY = np.array(_SIGNED_STEPS)
 
 
 def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
@@ -191,15 +192,23 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     comes from a feature the integrand declares.  Where such a panel is
     too wide for the tolerance, the adaptive loop of ``integrate_radial``
     bisects it, so evaluations go only where the integrand needs them.
-    One too large for an int64 or for memory is a ValueError naming its count.
+    One too large for an int64 or for memory, or a support whose ratio to a
+    peak's width or to the cap overflows a float, is a ValueError naming them.
     """
     lo, hi = spec.support
     cap = 4.0 * math.pi / spec.max_phase_rate if spec.max_phase_rate > 0.0 else math.inf
+    if (hi - lo) / cap == math.inf:  # math.ceil below cannot take inf
+        raise ValueError(f"integrate_radial: the support ({lo:.3g}, {hi:.3g}) is too wide "
+                         f"for panels of {cap:.3g}: their ratio overflows a float")
     points = list(spec.singular_points)
     for p, s in spec.peaks:
         q = min(max(p, lo), hi)
         width = max(s, abs(p - q))
-        doublings = math.ceil(math.log2((hi - lo) / width + 1.0)) + 1
+        ratio = (hi - lo) / width
+        if ratio == math.inf:
+            raise ValueError(f"integrate_radial: the support ({lo:.3g}, {hi:.3g}) is too wide "
+                             f"for a peak {width:.3g} wide: their ratio overflows a float")
+        doublings = math.ceil(math.log2(ratio + 1.0)) + 1
         points += [q + width * k for k in _SIGNED_STEPS[:2 * (doublings + 4)]]
     tiny = 64.0 * _EPS * max(abs(lo), abs(hi))
     anchors = [lo]
@@ -224,51 +233,6 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     first = (ends - n)[piece]  # and that piece's first panel
     edges = a[piece] + d[piece] * (np.arange(piece.size) - first) / n[piece]
     return np.append(edges, hi)
-
-
-@np.errstate(invalid="ignore", over="ignore")  # inf*0 and overflow as in Python floats, silently
-def _array_panels(specs: list[IntegrandSpec]) -> tuple | None:
-    """``_initial_panels`` of every spec in one array pass, its points sorted
-    by (owner, point): the panels' ends a, b and owners, spec by spec; None
-    where the group's panel count is not exact in floats."""
-    m, ids = len(specs), np.arange(len(specs))
-    lo, hi, rate = np.array([(*spec.support, spec.max_phase_rate) for spec in specs]).T
-    cap = np.divide(4.0 * math.pi, rate, out=np.full(m, math.inf), where=rate > 0.0)
-    tiny = 64.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
-    at = np.repeat(ids, [len(spec.peaks) for spec in specs])
-    p, s = np.array([v for spec in specs for peak in spec.peaks for v in peak]).reshape(-1, 2).T
-    q = np.minimum(np.maximum(p, lo[at]), hi[at])
-    width = np.fmax(s, np.abs(p - q))  # max(s, nan) is s
-    count = np.array([min(2 * math.ceil(math.log2(r)) + 10, len(_SIGNED_STEPS))  # 2*(doublings+4)
-                      for r in ((hi - lo)[at] / width + 1.0).tolist()], dtype=np.intp)
-    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # each peak's steps
-    x = np.concatenate([lo, hi, [v for spec in specs for v in spec.singular_points],
-                        np.repeat(q, count) + np.repeat(width, count) * _SIGNED_ARRAY[k]])
-    own = np.concatenate([ids, ids, np.repeat(ids, [len(spec.singular_points) for spec in specs]),
-                          np.repeat(at, count)])
-    inside = ((lo + tiny)[own] < x) & (x < (hi - tiny)[own])
-    inside[:2 * m] = True  # the ends, which sort first and last in their spec
-    x, own = x[inside], own[inside]
-    order = np.argsort(x)
-    order = order[np.argsort(own[order].astype(np.min_scalar_type(m)), kind="stable")]
-    x, own = x[order], own[order]
-    end = np.append(True, own[1:] != own[:-1])  # each spec's lo
-    keep = end | np.append(end[1:], True)       # and its hi
-    keep[1:] |= x[1:] - x[:-1] > tiny[own[1:]]
-    # a point within rounding of a merged one, against the last kept (a repeat stays merged)
-    for j in np.flatnonzero(~(keep[1:] | keep[:-1]) & (x[1:] != x[:-1])).tolist():
-        keep[j + 1] = x[j + 1] - x[j - np.argmax(keep[j::-1])] > tiny[own[j + 1]]
-    x, own = x[keep], own[keep]
-    piece = own[1:] == own[:-1]
-    start, own, d = x[:-1][piece], own[1:][piece], (x[1:] - x[:-1])[piece]
-    n = np.maximum(1.0, np.ceil(d / cap[own] - 1e-9))
-    if not n.sum() < 2.0 ** 53:
-        return None
-    piece = np.repeat(np.arange(n.size), n.astype(np.int64))
-    a = start[piece] + d[piece] * (np.arange(piece.size) - (np.cumsum(n) - n)[piece]) / n[piece]
-    own = own[piece]
-    last = np.append(own[1:] != own[:-1], True)  # each spec's last panel ends at its hi
-    return a, np.where(last, hi[own], np.append(a[1:], 0.0)), own
 
 
 def _gk15(evaluate, a: np.ndarray, b: np.ndarray, owner: np.ndarray | None) -> tuple:
@@ -331,7 +295,7 @@ def integrate_lockstep(
     specs: list[IntegrandSpec],
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> list[QuadResult | ConvergenceFailure]:
+) -> list[QuadResult | ConvergenceFailure | ValueError]:
     """``integrate_radial`` of every spec, advanced round by round together.
 
     Each integral keeps its own partition, refinement, panel order,
@@ -343,30 +307,20 @@ def integrate_lockstep(
     single spec); it must equal ``specs[owner[i]].evaluate`` at x[i],
     and every spec must have the same number of components.  Returns,
     in spec order, the result or the ConvergenceFailure
-    ``integrate_radial`` would raise, or the ValueError of a first
-    partition that cannot be built.
+    ``integrate_radial`` would raise.  Each member's first partition is
+    its ``_initial_panels``; a member whose partition cannot be built
+    fails alone, its slot holding that ValueError.
     """
-    m, out = len(specs), [None] * len(specs)
-    try:  # numpy refuses an allocation it cannot make before writing to it
-        panels = _array_panels(specs) if m > 1 else None
-    except MemoryError:
-        panels = None
-    if panels is None:  # each first partition alone; one that cannot be built fails alone
-        edges = []
-        for i, spec in enumerate(specs):
-            try:
-                edges.append(_initial_panels(spec))
-            except ValueError as exc:
-                out[i] = exc
-                edges.append(np.array(spec.support[:1]))  # no panels
-        a, b = ((np.concatenate(ends) for ends in zip(*[(e[:-1], e[1:]) for e in edges]))
-                if m > 1 else (edges[0][:-1], edges[0][1:]))
-        owner = (np.repeat(np.arange(m), [e.size - 1 for e in edges]) if m > 1
-                 else np.zeros(a.size, dtype=np.intp))
-    else:
-        a, b, owner = panels
-    counts = np.bincount(owner, minlength=m).tolist() if m > 1 else [a.size]
-    evals = [15 * n for n in counts]
+    m, out, edges = len(specs), [None] * len(specs), []
+    for i, spec in enumerate(specs):  # one that cannot be built fails alone
+        try:
+            edges.append(_initial_panels(spec))
+        except ValueError as exc:
+            out[i] = exc
+            edges.append(np.array(spec.support[:1]))  # no panels
+    a, b = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    counts = [e.size - 1 for e in edges]
+    owner, evals = np.repeat(np.arange(m), counts), [15 * n for n in counts]
     active = [i for i, res in enumerate(out) if res is None]
     vals, errs, scalar = _gk15(evaluate, a, b, owner if m > 1 else None) if active else [None] * 3
     while active:

@@ -11,8 +11,8 @@ time-domain J, which ``oracle_gl`` checks and which shares no code with
 the spatial smear's two terms or the clock smear's window factor.  The
 state layer is checked against the matrix form: eigen-solves of the
 partial transpose and Bell projectors.  ``initial_panels_reference`` is
-the loop form of the quadrature's starting partition, for one integral
-alone or a group's in one array pass.
+the loop form of the quadrature's starting partition, each integral's
+own, alone or as a member of a lockstep group.
 ``fourier_reference`` and ``kernel_reference`` share ``faddeeva_w`` with
 the package on purpose: they pin the unsmeared kernels' arithmetic, bit
 for bit, as closed forms, and ``damped_erf_reference`` pins

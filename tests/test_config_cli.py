@@ -632,21 +632,29 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("cfg", BATCHED_CONFIGS)
     def test_group_first_partitions_match_loop_reference(self, cfg, monkeypatch):
-        # every lockstep group of the sweep, of any size, through the one
-        # array pass over its first partitions: each member's edges, bit for
-        # bit, those of the loop form
-        groups, together = [], core.integrate_lockstep
+        # every quadrature of the sweep, a group of one included: the panels
+        # of its first GK15 call, member by member, are bit for bit the edges
+        # of the loop form
+        groups, together, gk15 = [], quadrature.integrate_lockstep, quadrature._gk15
 
         def recorded(specs, evaluate, settings):
-            groups.append(specs)
+            groups.append((specs, []))
             return together(specs, evaluate, settings)
 
-        monkeypatch.setattr(core, "integrate_lockstep", recorded)
+        def first_call(evaluate, a, b, owner):
+            calls = groups[-1][1]
+            if not calls:
+                calls.append((a, b, np.zeros(a.size, dtype=np.intp) if owner is None else owner))
+            return gk15(evaluate, a, b, owner)
+
+        for module in (core, quadrature):
+            monkeypatch.setattr(module, "integrate_lockstep", recorded)
+        monkeypatch.setattr(quadrature, "_gk15", first_call)
         results = core.evaluate_scenarios(self.sweep_rows(cfg), cfg.numerics)
         # only the sweep whose every row its smear rejects has no group
         assert bool(groups) == any(not isinstance(res, Exception) for res in results)
-        for specs in groups:
-            a, b, owner = quadrature._array_panels(specs)
+        for specs, calls in groups:
+            ((a, b, owner),) = calls
             for i, spec in enumerate(specs):
                 edges = oracles.initial_panels_reference(spec)
                 assert a[owner == i].tobytes() == edges[:-1].tobytes()
@@ -681,11 +689,13 @@ class TestBatchedSweep:
 
     def test_row_whose_partition_cannot_be_built_fails_alone(self):
         # a window of 1e30 asks for about 1.6e29 first panels, more than an
-        # int64 counts; that failure is its own row's, not its group's
+        # int64 counts, and one of 1e306 is more than a float's range of
+        # sigma wide; each failure is its own row's, not its group's
         cfg = sweep_cfg("duration", "0.1", "0.2", 2)
-        rows = [_apply_parameter(cfg.scenario, "duration", d) for d in (0.1, 1e30, 0.2)]
-        first, failed, last = self.assert_rows_as_alone(rows, cfg.numerics)
+        rows = [_apply_parameter(cfg.scenario, "duration", d) for d in (0.1, 1e30, 1e306, 0.2)]
+        first, failed, overflowed, last = self.assert_rows_as_alone(rows, cfg.numerics)
         assert type(failed) is ValueError and "does not fit an int64" in str(failed)
+        assert type(overflowed) is ValueError and "ratio overflows a float" in str(overflowed)
         assert not isinstance(first, Exception) and not isinstance(last, Exception)
 
     def test_row_whose_partition_numpy_cannot_allocate_fails_alone(self):
@@ -1012,6 +1022,26 @@ class TestCli:
 
     def test_unequal_smearing_compute_exit_code(self, tmp_path, capsys, monkeypatch):
         self.unequal_smearing_run(tmp_path, capsys, monkeypatch, "compute")
+
+    @pytest.mark.parametrize("gap, t_off, message", [
+        # I_nn's support over its peak's width sigma overflows a float
+        ("1.0", "1e306", "integrate_radial: the support (0, 1e+306) is too wide for a peak "
+                         "0.001 wide: their ratio overflows a float"),
+        # the pair's support, of width twice the windows', overflows itself
+        ("1.0", "1e308", "IntegrandSpec: support must be an interval lo < hi of finite width"),
+        # I_nn's support over the two periods of its phase overflows a float
+        ("1e300\ncoupling = 0.05", "1e10", "integrate_radial: the support (0, 1e+10) is too "
+                                          "wide for panels of 6.28e-300: their ratio overflows "
+                                          "a float"),
+    ])
+    def test_overflowing_support_compute_exit_code(self, tmp_path, capsys, gap, t_off, message):
+        # both windows on [0, t_off]: one line, not a traceback
+        text = FIG2_CONFIG.replace("gap = 1.0", f"gap = {gap}").replace("100*sigma", t_off).replace(
+            "t_on = 150*sigma\nt_off = 250*sigma", f"t_on = 0\nt_off = {t_off}")
+        assert main(["compute", self.write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message}\n"
 
     def test_unequal_smearing_sweep_exit_code(self, tmp_path, capsys, monkeypatch):
         # formerly a table of failed rows

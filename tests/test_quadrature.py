@@ -303,13 +303,12 @@ class TestFiniteSupport:
             uncut += math.ceil((hi - lo) / cap - 1e-9) <= 1
         assert uncut > 2700
 
-    def test_array_pass_matches_loop_reference(self):
-        # a group's first partitions in one array pass, each member's bit for
-        # bit the loop form's: groups of 1 to 40 specs mixing uncut and
-        # cap-cut members, peaks outside the support, anchors and peaks at
-        # +-inf, nan and +-0, and runs of anchors a fraction of the merge
-        # width apart, where the loop merges against the last anchor it
-        # kept, not against the point before
+    def test_special_anchors_match_loop_reference(self):
+        # byte for byte the loop form's, on groups of 1 to 40 specs mixing
+        # uncut and cap-cut members, peaks outside the support, anchors and
+        # peaks at +-inf, nan and +-0, and runs of anchors a fraction of the
+        # merge width apart, where the loop merges against the last anchor
+        # it kept, not against the point before
         rng = np.random.default_rng(20261021)
         special = [math.inf, -math.inf, math.nan, 0.0, -0.0]
 
@@ -340,14 +339,12 @@ class TestFiniteSupport:
                 inside = sorted(x for x in points if lo + tiny < x < hi - tiny)
                 chained += any(y - x <= tiny < y - w for w, x, y in zip(inside, inside[1:],
                                                                          inside[2:]))
-            with warnings.catch_warnings():  # inf*0 is nan, in silence as in Python floats
-                warnings.simplefilter("error")
-                a, b, owner = quadrature._array_panels(specs)
-            for i, spec in enumerate(specs):
+            for spec in specs:
+                with warnings.catch_warnings():  # inf*0 is nan, in silence as in Python floats
+                    warnings.simplefilter("error")
+                    edges = _initial_panels(spec)
                 with np.errstate(invalid="ignore", over="ignore"):
-                    edges = oracles.initial_panels_reference(spec)
-                assert a[owner == i].tobytes() == edges[:-1].tobytes()
-                assert b[owner == i].tobytes() == edges[1:].tobytes()
+                    assert edges.tobytes() == oracles.initial_panels_reference(spec).tobytes()
                 lo, hi = spec.support
                 cut += spec.max_phase_rate * (hi - lo) / (4.0 * math.pi) > 1.0 + 1e-9
         assert chained > 1000 and cut > 1000
@@ -364,7 +361,8 @@ class TestFiniteSupport:
         f = lambda v: v + 0j  # noqa: E731
         IntegrandSpec(evaluate=f, support=(-2.0, 1.0),
                       singular_points=(-1.0, 0.5), peaks=((-5.0, 1.0),))
-        for bad in ((1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        # the last is two finite ends whose width hi - lo overflows
+        for bad in ((1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
             with pytest.raises(ValueError):
                 IntegrandSpec(evaluate=f, support=bad)
         with pytest.raises(TypeError):
@@ -605,10 +603,13 @@ class TestLockstep:
         # 5.1e13 panels: numpy refuses their 400 TB index array at once, more
         # than a 48-bit address space holds
         ((0.0, 3.2e14), 2.0, "a first partition of 5.09e+13 panels does not fit in memory"),
+        # the support over the cap, 4 pi/rate, is more than a float holds
+        ((0.0, 1e10), 1e300, "the support (0, 1e+10) is too wide for panels of 1.26e-299: "
+                             "their ratio overflows a float"),
     ])
     def test_group_member_that_cannot_be_built_fails_alone(self, support, rate, message):
-        # in a group that takes the array pass: that member's slot holds the
-        # ValueError, and every other member runs as alone
+        # in a group of twelve: that member's slot holds the ValueError, and
+        # every other member runs as alone
         specs = [gauss_sin_spec(0.3, 4.0 + k) for k in range(12)]
         specs[5] = IntegrandSpec(evaluate=lambda w: w + 0j, support=support, max_phase_rate=rate)
         out = integrate_lockstep(
