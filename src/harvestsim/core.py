@@ -107,7 +107,7 @@ class SecondOrderIntegrals:
     def validate(self) -> None:
         if not (self.i_aa >= 0.0 and self.i_bb >= 0.0):
             raise ValueError("SecondOrderIntegrals: diagonal terms must be >= 0")
-        if abs(self.i_ab) ** 2 > self.i_aa * self.i_bb + 1e-10:
+        if abs(self.i_ab) * abs(self.i_ab) > self.i_aa * self.i_bb + 1e-10:
             raise ValueError(
                 "SecondOrderIntegrals: |i_ab|^2 exceeds i_aa*i_bb (Cauchy-Schwarz)"
             )
@@ -271,12 +271,12 @@ def _moments(u, shift, p: dict):
         near = np.abs(t) < (np.tile(split, n) if np.ndim(split) else split)
         out = np.empty(z.size, dtype=complex)
         w = _faddeeva_w(z[near])
-        a, b = _polynomial("ik,pk->pi", t[near], row[near], _take(place, near), tables)
+        a, b = _polynomial("ik,ipk->pi", t[near], row[near], _take(place, near), tables)
         out[near] = w * a - 1j * b
         far = ~near
         if far.any():
             inv = 1.0 / t[far]
-            out[far] = 1j * inv * _polynomial("ij,j->i", inv, row[far], _take(place, far),
+            out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], _take(place, far),
                                               p["far"])
     return out.reshape(n, -1).sum(axis=0) * p["factor"]
 
@@ -286,20 +286,15 @@ def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, place,
     """``einsum(subscripts)`` of the powers x^k against the coefficients
     tables[place][row], k below that table's width; place is one table
     for every entry, or one per entry, when each run of entries of one
-    table is summed as their member alone sums it: an einsum per row."""
+    table takes an einsum of its own, as their member alone does."""
+    if np.ndim(place) == 0:
+        table = tables[place]
+        return np.einsum(subscripts, np.vander(x, table.shape[-1], increasing=True), table[row])
     out = np.empty(tables[0].shape[1:-1] + x.shape)
-    if np.ndim(place):
-        starts = np.flatnonzero(np.diff(place, prepend=-1)).tolist()
-        for start, end in zip(starts, starts[1:] + [place.size]):
-            out[..., start:end] = _polynomial(subscripts, x[start:end], row[start:end],
-                                              int(place[start]), tables)
-        return out
-    table = tables[place]
-    powers = np.vander(x, table.shape[-1], increasing=True)
-    ends = np.searchsorted(row, np.arange(1, table.shape[0] + 1)).tolist()  # rows ascend
-    for r, (start, end) in enumerate(zip([0] + ends, ends)):
-        if end > start:
-            out[..., start:end] = np.einsum(subscripts, powers[start:end], table[r])
+    starts = np.flatnonzero(np.diff(place, prepend=-1)).tolist()
+    for start, end in zip(starts, starts[1:] + [place.size]):
+        out[..., start:end] = _polynomial(subscripts, x[start:end], row[start:end],
+                                          int(place[start]), tables)
     return out
 
 
@@ -333,7 +328,7 @@ def _separation_columns(r: float, sigma: float) -> dict:
     of F at shift = -+r is resolved to the rounding of u, not of v."""
     return dict(offset=r, scale=sigma, factor=_SQRT_PI / (_SQRT2 * sigma * 2j * r),
                 near=_PLUS_MINUS,
-                limit=dict(offset=0.0, scale=sigma, factor=1j / sigma**2, **_G1))
+                limit=dict(offset=0.0, scale=sigma, factor=1j / (sigma * sigma), **_G1))
 
 
 def _window(v, a, b, g_a, g_b: float):
@@ -388,6 +383,8 @@ class _Member:
 
 def _member(kind: str, params: dict, pref: float, rates: tuple, t0: float,
             **geometry) -> _Member:
+    if not math.isfinite(pref):  # a product of couplings, which the detectors leave unbounded
+        raise ValueError(f"the {kind} integral's prefactor, from the couplings, overflows a float")
     evaluate = _EVALUATE[kind]
     return _Member(kind, IntegrandSpec(evaluate=lambda u: evaluate(u, params), **geometry),
                    params, pref, rates, t0)
@@ -484,7 +481,7 @@ def _i_nn_member(det: DetectorParams) -> _Member:
     F leaves no small difference of large terms.
     """
     g, sigma, width = det.gap, det.smearing, det.window.duration
-    pref = 2.0 * det.coupling**2 / (4.0 * math.pi**2)
+    pref = 2.0 * det.coupling * det.coupling / (4.0 * math.pi**2)
     return _member(
         "i_nn", dict(gap=g, width=width, **_fourier_columns(sigma)), pref, (0.0,), 0.0,
         max_phase_rate=2.0 * g,  # gap_A + gap_B, as in ``_time_member``
@@ -632,7 +629,7 @@ def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
     as every time-domain member of the pair holds them."""
     da, db, delta = s.det_a, s.det_b, s.position_uncertainty
     t0, sig, windows = _pair(da, db)
-    scale = math.sqrt(sig**2 + 0.5 * delta**2)
+    scale = math.sqrt(sig * sig + 0.5 * delta * delta)
     params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig, **windows)
     return _member(
         "remainder", params, pref, (da.gap + db.gap,), t0,
@@ -676,11 +673,11 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     """
     eps = 1.0 / (_SQRT2 * x)
     s = r0 * eps
-    scale = math.sqrt(sigma**2 + s * s)
+    scale = math.sqrt(sigma * sigma + s * s)
     eta = s / scale
     bounds = area * eps**_ORDERS * _ABS_MOMENTS * (
         math.sqrt(2.0 * math.pi) / (sigma * r0)
-        + gammaincc(0.5 * (_ORDERS + 1), 0.25 * x * x) / (2.0 * sigma**2))
+        + gammaincc(0.5 * (_ORDERS + 1), 0.25 * x * x) / (2.0 * sigma * sigma))
     if not bounds[-1] <= floor:
         return None
     n = max(1, int(np.argmax(bounds <= floor)))
@@ -758,7 +755,7 @@ def _take(params, index: np.ndarray):
 
 def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
     """Each member's quantity (``_finish``), or the ROW_ERRORS exception
-    that ends its quadrature.  A member alone runs through
+    that ends its quadrature or its finish.  A member alone runs through
     ``integrate_radial``; members of one kind run in lockstep, each round
     one evaluate call of the kind's evaluator at the stacked parameters of
     each node's member."""
@@ -772,7 +769,7 @@ def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
             return _EVALUATE[members[0].kind](x, dict(_take(params, owner), place=owner))
 
         results = integrate_lockstep([m.spec for m in members], evaluate, settings)
-    return [res if isinstance(res, Exception) else _finish(member, res)
+    return [res if isinstance(res, Exception) else _attempt(_finish, member, res)
             for member, res in zip(members, results)]
 
 
@@ -799,9 +796,7 @@ class _Plan:
 
     def add(self, member: _Member):
         """The key of a member that nothing else shares."""
-        key = object()
-        self.members[key] = member
-        return key
+        return self.need(object(), lambda: member)
 
     def run(self) -> None:
         groups: dict = {}

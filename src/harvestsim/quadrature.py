@@ -323,6 +323,9 @@ def integrate_lockstep(
     owner, evals = np.repeat(np.arange(m), counts), [15 * n for n in counts]
     active = [i for i, res in enumerate(out) if res is None]
     vals, errs, scalar = _gk15(evaluate, a, b, owner if m > 1 else None) if active else [None] * 3
+    # each integral's range, and the width below which a panel is not bisected
+    span, min_width = np.array([(hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi)))
+                                for lo, hi in (spec.support for spec in specs)]).T
     while active:
         stops = list(accumulate(counts))
         value, error = (x.sum(axis=1)[None] if m == 1 else np.array(
@@ -336,9 +339,6 @@ def integrate_lockstep(
         pending = [i for i, ok in zip(active, done) if not ok or evals[i] > settings.eval_budget]
         if not pending:
             break
-        # each integral's range, and the width below which a panel is not bisected
-        span, min_width = np.array([(hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi)))
-                                    for lo, hi in (spec.support for spec in specs)]).T
         target = np.zeros((vals.shape[0], m))
         target[:, active] = tol.T
         width = b - a

@@ -1038,10 +1038,46 @@ class TestCli:
         # both windows on [0, t_off]: one line, not a traceback
         text = FIG2_CONFIG.replace("gap = 1.0", f"gap = {gap}").replace("100*sigma", t_off).replace(
             "t_on = 150*sigma\nt_off = 250*sigma", f"t_on = 0\nt_off = {t_off}")
+        self.compute_fails_in_one_line(tmp_path, capsys, text, message)
+
+    def compute_fails_in_one_line(self, tmp_path, capsys, text, message):
         assert main(["compute", self.write_cfg(tmp_path, text)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid input: {message}\n"
+
+    @pytest.mark.parametrize("old, new, message", [
+        # the default coupling 0.01*gap = 1e298: I_nn's coupling squared
+        ("gap = 1.0", "gap = 1e300",
+         "the i_nn integral's prefactor, from the couplings, overflows a float"),
+        # the frequency remainder's envelope width sqrt(sigma^2 + delta^2/2)
+        ("separation = 150*sigma", "separation = 150*sigma\nposition_uncertainty = 1e200",
+         "IntegrandSpec: support must be an interval lo < hi of finite width"),
+        # K(v; r)'s limit factor i/sigma^2, on windows 1e162 long
+        ("smearing = 0.001", "smearing = 1e160",
+         "integrate_radial: a first partition of 1.59e+161 panels does not fit an int64"),
+        # |I_AB|^2 in the Cauchy-Schwarz check, before the perturbative one
+        ("gap = 1.0", "gap = 1.0\ncoupling = 1e100",
+         "SecondOrderIntegrals: i_aa + i_bb = 5.16e+199 >= 1 leaves no ground-state "
+         "population; outside the perturbative regime"),
+    ])
+    def test_overflowing_square_compute_exit_code(self, tmp_path, capsys, old, new, message):
+        # a value whose square overflows a float, in both detectors or in the
+        # scenario, fails its row: one line, not a traceback
+        self.compute_fails_in_one_line(tmp_path, capsys, FIG2_CONFIG.replace(old, new), message)
+
+    def test_overflowing_prefactor_fails_each_sweep_row(self, tmp_path, capsys):
+        # couplings whose product overflows: every row of an r sweep at
+        # delta = 10 sigma, on the series route or the frequency route, records
+        # its ValueError, and the table is written
+        text = (FIG2_CONFIG.replace("gap = 1.0", "gap = 1.0\ncoupling = 1e160")
+                + "position_uncertainty = 10*sigma\n\n"
+                + "[sweep]\nparameter = r\nfrom = 10*sigma\nto = 400*sigma\npoints = 40\n")
+        assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
+        statuses = [row["status"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+        assert len(statuses) == 40 and set(statuses) == {
+            f"ValueError: the {kind} integral's prefactor, from the couplings, overflows a float"
+            for kind in ("series", "remainder")}
 
     def test_unequal_smearing_sweep_exit_code(self, tmp_path, capsys, monkeypatch):
         # formerly a table of failed rows

@@ -29,6 +29,7 @@ from harvestsim.core import (
 from harvestsim.detectors import DetectorParams, Scenario, SwitchingWindow
 from harvestsim.quadrature import (
     ConvergenceFailure,
+    IntegrandSpec,
     QuadratureSettings,
     QuadResult,
     _initial_panels,
@@ -993,6 +994,36 @@ class TestTimeDomainKernels:
             assert limit.any() and (r == 1e-9 or not limit.all())
             assert np.array_equal(got[mine], core._moments(u[mine], r, members[i]))
 
+    def test_polynomial_path_is_pinned(self):
+        # frozen, to the last bit, from the kernel that summed each member's
+        # polynomial rows one einsum per row: two series members of 32 and
+        # 14 terms in one group, their nodes in runs of one member on both
+        # sides of each one's switch to the moments' expansion; one series
+        # member of 18 terms alone; and K(v; r) at r = 3e-5 sigma, whose
+        # nodes from |v| = 3 sigma on take the limit G_1, near and far
+        sigma, r0 = 1e-3, 0.15
+        u = np.array([-0.45, -0.31, -0.3, -0.29, -0.02, 0.0, 0.01, 0.2])
+        members = [core._make_series_kernel(x, sigma, r0, 1.0, 1e-14)[0] for x in (9.5, 40.0)]
+        assert [m["near"][0].shape[-1] for m in members] == [32, 14]
+        owner = np.repeat([0, 1], 4)
+        group = core._moments(u, r0, dict(core._take(core._stack(members), owner), place=owner))
+        assert group.tolist() == [
+            -14.88068236883542 - 5.112660482686938e-38j, -202.17210557503904 - 234.82329642591233j,
+            -10.950555623432122 - 372.7092103607344j, 207.33184207694333 - 268.0867565636854j,
+            182.62271970607284 + 2.5548213561869763e-08j, -8.345536171977706 + 1474.225814118863j,
+            -359.14671262130673 + 2.7551645536392564j, -10.00172689463689 - 0j]
+        lone = core._make_series_kernel(20.0, sigma, r0, 1.0, 1e-14)[0]
+        assert core._moments(u, r0, lone).tolist() == [
+            -14.83022679867688 - 3.2203219066936783e-166j, -403.9620475828721 - 130.66416130981767j,
+            -10.352357357240049 - 774.1486450899849j, 437.40412536092055 - 148.64712480797277j,
+            197.89581929360273 + 0.9255725258027769j, -10.352357357240049 + 774.1486450899849j,
+            -403.96204758287234 + 130.66416130981804j, -10.00574555138212 - 0j]
+        r, v = 3e-8, np.array([0.0, 0.002, -0.0035, 0.01, -0.02, 0.05])
+        assert core._moments(v - r, r, core._separation_columns(r, sigma)).tolist() == [
+            999999.9996999998 + 0j, -279976.14902388956 + 339235.2475669287j,
+            -118769.65377396575 - 9595.647402847471j, -10316.156491859685 + 2.4173294517983168e-15j,
+            -2518.988571471209 + 0j, -400.48096269771975 + 0j]
+
     def test_stack_keeps_one_object_and_signed_zeros(self):
         # a value every member holds as one object stays that object, and
         # numbers of equal bits made apart stay one value; equal numbers of
@@ -1189,6 +1220,16 @@ class TestReportedErrors:
         monkeypatch.setattr(core, "_run_group", recorded)
         assert "j_smeared" in self.check(rows)
         assert kinds.count("series") == len(grid) and kinds.count("remainder") == 2
+
+    def test_error_that_overflows_fails_its_slot(self):
+        # a finite prefactor times a finite quadrature error can still
+        # overflow: the member's slot holds that ValueError, which its rows
+        # record, and the run goes on
+        step = IntegrandSpec(evaluate=lambda x: np.where(x < 0.5, 0.0, 1e3) + 0j,
+                             support=(0.0, 1.0))
+        member = core._Member("i_nn", step, {}, 1.7e308, (0.0,), 0.0)
+        (slot,) = core._run_group([member], QuadratureSettings(tol_abs=1e3))
+        assert type(slot) is ValueError and "abs_error must be finite" in str(slot)
 
 
 class TestTimeShiftInvariance:
