@@ -265,36 +265,33 @@ def _moments(u, shift, p: dict):
         out = _faddeeva_w(z).reshape(n, -1) * tables[0][:, None]
     else:
         t = _SQRT2 * z
-        row = np.repeat(np.arange(n), u.size)
         place = np.tile(p["place"], n) if len(tables) > 1 else 0
+        key = np.repeat(np.arange(n), u.size) + n * place  # see ``_polynomial``
         split = p["split"]
         near = np.abs(t) < (np.tile(split, n) if np.ndim(split) else split)
         out = np.empty(z.size, dtype=complex)
         w = _faddeeva_w(z[near])
-        a, b = _polynomial("ik,ipk->pi", t[near], row[near], _take(place, near), tables)
+        a, b = _polynomial("ik,pk->pi", t[near], key[near], tables)
         out[near] = w * a - 1j * b
         far = ~near
         if far.any():
             inv = 1.0 / t[far]
-            out[far] = 1j * inv * _polynomial("ij,ij->i", inv, row[far], _take(place, far),
-                                              p["far"])
+            out[far] = 1j * inv * _polynomial("ij,j->i", inv, key[far], p["far"])
     return out.reshape(n, -1).sum(axis=0) * p["factor"]
 
 
-def _polynomial(subscripts: str, x: np.ndarray, row: np.ndarray, place,
-                tables: tuple) -> np.ndarray:
+def _polynomial(subscripts: str, x: np.ndarray, key: np.ndarray, tables: tuple) -> np.ndarray:
     """``einsum(subscripts)`` of the powers x^k against the coefficients
-    tables[place][row], k below that table's width; place is one table
-    for every entry, or one per entry, when each run of entries of one
-    table takes an einsum of its own, as their member alone does."""
-    if np.ndim(place) == 0:
-        table = tables[place]
-        return np.einsum(subscripts, np.vander(x, table.shape[-1], increasing=True), table[row])
+    tables[key // n][key % n], n rows a table, k below that table's width:
+    one einsum for each run of entries of one key, against that row alone,
+    as their member alone takes it."""
+    n = tables[0].shape[0]
     out = np.empty(tables[0].shape[1:-1] + x.shape)
-    starts = np.flatnonzero(np.diff(place, prepend=-1)).tolist()
-    for start, end in zip(starts, starts[1:] + [place.size]):
-        out[..., start:end] = _polynomial(subscripts, x[start:end], row[start:end],
-                                          int(place[start]), tables)
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    for start, end in zip(starts, starts[1:] + [key.size]):
+        table, row = divmod(int(key[start]), n)
+        powers = np.vander(x[start:end], tables[table].shape[-1], increasing=True)
+        out[..., start:end] = np.einsum(subscripts, powers, tables[table][row])
     return out
 
 

@@ -74,9 +74,9 @@ _WG_HALF = np.array([
 ])
 
 _NODES = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])          # 15 ascending
-_WK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])              # Kronrod weights
-_WG = np.zeros(15)
-_WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])        # Gauss weights
+_WEIGHTS = np.zeros((2, 15))                                         # Kronrod, then Gauss
+_WEIGHTS[0] = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
+_WEIGHTS[1, 1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def _gk15(evaluate, a: np.ndarray, b: np.ndarray, owner: np.ndarray | None) -> t
     the kronrod sums and |K-G| errors, each of shape (k, panels), and
     whether the integrand has one component."""
     step = _CHUNK // _NODES.size
-    ik, ig = [], []
+    sums = []
     for start in range(0, a.size, step):
         pa, pb = a[start:start + step], b[start:start + step]
         c = 0.5 * (pa + pb)
@@ -250,14 +250,12 @@ def _gk15(evaluate, a: np.ndarray, b: np.ndarray, owner: np.ndarray | None) -> t
         v = np.asarray(evaluate(x.ravel(), None if owner is None
                                 else np.repeat(owner[start:start + step], _NODES.size)),
                        dtype=complex)
-        # component by component, so each is summed as it would be on its own
-        rows = v.T.reshape(-1, _NODES.size)
+        # component by component, so each is summed as it would be on its own;
         # einsum, not ``v @ w``: the BLAS product wakes a thread pool that burns
         # a second core without any gain in wall time
-        ik.append(h * np.einsum("ij,j->i", rows, _WK).reshape(-1, pa.size))
-        ig.append(h * np.einsum("ij,j->i", rows, _WG).reshape(-1, pa.size))
-    ik, ig = (ik[0], ig[0]) if len(ik) == 1 else (np.concatenate(ik, axis=1),
-                                                  np.concatenate(ig, axis=1))
+        rows = v.T.reshape(-1, _NODES.size)
+        sums.append(h * np.einsum("ij,kj->ki", rows, _WEIGHTS).reshape(2, -1, pa.size))
+    ik, ig = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=2)
     return ik, np.abs(ik - ig), v.ndim == 1
 
 

@@ -959,19 +959,23 @@ class TestTimeDomainKernels:
                                       oracles.fourier_reference(u, shift, sigma))
 
     def test_stacked_series_kernels_are_bit_identical(self):
-        # kernels of four widths, their nodes interleaved, near both peaks and
-        # past the switch to the moments' expansion: each node is what its
-        # own kernel gives alone
+        # kernels of four widths, their nodes interleaved at random and then
+        # alternating node by node, near both peaks and past the switch to
+        # the moments' expansion: each node is what its own kernel gives
+        # alone; and one member's nodes at both peaks in one call are what
+        # each node gives in a call of its own
         sigma, r0 = 1e-3, 0.15
         members = [core._make_series_kernel(x, sigma, r0, 1.0, 1e-14)[0]
                    for x in (9.5, 12.0, 30.0, 100.0)]
         assert len({m["near"][0].shape[-1] for m in members}) == len(members)
         rng = np.random.default_rng(3)
-        owner = rng.integers(len(members), size=600)
         u = np.concatenate([rng.normal(0.0, 0.02, 300), rng.normal(-2 * r0, 0.02, 300)])
-        got = core._moments(u, r0, dict(core._take(core._stack(members), owner), place=owner))
-        for i, columns in enumerate(members):
-            assert np.array_equal(got[owner == i], core._moments(u[owner == i], r0, columns))
+        for owner in (rng.integers(len(members), size=600), np.arange(600) % len(members)):
+            got = core._moments(u, r0, dict(core._take(core._stack(members), owner), place=owner))
+            for i, columns in enumerate(members):
+                assert np.array_equal(got[owner == i], core._moments(u[owner == i], r0, columns))
+        lone = core._moments(u, r0, members[0])
+        assert lone.tolist() == [core._moments(u[i:i + 1], r0, members[0])[0] for i in range(600)]
 
     def test_stacked_separation_kernels_are_bit_identical(self):
         # K(v; r) at three separations, their nodes interleaved and measured

@@ -562,11 +562,15 @@ class TestLockstep:
             assert (got.value.tolist(), got.abs_error.tolist(), got.evaluations) == (
                 ref.value.tolist(), ref.abs_error.tolist(), ref.evaluations)
 
-    def test_refined_group_is_pinned(self):
+    @pytest.mark.parametrize("chunk", [quadrature._CHUNK, 150])
+    def test_refined_group_is_pinned(self, chunk, monkeypatch):
         # frozen, to the last bit, from the loop that refined one member at a
         # time: a refined member's pairwise sums run over its panels in
         # order (unrefined, then left halves, then right halves), so a change
-        # to that order moves the last bits of the refined components
+        # to that order moves the last bits of the refined components; in
+        # calls of 10 panels every round spans several, whose sums join
+        # into the same bits
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
         specs, evaluate = self.two_component_group()
         got = [(r.value.tolist(), r.abs_error.tolist(), r.evaluations)
                for r in integrate_lockstep(specs, evaluate, TestComponents.SETTINGS)]
