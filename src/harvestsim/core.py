@@ -314,18 +314,27 @@ _ONE, _PLUS_MINUS = (np.ones(1),), (np.array([1.0, -1.0]),)
 
 
 # A member's kernel columns (``_moments``), its factors computed once.
+def _columns(name: str, **columns) -> dict:
+    """The columns of a kernel; a ValueError where its factor overflows a
+    float, as a width or separation near 1e-154 and below makes it."""
+    if not cmath.isfinite(columns["factor"]):
+        raise ValueError(f"the {name} kernel's factor, from the smearing width, overflows a float")
+    return columns
+
+
 def _fourier_columns(sigma: float) -> dict:
     """F(v) = int_0^inf exp(-(w*sigma)^2/2 + i*w*v) dw = G_0."""
-    return dict(offset=0.0, scale=sigma, factor=_SQRT_PI / (_SQRT2 * sigma), near=_ONE)
+    return _columns("F", offset=0.0, scale=sigma, factor=_SQRT_PI / (_SQRT2 * sigma), near=_ONE)
 
 
 def _separation_columns(r: float, sigma: float) -> dict:
     """K(v; r) = [F(v + r) - F(v - r)]/(2ir), r > 0, and its limit
     K(v; 0) = G_1, of factor i/sigma^2.  Formed as u + (shift +- r), a peak
     of F at shift = -+r is resolved to the rounding of u, not of v."""
-    return dict(offset=r, scale=sigma, factor=_SQRT_PI / (_SQRT2 * sigma * 2j * r),
-                near=_PLUS_MINUS,
-                limit=dict(offset=0.0, scale=sigma, factor=1j / (sigma * sigma), **_G1))
+    return _columns("K(v; r)", offset=r, scale=sigma,
+                    factor=_SQRT_PI / (_SQRT2 * sigma * 2j * r), near=_PLUS_MINUS,
+                    limit=_columns("K(v; 0)", offset=0.0, scale=sigma,
+                                   factor=1j / (sigma * sigma), **_G1))
 
 
 def _window(v, a, b, g_a, g_b: float):
@@ -666,15 +675,16 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     T_A*T_B in |M|.  The rest holds everything the series leaves out,
     the e^(-x^2) term of the frequency route included.  N is the first
     count whose bound is at most ``floor``; None if that count exceeds
-    ``_SERIES_MAX_TERMS``.
+    ``_SERIES_MAX_TERMS`` or the bounds overflow a float.
     """
     eps = 1.0 / (_SQRT2 * x)
     s = r0 * eps
     scale = math.sqrt(sigma * sigma + s * s)
     eta = s / scale
-    bounds = area * eps**_ORDERS * _ABS_MOMENTS * (
-        math.sqrt(2.0 * math.pi) / (sigma * r0)
-        + gammaincc(0.5 * (_ORDERS + 1), 0.25 * x * x) / (2.0 * sigma * sigma))
+    with np.errstate(all="ignore"):  # an overflowing term, inf or nan, fails the test below
+        bounds = area * eps**_ORDERS * _ABS_MOMENTS * (
+            math.sqrt(2.0 * math.pi) / (sigma * r0)
+            + gammaincc(0.5 * (_ORDERS + 1), 0.25 * x * x) / (2.0 * sigma * sigma))
     if not bounds[-1] <= floor:
         return None
     n = max(1, int(np.argmax(bounds <= floor)))
@@ -684,7 +694,8 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     weights = (-eps) ** m @ _STEIN[:n, :n] * eta**m
     d = np.stack([weights * (-1.0) ** m, -weights])
     tables = _moment_tables(d, max(_ASYMPTOTIC_T, 1.0 / (eps * eta)))
-    return dict(offset=r0, scale=scale, factor=1.0 / (2j * r0 * scale), **tables), float(bounds[n])
+    return _columns("smeared", offset=r0, scale=scale, factor=1.0 / (2j * r0 * scale),
+                    **tables), float(bounds[n])
 
 
 def _j_smeared_result(s: Scenario, settings: QuadratureSettings,

@@ -306,8 +306,9 @@ def integrate_lockstep(
     and every spec must have the same number of components.  Returns,
     in spec order, the result or the ConvergenceFailure
     ``integrate_radial`` would raise.  Each member's first partition is
-    its ``_initial_panels``; a member whose partition cannot be built
-    fails alone, its slot holding that ValueError.
+    its ``_initial_panels``; a member whose partition cannot be built,
+    or whose sums are not finite, fails alone, its slot holding a
+    ValueError that says which.
     """
     m, out, edges = len(specs), [None] * len(specs), []
     for i, spec in enumerate(specs):  # one that cannot be built fails alone
@@ -321,9 +322,7 @@ def integrate_lockstep(
     owner, evals = np.repeat(np.arange(m), counts), [15 * n for n in counts]
     active = [i for i, res in enumerate(out) if res is None]
     vals, errs, scalar = _gk15(evaluate, a, b, owner if m > 1 else None) if active else [None] * 3
-    # each integral's range, and the width below which a panel is not bisected
-    span, min_width = np.array([(hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi)))
-                                for lo, hi in (spec.support for spec in specs)]).T
+    span = None
     while active:
         stops = list(accumulate(counts))
         value, error = (x.sum(axis=1)[None] if m == 1 else np.array(
@@ -331,12 +330,18 @@ def integrate_lockstep(
             for x in (vals, errs))  # each integral's sums over its own panels
         tol = np.maximum(settings.tol_abs, settings.tol_rel * np.abs(value))
         done = (error <= tol).all(axis=1).tolist()
+        finite = np.isfinite(error).all(axis=1).tolist()
         sums = zip(value[:, 0].tolist(), error[:, 0].tolist()) if scalar else zip(value, error)
-        for i, (v, e) in zip(active, sums):
-            out[i] = QuadResult(v, e, evals[i])  # its best so far
-        pending = [i for i, ok in zip(active, done) if not ok or evals[i] > settings.eval_budget]
+        for i, (v, e), ok in zip(active, sums, finite):  # its best so far, if it has one
+            out[i] = QuadResult(v, e, evals[i]) if ok else ValueError(
+                "integrate_radial: the integrand's sums are not finite (nan or inf)")
+        pending = [i for i, ok, f in zip(active, done, finite)
+                   if f and (not ok or evals[i] > settings.eval_budget)]
         if not pending:
             break
+        if span is None:  # each range, and the width below which a panel is not bisected
+            span, min_width = np.array([(hi - lo, 64.0 * _EPS * max(abs(lo), abs(hi)))
+                                        for lo, hi in (spec.support for spec in specs)]).T
         target = np.zeros((vals.shape[0], m))
         target[:, active] = tol.T
         width = b - a

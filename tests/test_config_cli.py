@@ -1079,6 +1079,27 @@ class TestCli:
             f"ValueError: the {kind} integral's prefactor, from the couplings, overflows a float"
             for kind in ("series", "remainder")}
 
+    @pytest.mark.parametrize("windows", [
+        {},  # in units of the smearing width
+        {"t_off = 100*sigma": "t_off = 0.1", "t_on = 150*sigma": "t_on = 0.15",
+         "t_off = 250*sigma": "t_off = 0.25"},
+    ])
+    def test_tiny_smearing_fails_each_sweep_row(self, tmp_path, capsys, windows):
+        # smearing 1e-160, the windows in its units or in absolute time: the
+        # r -> 0 limit's factor i/sigma^2 overflows a float, and so does the
+        # series bound, which takes the frequency route.  Every row of an r
+        # sweep at delta = 10 sigma records its ValueError, the table is
+        # written, and no RuntimeWarning is raised (an error under Tier-1)
+        text = FIG2_CONFIG.replace("smearing = 0.001", "smearing = 1e-160")
+        for old, new in windows.items():
+            text = text.replace(old, new)
+        text += ("position_uncertainty = 10*sigma\n\n"
+                 "[sweep]\nparameter = r\nfrom = 10*sigma\nto = 400*sigma\npoints = 40\n")
+        assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
+        statuses = [row["status"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+        assert len(statuses) == 40 and set(statuses) == {
+            "ValueError: the K(v; 0) kernel's factor, from the smearing width, overflows a float"}
+
     def test_unequal_smearing_sweep_exit_code(self, tmp_path, capsys, monkeypatch):
         # formerly a table of failed rows
         self.unequal_smearing_run(tmp_path, capsys, monkeypatch, "sweep")

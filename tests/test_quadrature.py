@@ -602,6 +602,22 @@ class TestLockstep:
         with pytest.raises(ValueError, match="does not fit an int64"):
             integrate_radial(huge, self.SETTINGS)
 
+    def test_member_with_non_finite_sums_fails_alone(self):
+        # one member's integrand is nan: its slot holds a ValueError that
+        # says so, and the other member's result is the one it gets alone
+        specs = [gauss_sin_spec(0.3, 4.0),
+                 IntegrandSpec(evaluate=lambda x: np.full(x.size, np.nan + 0j), support=(0.0, 1.0))]
+        out = integrate_lockstep(
+            specs, lambda x, owner: np.where(owner == 0, specs[0].evaluate(x), np.nan), self.SETTINGS)
+        message = "integrate_radial: the integrand's sums are not finite (nan or inf)"
+        assert type(out[1]) is ValueError and str(out[1]) == message
+        ref = self.alone(specs[0])
+        got, ref = (out[0].best, ref.best) if isinstance(ref, ConvergenceFailure) else (out[0], ref)
+        assert (got.value, got.abs_error, got.evaluations) == (
+            ref.value, ref.abs_error, ref.evaluations)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate_radial(specs[1], self.SETTINGS)
+
     @pytest.mark.parametrize("support, rate, message", [
         ((0.0, 1e300), 1e3, "a first partition of 7.96e+301 panels does not fit an int64"),
         # 5.1e13 panels: numpy refuses their 400 TB index array at once, more
