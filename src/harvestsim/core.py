@@ -14,19 +14,21 @@ v >= 0, and I_AB and J are two components of one quadrature that
 evaluates K once per node.  I_nn is integrated by parts, as
 i*int M'(v) F(v) dv.  A clock offset or a spread of separations smears
 J on the one route ``_smear`` chooses and describes.  Every kernel,
-F = G_0, K(v; r) = [F(v + r) - F(v - r)]/(2ir), K(v; 0) = G_1 and the
-smeared one, is one sum of the Faddeeva moments G_m = int_0^inf w^m
-exp(-(w*S)^2/2 + i*w*a) dw, one function of the kernel's columns
-(``_moments``).
+F = G_0, K(v; r) and the smeared one, is one sum of the Faddeeva moments
+G_m = int_0^inf w^m exp(-(w*S)^2/2 + i*w*a) dw, one function of the
+kernel's columns (``_moments``).  K(v; r) takes one form, chosen once
+from r: [F(v + r) - F(v - r)]/(2ir) from r = 0.1 sigma on, and below it
+its series in r, whose r = 0 is K(v; 0) = G_1.
 
 Each integral is a ``_Member`` of one of six kinds (the I_AB/J pair, the
 clock-smeared J, the series-smeared J, C, the frequency remainder and
-I_nn), whose evaluator reads the member's parameters: numbers,
-coefficient tables and dicts of these, a time-domain member's kernel
-columns among them, and every member of a detector pair its windows,
-gaps and kernel width from one place (``_pair``).  ``_finish`` applies its
-prefactor and phase to the quadrature's result.  A call adds the
-integrals its rows need to a ``_Plan`` and runs each kind as one group:
+I_nn), whose evaluator reads the member's parameters: numbers and
+coefficient tables, a time-domain member's kernel columns among them,
+and every member of a detector pair its windows, gaps and kernel width
+from one place (``_pair``).  ``_finish`` applies its prefactor and phase
+to the quadrature's result.  A call adds the integrals its rows need to
+a ``_Plan``, a failed row nothing, and runs each kind, of one table
+form, as one group:
 a member alone through ``integrate_radial``, several in lockstep
 through ``integrate_lockstep``, which evaluates the nodes of every member of the group in one call of
 the evaluator at the columns of ``_stack``: a number every member holds
@@ -127,9 +129,13 @@ def _pair(da: DetectorParams, db: DetectorParams) -> tuple[float, float, dict]:
     Only time differences enter the integrands, so measuring the windows
     from t0 makes the quadrature independent of a common time shift;
     the constant phase the shift carries is restored exactly afterwards.
+    A width whose square underflows fails here, before any kernel divides
+    by sigma^2 or by sigma*r, r >= ``_SMALL_R``*sigma.
     """
-    t0 = min(da.window.t_on, db.window.t_on)
-    return t0, da.smearing, dict(a_on=da.window.t_on - t0, a_off=da.window.t_off - t0,
+    t0, sigma = min(da.window.t_on, db.window.t_on), da.smearing
+    if not _SMALL_R * sigma * sigma > 0.0:
+        raise ValueError(f"the smearing width {sigma!r} underflows a float when squared")
+    return t0, sigma, dict(a_on=da.window.t_on - t0, a_off=da.window.t_off - t0,
                                  b_on=db.window.t_on - t0, b_off=db.window.t_off - t0,
                                  g_a=da.gap, g_b=db.gap)
 
@@ -239,25 +245,15 @@ def _moments(u, shift, p: dict):
     and p_1 = t p_0 - i gives p_m = p_0 He_m(t) - i Q_m(t).  A real-weighted
     sum of p_m is factor * sum_c [w(z_c) A_c(t_c) - i B_c(t_c)],
     z_c = (u + (shift + c))/(sqrt(2) S), t_c = sqrt(2) z_c: one
-    ``_faddeeva_w`` call per node and offset.  F and K(v; r) have constant A
-    and B = 0.  Where a sum of higher moments cancels, from |t| = ``split``
-    on, it is i/t times a polynomial in 1/t (``far``), the moments'
-    expansion, which leaves out e^(-t^2/2) <= e^(-112) of them.  Each
-    column is one value or one entry per node, and ``place`` picks the
-    table each node's member sums with.  K(v; r)'s difference cancels to
-    about eps*max(sigma, |v|)/r, so at nodes where r < 1e-5*max(sigma, |v|)
-    its limit K(v; 0) = G_1, exact there to (r/sigma)^2/6, is used: the
-    columns ``limit``, evaluated at those nodes alone, and K's own at the rest."""
+    ``_faddeeva_w`` call per node and offset.  F, and K(v; r) from
+    r = ``_SMALL_R``*sigma on, have constant A and B = 0; below it K(v; r)
+    is its series in r, a sum of p_m (``_separation_columns``).  Where a
+    sum of higher moments cancels, from |t| = ``split`` on, it is i/t times
+    a polynomial in 1/t (``far``), the moments' expansion, which leaves out
+    e^(-t^2/2) <= e^(-112) of them.  Each column is one value or one entry
+    per node, and ``place`` picks the table each node's member sums with."""
     u = np.asarray(u, dtype=float)
     offset, scale, tables = p["offset"], p["scale"], p["near"]
-    if "limit" in p:
-        limit = offset < 1e-5 * np.maximum(scale, np.abs(u + shift))
-        if limit.any():
-            out = np.empty(u.shape, dtype=complex)
-            for nodes, q in ((limit, p["limit"]), (~limit, p)):
-                if nodes.any():  # none of these nodes takes the limit where q is p
-                    out[nodes] = _moments(u[nodes], _take(shift, nodes), _take(q, nodes))
-            return out
     n = tables[0].shape[0]
     z = np.concatenate([(u + (shift + c)) / (_SQRT2 * scale)
                         for c in ((offset, -offset) if n > 1 else (offset,))])
@@ -307,10 +303,11 @@ def _moment_tables(d: np.ndarray, split: float) -> dict:
     return dict(near=(near,), split=split, far=(far[:, :terms],))
 
 
-# the tables of K(v; 0) = G_1 = i p_1(t)/sigma^2, whose real part cancels to
-# eps*t^2; the constant weights of F, and of F at v + r and v - r in K(v; r)
-_G1 = _moment_tables(np.array([[0.0, 1.0]]), _ASYMPTOTIC_T)
+# the constant weights of F, and of F at v + r and v - r in K(v; r)
 _ONE, _PLUS_MINUS = (np.ones(1),), (np.array([1.0, -1.0]),)
+# Below r = _SMALL_R*sigma, where K's difference form cancels to about
+# eps*max(sigma, |v|)/r, K is its series in r: the first term of it left out is below 1e-22 of K
+_SMALL_R, _SMALL_R_TERMS = 0.1, 6
 
 
 # A member's kernel columns (``_moments``), its factors computed once.
@@ -328,13 +325,19 @@ def _fourier_columns(sigma: float) -> dict:
 
 
 def _separation_columns(r: float, sigma: float) -> dict:
-    """K(v; r) = [F(v + r) - F(v - r)]/(2ir), r > 0, and its limit
-    K(v; 0) = G_1, of factor i/sigma^2.  Formed as u + (shift +- r), a peak
-    of F at shift = -+r is resolved to the rounding of u, not of v."""
-    return _columns("K(v; r)", offset=r, scale=sigma,
-                    factor=_SQRT_PI / (_SQRT2 * sigma * 2j * r), near=_PLUS_MINUS,
-                    limit=_columns("K(v; 0)", offset=0.0, scale=sigma,
-                                   factor=1j / (sigma * sigma), **_G1))
+    """K(v; r), r >= 0, in one form chosen from r.  From r = _SMALL_R*sigma
+    on, [F(v + r) - F(v - r)]/(2ir): formed as u + (shift +- r), a peak of
+    F at shift = -+r is resolved to the rounding of u, not of v.  Below, as
+    sin(w*r)/r = sum_k (-1)^k w^(2k+1) r^(2k)/(2k+1)!, its series in r,
+    (i/sigma^2) sum_k (r/sigma)^(2k)/(2k+1)! p_(2k+1)(t): G_1 at r = 0."""
+    if r >= _SMALL_R * sigma:
+        return _columns("K(v; r)", offset=r, scale=sigma,
+                        factor=_SQRT_PI / (_SQRT2 * sigma * 2j * r), near=_PLUS_MINUS)
+    m = np.arange(1, 2 * _SMALL_R_TERMS, 2)
+    d = np.zeros((1, m[-1] + 1))
+    d[0, m] = (r / sigma) ** (m - 1) / np.array([math.factorial(k) for k in m], dtype=float)
+    return _columns("K(v; r)", offset=0.0, scale=sigma, factor=1j / (sigma * sigma),
+                    **_moment_tables(d, _ASYMPTOTIC_T))
 
 
 def _window(v, a, b, g_a, g_b: float):
@@ -693,7 +696,8 @@ def _make_series_kernel(x: float, sigma: float, r0: float, area: float,
     # w_m = sum_(n<N) (-eps)^n h_nm
     weights = (-eps) ** m @ _STEIN[:n, :n] * eta**m
     d = np.stack([weights * (-1.0) ** m, -weights])
-    tables = _moment_tables(d, max(_ASYMPTOTIC_T, 1.0 / (eps * eta)))
+    # eps*eta underflows to 0 for delta below about 1e-154: no node takes the expansion then
+    tables = _moment_tables(d, max(_ASYMPTOTIC_T, 1.0 / (eps * eta)) if eps * eta else math.inf)
     return _columns("smeared", offset=r0, scale=scale, factor=1.0 / (2j * r0 * scale),
                     **tables), float(bounds[n])
 
@@ -746,6 +750,8 @@ def _stack(values: list):
     if all(v is first for v in values):
         return first
     if isinstance(first, dict):
+        if any(v.keys() != first.keys() for v in values):  # a fault of the grouping, not a row's
+            raise TypeError("_stack: members of keys that differ, not one table form")
         return {k: _stack([v[k] for v in values]) for k in first}
     if isinstance(first, tuple):
         return tuple(table for v in values for table in v)
@@ -754,11 +760,9 @@ def _stack(values: list):
     return first if (bits == bits[0]).all() else column
 
 
-def _take(params, index: np.ndarray):
+def _take(params: dict, index: np.ndarray) -> dict:
     """Stacked parameters at each node's member: columns indexed, the rest as is."""
-    if isinstance(params, dict):
-        return {k: _take(v, index) for k, v in params.items()}
-    return params[index] if isinstance(params, np.ndarray) else params
+    return {k: v[index] if isinstance(v, np.ndarray) else v for k, v in params.items()}
 
 
 def _run_group(members: list[_Member], settings: QuadratureSettings) -> list:
@@ -788,13 +792,13 @@ def _single(member: _Member, settings: QuadratureSettings):
 
 class _Plan:
     """The integrals one call needs, each added once under a key naming
-    what it depends on, then run as one lockstep group per kind."""
+    what it depends on, then run as one lockstep group per kind and table form."""
 
     def __init__(self, settings: QuadratureSettings):
         self.settings = settings
         self.members: dict = {}
         self.results: dict = {}
-        self.durations: dict = {}   # local-term durations added, by detector
+        self.durations: list = []   # ((coupling, gap, smearing), duration) of each local term
 
     def need(self, key, make: Callable[[], _Member]):
         """key, with ``make()`` added under it unless it already is."""
@@ -806,10 +810,21 @@ class _Plan:
         """The key of a member that nothing else shares."""
         return self.need(object(), lambda: member)
 
+    def attempt(self, make: Callable, *args):
+        """``_attempt(make, *args, self)``; where it fails, what it added is taken out."""
+        members, durations = len(self.members), len(self.durations)
+        slot = _attempt(make, *args, self)
+        if isinstance(slot, Exception):
+            for key in list(self.members)[members:]:
+                del self.members[key]
+            del self.durations[durations:]
+        return slot
+
     def run(self) -> None:
+        """One group per kind and set of parameter keys, the table form ``_stack`` needs."""
         groups: dict = {}
         for key, member in self.members.items():
-            groups.setdefault(member.kind, []).append(key)
+            groups.setdefault((member.kind, *member.params), []).append(key)
         for keys in groups.values():
             self.results.update(zip(keys, _run_group([self.members[k] for k in keys],
                                                      self.settings)))
@@ -908,7 +923,7 @@ class HarvestReport:
 # under the quadrature's own error.
 _DURATION_ULPS = 4
 
-ROW_ERRORS = (ConvergenceFailure, ValueError, ZeroDivisionError)
+ROW_ERRORS = (ConvergenceFailure, ValueError)
 """Exceptions that ``evaluate_scenarios`` records for a row instead of raising."""
 
 
@@ -932,15 +947,13 @@ def _row_request(s: Scenario, time_smear: float | None,
     def i_nn(det: DetectorParams):
         # keyed by what ``_i_nn_member`` reads, not by where the window sits;
         # a duration within rounding of an added one reuses it
-        durations = plan.durations.setdefault((det.coupling, det.gap, det.smearing), [])
-        t = det.window.duration
-        d = next((d for d in durations if abs(d - t) <= _DURATION_ULPS * math.ulp(max(d, t))),
-                 None)
+        local, t = (det.coupling, det.gap, det.smearing), det.window.duration
+        d = next((d for same, d in plan.durations
+                  if same == local and abs(d - t) <= _DURATION_ULPS * math.ulp(max(d, t))), None)
         if d is None:
-            durations.append(t)
+            plan.durations.append((local, t))
             d = t
-        return plan.need(("i_nn", det.coupling, det.gap, det.smearing, d),
-                         lambda: _i_nn_member(det))
+        return plan.need(("i_nn", *local, d), lambda: _i_nn_member(det))
 
     aa, bb = i_nn(s.det_a), i_nn(s.det_b)
     pair = plan.need(("pair", s.det_a, s.det_b, s.separation),
@@ -996,9 +1009,10 @@ def evaluate_scenarios(
     exchange and unsmeared correlation terms, one quadrature, by
     (detector A, detector B, separation), and the spatial smear's C by
     detector pair alone, so an r sweep computes it once; the smeared
-    correlation term is the row's own.  Then the integrals of each kind
-    (pair, clock, series, C, frequency remainder, local term) advance
-    together, round by round, each round one evaluate call of the kind's
+    correlation term is the row's own.  A row that fails takes what it
+    added out again (``_Plan.attempt``).  Then the integrals of each kind
+    (pair, clock, series, C, frequency remainder, local term) and table
+    form advance together, round by round, each round one evaluate call of the kind's
     integrand per chunk of nodes, while each keeps its own partition,
     refinement, sums, budget and failure; a kind with one integral runs
     it alone.  So every number is bit-identical to evaluating its row
@@ -1007,7 +1021,7 @@ def evaluate_scenarios(
     that needs it.  Nothing is kept after the call returns.
     """
     plan = _Plan(settings)
-    requests = [_attempt(_row_request, s, time_smear, plan) for s, time_smear in rows]
+    requests = [plan.attempt(_row_request, s, time_smear) for s, time_smear in rows]
     plan.run()
     return [request if isinstance(request, Exception) else _attempt(request)
             for request in requests]

@@ -357,15 +357,15 @@ def oracle_gl(scn, n=16):
 def _unsmeared_j(scenarios):
     """The unsmeared time-domain J of ``core`` at each scenario, J alone (a
     clock-smear integral with no offset, so no I_AB refines its panels),
-    every scenario's in one lockstep group."""
+    run as the package runs a call's integrals (``core._Plan``): in
+    lockstep, one group per kernel form."""
     from harvestsim import core
 
-    out = core._run_group([core._time_member("clock", s.det_a, s.det_b, s.separation)
-                           for s in scenarios], core.DEFAULT_SETTINGS)
-    for res in out:
-        if isinstance(res, Exception):
-            raise res
-    return np.array([res.value for res in out])
+    plan = core._Plan(core.DEFAULT_SETTINGS)
+    keys = [plan.add(core._time_member("clock", s.det_a, s.det_b, s.separation))
+            for s in scenarios]
+    plan.run()
+    return np.array([plan.result(key).value for key in keys])
 
 
 def oracle_J_space(scn, delta):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ledger
 import oracles
 from harvestsim import config, core, quadrature
 from harvestsim.cli import main
@@ -572,7 +573,7 @@ def per_row_csv(cfg):
             s, time_smear = _apply_parameter(cfg.scenario, parameter, value)
             report = evaluate_scenario(s, cfg.numerics, time_smear=time_smear)
             rows.append(SweepRow(parameter, value, report, "ok"))
-        except (ConvergenceFailure, ValueError, ZeroDivisionError) as exc:
+        except (ConvergenceFailure, ValueError) as exc:
             rows.append(SweepRow(parameter, value, None, f"{type(exc).__name__}: {exc}"))
     return rows_to_csv(rows)
 
@@ -602,10 +603,13 @@ BATCHED_CONFIGS = [pytest.param(cfg, id=name) for name, cfg in [
                            uncertainty="30*sigma")),
     # every row fails, with the message of the smear that rejects it
     ("delta_t-rejected", sweep_cfg("delta_t", "2*sigma", "10*sigma", 3, uncertainty="3*sigma")),
-    # stacked pairs whose K(v; r) takes its r -> 0 limit at every node
-    # (|v| >= 50 sigma here), then at some nodes and not at others
+    # stacked pairs whose K(v; r) is its series in r, every node past the
+    # moments' split (|v| >= 50 sigma here), then at r up to 0.01 sigma
     ("r-tiny", sweep_cfg("r", "1e-6*sigma", "1e-4*sigma", 12, "log")),
     ("r-limit-switch", sweep_cfg("r", "1e-6*sigma", "1e-2*sigma", 12, "log")),
+    # r across the series' switch at 0.1 sigma: pairs of both kernel forms,
+    # one lockstep group each
+    ("r-series-switch", sweep_cfg("r", "1e-3*sigma", "10*sigma", 12, "log")),
     # A is one object in every row while B's window moves through an
     # overlap with it: a remainder group and a C group mix one value
     # with columns, and the overlap flag of both orderings changes there
@@ -872,9 +876,9 @@ class TestBatchedSweep:
         assert isinstance(stacked["delta"], np.ndarray)
 
     def test_tiny_r_evaluates_only_the_limit_of_the_kernel(self, monkeypatch):
-        # r from 1e-6 to 1e-4 sigma: K(v; r) takes its r -> 0 limit G_1 at
-        # every pair node, which lies past the moments' split and needs no
-        # Faddeeva function, so K's exact form is never evaluated there
+        # r from 1e-6 to 1e-4 sigma: K(v; r) is its series in r, and every
+        # pair node lies past the moments' split, where the series needs no
+        # Faddeeva function
         points = []
         original = core._faddeeva_w
 
@@ -1053,7 +1057,7 @@ class TestCli:
         # the frequency remainder's envelope width sqrt(sigma^2 + delta^2/2)
         ("separation = 150*sigma", "separation = 150*sigma\nposition_uncertainty = 1e200",
          "IntegrandSpec: support must be an interval lo < hi of finite width"),
-        # K(v; r)'s limit factor i/sigma^2, on windows 1e162 long
+        # windows 1e162 long
         ("smearing = 0.001", "smearing = 1e160",
          "integrate_radial: a first partition of 1.59e+161 panels does not fit an int64"),
         # |I_AB|^2 in the Cauchy-Schwarz check, before the perturbative one
@@ -1085,20 +1089,44 @@ class TestCli:
          "t_off = 250*sigma": "t_off = 0.25"},
     ])
     def test_tiny_smearing_fails_each_sweep_row(self, tmp_path, capsys, windows):
-        # smearing 1e-160, the windows in its units or in absolute time: the
-        # r -> 0 limit's factor i/sigma^2 overflows a float, and so does the
-        # series bound, which takes the frequency route.  Every row of an r
-        # sweep at delta = 10 sigma records its ValueError, the table is
-        # written, and no RuntimeWarning is raised (an error under Tier-1)
-        text = FIG2_CONFIG.replace("smearing = 0.001", "smearing = 1e-160")
-        for old, new in windows.items():
+        # smearing 1e-160, the windows in its units or in absolute time:
+        # K(v; r)'s factor sqrt(pi)/(2 sqrt(2) i sigma r) overflows a float,
+        # and so does the series bound, which takes the frequency route.
+        # Every row of an r sweep at delta = 10 sigma records its
+        # ValueError, the table is written, and no RuntimeWarning is raised
+        # (an error under Tier-1)
+        assert self.tiny_smearing_statuses(tmp_path, capsys, "1e-160", windows) == {
+            "ValueError: the K(v; r) kernel's factor, from the smearing width, overflows a float"}
+
+    def tiny_smearing_statuses(self, tmp_path, capsys, smearing, windows=None) -> set:
+        """The statuses of the 40 rows of an r sweep at delta = 10 sigma at
+        a smearing width in both detectors."""
+        text = FIG2_CONFIG.replace("smearing = 0.001", f"smearing = {smearing}")
+        for old, new in (windows or {}).items():
             text = text.replace(old, new)
         text += ("position_uncertainty = 10*sigma\n\n"
                  "[sweep]\nparameter = r\nfrom = 10*sigma\nto = 400*sigma\npoints = 40\n")
         assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
         statuses = [row["status"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
-        assert len(statuses) == 40 and set(statuses) == {
-            "ValueError: the K(v; 0) kernel's factor, from the smearing width, overflows a float"}
+        assert len(statuses) == 40
+        return set(statuses)
+
+    def test_failed_rows_run_no_quadrature(self, tmp_path, capsys):
+        # at smearing 1e-160 each row adds its smear and local terms before
+        # its pair member is rejected; the plan takes out what a failed row
+        # added, so the sweep of 40 failed rows runs no group at all
+        with ledger._recorded_groups() as groups:
+            statuses = self.tiny_smearing_statuses(tmp_path, capsys, "1e-160")
+        assert len(statuses) == 1 and groups == []
+
+    def test_underflowing_width_fails_each_row(self, tmp_path, capsys):
+        # smearing 1e-300, whose square underflows to 0: every row of the r
+        # sweep, on either spatial route, records one ValueError naming the
+        # width, and compute on the unsmeared point exits 2 with that line
+        message = "the smearing width 1e-300 underflows a float when squared"
+        assert self.tiny_smearing_statuses(tmp_path, capsys, "1e-300") == {f"ValueError: {message}"}
+        self.compute_fails_in_one_line(
+            tmp_path, capsys, FIG2_CONFIG.replace("smearing = 0.001", "smearing = 1e-300"), message)
 
     def test_unequal_smearing_sweep_exit_code(self, tmp_path, capsys, monkeypatch):
         # formerly a table of failed rows

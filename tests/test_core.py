@@ -241,6 +241,33 @@ class TestExchangeTerm:
         with pytest.raises(ValueError, match="same smearing width"):
             Scenario(det_a=s.det_a, det_b=unequal, separation=s.separation)
 
+    def test_small_separations_keep_cauchy_schwarz_and_the_r2_law(self):
+        # equal detectors on [0, 100 sigma]: I_nn - |I_AB| = pref int w
+        # e^(-(w sigma)^2/2) |tau(w)|^2 (1 - sinc(w r)) dw is never below 0,
+        # and for w*r small it is c2 r^2 - c4 r^4, c2 and c4 that integral's
+        # w^2/6 and w^4/120 moments, summed here by the frequency oracle's
+        # Gauss-Legendre panels.  On an r grid from 1e-6 sigma to sigma both
+        # sides hold within the two reported errors, the r^2 law for
+        # r <= 0.01 sigma, where the r^6 term is below 1e-6 of them
+        sigma = 0.001
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # detector overlap, meant here
+            rows = [(scenario(wa=(0.0, 0.1), wb=(0.0, 0.1), r0=r * sigma, sigma=sigma,
+                              coupling=0.01), None) for r in np.geomspace(1e-6, 1.0, 25)]
+        det = rows[0][0].det_a
+        top = oracles._wmax(sigma)
+        w, wt = oracles._panel_rule(np.linspace(0.0, top, int(top * 0.1 / math.pi) + 2), 16)
+        weight = (wt * w * np.exp(-0.5 * (w * sigma) ** 2)
+                  * np.abs(oracles.tau_plus(det.window, det.gap, w)) ** 2 * 0.01**2 / (4 * math.pi**2))
+        c2, c4 = np.sum(weight * w**2) / 6.0, np.sum(weight * w**4) / 120.0
+        for (s, _), rep in zip(rows, core.evaluate_scenarios(rows)):
+            errors = rep.quad_errors["i_aa"] + rep.quad_errors["i_ab"]
+            deficit = rep.integrals.i_aa - abs(rep.integrals.i_ab)
+            assert deficit >= -errors, s.separation
+            r = s.separation
+            if r <= 0.01 * sigma:
+                assert abs(deficit - (c2 * r * r - c4 * r**4)) <= errors, r
+
     def test_cauchy_schwarz_on_computed_scenarios(self):
         for s in (scenario(), scenario(wa=(0.0, 1.0), wb=(0.4, 1.2), r0=0.8),
                   fig_scenario(coupling=1.0)):
@@ -295,6 +322,15 @@ class TestSmearedCorrelation:
         j0 = abs(compute_J(s0))
         s = replace(s0, position_uncertainty=1e-3 * s0.separation)
         assert compute_J_smeared(s) == pytest.approx(j0, rel=1e-4)
+
+    @pytest.mark.parametrize("delta", [1e-200, 1e-320])
+    def test_vanishing_delta_reads_the_unsmeared_j(self, delta):
+        # a spread so small that the series kernel's eps*eta underflows (at
+        # 1e-320, x = r0/delta overflows too): the row is the unsmeared one
+        # within its errors, not a ZeroDivisionError
+        rep = evaluate_scenario(fig_scenario(delta=delta))
+        errors = rep.quad_errors["j"] + rep.quad_errors["j_smeared"]
+        assert abs(rep.integrals.j - rep.j_unsmeared) <= errors
 
     def test_inverse_delta_asymptote_ratio(self):
         r0 = 0.15
@@ -900,45 +936,84 @@ class TestTimeDomainKernels:
         radial = np.sin(w * r) / r if r else w
         return complex(np.sum(wt * radial * np.exp(-0.5 * (w * sigma) ** 2 + 1j * w * v)))
 
-    @staticmethod
-    def limit_columns(sigma):
-        # the columns of K(v; 0) = G_1, which do not depend on r
-        return core._separation_columns(1.0, sigma)["limit"]
-
     @pytest.mark.parametrize("v, r", [(0.0, 0.3), (0.29, 0.3), (-0.31, 0.3), (1.7, 0.3),
                                       (0.05, 0.0), (-0.4, 0.0), (0.2, 1e-9)])
     def test_kernel_matches_frequency_integral(self, v, r):
         sigma = 0.05
         ref = self.kernel_by_quadrature(v, r, sigma)
-        columns = core._separation_columns(r, sigma) if r else self.limit_columns(sigma)
+        columns = core._separation_columns(r, sigma)
         for shift in (0.0, r, -r):
             got = core._moments(np.array([v - shift]), shift, columns)[0]
             assert abs(got - ref) <= 1e-9 * abs(ref)
 
-    def test_kernel_limit_is_continuous_in_r(self):
-        # below r = 1e-5 max(sigma, |v|) the r -> 0 limit takes over
-        sigma, v = 0.01, np.array([0.0, 0.003, -0.02, 0.5])
-        k0 = core._moments(v, 0.0, self.limit_columns(sigma))
-        for r in (1e-8, 5e-8, 2e-7):
-            k = core._moments(v, 0.0, core._separation_columns(r, sigma))
-            assert np.allclose(k, k0, rtol=1e-9, atol=0.0)
+    def test_kernel_is_continuous_across_the_series_switch(self):
+        # K(v; r) is its series in r below r = 0.1 sigma and the difference
+        # of two F from there on: the float just below the switch and the
+        # switch itself agree within 1e-13 near the peak, and out to
+        # |v| = 1e4 sigma within the difference form's cancellation, about
+        # eps*|v|/r (9.7e-12 there)
+        sigma = 0.01
+        v = sigma * np.array([0.0, 0.3, -2.0, 7.0, -15.5, 40.0, 1e3, -1e4])
+        switch = core._SMALL_R * sigma
+        below, above = (core._separation_columns(r, sigma) for r in (math.nextafter(switch, 0.0),
+                                                                     switch))
+        assert "split" in below and "split" not in above
+        for shift in (0.0, switch):
+            k_below, k_above = (core._moments(v - shift, shift, c) for c in (below, above))
+            bound = 1e-13 + 2.0 * np.finfo(float).eps * np.abs(v) / switch
+            assert np.all(np.abs(k_below - k_above) <= bound * np.abs(k_above))
 
     def test_kernel_far_series(self):
         # K(v; 0) = G_1 = (1 + i sqrt(pi) x w(x))/sigma^2, x = v/(sqrt(2) sigma),
-        # on both sides of the switch to the moments' expansion at
-        # |v|/sigma = 15 (x = 10.6) and beyond it, where the closed form's
+        # read from K(v; r)'s columns at r = 0, on both sides of the switch
+        # to the moments' expansion at |v|/sigma = 15 (x = 10.6) and beyond
+        # it, where the closed form's
         # real part would cancel to about eps*x^2, against 40-digit mpmath
         mpmath = pytest.importorskip("mpmath")
         sigma = 1.0
         xs = (0.3, -2.0, 7.0, 10.5, 10.65, 15.0, 19.7, 19.9, 20.1, 35.0, 400.0, -1e4)
         got = core._moments(np.array(xs) * math.sqrt(2.0) * sigma, 0.0,
-                            self.limit_columns(sigma))
+                            core._separation_columns(0.0, sigma))
         with mpmath.workdps(40):
             for x, g in zip(xs, got):
                 x = mpmath.mpf(x)
                 w = mpmath.exp(-x * x) * mpmath.erfc(-1j * x)
                 exact = complex((1 + 1j * mpmath.sqrt(mpmath.pi) * x * w) / sigma**2)
                 assert abs(g - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("r", [0.0, 3e-5, 1e-3, 0.05, 0.0999])
+    def test_small_r_series_matches_mpmath(self, r):
+        # below r = 0.1 sigma K(v; r) is its series in r, against
+        # [F(v + r) - F(v - r)]/(2ir) (G_1 at r = 0) in 40-digit mpmath, near
+        # the peak, on both sides of the switch to the moments' expansion at
+        # |v| = 15 sigma and out to 1e6 sigma, measured from v = 0 and from
+        # the peak at v = r.  The worst, about 1.1e-13 at r = 0.0999 sigma, is
+        # just inside that switch, where G_1 itself reads 6e-14
+        mpmath = pytest.importorskip("mpmath")
+        sigma = 1.0
+        vs = np.array([0.0, 0.3, -1.0, 2.5, -7.0, 14.58, 14.9, 15.1, -40.0, 300.0, -1e4, 1e6, -1e6])
+        columns = core._separation_columns(r * sigma, sigma)
+        assert "split" in columns
+        with mpmath.workdps(40):
+            s, rr = mpmath.mpf(sigma), mpmath.mpf(r * sigma)
+
+            def w(z):
+                return mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+
+            def f(a):
+                return mpmath.sqrt(mpmath.pi / 2) / s * w(a / (mpmath.sqrt(2) * s))
+
+            exact = []
+            for v in map(mpmath.mpf, vs.tolist()):
+                if r == 0.0:
+                    x = v / (mpmath.sqrt(2) * s)
+                    exact.append(complex((1 + 1j * mpmath.sqrt(mpmath.pi) * x * w(x)) / s**2))
+                else:
+                    exact.append(complex((f(v + rr) - f(v - rr)) / (2j * rr)))
+        exact = np.array(exact)
+        for shift in (0.0, r * sigma):
+            got = core._moments(vs - shift, shift, columns)
+            assert np.all(np.abs(got - exact) <= 1.5e-13 * np.abs(exact))
 
     def test_unsmeared_kernels_are_bit_identical(self):
         # F and K(v; r) keep the closed forms' arithmetic exactly, which keeps
@@ -977,12 +1052,15 @@ class TestTimeDomainKernels:
         lone = core._moments(u, r0, members[0])
         assert lone.tolist() == [core._moments(u[i:i + 1], r0, members[0])[0] for i in range(600)]
 
-    def test_stacked_separation_kernels_are_bit_identical(self):
-        # K(v; r) at three separations, their nodes interleaved and measured
-        # from the peak at v = r: each node is what its own member gives
-        # alone, on both sides of the switch to the r -> 0 limit where
-        # r < 1e-5*max(sigma, |v|), which r = 1e-9 takes at every node
-        sigma, rs = 1e-3, (1e-9, 1e-6, 0.1)
+    @pytest.mark.parametrize("rs", [(0.0, 1e-9, 1e-6, 9e-5), (1e-4, 0.01, 0.1)],
+                             ids=["series", "difference"])
+    def test_stacked_separation_kernels_are_bit_identical(self, rs):
+        # K(v; r) at separations of one form, its series in r below
+        # r = 0.1 sigma or the difference of two F from there on, their
+        # nodes interleaved and measured from the peak at v = r, near it and
+        # past the series' switch to the moments' expansion: each node is
+        # what its own member gives alone
+        sigma = 1e-3
         members = [core._separation_columns(r, sigma) for r in rs]
         rng = np.random.default_rng(5)
         owner = rng.integers(len(rs), size=900)
@@ -990,21 +1068,34 @@ class TestTimeDomainKernels:
         shift = np.array(rs)[owner]
         u = v - shift
         stacked = core._stack(members)
-        assert stacked["scale"] == sigma and stacked["offset"].shape == (3,)
+        assert stacked["scale"] == sigma and stacked.keys() == members[0].keys()
         got = core._moments(u, shift, dict(core._take(stacked, owner), place=owner))
         for i, r in enumerate(rs):
             mine = owner == i
-            limit = r < 1e-5 * np.maximum(sigma, np.abs(v[mine]))
-            assert limit.any() and (r == 1e-9 or not limit.all())
             assert np.array_equal(got[mine], core._moments(u[mine], r, members[i]))
+
+    def test_stack_refuses_members_of_two_forms(self):
+        # a group holds one table form: K(v; r)'s series below 0.1 sigma and
+        # its difference form above cannot be read as one set of columns,
+        # and the fault is not a row's (outside ROW_ERRORS)
+        members = [core._separation_columns(r, 1e-3) for r in (1e-5, 1e-2)]
+        with pytest.raises(TypeError, match="members of keys"):
+            core._stack(members)
+        assert not issubclass(TypeError, core.ROW_ERRORS)
+        s = fig_scenario()
+        group = [core._time_member("pair", s.det_a, s.det_b, r) for r in (1e-5, 1e-2)]
+        with pytest.raises(TypeError, match="members of keys"):
+            core._run_group(group, core.DEFAULT_SETTINGS)
 
     def test_polynomial_path_is_pinned(self):
         # frozen, to the last bit, from the kernel that summed each member's
         # polynomial rows one einsum per row: two series members of 32 and
         # 14 terms in one group, their nodes in runs of one member on both
         # sides of each one's switch to the moments' expansion; one series
-        # member of 18 terms alone; and K(v; r) at r = 3e-5 sigma, whose
-        # nodes from |v| = 3 sigma on take the limit G_1, near and far
+        # member of 18 terms alone.  K(v; r) at r = 3e-5 sigma is frozen from
+        # its series in r, on both sides of its switch to the moments'
+        # expansion at |v| = 15 sigma, each value within 1.4e-14 of 40-digit
+        # mpmath
         sigma, r0 = 1e-3, 0.15
         u = np.array([-0.45, -0.31, -0.3, -0.29, -0.02, 0.0, 0.01, 0.2])
         members = [core._make_series_kernel(x, sigma, r0, 1.0, 1e-14)[0] for x in (9.5, 40.0)]
@@ -1024,9 +1115,9 @@ class TestTimeDomainKernels:
             -403.96204758287234 + 130.66416130981804j, -10.00574555138212 - 0j]
         r, v = 3e-8, np.array([0.0, 0.002, -0.0035, 0.01, -0.02, 0.05])
         assert core._moments(v - r, r, core._separation_columns(r, sigma)).tolist() == [
-            999999.9996999998 + 0j, -279976.14902388956 + 339235.2475669287j,
-            -118769.65377396575 - 9595.647402847471j, -10316.156491859685 + 2.4173294517983168e-15j,
-            -2518.988571471209 + 0j, -400.48096269771975 + 0j]
+            999999.9996999999 + 0j, -279976.1490228143 + 339235.2475669737j,
+            -118769.6537887588 - 9595.647416161431j, -10316.156491959828 + 2.417329486970461e-15j,
+            -2518.9885714769784 + 0j, -400.48096269786436 + 0j]
 
     def test_stack_keeps_one_object_and_signed_zeros(self):
         # a value every member holds as one object stays that object, and
@@ -1049,7 +1140,7 @@ class TestTimeDomainKernels:
 
     def test_member_params_hold_only_data(self):
         # ``_stack`` and ``_take`` read numbers, bools, tuples of tables and
-        # dicts of these, K(v; r)'s nested limit columns among them: one plan
+        # dicts of these: one plan
         # over fig3's rows (pair, series, C, remainder, I_nn), a clock row
         # and a smeared row whose windows overlap
         cfg = figure_config("fig3")
@@ -1061,8 +1152,6 @@ class TestTimeDomainKernels:
             core._row_request(s, time_smear, plan)
         members = list(plan.members.values())
         assert {m.kind for m in members} == {"pair", "clock", "series", "c", "remainder", "i_nn"}
-        assert all(isinstance(m.params["limit"], dict) for m in members
-                   if m.kind in ("pair", "clock"))
 
         def data(value) -> bool:
             if isinstance(value, dict):
@@ -1106,8 +1195,6 @@ class TestTimeDomainKernels:
                         math.sqrt(4.0 * sigma**2 + 0.5 * s.position_uncertainty**2), rel=1e-12)
                 else:
                     assert m.params["scale"] == 2.0 * sigma, m.kind
-                    if m.kind != "c":
-                        assert m.params["limit"]["scale"] == 2.0 * sigma, m.kind
         assert kinds == {"pair", "clock", "series", "c", "remainder", "i_nn"}
 
     def test_damped_erf(self):
