@@ -446,6 +446,13 @@ def _time_member(kind: str, da: DetectorParams, db: DetectorParams, r: float,
     kernel = kernel or _separation_columns(r, sigma)
     kinks = [0.0, b_on - a_on, b_off - a_off]
     if delta_t > 0.0:  # M's kinks and ends, smoothed over the offset's spread
+        # ``_clock_window`` divides offsets within twice the windows' span of
+        # 0 by delta_t and ``_damped_erf`` doubles that ratio: with a factor
+        # 2 to spare, 8*span/delta_t must be finite
+        span = max(a_off, b_off)
+        if not math.isfinite(8.0 * span / delta_t):
+            raise ValueError(f"clock-offset smear: the clock spread {delta_t!r} is too small "
+                             f"for windows spanning {span:.3g}: their ratio overflows a float")
         width = max(sigma, delta_t / _SQRT2)
         kinks[1:] = [p + width * k for p in kinks[1:] + [lo, hi] for k in _SMOOTH_STEPS]
         tail = delta_t * math.sqrt(math.log(1.0 / _TAIL))

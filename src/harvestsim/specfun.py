@@ -22,6 +22,11 @@ __all__ = ["ediff", "faddeeva_w"]
 
 # Below this the 7th-order Taylor series of sin(x)/x is exact to < 1e-18.
 _SINC_TAYLOR_CUT = 1e-2
+# exp(-x^2) is 0 in double precision from |x| = 27.3 on; clipping |x| here
+# keeps x^2 from overflowing.  The cut sits far past 27.3 because numpy's exp
+# is several times slower on arguments from about -708 to -2000 (its
+# underflow path), where a cut such as 28 would put every clipped node.
+_DAMP_CUT = 1e150
 
 
 def _holds(test) -> bool:
@@ -102,8 +107,8 @@ def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         exp(-y^2)*erf(x - iy) = s*(exp(-y^2) - exp(-x^2) * exp(2ixy) * w(s*y + i|x|)),
     every factor of which is bounded.
     """
-    s = np.where(x >= 0.0, 1.0, -1.0)
-    z, damp = s * y + 1j * np.abs(x), np.exp(-x * x)
+    s, ax = np.where(x >= 0.0, 1.0, -1.0), np.abs(x)
+    z, damp = s * y + 1j * ax, np.exp(-np.square(np.minimum(ax, _DAMP_CUT)))
     live = np.broadcast_to(damp > 0.0, z.shape)  # w only where its weight is not 0
     w = np.zeros(z.shape, dtype=complex)
     w[live] = _faddeeva_w(z[live])

@@ -55,7 +55,8 @@ FIG2_CONFIG = textwrap.dedent("""\
     separation = 150*sigma
     """)
 
-# the cancelling delta sweep the CI workflow runs through the installed command
+# gaps, windows and coupling of the cancelling rows of test_core's
+# TestSmearedCorrelation, in a delta sweep
 CANCEL_CONFIG = textwrap.dedent("""\
     [detector_a]
     gap = 0.5
@@ -241,8 +242,9 @@ class TestLoadConfig:
         assert dump_config(cfg) == configparser_dump(cfg)
 
 
-README_CONFIG = (Path(__file__).parents[1] / "README.md").read_text(
-    encoding="utf-8").split("```ini\n")[1].split("```")[0]
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+README_CONFIG = README.split("```ini\n")[1].split("```")[0]
+README_EXAMPLE = README.split("```python\n")[1].split("```")[0]
 
 
 def generated_config(rng):
@@ -332,11 +334,14 @@ class TestConfigReader:
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line 15: "):
             load_config(path)
 
-    def test_same_config_in_any_spelling(self):
-        plain = loads_config(FIG2_CONFIG + "position_uncertainty = 2*sigma\n")
+    @pytest.mark.parametrize("delta", ["1.5*sigma", "150*sigma"])
+    def test_same_config_in_any_spelling(self, delta):
+        # ':' delimiters, upper-case keys and comments, on the points of
+        # TestCli.test_compute_prints_the_smeared_term
+        text = FIG2_CONFIG + f"position_uncertainty = {delta}\n"
         spelled = re.sub(r"^(\w+) = (.*)$", lambda m: f"{m[1].upper()}:{m[2]}  ; was {m[1]}",
-                         FIG2_CONFIG + "position_uncertainty = 2*sigma\n", flags=re.M)
-        assert spelled != FIG2_CONFIG and loads_config("# spelled\n" + spelled) == plain
+                         text, flags=re.M)
+        assert spelled != text and loads_config("# spelled\n" + spelled) == loads_config(text)
 
 
 BOUNDARY_CONFIG = FIG2_CONFIG + textwrap.dedent("""\
@@ -578,8 +583,15 @@ def per_row_csv(cfg):
     return rows_to_csv(rows)
 
 
-def sweep_cfg(parameter, lo, hi, points, spacing="linear", uncertainty="0"):
-    return loads_config(FIG2_CONFIG + textwrap.dedent(f"""\
+def assert_converged(table, rows):
+    """A CSV table of a header and ``rows`` rows, each converged."""
+    lines = table.splitlines()
+    assert len(lines) == rows + 1
+    assert sum(line.endswith(",ok") for line in lines[1:]) == rows
+
+
+def sweep_text(parameter, lo, hi, points, spacing="linear", uncertainty="0", base=FIG2_CONFIG):
+    return base + textwrap.dedent(f"""\
         position_uncertainty = {uncertainty}
 
         [sweep]
@@ -588,14 +600,43 @@ def sweep_cfg(parameter, lo, hi, points, spacing="linear", uncertainty="0"):
         to = {hi}
         points = {points}
         spacing = {spacing}
-        """))
+        """)
+
+
+def sweep_cfg(*args, **kwargs):
+    return loads_config(sweep_text(*args, **kwargs))
+
+
+# an r sweep at delta = 10 sigma: x = r/delta crosses 9.5 at r = 95 sigma,
+# so its rows take both spatial routes
+R_SWEEP = sweep_text("r", "10*sigma", "400*sigma", 40, uncertainty="10*sigma")
+
+# a header and 40 rows through ``main``, each of which must converge
+CONVERGING_SWEEPS = [pytest.param(name, text, id=name) for name, text in [
+    ("r", R_SWEEP),
+    ("delta_t", sweep_text("delta_t", "1*sigma", "40*sigma", 40)),
+    # B's window on [50, 150] sigma, overlapping A's: the steps a clock
+    # spread smooths there lie close together
+    ("delta_t_overlap", sweep_text("delta_t", "1*sigma", "40*sigma", 40, base=FIG2_CONFIG.replace(
+        "t_on = 150*sigma\nt_off = 250*sigma", "t_on = 50*sigma\nt_off = 150*sigma"))),
+    # r from 1e-6 to 1e-4 sigma, where K(v; r) is its series in r
+    ("tiny", sweep_text("r", "1e-6*sigma", "1e-4*sigma", 40, "log")),
+    # B's window moved through an overlap with A's: groups mix one value
+    # with per-row columns, with equal gaps and with B's gap at 1.3
+    ("gap", sweep_text("gap", "-90*sigma", "90*sigma", 40, uncertainty="30*sigma")),
+    ("gap_unequal", sweep_text("gap", "-90*sigma", "90*sigma", 40, uncertainty="30*sigma",
+                               base=with_value(FIG2_CONFIG, "detector_b", "gap", "1.3"))),
+    # some rows integrate a part again to its share of the tolerance
+    ("cancel", CANCEL_CONFIG),
+    # A's window overlaps B's past 150 sigma
+    ("duration", sweep_text("duration", "50*sigma", "250*sigma", 40, uncertainty="30*sigma")),
+]]
 
 
 BATCHED_CONFIGS = [pytest.param(cfg, id=name) for name, cfg in [
     ("fig3", figure_config("fig3")),
     ("fig2a", figure_config("fig2a")),
-    # x = r/delta crosses 9.5 at r = 95 sigma: both spatial routes
-    ("r-delta10", sweep_cfg("r", "10*sigma", "400*sigma", 40, uncertainty="10*sigma")),
+    ("r-delta10", loads_config(R_SWEEP)),
     ("delta_t", sweep_cfg("delta_t", "1*sigma", "40*sigma", 40)),
     ("gap", sweep_cfg("gap", "10*sigma", "100*sigma", 20)),
     # a local term, a C and a pair per duration, in groups of their own
@@ -748,51 +789,20 @@ class TestBatchedSweep:
         assert all(r.report is None for r in rows)
 
     @staticmethod
-    def record_evaluations(monkeypatch):
-        # of every integral, whether it runs alone or in a lockstep group
-        counts = []
-        alone, together = core.integrate_radial, core.integrate_lockstep
+    def recorded_cost(name):
+        """The rows of preset ``name``, the evaluations of each of its
+        integrals, and [kind, rounds] of each group (``ledger``)."""
+        with ledger._recorded_groups() as groups:
+            rows = run_sweep(figure_config(name))
+        counts = [n for _, _, evaluations in groups for n in evaluations]
+        return rows, counts, [[kind, rounds] for kind, rounds, _ in groups]
 
-        def counted(spec, settings):
-            res = alone(spec, settings)
-            counts.append(res.evaluations)
-            return res
-
-        def counted_group(specs, evaluate, settings):
-            results = together(specs, evaluate, settings)
-            counts.extend(res.evaluations for res in results)
-            return results
-
-        monkeypatch.setattr(core, "integrate_radial", counted)
-        monkeypatch.setattr(core, "integrate_lockstep", counted_group)
-        return counts
-
-    @staticmethod
-    def record_rounds(monkeypatch):
-        # [kind, rounds] of each group: a round is one GK15 pass over the
-        # pending panels of all its members, the first partition included
-        groups = []
-        run_group, gk15 = core._run_group, quadrature._gk15
-
-        def counted_group(members, settings):
-            groups.append([members[0].kind, 0])
-            return run_group(members, settings)
-
-        def counted(*args):
-            groups[-1][1] += 1
-            return gk15(*args)
-
-        monkeypatch.setattr(core, "_run_group", counted_group)
-        monkeypatch.setattr(quadrature, "_gk15", counted)
-        return groups
-
-    def test_fig3_quadrature_cost(self, monkeypatch):
+    def test_fig3_quadrature_cost(self):
         # pins the preset's total evaluations across all of its integrals:
         # one I_nn, one I_AB/J pass, C, and per row a remainder below
         # x = r0/delta = 9.5 or the time-domain series from there on; every
         # group but the remainder's ends on its first partition
-        counts, groups = self.record_evaluations(monkeypatch), self.record_rounds(monkeypatch)
-        rows = run_sweep(figure_config("fig3"))
+        rows, counts, groups = self.recorded_cost("fig3")
         assert len(rows) == 41 and all(r.status == "ok" for r in rows)
         assert len(counts) == 44
         assert sum(counts) <= 8_745
@@ -800,10 +810,9 @@ class TestBatchedSweep:
         assert len(groups) == 5 and rounds.pop("remainder") <= 2
         assert rounds == {"series": 1, "i_nn": 1, "pair": 1, "c": 1}
 
-    def test_fig2a_quadrature_cost(self, monkeypatch):
+    def test_fig2a_quadrature_cost(self):
         # one I_nn, then one I_AB/J pass per row, each group in one round
-        counts, groups = self.record_evaluations(monkeypatch), self.record_rounds(monkeypatch)
-        rows = run_sweep(figure_config("fig2a"))
+        rows, counts, groups = self.recorded_cost("fig2a")
         assert len(rows) == 200 and all(r.status == "ok" for r in rows)
         assert len(counts) == 201
         assert sum(counts) <= 40_725
@@ -1074,9 +1083,7 @@ class TestCli:
         # couplings whose product overflows: every row of an r sweep at
         # delta = 10 sigma, on the series route or the frequency route, records
         # its ValueError, and the table is written
-        text = (FIG2_CONFIG.replace("gap = 1.0", "gap = 1.0\ncoupling = 1e160")
-                + "position_uncertainty = 10*sigma\n\n"
-                + "[sweep]\nparameter = r\nfrom = 10*sigma\nto = 400*sigma\npoints = 40\n")
+        text = R_SWEEP.replace("gap = 1.0", "gap = 1.0\ncoupling = 1e160")
         assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
         statuses = [row["status"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
         assert len(statuses) == 40 and set(statuses) == {
@@ -1099,13 +1106,11 @@ class TestCli:
             "ValueError: the K(v; r) kernel's factor, from the smearing width, overflows a float"}
 
     def tiny_smearing_statuses(self, tmp_path, capsys, smearing, windows=None) -> set:
-        """The statuses of the 40 rows of an r sweep at delta = 10 sigma at
-        a smearing width in both detectors."""
-        text = FIG2_CONFIG.replace("smearing = 0.001", f"smearing = {smearing}")
+        """The statuses of the 40 rows of ``R_SWEEP`` at a smearing width in
+        both detectors."""
+        text = R_SWEEP.replace("smearing = 0.001", f"smearing = {smearing}")
         for old, new in (windows or {}).items():
             text = text.replace(old, new)
-        text += ("position_uncertainty = 10*sigma\n\n"
-                 "[sweep]\nparameter = r\nfrom = 10*sigma\nto = 400*sigma\npoints = 40\n")
         assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
         statuses = [row["status"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
         assert len(statuses) == 40
@@ -1122,25 +1127,29 @@ class TestCli:
     def test_underflowing_width_fails_each_row(self, tmp_path, capsys):
         # smearing 1e-300, whose square underflows to 0: every row of the r
         # sweep, on either spatial route, records one ValueError naming the
-        # width, and compute on the unsmeared point exits 2 with that line
+        # width, and compute on the sweep's point and on the unsmeared point
+        # exits 2 with that line
         message = "the smearing width 1e-300 underflows a float when squared"
         assert self.tiny_smearing_statuses(tmp_path, capsys, "1e-300") == {f"ValueError: {message}"}
-        self.compute_fails_in_one_line(
-            tmp_path, capsys, FIG2_CONFIG.replace("smearing = 0.001", "smearing = 1e-300"), message)
+        for text in (R_SWEEP, FIG2_CONFIG):
+            self.compute_fails_in_one_line(
+                tmp_path, capsys, text.replace("smearing = 0.001", "smearing = 1e-300"), message)
 
     def test_unequal_smearing_sweep_exit_code(self, tmp_path, capsys, monkeypatch):
         # formerly a table of failed rows
         self.unequal_smearing_run(tmp_path, capsys, monkeypatch, "sweep")
 
-    def test_figure_writes_sidecar_metadata(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name, highlight", [("fig2a", None), ("fig2b", "bell_phi_plus")])
+    def test_figure_writes_sidecar_metadata(self, tmp_path, capsys, name, highlight):
+        # a header and 200 converged rows, and fig2b's highlighted column
         out_path = tmp_path / "fig.csv"
-        # override tolerances only to keep this smoke test quick
-        assert main(["figure", "fig2a", "--out", str(out_path)]) == 0
+        assert main(["figure", name, "--out", str(out_path)]) == 0
         capsys.readouterr()
-        assert out_path.exists()
+        assert_converged(out_path.read_text(encoding="utf-8"), 200)
         meta = json.loads((tmp_path / "fig.csv.meta.json").read_text())
         assert meta["light_contact_r_min"] == pytest.approx(0.05)
         assert meta["light_contact_r_max"] == pytest.approx(0.25)
+        assert meta.get("highlight_column") == highlight
 
     def test_figure_json_holds_the_sidecar(self, tmp_path, capsys):
         # the JSON table carries what a CSV run writes beside it
@@ -1149,13 +1158,19 @@ class TestCli:
         assert main(["figure", "fig3", "--format", "json", "--out", str(json_path)]) == 0
         capsys.readouterr()
         data = json.loads(json_path.read_text())
-        assert len(data["rows"]) == 41
+        assert len(data["rows"]) == 41 and data["metadata"]["r0"] == 0.15
         assert data["metadata"] == json.loads((tmp_path / "fig3.csv.meta.json").read_text())
 
-    def test_figure_to_stdout_prints_its_sidecar_on_stderr(self, capsys):
+    def test_figure_to_stdout_prints_its_sidecar_on_stderr(self, tmp_path, capsys):
+        # the table --out writes: a header and 41 converged rows
+        out_path = tmp_path / "fig3.csv"
+        assert main(["figure", "fig3", "--out", str(out_path)]) == 0
+        capsys.readouterr()
         assert main(["figure", "fig3"]) == 0
         captured = capsys.readouterr()
+        assert captured.out == out_path.read_text(encoding="utf-8")
         assert captured.out == rows_to_csv(figure_preset("fig3")[0])
+        assert_converged(captured.out, 41)
         assert captured.err == '{"parameter": "delta", "preset": "fig3", "r0": 0.15}\n'
 
     def test_figure_tolerance_override_matches_preset(self, tmp_path, capsys):
@@ -1202,13 +1217,51 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert not out_path.parent.exists()
 
-    def test_compute_prints_the_smeared_term(self, tmp_path, capsys):
-        text = FIG2_CONFIG + "position_uncertainty = 150*sigma\n"
+    @pytest.mark.parametrize("delta", ["1.5*sigma", "150*sigma"], ids=["series", "frequency"])
+    def test_compute_prints_the_smeared_term(self, tmp_path, capsys, delta):
+        # the series route, and C with the frequency remainder
+        text = FIG2_CONFIG + f"position_uncertainty = {delta}\n"
         assert main(["compute", self.write_cfg(tmp_path, text)]) == 0
         cfg = loads_config(text)
         report = evaluate_scenario(cfg.scenario, cfg.numerics)
-        lines = capsys.readouterr().out.splitlines()
-        assert f"|j| smeared    = {report.j_smeared_abs!r}  (erfi-closed-form)" in lines
+        smeared = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("|j| smeared")]
+        assert smeared == [f"|j| smeared    = {report.j_smeared_abs!r}  (erfi-closed-form)"]
+
+    @pytest.mark.parametrize("verb", ["compute", "sweep"])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, verb):
+        # rejected at load: one line, not a traceback
+        text = with_value(R_SWEEP, "detector_a", "gap", "nan")
+        assert main([verb, self.write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: detector_a.gap: must be finite\n"
+
+    @pytest.mark.parametrize("name, text", CONVERGING_SWEEPS)
+    def test_sweep_rows_converge(self, tmp_path, capsys, name, text):
+        # the tiny-r sweep builds detectors closer than 5 sigma on purpose
+        with pytest.warns(UserWarning, match="detector overlap") if name == "tiny" else nullcontext():
+            assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
+        assert_converged(capsys.readouterr().out, 40)
+
+    def test_tiny_clock_spread_reads_the_unsmeared_term_or_fails(self, tmp_path, capsys):
+        # delta_t from 1e-320 to 1e-150, a point every 10 decades: a row
+        # whose windows' span over delta_t overflows a float fails, naming
+        # the spread; every other reads |J| within its reported error.  No
+        # RuntimeWarning is raised (an error under Tier-1)
+        text = sweep_text("delta_t", "1e-320", "1e-150", 18, "log")
+        assert main(["sweep", self.write_cfg(tmp_path, text)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 18
+        failed, converged = rows[:2], rows[2:]
+        for row in failed:
+            assert row["status"] == (f"ValueError: clock-offset smear: the clock spread "
+                                     f"{row['value']} is too small for windows spanning 0.25: "
+                                     f"their ratio overflows a float")
+        for row in converged:
+            assert row["status"] == "ok"
+            move = abs(float(row["j_smeared_abs"]) - float(row["j_abs"]))
+            assert move <= float(row["err_j"])
 
     def test_row_that_cannot_be_built_fails_alone(self, tmp_path, capsys):
         # durations of -50 and 0 sigma give no window; the others run
@@ -1254,6 +1307,23 @@ class TestCli:
             main(["figure", "fig9"])
         with pytest.raises(ValueError, match=re.escape(str(FIGURE_NAMES))):
             figure_config("fig9")
+
+
+class TestReadmeExamples:
+    def test_config_example_sweeps_to_its_table(self, tmp_path, capsys, monkeypatch):
+        # its [output] path, table.csv, is relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        Path("readme.ini").write_text(README_CONFIG, encoding="utf-8")
+        assert main(["sweep", "readme.ini"]) == 0
+        capsys.readouterr()
+        assert_converged(Path("table.csv").read_text(encoding="utf-8"), 200)
+
+    def test_library_example_prints_one_line(self, tmp_path, capsys, monkeypatch):
+        # of three fields, through the public names it imports
+        monkeypatch.chdir(tmp_path)
+        exec(README_EXAMPLE, {})
+        (line,) = capsys.readouterr().out.splitlines()
+        assert len(line.split()) == 3
 
 
 class TestFigurePresetShapes:
