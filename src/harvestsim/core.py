@@ -28,16 +28,15 @@ and every member of a detector pair its windows, gaps and kernel width
 from one place (``_pair``).  ``_finish`` applies its prefactor and phase
 to the quadrature's result.  A call adds the integrals its rows need to
 a ``_Plan``, a failed row nothing, and runs each kind, of one table
-form, as one group:
-a member alone through ``integrate_radial``, several in lockstep
-through ``integrate_lockstep``, which evaluates the nodes of every member of the group in one call of
-the evaluator at the columns of ``_stack``: a number every member holds
-with the same bits stays one value, and any other is read at each
-node's member.  Every smear, a row's or one computed alone
-(``_j_smeared_result``), is one weighted sum of its members' results
-(``_sum_request``), the one place where a sum's error is checked
-against the tolerance: a clock smear's, like the series route's, of one
-part.
+form, as one group: a member alone through ``integrate_radial``, several
+in lockstep through ``integrate_lockstep``, which evaluates the nodes of
+every member of the group in one call of the evaluator at the columns of
+``_stack``: a number every member holds with the same bits stays one
+value, and any other is read at each node's member.  Every smear, a
+row's or one computed alone (``_j_smeared_result``), is one weighted sum
+of its members' results (``_sum_request``), the one place where a sum's
+error is checked against the tolerance: a clock smear's, like the series
+route's, of one part.
 
 Basis order throughout is {|gg>, |ge>, |eg>, |ee>}.  The reduced state is
 fixed by the two local excitation terms (real, separation-independent),
@@ -106,10 +105,10 @@ class SecondOrderIntegrals:
     def i_minus(self) -> float:
         return self.i_aa - self.i_bb
 
-    def validate(self) -> None:
+    def validate(self, slack: float = 0.0) -> None:
         if not (self.i_aa >= 0.0 and self.i_bb >= 0.0):
             raise ValueError("SecondOrderIntegrals: diagonal terms must be >= 0")
-        if abs(self.i_ab) * abs(self.i_ab) > self.i_aa * self.i_bb + 1e-10:
+        if abs(self.i_ab) * abs(self.i_ab) > self.i_aa * self.i_bb + slack:
             raise ValueError(
                 "SecondOrderIntegrals: |i_ab|^2 exceeds i_aa*i_bb (Cauchy-Schwarz)"
             )
@@ -551,8 +550,8 @@ def _smear(s: Scenario, time_smear: float | None,
       e^(-x^2)*sqrt(pi)/delta times C = int M(v; gap_A, gap_B) F(-|v|) dv,
       which depends on neither separation nor uncertainty, shared in
       ``plan`` by detector pair and left out where that weight underflows,
-      less R, which carries exp(-(w*sigma)^2/2 - (w*delta)^2/4), so its
-      frequency quadrature ends where that envelope falls to ``_TAIL``.
+      less R (``_remainder_evaluate``), whose envelope exp(-(w*scale)^2/2)
+      ends its frequency quadrature at ``_TAIL``.
     """
     da, db, r0, delta = s.det_a, s.det_b, s.separation, s.position_uncertainty
     if time_smear is not None:
@@ -641,12 +640,12 @@ def _share_settings(settings: QuadratureSettings, share: float, pref: float,
 def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
     """R's frequency quadrature of the spatial smear (``_smear``) at
     x = r0/delta, times pref; the caller subtracts it.  Its parameters are
-    numbers: the damping's, and the width, windows and gaps of ``_pair``,
-    as every time-domain member of the pair holds them."""
-    da, db, delta = s.det_a, s.det_b, s.position_uncertainty
+    numbers: r0, delta, x, its envelope's width ``scale``, which also sets
+    its support and peak, and the windows and gaps of ``_pair``."""
+    da, db, r0, delta = s.det_a, s.det_b, s.separation, s.position_uncertainty
     t0, sig, windows = _pair(da, db)
     scale = math.sqrt(sig * sig + 0.5 * delta * delta)
-    params = dict(flat=math.exp(-x * x), delta=delta, x=x, sigma=sig, **windows)
+    params = dict(r0=r0, delta=delta, x=x, scale=scale, **windows)
     return _member(
         "remainder", params, pref, (da.gap + db.gap,), t0,
         support=(0.0, math.sqrt(2.0 * math.log(1.0 / _TAIL)) / scale),
@@ -657,11 +656,11 @@ def _remainder_member(s: Scenario, x: float, pref: float) -> _Member:
 
 
 def _remainder_evaluate(w, p: dict):
-    """R's integrand: its damped erfi factor times the kernel Jhat of both
-    orderings, A emitting to B and B to A."""
+    """R's integrand: Re[e^(i r0 w) w(x + i delta w/2)] e^(-(w scale)^2/2), which is
+    e^(-x^2) Re erfc(delta w/2 - i x) e^(-(w sigma)^2/2), times Jhat of both orderings."""
     a, b = (p["a_on"], p["a_off"]), (p["b_on"], p["b_off"])
-    return ((p["flat"] - _damped_erf(0.5 * p["delta"] * w, np.float64(p["x"])).real)
-            * np.exp(-0.5 * (w * p["sigma"]) ** 2)
+    return ((np.exp(1j * p["r0"] * w) * _faddeeva_w(p["x"] + 0.5j * p["delta"] * w)).real
+            * np.exp(-0.5 * (w * p["scale"]) ** 2)
             * (_jtilde(w, *b, *a, p["g_b"], p["g_a"]) + _jtilde(w, *a, *b, p["g_a"], p["g_b"])))
 
 
@@ -981,7 +980,8 @@ def _report(s: Scenario, method: str | None, res_sm: QuadResult | None, res_aa: 
         j_eff, j_smeared_abs = res_sm.value, abs(res_sm.value)
         errors["j_smeared"] = res_sm.abs_error
     ints = SecondOrderIntegrals(res_aa.value.real, res_bb.value.real, res_ab.value, j_eff)
-    ints.validate()
+    ints.validate(2.0 * abs(ints.i_ab) * res_ab.abs_error + ints.i_aa * res_bb.abs_error
+                  + ints.i_bb * res_aa.abs_error)  # |i_ab|^2 - i_aa*i_bb's first-order error
     raw, clamped = negativity_closed(ints)
     outer = _corner_eigenvalue(ints)
     phi_p, phi_m, psi_p, psi_m = bell_fractions(ints)

@@ -101,7 +101,9 @@ def _faddeeva_w(z: np.ndarray) -> np.ndarray:
 
 
 def _damped_erf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """exp(-y^2) * erf(x - i*y) for real x and y, without overflow.
+    """exp(-y^2) * erf(x - i*y) for real x and y, without overflow: the
+    clock window's Gaussian masses (``core._clock_window``) and, through
+    ``damped_im_erfi``, the benchmark's and the tests' probe.
 
     With s the sign of x (+1 at 0),
         exp(-y^2)*erf(x - iy) = s*(exp(-y^2) - exp(-x^2) * exp(2ixy) * w(s*y + i|x|)),

@@ -14,6 +14,8 @@ and the numpy and scipy versions it was written with.
 A check asserts equal statuses, equal groups, and every value within
 max(reported error, 50*eps*|value|) of the ledger's, and reports the
 largest move relative to that bound and how many numbers are bit-equal.
+``--write`` prints that check of the new outputs against the ledger it
+replaces, its failures and summary line, before it writes.
 
     PYTHONPATH=src python tests/ledger.py --write   # rewrite ledger.json
     PYTHONPATH=src python tests/ledger.py           # check against it
@@ -186,6 +188,9 @@ def main(argv=None) -> int:
         requests = bench_requests()
         ledger = {"versions": {"numpy": np.__version__, "scipy": scipy.__version__},
                   "requests": requests, **compute(requests)}
+        if LEDGER.exists():  # what the new ledger moves, against the one it replaces
+            failures, summary = compare(json.loads(LEDGER.read_text()), ledger)
+            print("\n".join(failures[:20] + [summary]))
         LEDGER.write_text(_dumps(ledger))
         print(f"wrote {LEDGER} ({LEDGER.stat().st_size} bytes)")
         return 0

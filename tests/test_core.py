@@ -332,6 +332,27 @@ class TestSmearedCorrelation:
         errors = rep.quad_errors["j"] + rep.quad_errors["j_smeared"]
         assert abs(rep.integrals.j - rep.j_unsmeared) <= errors
 
+    @pytest.mark.parametrize("x", np.geomspace(0.01, 9.5, 13))
+    def test_remainder_factor_against_mpmath(self, monkeypatch, x):
+        # R's factor in closed form, Re[e^(i r0 w) w(x + i delta w/2)]
+        # e^(-(w scale)^2/2), against e^(-x^2) Re erfc(delta w/2 - i x)
+        # e^(-(w sigma)^2/2) to 40 digits (after e^(-x^2) cancels e^(x^2)),
+        # across the member's support; Jhat of both orderings is set to 1
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(core, "_jtilde", lambda w, *args: np.full(w.shape, 0.5))
+        s = fig_scenario(delta=0.15 / x)
+        x = s.separation / s.position_uncertainty  # as ``_smear`` forms it
+        member = core._remainder_member(s, x, 1.0)
+        w = np.linspace(*member.spec.support, 61)
+        got = member.spec.evaluate(w)
+        envelope = np.exp(-0.5 * (w * member.params["scale"]) ** 2)
+        sigma, delta = s.det_a.smearing, s.position_uncertainty
+        with mpmath.workdps(45 + int(x * x / math.log(10))):
+            exact = [float(mpmath.exp(-mpmath.mpf(x) ** 2)
+                           * mpmath.erfc(mpmath.mpc(mpmath.mpf(delta) * wi / 2, -x)).real
+                           * mpmath.exp(-(mpmath.mpf(wi) * sigma) ** 2 / 2)) for wi in w.tolist()]
+        assert np.all(np.abs(got - exact) <= 8.0 * np.finfo(float).eps * envelope)
+
     def test_inverse_delta_asymptote_ratio(self):
         r0 = 0.15
         j50 = compute_J_smeared(replace(fig_scenario(), position_uncertainty=50 * r0))
@@ -1166,9 +1187,9 @@ class TestTimeDomainKernels:
     def test_kernel_width_has_one_source(self, monkeypatch):
         # a detector pair's members read its kernel width from ``_pair``
         # alone: doubled there, every pair, clock, series, C and remainder
-        # member carries 2 sigma (a series kernel's scale is
-        # sqrt((2 sigma)^2 + delta^2/2)), while I_nn, a local term read from
-        # its own detector, keeps sigma
+        # member carries 2 sigma (the scale of a series kernel and of the
+        # remainder's envelope is sqrt((2 sigma)^2 + delta^2/2)), while I_nn,
+        # a local term read from its own detector, keeps sigma
         original = core._pair
 
         def doubled(da, db):
@@ -1188,9 +1209,7 @@ class TestTimeDomainKernels:
                 kinds.add(m.kind)
                 if m.kind == "i_nn":
                     assert m.params["scale"] == sigma
-                elif m.kind == "remainder":
-                    assert m.params["sigma"] == 2.0 * sigma
-                elif m.kind == "series":
+                elif m.kind in ("remainder", "series"):
                     assert m.params["scale"] == pytest.approx(
                         math.sqrt(4.0 * sigma**2 + 0.5 * s.position_uncertainty**2), rel=1e-12)
                 else:
@@ -1401,6 +1420,33 @@ class TestStateAssembly:
     def test_rejects_cauchy_schwarz_violation(self):
         with pytest.raises(ValueError):
             assemble_rho(SecondOrderIntegrals(1e-4, 1e-4, 2e-4, 0.0))
+
+    @pytest.mark.parametrize("times, excess, rejected",
+                             [(1.0, 0.5, False), (1.0, 2.0, True), (100.0, 0.0, True)])
+    def test_cauchy_schwarz_slack_is_the_integrals_error(self, times, excess, rejected):
+        # |i_ab|^2 = times*i_aa*i_bb + excess*slack, the slack being the
+        # first-order error of |i_ab|^2 - i_aa*i_bb, 2|i_ab| e_ab + i_aa e_bb
+        # + i_bb e_aa, from the errors the integrals report.  At coupling
+        # 1e-3*gap, i_aa*i_bb is 6.6e-14, so a fixed slack of 1e-10 would
+        # pass even 100 times it
+        s = fig_scenario(coupling=1e-3)
+        settings = core.DEFAULT_SETTINGS
+        res_aa = res_bb = core._single(core._i_nn_member(s.det_a), settings)
+        res_ab, res_j = core._single(core._time_member("pair", s.det_a, s.det_b, s.separation),
+                                     settings)
+        i_aa, e_aa, e_ab = res_aa.value.real, res_aa.abs_error, res_ab.abs_error
+        bound = i_aa * i_aa
+        slack = 2.0 * math.sqrt(bound) * e_ab + 2.0 * i_aa * e_aa
+        assert bound == pytest.approx(6.6e-14, rel=0.01) and slack < 1e-9 * bound
+        i_ab = res_ab.value / abs(res_ab.value) * math.sqrt(times * bound + excess * slack)
+        pair = [QuadResult(i_ab, e_ab, res_ab.evaluations), res_j]
+        if rejected:  # by the report, and as a bare tuple, whose slack is 0
+            with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+                core._report(s, None, None, res_aa, res_bb, pair)
+            with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+                assemble_rho(SecondOrderIntegrals(i_aa, i_aa, i_ab, 0.0))
+        else:
+            assert abs(core._report(s, None, None, res_aa, res_bb, pair).integrals.i_ab) == abs(i_ab)
 
     def test_state_validation(self):
         bad = np.eye(4, dtype=complex) / 4.0
