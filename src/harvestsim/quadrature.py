@@ -20,11 +20,13 @@ Several integrals, each on its own partition, can advance in lockstep
 of them together, in calls of at most ``_CHUNK`` nodes that also name
 the integral each node belongs to, and each integral then keeps its own
 sums, refinement, budget and failure, exactly as it would alone.
-``integrate_radial`` is that loop with a group of one.  Each member
-starts from its own ``_initial_panels``, whatever the group's size, and
-a member whose first partition cannot be built fails alone.  A group
-keeps its unfinished integrals' panels, sums and errors in arrays,
-rebuilt each round, so its memory grows with their total panels.
+``integrate_radial`` is that loop with a group of one, whose nodes all
+name integral 0: no step of the loop tells one integral from many.
+Each member starts from its own ``_initial_panels``, whatever the
+group's size, and a member whose first partition cannot be built fails
+alone.  A group keeps its unfinished integrals' panels, sums and errors
+in arrays, rebuilt each round, so its memory grows with their total
+panels.
 """
 from __future__ import annotations
 
@@ -235,11 +237,11 @@ def _initial_panels(spec: IntegrandSpec) -> np.ndarray:
     return np.append(edges, hi)
 
 
-def _gk15(evaluate, a: np.ndarray, b: np.ndarray, owner: np.ndarray | None) -> tuple:
-    """Vectorized GK15 on the panels a[i], b[i] of integral owner[i] (None for
-    a group of one), in evaluate calls of at most ``_CHUNK`` nodes.  Returns
-    the kronrod sums and |K-G| errors, each of shape (k, panels), and
-    whether the integrand has one component."""
+def _gk15(evaluate, a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> tuple:
+    """Vectorized GK15 on the panels a[i], b[i] of integral owner[i] (all
+    zeros for a group of one), in evaluate calls of at most ``_CHUNK``
+    nodes.  Returns the kronrod sums and |K-G| errors, each of shape
+    (k, panels), and whether the integrand has one component."""
     step = _CHUNK // _NODES.size
     sums = []
     for start in range(0, a.size, step):
@@ -247,16 +249,15 @@ def _gk15(evaluate, a: np.ndarray, b: np.ndarray, owner: np.ndarray | None) -> t
         c = 0.5 * (pa + pb)
         h = 0.5 * (pb - pa)
         x = c[:, None] + h[:, None] * _NODES[None, :]
-        v = np.asarray(evaluate(x.ravel(), None if owner is None
-                                else np.repeat(owner[start:start + step], _NODES.size)),
+        v = np.asarray(evaluate(x.ravel(), np.repeat(owner[start:start + step], _NODES.size)),
                        dtype=complex)
         # component by component, so each is summed as it would be on its own;
         # einsum, not ``v @ w``: the BLAS product wakes a thread pool that burns
         # a second core without any gain in wall time
         rows = v.T.reshape(-1, _NODES.size)
         sums.append(h * np.einsum("ij,kj->ki", rows, _WEIGHTS).reshape(2, -1, pa.size))
-    ik, ig = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=2)
-    return ik, np.abs(ik - ig), v.ndim == 1
+    ik, ig = np.concatenate(sums, axis=2)
+    return ik, np.abs(ik - ig), v.ndim < 2
 
 
 def integrate_radial(
@@ -301,8 +302,8 @@ def integrate_lockstep(
     what they share is the evaluate call.  A round evaluates the pending
     panels of every unfinished integral in calls of at most ``_CHUNK``
     nodes, ``evaluate(x, owner)``, where owner[i] is the index in
-    ``specs`` of the integral that node x[i] belongs to (None for a
-    single spec); it must equal ``specs[owner[i]].evaluate`` at x[i],
+    ``specs`` of the integral that node x[i] belongs to (all zeros for
+    a single spec); it must equal ``specs[owner[i]].evaluate`` at x[i],
     and every spec must have the same number of components.  Returns,
     in spec order, the result or the ConvergenceFailure
     ``integrate_radial`` would raise.  Each member's first partition is
@@ -321,13 +322,12 @@ def integrate_lockstep(
     counts = [e.size - 1 for e in edges]
     owner, evals = np.repeat(np.arange(m), counts), [15 * n for n in counts]
     active = [i for i, res in enumerate(out) if res is None]
-    vals, errs, scalar = _gk15(evaluate, a, b, owner if m > 1 else None) if active else [None] * 3
+    vals, errs, scalar = _gk15(evaluate, a, b, owner) if active else [None] * 3
     span = None
     while active:
         stops = list(accumulate(counts))
-        value, error = (x.sum(axis=1)[None] if m == 1 else np.array(
-            [x[:, stops[i] - counts[i]:stops[i]].sum(axis=1) for i in active])
-            for x in (vals, errs))  # each integral's sums over its own panels
+        value, error = (np.array([x[:, stops[i] - counts[i]:stops[i]].sum(axis=1) for i in active])
+                        for x in (vals, errs))  # each integral's sums over its own panels
         tol = np.maximum(settings.tol_abs, settings.tol_rel * np.abs(value))
         done = (error <= tol).all(axis=1).tolist()
         finite = np.isfinite(error).all(axis=1).tolist()
@@ -360,20 +360,19 @@ def integrate_lockstep(
                 evals[i] += 15 * n_new[i]
         if not active:
             break
-        # each unfinished integral's unrefined panels in order, then left halves, then right
+        # each unfinished integral's unrefined panels in order, then left halves, then
+        # right; the stable sort brings each integral's panels together in that order
         alive = np.bincount(active, minlength=m) > 0
         split, stay = refine & alive[owner], ~refine & alive[owner]
         kept, mid = int(stay.sum()), 0.5 * (a[split] + b[split])
         a, b = np.concatenate([a[stay], a[split], mid]), np.concatenate([b[stay], mid, b[split]])
         owner = np.concatenate([owner[stay], owner[split], owner[split]])
-        old, new, counts = slice(None, kept), slice(kept, None), [a.size]
-        if m > 1:  # each integral's panels together
-            order = np.argsort(owner.astype(np.min_scalar_type(m)), kind="stable")
-            a, b, owner, new = a[order], b[order], owner[order], order >= kept
-            old, counts = ~new, np.bincount(owner, minlength=m).tolist()
+        order = np.argsort(owner.astype(np.min_scalar_type(m)), kind="stable")
+        a, b, owner, new = a[order], b[order], owner[order], order >= kept
+        counts = np.bincount(owner, minlength=m).tolist()
         grown = [np.empty((x.shape[0], a.size), dtype=x.dtype) for x in (vals, errs)]
-        fresh = _gk15(evaluate, a[new], b[new], owner[new] if m > 1 else None)
+        fresh = _gk15(evaluate, a[new], b[new], owner[new])
         for y, x, z in zip(grown, (vals, errs), fresh):
-            y[:, old], y[:, new] = x[:, stay], z
+            y[:, ~new], y[:, new] = x[:, stay], z
         vals, errs = grown
     return out

@@ -60,3 +60,24 @@ def test_tracer_sees_every_integral(tracing):
         evaluations, _, overruns = tracer.probe(name)
         assert evaluations > 0, name
         assert overruns == 0, name
+
+
+def test_tracer_sees_each_integral_of_a_single_point(tracing, monkeypatch):
+    # a single point at x = r0/delta = 1 runs its remainder route: I_nn, the
+    # I_AB/J pair, C and the frequency remainder, each a group of one that
+    # ``core._run_group`` sends through the ``integrate_radial`` the tracer wraps
+    groups, run_group = [], harvestsim.core._run_group
+
+    def recorded(members, settings):
+        groups.append(len(members))
+        return run_group(members, settings)
+
+    monkeypatch.setattr(harvestsim.core, "_run_group", recorded)
+    tracer = tracing.Tracer().install()
+    try:
+        harvestsim.core.evaluate_scenario(fig_scenario(delta=0.15))
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s[0] == "quadrature.integrate_radial"]
+    assert groups == [1] * 4 and len(spans) == 4
+    assert tracer.probe(None) == (660, 1, 0)

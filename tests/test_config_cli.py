@@ -689,7 +689,7 @@ class TestBatchedSweep:
         def first_call(evaluate, a, b, owner):
             calls = groups[-1][1]
             if not calls:
-                calls.append((a, b, np.zeros(a.size, dtype=np.intp) if owner is None else owner))
+                calls.append((a, b, owner))
             return gk15(evaluate, a, b, owner)
 
         for module in (core, quadrature):
